@@ -418,7 +418,6 @@ def _cmd_link(args: argparse.Namespace) -> int:
         m=args.m,
         capacity=args.capacity,
         seed=args.seed,
-        threads=args.threads,
     )
     write_results_csv(out / "results.csv", run)
     metrics = write_metrics_json(out / "metrics.json", run)
@@ -550,7 +549,6 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 
 def _pipeline_traces(args: argparse.Namespace):
     if args.synthetic:
-        params = {"anchors": 0, "radius": 0.05, "points": 200, "seed": args.seed}
         params: dict[str, float] = {}
         for part in args.synthetic.split(","):
             if not part:
@@ -634,7 +632,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         m=args.m,
         capacity=args.capacity,
         seed=args.seed,
-        threads=args.threads,
         excluded_queries=excluded_queries,
         excluded_references=excluded_refs,
     )
@@ -838,7 +835,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--capacity", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(handler=_cmd_link)
 
     p = subparsers.add_parser("eval", help="accuracy table from a results CSV")
@@ -902,7 +898,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--capacity", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     _add_split_flags(p)
     _add_kind_flags(p)
     p.set_defaults(handler=_cmd_pipeline)

@@ -8,7 +8,6 @@ import csv
 import json
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -142,7 +141,6 @@ def link_signatures(
     capacity: int = 32,
     lsh_planes: int = DEFAULT_LSH_PLANES,
     seed: int = 0,
-    threads: int = 1,
     excluded_queries: Sequence[str] = (),
     excluded_references: Sequence[str] = (),
 ) -> LinkingRun:
@@ -187,11 +185,7 @@ def link_signatures(
         return oid, lsh.knn(sig, k)
 
     t0 = time.perf_counter()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(pool.map(run_query, query_items))
-    else:
-        results = dict(map(run_query, query_items))
+    results = dict(map(run_query, query_items))
     timings["link"] = time.perf_counter() - t0
 
     return LinkingRun(
@@ -218,7 +212,6 @@ def link_all(
     capacity: int = 32,
     lsh_planes: int = DEFAULT_LSH_PLANES,
     seed: int = 0,
-    threads: int = 1,
 ) -> LinkingRun:
     """Run one k-NN linking query per usable query trace against the
     reference corpus, under the chosen engine, at reduction level m.
@@ -249,7 +242,6 @@ def link_all(
         capacity=capacity,
         lsh_planes=lsh_planes,
         seed=seed,
-        threads=threads,
         excluded_queries=excluded_queries,
         excluded_references=excluded_refs,
     )

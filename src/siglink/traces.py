@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import csv
 import random
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
+from itertools import compress
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -23,6 +26,13 @@ DEFAULT_UTC_OFFSET_HOURS = 8
 
 # Candidate pool when re-ranking KD-tree hits by exact distance.
 _NEAREST_POOL = 8
+
+# A point whose second KD-tree neighbour is farther than the first by more
+# than this relative-plus-absolute gap (metres, or degrees when planar) has a
+# unique nearest anchor; see nearest_anchors for why the gap is sound.
+_CLEAR_GAP = 1e-6
+
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 
 @dataclass(frozen=True)
@@ -45,20 +55,18 @@ class Trace:
         return len(self.points)
 
     def anchor_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for anchor_id, _ in self.points:
-            counts[anchor_id] = counts.get(anchor_id, 0) + 1
-        return counts
+        """Visits per anchor, keyed in first-visit order."""
+        return Counter(map(itemgetter(0), self.points))
 
     def anchor_ids(self) -> set[int]:
-        return {anchor_id for anchor_id, _ in self.points}
+        return set(map(itemgetter(0), self.points))
 
 
 class AnchorSet:
     """Immutable anchor vocabulary; ids are dense in [0, len).
 
-    Shared read-only across threads; the lookup trees are built lazily and
-    cached on first use.
+    The coordinate arrays are never modified; the lookup trees are built
+    lazily on first use and cached on the instance.
     """
 
     def __init__(self, lons: Sequence[float], lats: Sequence[float]):
@@ -119,28 +127,73 @@ def _unit_sphere(lons, lats) -> np.ndarray:
 def nearest_anchors(anchors: AnchorSet, lons, lats, metric: str = "haversine") -> np.ndarray:
     """Nearest anchor id for each (lon, lat); exact ties go to the lowest id.
 
-    Chord distance on the unit sphere is monotone in great-circle distance, so
-    KD-tree candidates are retrieved in 3-d and re-ranked with the exact
-    metric before tie-breaking.
+    "Ties" are anchors within ``1e-9 * max(dmin, 1)`` of the nearest exact
+    distance ``dmin`` (metres for haversine, degrees for planar). The
+    KD-tree screens every point with its two nearest anchors; a point whose
+    second neighbour is farther than the first by more than the clear gap
+    ``d1 * 1e-6 + 1e-6`` takes the first directly. Only the remaining
+    near-ties are re-ranked: the tree's nearest ``_NEAREST_POOL`` anchors
+    are scored with the exact metric and the lowest id within the tie
+    tolerance wins.
+
+    Why the screen returns what the re-ranking would: planar tree distances
+    are the exact metric up to rounding. For haversine the tree holds unit
+    vectors, and the screen scales chord lengths ``c`` by the earth radius
+    R. The great-circle distance ``R * 2 * asin(c / 2)`` is at least
+    ``R * c``, and since ``asin`` has slope >= 1 the arc gap between two
+    anchors is at least ``R`` times their chord gap. Either way every other
+    anchor lies more than ``1e-6 * (d1 + 1)`` beyond the first neighbour in
+    the exact metric, and the first neighbour's exact distance is at most
+    ``pi / 2`` times ``d1``. That gap exceeds the tie tolerance by a factor
+    of over 600, and the rounding of either distance (about ``1e-8`` m
+    absolute plus a few ulps relative) by over 100, so no other anchor can
+    tie or win.
     """
     lons = np.atleast_1d(np.asarray(lons, dtype=float))
     lats = np.atleast_1d(np.asarray(lats, dtype=float))
+    if metric == "planar":
+        tree, scale = anchors.planar_tree(), 1.0
+        points = np.column_stack([lons, lats])
+    elif metric == "haversine":
+        tree, scale = anchors.sphere_tree(), EARTH_RADIUS_M
+        points = _unit_sphere(lons, lats)
+    else:
+        raise ValueError(f"unknown calibration metric: {metric!r}")
+    # with one anchor the missing second neighbour comes back at infinity,
+    # which always clears the gap
+    dist, idx = tree.query(points, k=2)
+    d1 = dist[:, 0] * scale
+    d2 = dist[:, 1] * scale
+    nearest = idx[:, 0]
+    near_tie = ~(d2 > d1 * (1.0 + _CLEAR_GAP) + _CLEAR_GAP)
+    if near_tie.any():
+        nearest[near_tie] = _nearest_in_pool(
+            anchors, tree, points[near_tie], lons[near_tie], lats[near_tie], metric
+        )
+    return nearest
+
+
+def _nearest_in_pool(
+    anchors: AnchorSet, tree: cKDTree, points: np.ndarray, lons, lats, metric: str
+) -> np.ndarray:
+    """Exact re-ranking of the KD-tree's nearest ``_NEAREST_POOL`` anchors.
+
+    Chord distance on the unit sphere is monotone in great-circle distance, so
+    the candidates are retrieved in 3-d and re-ranked with the exact metric
+    before tie-breaking.
+    """
     n = len(lons)
     k = min(_NEAREST_POOL, len(anchors))
+    _, idx = tree.query(points, k=k)
+    idx = idx.reshape(n, k)
     if metric == "planar":
-        _, idx = anchors.planar_tree().query(np.column_stack([lons, lats]), k=k)
-        idx = idx.reshape(n, k)
         exact = np.hypot(
             anchors.lons[idx] - lons[:, None], anchors.lats[idx] - lats[:, None]
         )
-    elif metric == "haversine":
-        _, idx = anchors.sphere_tree().query(_unit_sphere(lons, lats), k=k)
-        idx = idx.reshape(n, k)
+    else:
         exact = haversine_m(
             lons[:, None], lats[:, None], anchors.lons[idx], anchors.lats[idx]
         )
-    else:
-        raise ValueError(f"unknown calibration metric: {metric!r}")
     dmin = exact.min(axis=1, keepdims=True)
     eps = 1e-9 * np.maximum(dmin, 1.0)
     candidates = np.where(exact <= dmin + eps, idx, len(anchors))
@@ -155,24 +208,24 @@ def calibrate_trace(
 ) -> Trace:
     """Snap raw fixes to their nearest anchors and collapse consecutive repeats.
 
-    Input is sorted by timestamp first; a run of points snapping to the same
-    anchor keeps only its earliest timestamp.
+    Input is sorted by timestamp first (stably, so fixes sharing a timestamp
+    keep their input order); a run of points snapping to the same anchor
+    keeps only its earliest timestamp.
     """
     if not raw:
         raise EmptyTraceError(f"no raw points for object {object_id!r}")
-    ordered = sorted(raw, key=lambda p: p.t)
-    ids = nearest_anchors(
-        anchors,
-        [p.lon for p in ordered],
-        [p.lat for p in ordered],
-        metric=metric,
-    )
-    points: list[tuple[int, int]] = []
-    for anchor_id, p in zip(ids.tolist(), ordered):
-        if points and points[-1][0] == anchor_id:
-            continue
-        points.append((int(anchor_id), int(p.t)))
-    return Trace(object_id, points)
+    n = len(raw)
+    stamps = list(map(attrgetter("t"), raw))
+    order = np.argsort(np.array(stamps, dtype=np.int64), kind="stable")
+    lons = np.fromiter(map(attrgetter("lon"), raw), dtype=float, count=n)[order]
+    lats = np.fromiter(map(attrgetter("lat"), raw), dtype=float, count=n)[order]
+    ids = nearest_anchors(anchors, lons, lats, metric=metric)
+    keep = np.empty(n, dtype=bool)
+    keep[0] = True
+    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+    # int() hands back the caller's own timestamp objects rather than copies
+    kept_stamps = map(int, map(stamps.__getitem__, order[keep].tolist()))
+    return Trace(object_id, list(zip(ids[keep].tolist(), kept_stamps)))
 
 
 def filter_min_points(traces: Iterable[Trace], min_points: int) -> list[Trace]:
@@ -259,11 +312,19 @@ def split_dataset(
     q_half: list[Trace] = []
     d_half: list[Trace] = []
     flagged: list[str] = []
+    shift = utc_offset_hours * 3600
     for trace in traces:
-        dates = [local_date(t, utc_offset_hours) for _, t in trace.points]
+        points = trace.points
+        t = np.fromiter(map(itemgetter(1), points), dtype=np.int64, count=len(points))
+        # local day number since 1970-01-01; floor division keeps days
+        # before the epoch whole
+        days, day_of_point = np.unique((t + shift) // 86400, return_inverse=True)
+        dates = [date.fromordinal(_EPOCH_ORDINAL + d) for d in days.tolist()]
         to_q = _query_dates(trace.object_id, dates, strategy)
-        q_points = [p for p, day in zip(trace.points, dates) if day in to_q]
-        d_points = [p for p, day in zip(trace.points, dates) if day not in to_q]
+        day_to_q = np.fromiter((d in to_q for d in dates), dtype=bool, count=len(dates))
+        in_q = day_to_q[day_of_point]
+        q_points = list(compress(points, in_q.tolist()))
+        d_points = list(compress(points, (~in_q).tolist()))
         if not q_points or not d_points:
             flagged.append(trace.object_id)
         q_half.append(Trace(trace.object_id, q_points))

@@ -561,6 +561,8 @@ def _pack_sig(sig: Signature) -> bytes:
 def _unpack_sig(buf: memoryview, off: int, kind: str) -> tuple[Signature, int]:
     reduced, normalized, nnz = struct.unpack_from("<iBI", buf, off)
     off += struct.calcsize("<iBI")
+    if off + 16 * nnz > len(buf):
+        raise ValueError(f"corrupt index: truncated signature at byte {off}")
     dims = np.frombuffer(buf, dtype="<i8", count=nnz, offset=off).astype(np.int64)
     off += 8 * nnz
     weights = np.frombuffer(buf, dtype="<f8", count=nnz, offset=off).astype(float)
@@ -618,32 +620,52 @@ def save_index(tree: WrTree, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> WrTree:
+    """Read a tree written by save_index.
+
+    A truncated file, an impossible header or a node stream that does not
+    form one tree raises ``ValueError("corrupt index: ...")``.
+    """
     raw = Path(path).read_bytes()
     if raw[: len(_INDEX_MAGIC)] != _INDEX_MAGIC:
         raise ValueError(f"{path} is not a siglink index file")
-    buf = memoryview(raw)
-    off = len(_INDEX_MAGIC)
+    try:
+        return _parse_index(memoryview(raw), len(_INDEX_MAGIC))
+    except struct.error as exc:
+        raise ValueError(f"corrupt index: truncated record ({exc})") from None
+
+
+def _take(buf: memoryview, off: int, n: int) -> bytes:
+    if off + n > len(buf):
+        raise ValueError(f"corrupt index: truncated record at byte {off}")
+    return bytes(buf[off : off + n])
+
+
+def _parse_index(buf: memoryview, off: int) -> WrTree:
     version, capacity, n_objects, weighted, kind_len = struct.unpack_from("<HIQBH", buf, off)
     if version != _INDEX_VERSION:
         raise ValueError(f"unsupported index version {version}")
+    if capacity < 2:
+        raise ValueError(f"corrupt index: capacity {capacity} < 2")
     off += struct.calcsize("<HIQBH")
-    kind = bytes(buf[off : off + kind_len]).decode("utf-8") or None
+    kind = _take(buf, off, kind_len).decode("utf-8") or None
     off += kind_len
 
     stack: list[WrNode] = []
     ids: set[str] = set()
+    n_leaves = 0
     while off < len(buf):
         (tag,) = struct.unpack_from("<B", buf, off)
         off += 1
         if tag == 0:
             (id_len,) = struct.unpack_from("<I", buf, off)
             off += 4
-            object_id = bytes(buf[off : off + id_len]).decode("utf-8")
+            object_id = _take(buf, off, id_len).decode("utf-8")
             off += id_len
             sig, off = _unpack_sig(buf, off, kind or "")
             mbr, off = _unpack_mbr(buf, off)
             stack.append(WrNode.leaf(object_id, sig, mbr))
             ids.add(object_id)
+            n_leaves += 1
         elif tag == 1:
             (n_children,) = struct.unpack_from("<I", buf, off)
             off += 4
@@ -660,5 +682,9 @@ def load_index(path: str | Path) -> WrTree:
             raise ValueError(f"corrupt index: unknown node tag {tag}")
     if len(stack) > 1:
         raise ValueError("corrupt index: dangling nodes in stream")
+    if n_leaves != n_objects:
+        raise ValueError(
+            f"corrupt index: header says {n_objects} objects, stream holds {n_leaves}"
+        )
     root = stack[0] if stack else None
     return WrTree(root, capacity, kind, n_objects, weighted=bool(weighted), ids=ids)

@@ -93,14 +93,6 @@ def test_empty_half_objects_excluded_from_denominator():
     assert accuracy_at_k(run, 1) == pytest.approx(1 / 2)
 
 
-def test_threaded_linking_identical():
-    traces, anchors = generate_synthetic(40, 300, 0.08, 80, seed=6)
-    halves = split_dataset(traces, SplitStrategy.interleaved())
-    single = link_all(halves.q, halves.d, anchors, engine="wrtree", k=3, m=10)
-    multi = link_all(halves.q, halves.d, anchors, engine="wrtree", k=3, m=10, threads=4)
-    assert single.results == multi.results
-
-
 # ---------------------------------------------------------------------------
 # Accuracy
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from siglink.errors import EmptyTraceError
 from siglink.traces import (
+    _NEAREST_POOL,
     AnchorSet,
     RawPoint,
     SplitStrategy,
@@ -19,6 +20,7 @@ from siglink.traces import (
     read_anchor_csv,
     read_raw_csv,
     read_trace_csv,
+    _query_dates,
     split_dataset,
     write_anchor_csv,
     write_raw_csv,
@@ -97,6 +99,80 @@ def test_nearest_anchor_matches_bruteforce_oracle():
     for i in range(len(lons)):
         dists = haversine_m(lons[i], lats[i], anchors.lons, anchors.lats)
         assert got[i] == int(np.argmin(dists))
+
+
+def _oracle_nearest(anchors, lons, lats, metric):
+    """Exact distance to every anchor; lowest id within the tie tolerance."""
+    out = []
+    for lon, lat in zip(lons, lats):
+        if metric == "planar":
+            dists = np.hypot(anchors.lons - lon, anchors.lats - lat)
+        else:
+            dists = haversine_m(lon, lat, anchors.lons, anchors.lats)
+        dmin = dists.min()
+        out.append(int(np.flatnonzero(dists <= dmin + 1e-9 * max(dmin, 1.0))[0]))
+    return out
+
+
+def _probe_points(anchors, extra_lons, extra_lats):
+    """Every anchor, the midpoint of every pair of anchors, and extra points."""
+    lons, lats = list(anchors.lons), list(anchors.lats)
+    n = len(anchors)
+    for i in range(n):
+        for j in range(i + 1, n):
+            lons.append((anchors.lons[i] + anchors.lons[j]) / 2)
+            lats.append((anchors.lats[i] + anchors.lats[j]) / 2)
+    return lons + list(extra_lons), lats + list(extra_lats)
+
+
+# Grid values in degrees: coarse enough that midpoints and coincident anchors
+# give exact planar ties.
+_GRID = st.integers(min_value=-4, max_value=4).map(lambda v: 116.0 + 0.25 * v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cells=st.lists(st.tuples(_GRID, _GRID), min_size=1, max_size=_NEAREST_POOL),
+    extra=st.lists(st.tuples(_GRID, _GRID), max_size=5),
+    metric=st.sampled_from(["planar", "haversine"]),
+)
+def test_nearest_anchor_ties_match_bruteforce_oracle(cells, extra, metric):
+    # at most _NEAREST_POOL anchors, so even a point tied with all of them is
+    # decided by the exact re-ranking; lists may repeat a cell (coincident
+    # anchors) and may hold a single anchor
+    anchors = AnchorSet([c[0] for c in cells], [c[1] - 76.0 for c in cells])
+    lons, lats = _probe_points(anchors, [e[0] for e in extra], [e[1] - 76.0 for e in extra])
+    got = nearest_anchors(anchors, lons, lats, metric=metric)
+    assert got.tolist() == _oracle_nearest(anchors, lons, lats, metric)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=120),
+    metric=st.sampled_from(["planar", "haversine"]),
+)
+def test_nearest_anchor_screen_matches_bruteforce_oracle(seed, n, metric):
+    # many anchors, so most points take the two-neighbour screen; a few
+    # anchors are duplicated to put coincident pairs next to the screen
+    rng = np.random.default_rng(seed)
+    lons = rng.uniform(116.0, 116.2, n)
+    lats = rng.uniform(39.9, 40.1, n)
+    dup = rng.choice(n, size=min(n, 3), replace=False)
+    anchors = AnchorSet(np.append(lons, lons[dup]), np.append(lats, lats[dup]))
+    picks = rng.choice(len(anchors), size=min(len(anchors), 12), replace=False)
+    sub = AnchorSet(anchors.lons[picks], anchors.lats[picks])
+    probe_lons, probe_lats = _probe_points(
+        sub, rng.uniform(116.0, 116.2, 40), rng.uniform(39.9, 40.1, 40)
+    )
+    got = nearest_anchors(anchors, probe_lons, probe_lats, metric=metric)
+    assert got.tolist() == _oracle_nearest(anchors, probe_lons, probe_lats, metric)
+
+
+def test_stable_time_sort_keeps_input_order_of_equal_timestamps(anchors100):
+    raw = [RawPoint(5.0, 0.0, 20), RawPoint(3.0, 0.0, 10), RawPoint(4.0, 0.0, 10)]
+    trace = calibrate_trace("o", raw, anchors100)
+    assert trace.points == [(3, 10), (4, 10), (5, 20)]
 
 
 def test_calibration_is_idempotent_on_anchor_points():
@@ -210,6 +286,62 @@ def test_split_completeness_and_disjointness(days, strategy_idx):
     q_days = {local_date(t) for _, t in result.q[0].points}
     d_days = {local_date(t) for _, t in result.d[0].points}
     assert not (q_days & d_days)
+
+
+def _reference_split(traces, strategy, utc_offset_hours):
+    """split_dataset by its definition: one local_date per point."""
+    q, d, flagged = [], [], []
+    for trace in traces:
+        dates = [local_date(t, utc_offset_hours) for _, t in trace.points]
+        to_q = _query_dates(trace.object_id, dates, strategy)
+        q.append([p for p, day in zip(trace.points, dates) if day in to_q])
+        d.append([p for p, day in zip(trace.points, dates) if day not in to_q])
+        if not q[-1] or not d[-1]:
+            flagged.append(trace.object_id)
+    return q, d, flagged
+
+
+# Instants around which split timestamps cluster: before 1970, the epoch,
+# and month, leap-day and year ends.
+_SPLIT_BASES = [
+    int(datetime(y, m, d, tzinfo=timezone.utc).timestamp())
+    for y, m, d in [
+        (1965, 7, 1), (1969, 12, 31), (1970, 1, 1), (2020, 2, 29),
+        (2021, 3, 1), (2021, 4, 30), (2021, 12, 31), (2022, 1, 1),
+    ]
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    objects=st.lists(
+        st.tuples(
+            st.sampled_from(_SPLIT_BASES),
+            st.lists(st.integers(min_value=-4 * 86400, max_value=4 * 86400), max_size=25),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    strategy=st.sampled_from(
+        [
+            SplitStrategy.interleaved(),
+            SplitStrategy.serial(2),
+            SplitStrategy.random(3, seed=4),
+            SplitStrategy.weekday_weekend(),
+        ]
+    ),
+    utc_offset=st.sampled_from([8, 0, -5]),
+)
+def test_split_matches_per_point_local_date_reference(objects, strategy, utc_offset):
+    traces = [
+        Trace(f"o{i}", [(j % 7, base + dt) for j, dt in enumerate(offsets)])
+        for i, (base, offsets) in enumerate(objects)
+    ]
+    result = split_dataset(traces, strategy, utc_offset_hours=utc_offset)
+    q, d, flagged = _reference_split(traces, strategy, utc_offset)
+    assert [t.points for t in result.q] == q
+    assert [t.points for t in result.d] == d
+    assert result.flagged == flagged
 
 
 def test_split_strategy_validation():

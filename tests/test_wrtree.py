@@ -338,3 +338,39 @@ def test_empty_tree_round_trip(tmp_path):
     loaded = load_index(path)
     assert loaded.root is None
     assert loaded.n_objects == 0
+
+
+def _saved_index_bytes(tmp_path, n=6, capacity=2):
+    entries, _ = synthetic_entries(n, seed=16)
+    path = tmp_path / "index.bin"
+    save_index(bulk_load(entries, capacity=capacity), path)
+    return path, bytearray(path.read_bytes())
+
+
+# header layout after the 10-byte magic: <H version, I capacity, Q n_objects, ...
+_CAPACITY_AT = 12
+_N_OBJECTS_AT = 16
+
+
+def test_index_object_count_mismatch_rejected(tmp_path):
+    path, raw = _saved_index_bytes(tmp_path)
+    raw[_N_OBJECTS_AT : _N_OBJECTS_AT + 8] = (6 + 1).to_bytes(8, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="corrupt index"):
+        load_index(path)
+
+
+def test_index_capacity_below_two_rejected(tmp_path):
+    path, raw = _saved_index_bytes(tmp_path)
+    raw[_CAPACITY_AT : _CAPACITY_AT + 4] = (1).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="corrupt index"):
+        load_index(path)
+
+
+def test_truncated_index_rejected_at_every_offset(tmp_path):
+    path, raw = _saved_index_bytes(tmp_path)
+    for cut in range(len(b"SIGLINKIDX") + 1, len(raw)):
+        path.write_bytes(bytes(raw[:cut]))
+        with pytest.raises(ValueError, match="corrupt index"):
+            load_index(path)
