@@ -6,7 +6,8 @@ the output directory, captures the resolved configuration there, and prints a
 console table.
 
 Config files are flat `key = value` documents ('#' starts a comment); keys
-match the long flag names with '-' replaced by '_'. Flags win over the file.
+match the long flag names with '-' replaced by '_', and a key matching no
+flag of the verb is a config error. Flags win over the file.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .linking import (
     matching_accuracy,
     query_signature,
     read_results_csv,
-    reference_signatures,
     rerank,
     stable_marriage,
     write_metrics_json,
@@ -89,7 +89,14 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return cfg
 
 
+# keys config.used records besides the verb's own flags
+_CAPTURED_KEYS = {"verb", "index_verb"}
+
+
 def _apply_config(sub: argparse.ArgumentParser, cfg: dict[str, str]) -> None:
+    unknown = sorted(set(cfg) - {a.dest for a in sub._actions} - _CAPTURED_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config key(s) for {sub.prog}: {', '.join(unknown)}")
     for action in sub._actions:
         if action.dest not in cfg:
             continue
@@ -417,7 +424,6 @@ def _cmd_link(args: argparse.Namespace) -> int:
         k=_check_positive(args.k, "k"),
         m=args.m,
         capacity=args.capacity,
-        seed=args.seed,
     )
     write_results_csv(out / "results.csv", run)
     metrics = write_metrics_json(out / "metrics.json", run)
@@ -431,22 +437,21 @@ def _cmd_link(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    results = read_results_csv(args.results)
     k = _check_positive(args.k, "k")
-    rows = []
-    acc: dict[str, float] = {}
-    for kk in range(1, k + 1):
-        hits = sum(
-            1
-            for oid, res in results.items()
-            if any(cand == oid for cand, _ in res[:kk])
-        )
-        value = hits / len(results) if results else 0.0
-        acc[str(kk)] = value
-        rows.append([kk, f"{value:.4f}"])
+    run = LinkingRun(
+        engine="file",
+        k=k,
+        reduced_m=None,
+        results=read_results_csv(args.results),
+        timings={},
+        excluded_queries=[],
+        excluded_references=[],
+        reference_ids=set(_load_signature_map(args.references)),
+    )
+    acc = {str(kk): accuracy_at_k(run, kk) for kk in range(1, k + 1)}
     (out / "eval.json").write_text(json.dumps({"acc": acc}, indent=2) + "\n", encoding="utf-8")
     _capture_config(out, "eval", args)
-    _print_table(["k", "acc"], rows)
+    _print_table(["k", "acc"], [[kk, f"{v:.4f}"] for kk, v in acc.items()])
     return EXIT_OK
 
 
@@ -601,7 +606,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     if args.kind != "spatial" and args.engine in ("wrtree", "rtree"):
         raise ConfigError(
             f"{args.kind} signatures have no spatial bounding boxes;"
-            " use --engine linear or lsh"
+            " use --engine linear"
         )
 
     traces, anchors = _pipeline_traces(args)
@@ -631,7 +636,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         k=args.k,
         m=args.m,
         capacity=args.capacity,
-        seed=args.seed,
         excluded_queries=excluded_queries,
         excluded_references=excluded_refs,
     )
@@ -646,86 +650,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     _print_table(
         ["phase", "seconds"],
         [[phase, f"{secs:.3f}"] for phase, secs in run.timings.items()],
-    )
-    return EXIT_OK
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
-    engines = [e.strip() for e in args.engines.split(",") if e.strip()]
-    for e in engines:
-        if e not in ENGINES:
-            raise ConfigError(f"unknown engine {e!r} (choices: {ENGINES})")
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    if not sizes or not engines:
-        raise ConfigError("bench needs at least one engine and one size")
-    rows = []
-    for n in sizes:
-        traces, anchors = generate_synthetic(
-            n, max(1000, 4 * n), args.locality_radius, args.points, seed=args.seed
-        )
-        halves = split_dataset(traces, SplitStrategy.interleaved())
-        ref_sigs, excl_r, stats = reference_signatures(halves.d)
-        query_sigs = {}
-        for t in halves.q:
-            sig = query_signature(t, stats) if t.points else None
-            if sig is not None:
-                query_sigs[t.object_id] = sig
-        linear_link_s = None
-        for engine in engines:
-            run = link_signatures(
-                query_sigs,
-                ref_sigs,
-                anchors,
-                engine=engine,
-                k=args.k,
-                m=args.m,
-                capacity=args.capacity,
-                seed=args.seed,
-            )
-            n_queries = max(1, len(run.results))
-            if engine == "linear":
-                linear_link_s = run.timings["link"]
-            rows.append(
-                {
-                    "engine": engine,
-                    "n": n,
-                    "build_s": run.timings["index_build"],
-                    "link_s": run.timings["link"],
-                    "mean_query_ms": run.timings["link"] / n_queries * 1000.0,
-                    "acc1": accuracy_at_k(run, 1),
-                }
-            )
-        for r in rows:
-            if r["n"] == n:
-                r["speedup_vs_linear"] = (
-                    linear_link_s / r["link_s"]
-                    if linear_link_s is not None and r["link_s"] > 0
-                    else None
-                )
-    with open(out / "bench.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("engine,n,build_s,link_s,mean_query_ms,acc1,speedup_vs_linear\n")
-        for r in rows:
-            speedup = "" if r["speedup_vs_linear"] is None else repr(r["speedup_vs_linear"])
-            fh.write(
-                f"{r['engine']},{r['n']},{r['build_s']!r},{r['link_s']!r},"
-                f"{r['mean_query_ms']!r},{r['acc1']!r},{speedup}\n"
-            )
-    _capture_config(out, "bench", args)
-    _print_table(
-        ["engine", "n", "build_s", "link_s", "query_ms", "acc@1", "vs_linear"],
-        [
-            [
-                r["engine"],
-                r["n"],
-                f"{r['build_s']:.3f}",
-                f"{r['link_s']:.3f}",
-                f"{r['mean_query_ms']:.3f}",
-                f"{r['acc1']:.4f}",
-                "-" if r["speedup_vs_linear"] is None else f"{r['speedup_vs_linear']:.1f}x",
-            ]
-            for r in rows
-        ],
     )
     return EXIT_OK
 
@@ -834,12 +758,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--capacity", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_link)
 
     p = subparsers.add_parser("eval", help="accuracy table from a results CSV")
     p.add_argument("--out", required=True)
     p.add_argument("--results", required=True)
+    p.add_argument(
+        "--references", required=True,
+        help="signature JSONL the run linked against; queries absent from it are not judged",
+    )
     p.add_argument("--k", type=int, default=5)
     p.set_defaults(handler=_cmd_eval)
 
@@ -873,18 +800,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]
     _add_split_flags(p)
     p.set_defaults(handler=_cmd_closure)
 
-    p = subparsers.add_parser("bench", help="build/link timings per engine and size")
-    p.add_argument("--out", required=True)
-    p.add_argument("--engines", default="linear,wrtree")
-    p.add_argument("--sizes", default="1000")
-    p.add_argument("--m", type=int, default=10)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--capacity", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--points", type=int, default=200)
-    p.add_argument("--locality-radius", type=float, default=0.05)
-    p.set_defaults(handler=_cmd_bench)
-
     p = subparsers.add_parser("pipeline", help="ingest -> split -> sign -> reduce -> index -> link -> score")
     p.add_argument("--out", required=True)
     p.add_argument("--synthetic", default=None, help="n=500[,anchors=2000,radius=0.05,points=200,seed=0]")
@@ -905,12 +820,28 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]
     return parser, subparsers
 
 
+def _verb_parser(
+    subparsers: argparse._SubParsersAction, words: list[str]
+) -> argparse.ArgumentParser | None:
+    """The parser of the verb the leading words name, descending into
+    sub-verbs (``index build``); None if the words name no verb."""
+    sub = None
+    for word in words:
+        if subparsers is None or word not in subparsers.choices:
+            break
+        sub = subparsers.choices[word]
+        subparsers = next(
+            (a for a in sub._actions if isinstance(a, argparse._SubParsersAction)), None
+        )
+    return sub
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
     try:
         config_path = None
-        verb = None
+        words: list[str] = []
         skip_next = False
         for i, token in enumerate(argv):
             if skip_next:
@@ -921,11 +852,13 @@ def main(argv: list[str] | None = None) -> int:
                 skip_next = True
             elif token.startswith("--config="):
                 config_path = token.split("=", 1)[1]
-            elif verb is None and not token.startswith("-"):
-                verb = token
+            elif token.startswith("-"):
+                break
+            else:
+                words.append(token)
         if config_path:
             cfg = parse_config_file(config_path)
-            sub = subparsers.choices.get(verb or "")
+            sub = _verb_parser(subparsers, words)
             if sub is not None:
                 _apply_config(sub, cfg)
         try:

@@ -12,10 +12,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .errors import EmptySignatureError, EmptyTraceError
-from .reduction import LshPlanes, Mbr, cut_reduce, mbr_of
+from .reduction import Mbr, cut_reduce, mbr_of
 from .signatures import (
     CorpusStats,
     Signature,
@@ -27,16 +25,15 @@ from .wrtree import (
     IndexEntry,
     KnnResult,
     WrTree,
+    _leaf_sim,
+    _query_map,
     bulk_load,
-    bulk_load_rtree,
     knn_search,
     linear_knn,
     rtree_baseline_knn,
 )
 
-ENGINES = ("linear", "rtree", "wrtree", "lsh")
-
-DEFAULT_LSH_PLANES = 1024
+ENGINES = ("linear", "rtree", "wrtree")
 
 
 @dataclass
@@ -52,7 +49,6 @@ class LinkingRun:
     excluded_references: list[str]
     reference_ids: set[str]
     rerank_m: int | None = None
-    seed: int = 0
 
 
 def reference_signatures(
@@ -108,28 +104,6 @@ def _reduce_entry(
     return (object_id, reduced, mbr)
 
 
-class _LshIndex:
-    """Packed sketches of every reference object for hamming-based ranking."""
-
-    def __init__(self, entries: Sequence[IndexEntry], n_planes: int, seed: int):
-        self.planes = LshPlanes(n_planes, seed)
-        self.n_planes = n_planes
-        self.ids = [e[0] for e in entries]
-        bits = np.zeros((len(entries), n_planes), dtype=bool)
-        for row, (_, sig, _mbr) in enumerate(entries):
-            bits[row] = self.planes.sketch(sig.dims, sig.weights).bits
-        self.packed = np.packbits(bits, axis=1)
-
-    def knn(self, sig: Signature, k: int) -> KnnResult:
-        q = np.packbits(self.planes.sketch(sig.dims, sig.weights).bits)
-        hamming = np.bitwise_count(self.packed ^ q).sum(axis=1)
-        est = np.cos(np.pi * hamming / self.n_planes)
-        scored = sorted(
-            ((-float(e), oid) for e, oid in zip(est, self.ids) if e > 0.0)
-        )
-        return [(oid, -neg) for neg, oid in scored[:k]]
-
-
 def link_signatures(
     query_sigs: Mapping[str, Signature],
     ref_sigs: Mapping[str, Signature],
@@ -139,16 +113,18 @@ def link_signatures(
     k: int = 5,
     m: int | None = 10,
     capacity: int = 32,
-    lsh_planes: int = DEFAULT_LSH_PLANES,
-    seed: int = 0,
     excluded_queries: Sequence[str] = (),
     excluded_references: Sequence[str] = (),
 ) -> LinkingRun:
     """Batch k-NN of prepared query signatures against reference signatures.
 
-    The spatial engines (wrtree, rtree) need an anchor set to derive bounding
-    boxes, so they only work on spatial signatures; linear and lsh accept any
-    cosine-comparable kind.
+    Every engine is exact and returns the same lists: ``linear`` scans every
+    reference (the oracle), ``wrtree`` searches the weighted tree best-first
+    with rectangle and aggregate-bound pruning, and ``rtree`` range-queries
+    the same tree by rectangle alone (the baseline without the weight bound).
+    The tree engines need an anchor set to derive bounding boxes, so they
+    only work on spatial signatures; ``linear`` accepts any cosine-comparable
+    kind.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -165,13 +141,8 @@ def link_signatures(
 
     t0 = time.perf_counter()
     tree: WrTree | None = None
-    lsh: _LshIndex | None = None
-    if engine == "wrtree":
+    if engine != "linear":
         tree = bulk_load(entries, capacity)
-    elif engine == "rtree":
-        tree = bulk_load_rtree(entries, capacity)
-    elif engine == "lsh":
-        lsh = _LshIndex(entries, lsh_planes, seed)
     timings["index_build"] = time.perf_counter() - t0
 
     def run_query(item: tuple[str, IndexEntry]) -> tuple[str, KnnResult]:
@@ -180,9 +151,7 @@ def link_signatures(
             return oid, linear_knn(entries, (sig, mbr), k)
         if engine == "wrtree":
             return oid, knn_search(tree, (sig, mbr), k)
-        if engine == "rtree":
-            return oid, rtree_baseline_knn(tree, (sig, mbr), k)
-        return oid, lsh.knn(sig, k)
+        return oid, rtree_baseline_knn(tree, (sig, mbr), k)
 
     t0 = time.perf_counter()
     results = dict(map(run_query, query_items))
@@ -197,7 +166,6 @@ def link_signatures(
         excluded_queries=list(excluded_queries),
         excluded_references=list(excluded_references),
         reference_ids=set(ref_sigs),
-        seed=seed,
     )
 
 
@@ -210,8 +178,6 @@ def link_all(
     k: int = 5,
     m: int | None = 10,
     capacity: int = 32,
-    lsh_planes: int = DEFAULT_LSH_PLANES,
-    seed: int = 0,
 ) -> LinkingRun:
     """Run one k-NN linking query per usable query trace against the
     reference corpus, under the chosen engine, at reduction level m.
@@ -240,8 +206,6 @@ def link_all(
         k=k,
         m=m,
         capacity=capacity,
-        lsh_planes=lsh_planes,
-        seed=seed,
         excluded_queries=excluded_queries,
         excluded_references=excluded_refs,
     )
@@ -287,19 +251,13 @@ def rerank(
         q_sig = query_sigs.get(oid)
         if q_sig is None:
             raise ValueError(f"missing large signature for query {oid!r}")
-        q_map = dict(q_sig.pairs())
+        q_map = _query_map(q_sig)
         rescored: list[tuple[str, float]] = []
         for cand, _ in result:
             c_sig = reference_sigs.get(cand)
             if c_sig is None:
                 raise ValueError(f"missing large signature for candidate {cand!r}")
-            total = 0.0
-            get = q_map.get
-            for d, w in c_sig.pairs():
-                v = get(d)
-                if v is not None:
-                    total += v * w
-            rescored.append((cand, total))
+            rescored.append((cand, _leaf_sim(q_map, c_sig)))
         rescored.sort(key=lambda pair: -pair[1])
         new_results[oid] = rescored
     rerank_m = next(iter(reference_sigs.values())).reduced_m if reference_sigs else None
@@ -313,7 +271,6 @@ def rerank(
         excluded_references=list(run.excluded_references),
         reference_ids=set(run.reference_ids),
         rerank_m=rerank_m,
-        seed=run.seed,
     )
 
 
@@ -432,16 +389,22 @@ def matching_accuracy(matching: Matching) -> float:
 
 
 def write_results_csv(path: str | Path, run: LinkingRun | Mapping[str, KnnResult]) -> None:
+    """One row per candidate; a query with an empty list gets one
+    ``query_id,0,,`` row, so it survives a round trip and is judged as a
+    miss rather than dropped."""
     results = _result_map(run)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["query_id", "rank", "candidate_id", "similarity"])
         for oid in sorted(results):
+            if not results[oid]:
+                writer.writerow([oid, 0, "", ""])
             for rank_no, (cand, sim) in enumerate(results[oid], start=1):
                 writer.writerow([oid, rank_no, cand, repr(sim)])
 
 
 def read_results_csv(path: str | Path) -> dict[str, KnnResult]:
+    """Result lists by query id; a rank-0 row reads back as an empty list."""
     out: dict[str, KnnResult] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -451,8 +414,10 @@ def read_results_csv(path: str | Path) -> dict[str, KnnResult]:
         for row in reader:
             if not row:
                 continue
-            oid, _rank, cand, sim = row
-            out.setdefault(oid, []).append((cand, float(sim)))
+            oid, rank_no, cand, sim = row
+            result = out.setdefault(oid, [])
+            if rank_no != "0":
+                result.append((cand, float(sim)))
     return out
 
 
@@ -462,7 +427,6 @@ def write_metrics_json(path: str | Path, run: LinkingRun) -> dict:
         "k": run.k,
         "m": run.reduced_m,
         "rerank_m": run.rerank_m,
-        "seed": run.seed,
         "acc": {str(kk): accuracy_at_k(run, kk) for kk in range(1, run.k + 1)},
         "timings": run.timings,
         "n_queries": len(run.results),

@@ -1,9 +1,8 @@
-"""Signature dimensionality reduction (top-m truncation, random-hyperplane
-sketches) and the spatial bounding box of a reduced signature."""
+"""Signature dimensionality reduction (top-m truncation) and the spatial
+bounding box of a reduced signature."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -96,63 +95,6 @@ def cut_reduce(sig: Signature, m: int, renormalize: bool = True) -> Signature:
     if renormalize:
         weights = weights / np.linalg.norm(weights)
     return Signature(dims, weights, sig.kind, normalized=renormalize, reduced_m=m)
-
-
-@dataclass
-class LshSketch:
-    """Fixed-length bit vector from signed random projections."""
-
-    bits: np.ndarray
-    n_planes: int
-
-    def __post_init__(self) -> None:
-        self.bits = np.asarray(self.bits, dtype=bool)
-        if len(self.bits) != self.n_planes:
-            raise ValueError("bit vector length must equal n_planes")
-
-    def hamming(self, other: "LshSketch") -> int:
-        if self.n_planes != other.n_planes:
-            raise ValueError("sketch length mismatch")
-        return int(np.count_nonzero(self.bits != other.bits))
-
-
-class LshPlanes:
-    """Seeded Gaussian hyperplane family over a sparse dimension vocabulary.
-
-    Plane coordinates are drawn lazily per touched dimension id from a
-    generator keyed on (seed, dim), so the full vocabulary never materializes;
-    the keyed generators make concurrent sketching safe.
-    """
-
-    def __init__(self, n_planes: int, seed: int = 0):
-        if n_planes < 1:
-            raise ValueError("n_planes must be >= 1")
-        self.n_planes = n_planes
-        self.seed = seed
-        self._columns: dict[int, np.ndarray] = {}
-
-    def column(self, dim: int) -> np.ndarray:
-        col = self._columns.get(dim)
-        if col is None:
-            rng = np.random.default_rng([self.seed, int(dim)])
-            col = rng.standard_normal(self.n_planes)
-            self._columns[dim] = col
-        return col
-
-    def sketch(self, dims, weights) -> LshSketch:
-        acc = np.zeros(self.n_planes)
-        for d, w in zip(np.asarray(dims).tolist(), np.asarray(weights).tolist()):
-            acc += w * self.column(d)
-        return LshSketch(acc >= 0.0, self.n_planes)
-
-
-def lsh_sketch(sig: Signature, planes: LshPlanes) -> LshSketch:
-    return planes.sketch(sig.dims, sig.weights)
-
-
-def sketch_cosine_estimate(a: LshSketch, b: LshSketch) -> float:
-    """Cosine estimate from the hamming fraction of two sketches."""
-    return math.cos(math.pi * a.hamming(b) / a.n_planes)
 
 
 def mbr_of_ids(anchor_ids, anchors: AnchorSet) -> Mbr:

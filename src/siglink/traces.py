@@ -24,7 +24,8 @@ METERS_PER_DEGREE = EARTH_RADIUS_M * np.pi / 180.0
 # the data; +8 matches the east-Asian vehicle feeds this library grew out of.
 DEFAULT_UTC_OFFSET_HOURS = 8
 
-# Candidate pool when re-ranking KD-tree hits by exact distance.
+# First candidate pool when re-ranking KD-tree hits by exact distance; it
+# doubles for the points whose whole pool ties.
 _NEAREST_POOL = 8
 
 # A point whose second KD-tree neighbour is farther than the first by more
@@ -134,7 +135,9 @@ def nearest_anchors(anchors: AnchorSet, lons, lats, metric: str = "haversine") -
     ``d1 * 1e-6 + 1e-6`` takes the first directly. Only the remaining
     near-ties are re-ranked: the tree's nearest ``_NEAREST_POOL`` anchors
     are scored with the exact metric and the lowest id within the tie
-    tolerance wins.
+    tolerance wins. A point whose farthest pooled anchor still ties is
+    re-ranked again over a pool twice as large, until the farthest one no
+    longer ties or the pool holds every anchor.
 
     Why the screen returns what the re-ranking would: planar tree distances
     are the exact metric up to rounding. For haversine the tree holds unit
@@ -176,28 +179,32 @@ def nearest_anchors(anchors: AnchorSet, lons, lats, metric: str = "haversine") -
 def _nearest_in_pool(
     anchors: AnchorSet, tree: cKDTree, points: np.ndarray, lons, lats, metric: str
 ) -> np.ndarray:
-    """Exact re-ranking of the KD-tree's nearest ``_NEAREST_POOL`` anchors.
+    """Exact re-ranking of the KD-tree's nearest anchors, widening the pool
+    while its farthest anchor still ties.
 
     Chord distance on the unit sphere is monotone in great-circle distance, so
     the candidates are retrieved in 3-d and re-ranked with the exact metric
-    before tie-breaking.
+    before tie-breaking; anchors outside a pool are no nearer than its
+    farthest one.
     """
-    n = len(lons)
+    nearest = np.empty(len(lons), dtype=np.intp)
+    rows = np.arange(len(lons))
     k = min(_NEAREST_POOL, len(anchors))
-    _, idx = tree.query(points, k=k)
-    idx = idx.reshape(n, k)
-    if metric == "planar":
-        exact = np.hypot(
-            anchors.lons[idx] - lons[:, None], anchors.lats[idx] - lats[:, None]
-        )
-    else:
-        exact = haversine_m(
-            lons[:, None], lats[:, None], anchors.lons[idx], anchors.lats[idx]
-        )
-    dmin = exact.min(axis=1, keepdims=True)
-    eps = 1e-9 * np.maximum(dmin, 1.0)
-    candidates = np.where(exact <= dmin + eps, idx, len(anchors))
-    return candidates.min(axis=1)
+    while True:
+        _, idx = tree.query(points[rows], k=k)
+        idx = idx.reshape(len(rows), k)
+        row_lons, row_lats = lons[rows, None], lats[rows, None]
+        if metric == "planar":
+            exact = np.hypot(anchors.lons[idx] - row_lons, anchors.lats[idx] - row_lats)
+        else:
+            exact = haversine_m(row_lons, row_lats, anchors.lons[idx], anchors.lats[idx])
+        dmin = exact.min(axis=1, keepdims=True)
+        tied = exact <= dmin + 1e-9 * np.maximum(dmin, 1.0)
+        nearest[rows] = np.where(tied, idx, len(anchors)).min(axis=1)
+        rows = rows[tied[:, -1]]
+        if k == len(anchors) or not len(rows):
+            return nearest
+        k = min(2 * k, len(anchors))
 
 
 def calibrate_trace(

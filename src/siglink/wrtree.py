@@ -1,5 +1,5 @@
 """A weighted R-tree for signature k-NN search, plus the two baselines used
-to cross-check it.
+to cross-check it: a linear scan and a rectangle-only search of the same tree.
 
 Internal nodes carry, besides the usual bounding rectangle, a per-dimension
 max-weight aggregate of their subtree's signatures. The aggregate dot product
@@ -32,6 +32,9 @@ KnnResult = list[tuple[str, float]]
 
 _INDEX_MAGIC = b"SIGLINKIDX"
 _INDEX_VERSION = 1
+# the header's weighted byte; format v1 kept it for unweighted trees, which
+# are gone, so it must read 1
+_WEIGHTED = 1
 
 
 def aggregate_signatures(sigs: Sequence[Signature]) -> Signature:
@@ -60,42 +63,36 @@ def aggregate_signatures(sigs: Sequence[Signature]) -> Signature:
 class WrNode:
     """Either a single-object leaf or an internal node over child nodes.
 
-    Internal nodes keep their aggregate authoritatively as a dim -> weight map
-    so inserts can merge into it in O(signature nnz); the array form is
-    materialized lazily for validation and serialization.
+    A leaf holds its object's signature. An internal node holds its subtree's
+    aggregate only as a dim -> max weight map: search bounds read it and
+    inserts merge into it in O(signature nnz). ``signature`` builds the
+    sorted array form of that map on demand, for validation and
+    serialization.
     """
 
-    __slots__ = ("object_id", "mbr", "children", "weight_map", "_sig", "_stale", "_kind")
+    __slots__ = ("object_id", "mbr", "children", "weight_map", "_leaf_sig")
 
-    def __init__(self, object_id, signature, mbr, children):
+    def __init__(self, object_id, leaf_sig, mbr, children, weight_map):
         self.object_id: str | None = object_id
         self.mbr: Mbr = mbr
         self.children: list[WrNode] | None = children
-        self._sig: Signature | None = signature
-        self._stale = False
-        self._kind = signature.kind if signature is not None else None
-        self.weight_map: dict[int, float] | None = (
-            dict(signature.pairs()) if children is not None and signature is not None else None
-        )
+        self.weight_map: dict[int, float] | None = weight_map
+        self._leaf_sig: Signature | None = leaf_sig
 
     @property
-    def signature(self) -> Signature | None:
-        if self._stale:
-            items = sorted(self.weight_map.items())
-            self._sig = Signature(
-                np.array([d for d, _ in items], dtype=np.int64),
-                np.array([w for _, w in items], dtype=float),
-                self._kind,
-                normalized=False,
-            )
-            self._stale = False
-        return self._sig
-
-    def dims_view(self):
-        """Aggregate dimension ids without materializing the array form."""
-        if self.children is not None and self.weight_map is not None:
-            return self.weight_map.keys()
-        return self._sig.dim_set()
+    def signature(self) -> Signature:
+        if self.children is None:
+            return self._leaf_sig
+        first = self
+        while first.children is not None:
+            first = first.children[0]
+        items = sorted(self.weight_map.items())
+        return Signature(
+            np.array([d for d, _ in items], dtype=np.int64),
+            np.array([w for _, w in items], dtype=float),
+            first._leaf_sig.kind,
+            normalized=False,
+        )
 
     @property
     def is_leaf(self) -> bool:
@@ -103,17 +100,27 @@ class WrNode:
 
     @classmethod
     def leaf(cls, object_id: str, signature: Signature, mbr: Mbr) -> "WrNode":
-        return cls(object_id, signature, mbr, None)
+        return cls(object_id, signature, mbr, None, None)
 
     @classmethod
-    def internal(cls, children: Sequence["WrNode"], weighted: bool = True) -> "WrNode":
+    def internal(cls, children: Sequence["WrNode"]) -> "WrNode":
+        """Node over ``children`` whose aggregate max-merges theirs."""
         children = list(children)
         if not children:
             raise ValueError("internal node needs at least one child")
-        agg = (
-            aggregate_signatures([c.signature for c in children]) if weighted else None
-        )
-        return cls(None, agg, union_mbrs([c.mbr for c in children]), children)
+        agg: dict[int, float] = {}
+        for c in children:
+            _max_merge(agg, c._leaf_sig.pairs() if c.children is None else c.weight_map.items())
+        return cls(None, None, union_mbrs([c.mbr for c in children]), children, agg)
+
+
+def _max_merge(weight_map: dict[int, float], pairs) -> None:
+    """Raise ``weight_map`` to the dimension-wise maximum with ``pairs``."""
+    get = weight_map.get
+    for d, w in pairs:
+        current = get(d)
+        if current is None or w > current:
+            weight_map[d] = w
 
 
 @dataclass
@@ -122,7 +129,6 @@ class WrTree:
     capacity: int
     kind: str | None
     n_objects: int
-    weighted: bool = True
     ids: set[str] = field(default_factory=set)
 
 
@@ -143,7 +149,7 @@ def merge_node(bulk: Sequence[WrNode], capacity: int) -> list[WrNode]:
     bulk = list(bulk)
     if len(bulk) < capacity:
         return [WrNode.internal(bulk)]
-    dim_sets = [b.signature.dim_set() for b in bulk]
+    dim_sets = [b.signature.dim_set() if b.is_leaf else b.weight_map.keys() for b in bulk]
     unassigned = list(range(len(bulk)))
     nodes: list[WrNode] = []
     while unassigned:
@@ -164,14 +170,7 @@ def merge_node(bulk: Sequence[WrNode], capacity: int) -> list[WrNode]:
     return nodes
 
 
-def _chunk_pack(bulk: Sequence[WrNode], capacity: int, weighted: bool) -> list[WrNode]:
-    return [
-        WrNode.internal(bulk[i : i + capacity], weighted=weighted)
-        for i in range(0, len(bulk), capacity)
-    ]
-
-
-def _str_level(children: Sequence[WrNode], capacity: int, greedy: bool, weighted: bool) -> list[WrNode]:
+def _str_level(children: Sequence[WrNode], capacity: int) -> list[WrNode]:
     n = len(children)
     n_nodes = math.ceil(n / capacity)
     n_slabs = math.ceil(math.sqrt(n_nodes))
@@ -192,40 +191,26 @@ def _str_level(children: Sequence[WrNode], capacity: int, greedy: bool, weighted
                 (c.mbr.min_lon + c.mbr.max_lon) / 2.0,
             ),
         )
-        if greedy:
-            out.extend(merge_node(slab, capacity))
-        else:
-            out.extend(_chunk_pack(slab, capacity, weighted))
+        out.extend(merge_node(slab, capacity))
     return out
 
 
-def _bulk(
-    objects: Sequence[IndexEntry], capacity: int, greedy: bool, weighted: bool
-) -> WrTree:
+def bulk_load(objects: Sequence[IndexEntry], capacity: int = DEFAULT_CAPACITY) -> WrTree:
+    """Build a weighted tree bottom-up with STR tiling and greedy packing."""
     if capacity < 2:
         raise ValueError("node capacity must be >= 2")
     ids = [o[0] for o in objects]
     if len(set(ids)) != len(ids):
         raise ValueError("object ids must be unique")
     if not objects:
-        return WrTree(None, capacity, None, 0, weighted=weighted)
+        return WrTree(None, capacity, None, 0)
     kind = objects[0][1].kind
     nodes: list[WrNode] = [WrNode.leaf(i, s, m) for i, s, m in objects]
     while True:
-        nodes = _str_level(nodes, capacity, greedy, weighted)
+        nodes = _str_level(nodes, capacity)
         if len(nodes) == 1:
             break
-    return WrTree(nodes[0], capacity, kind, len(objects), weighted=weighted, ids=set(ids))
-
-
-def bulk_load(objects: Sequence[IndexEntry], capacity: int = DEFAULT_CAPACITY) -> WrTree:
-    """Build a weighted tree bottom-up with STR tiling and greedy packing."""
-    return _bulk(objects, capacity, greedy=True, weighted=True)
-
-
-def bulk_load_rtree(objects: Sequence[IndexEntry], capacity: int = DEFAULT_CAPACITY) -> WrTree:
-    """Plain spatial R-tree over the same entries: STR tiling, no aggregates."""
-    return _bulk(objects, capacity, greedy=False, weighted=False)
+    return WrTree(nodes[0], capacity, kind, len(objects), ids=set(ids))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +239,7 @@ def _choose_child(node: WrNode, sig: Signature, mbr: Mbr) -> int:
     children = node.children
     assert children is not None
     sig_dims = sig.dim_set()
-    commons = [len(sig_dims & c.dims_view()) for c in children]
+    commons = [len(sig_dims & c.weight_map.keys()) for c in children]
     best_common = max(commons)
     cand = [i for i, c in enumerate(commons) if c == best_common]
     if len(cand) > 1:
@@ -322,19 +307,12 @@ def _quadratic_split(children: list[WrNode], capacity: int) -> tuple[list[WrNode
 def _absorb(node: WrNode, sig: Signature, mbr: Mbr) -> None:
     """Fold one more member into a node's aggregate and rectangle in place."""
     node.mbr = node.mbr.union(mbr)
-    weight_map = node.weight_map
-    for d, w in sig.pairs():
-        current = weight_map.get(d)
-        if current is None or w > current:
-            weight_map[d] = w
-            node._stale = True
+    _max_merge(node.weight_map, sig.pairs())
 
 
 def insert(tree: WrTree, entry: IndexEntry) -> None:
     """Insert one object, updating aggregates and rectangles along the path;
     overflowing nodes are split quadratically on their rectangles."""
-    if not tree.weighted:
-        raise ValueError("insert is only supported on weighted trees")
     object_id, sig, mbr = entry
     if object_id in tree.ids:
         raise ValueError(f"duplicate object id {object_id!r}")
@@ -424,8 +402,6 @@ def knn_search(tree: WrTree, query: tuple[Signature, Mbr], k: int) -> KnnResult:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not tree.weighted:
-        raise ValueError("knn_search needs a weighted tree")
     q_sig, q_mbr = query
     if not q_sig.normalized:
         raise ValueError("query signature must be normalized")
@@ -480,7 +456,8 @@ def linear_knn(objects: Sequence[IndexEntry], query: tuple[Signature, Mbr], k: i
 
 
 def rtree_baseline_knn(tree: WrTree, query: tuple[Signature, Mbr], k: int) -> KnnResult:
-    """Range query on the plain R-tree, then score the surviving objects."""
+    """The rectangle-only baseline: a range query that ignores the aggregates,
+    then every surviving object is scored."""
     if k < 1:
         raise ValueError("k must be >= 1")
     q_sig, q_mbr = query
@@ -527,14 +504,13 @@ def validate(tree: WrTree) -> list[str]:
         for child in node.children:
             if not node.mbr.contains(child.mbr):
                 problems.append(f"child mbr escapes parent at depth {depth}")
-        if tree.weighted:
-            expect = aggregate_signatures([c.signature for c in node.children])
-            if (
-                node.signature is None
-                or not np.array_equal(node.signature.dims, expect.dims)
-                or not np.array_equal(node.signature.weights, expect.weights)
-            ):
-                problems.append(f"aggregate mismatch at depth {depth}")
+        expect = aggregate_signatures([c.signature for c in node.children])
+        agg = node.signature
+        if not (
+            np.array_equal(agg.dims, expect.dims)
+            and np.array_equal(agg.weights, expect.weights)
+        ):
+            problems.append(f"aggregate mismatch at depth {depth}")
         for child in node.children:
             visit(child, depth + 1)
 
@@ -593,7 +569,7 @@ def save_index(tree: WrTree, path: str | Path) -> None:
             _INDEX_VERSION,
             tree.capacity,
             tree.n_objects,
-            int(tree.weighted),
+            _WEIGHTED,
             len(kind_b),
         ),
         kind_b,
@@ -610,8 +586,7 @@ def save_index(tree: WrTree, path: str | Path) -> None:
         for child in node.children:
             emit(child)
         parts.append(struct.pack("<BI", 1, len(node.children)))
-        if tree.weighted:
-            parts.append(_pack_sig(node.signature))
+        parts.append(_pack_sig(node.signature))
         parts.append(_pack_mbr(node.mbr))
 
     if tree.root is not None:
@@ -646,6 +621,8 @@ def _parse_index(buf: memoryview, off: int) -> WrTree:
         raise ValueError(f"unsupported index version {version}")
     if capacity < 2:
         raise ValueError(f"corrupt index: capacity {capacity} < 2")
+    if weighted != _WEIGHTED:
+        raise ValueError(f"corrupt index: weighted flag {weighted}, expected {_WEIGHTED}")
     off += struct.calcsize("<HIQBH")
     kind = _take(buf, off, kind_len).decode("utf-8") or None
     off += kind_len
@@ -669,15 +646,13 @@ def _parse_index(buf: memoryview, off: int) -> WrTree:
         elif tag == 1:
             (n_children,) = struct.unpack_from("<I", buf, off)
             off += 4
-            sig = None
-            if weighted:
-                sig, off = _unpack_sig(buf, off, kind or "")
+            sig, off = _unpack_sig(buf, off, kind or "")
             mbr, off = _unpack_mbr(buf, off)
             if n_children > len(stack):
                 raise ValueError("corrupt index: node stream underflow")
             children = stack[-n_children:]
             del stack[-n_children:]
-            stack.append(WrNode(None, sig, mbr, children))
+            stack.append(WrNode(None, None, mbr, children, dict(sig.pairs())))
         else:
             raise ValueError(f"corrupt index: unknown node tag {tag}")
     if len(stack) > 1:
@@ -687,4 +662,4 @@ def _parse_index(buf: memoryview, off: int) -> WrTree:
             f"corrupt index: header says {n_objects} objects, stream holds {n_leaves}"
         )
     root = stack[0] if stack else None
-    return WrTree(root, capacity, kind, n_objects, weighted=bool(weighted), ids=ids)
+    return WrTree(root, capacity, kind, n_objects, ids=ids)

@@ -98,7 +98,7 @@ def test_full_verb_chain(tmp_path):
                 "--references", base / "sq/signatures.jsonl",
                 "--anchors", base / "anchors.csv", "--m", "10", "--k", "5"]) == 0
     assert run(["eval", "--out", base / "ev", "--results", base / "lk/results.csv",
-                "--k", "5"]) == 0
+                "--references", base / "sd/signatures.jsonl", "--k", "5"]) == 0
     assert run(["rerank", "--out", base / "rr", "--results", base / "lk/results.csv",
                 "--queries-large", base / "sq/signatures.jsonl",
                 "--references-large", base / "sd/signatures.jsonl"]) == 0
@@ -108,6 +108,38 @@ def test_full_verb_chain(tmp_path):
     assert marry["stable"] > 0
     ev = json.loads((base / "ev/eval.json").read_text())
     assert 0.0 <= ev["acc"]["1"] <= 1.0
+
+
+def test_eval_agrees_with_metrics_json(tmp_path):
+    # a small radius and m=1 leave some references without a signature and
+    # some queries without any overlapping candidate
+    out = tmp_path / "run"
+    assert run(["pipeline", "--synthetic", "n=60,seed=1,radius=0.01", "--m", "1",
+                "--out", out]) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["excluded_references"]
+    assert ",0,," in (out / "results.csv").read_text()
+    assert run(["eval", "--out", tmp_path / "ev", "--results", out / "results.csv",
+                "--references", out / "signatures_d.jsonl", "--k", "5"]) == 0
+    ev = json.loads((tmp_path / "ev/eval.json").read_text())
+    assert ev["acc"] == metrics["acc"]
+
+
+def test_unweighted_index_fails_validation(tmp_path, capsys):
+    base = tmp_path
+    assert run(["synth", "--out", base, "--n-objects", "20", "--n-anchors", "300",
+                "--points", "60", "--seed", "4"]) == 0
+    assert run(["signature", "--out", base / "s", "--traces", base / "traces.csv"]) == 0
+    assert run(["index", "build", "--out", base / "idx", "--signatures",
+                base / "s/signatures.jsonl", "--anchors", base / "anchors.csv"]) == 0
+    path = base / "idx/index.bin"
+    raw = bytearray(path.read_bytes())
+    raw[24] = 0  # the header's weighted byte, after magic, version, capacity, n_objects
+    path.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert run(["index", "validate", "--index", path]) == 1
+    err = capsys.readouterr().err
+    assert "corrupt index" in err and len(err.strip().splitlines()) == 1
 
 
 def test_index_insert_grows_index(tmp_path):
@@ -138,26 +170,6 @@ def test_closure_verb(tmp_path):
     assert (base / "cl/traces.csv").exists()
 
 
-def test_bench_single_row(tmp_path):
-    out = tmp_path / "bench"
-    assert run(["bench", "--out", out, "--engines", "wrtree", "--sizes", "200",
-                "--points", "80", "--k", "1"]) == 0
-    lines = (out / "bench.csv").read_text().splitlines()
-    assert lines[0] == "engine,n,build_s,link_s,mean_query_ms,acc1,speedup_vs_linear"
-    assert len(lines) == 2
-    assert lines[1].startswith("wrtree,200,")
-
-
-def test_bench_speedup_column_against_linear(tmp_path):
-    out = tmp_path / "bench"
-    assert run(["bench", "--out", out, "--engines", "linear,wrtree", "--sizes", "400",
-                "--points", "100", "--k", "1"]) == 0
-    rows = {line.split(",")[0]: line.split(",")
-            for line in (out / "bench.csv").read_text().splitlines()[1:]}
-    assert float(rows["linear"][6]) == 1.0
-    assert float(rows["wrtree"][6]) > 1.0
-
-
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# pipeline defaults\nsynthetic = n=60,seed=1\nengine = linear\nm = 5\n")
@@ -168,6 +180,37 @@ def test_config_file_with_flag_override(tmp_path):
     out2 = tmp_path / "r2"
     assert run(["--config", cfg, "pipeline", "--m", "10", "--out", out2]) == 0
     assert "m = 10" in (out2 / "config.used").read_text()
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("synthetic = n=20\nengin = linear\n")
+    assert run(["--config", cfg, "pipeline", "--out", tmp_path / "x"]) == 2
+    assert "engin" in capsys.readouterr().err
+    for key in ("threads = 2", "lsh_planes = 64"):
+        cfg.write_text(f"synthetic = n=20\n{key}\n")
+        assert run(["--config", cfg, "pipeline", "--out", tmp_path / "x"]) == 2
+    cfg.write_text("seed = 3\n")
+    assert run(["--config", cfg, "link", "--out", tmp_path / "x", "--queries", cfg,
+                "--references", cfg]) == 2
+
+
+def test_captured_config_reloads(tmp_path):
+    first = tmp_path / "r1"
+    assert run(["pipeline", "--synthetic", "n=40,seed=2", "--engine", "linear",
+                "--out", first]) == 0
+    second = tmp_path / "r2"
+    assert run(["--config", first / "config.used", "pipeline", "--out", second]) == 0
+    assert (first / "results.csv").read_bytes() == (second / "results.csv").read_bytes()
+    assert run(["index", "build", "--out", tmp_path / "i1", "--capacity", "4",
+                "--signatures", first / "signatures_d.jsonl",
+                "--anchors", first / "anchors.csv"]) == 0
+    # the sub-verb's parser takes the config: capacity applies, a stray key fails
+    used = tmp_path / "i1/config.used"
+    assert run(["--config", used, "index", "build", "--out", tmp_path / "i2"]) == 0
+    assert (tmp_path / "i1/index.bin").read_bytes() == (tmp_path / "i2/index.bin").read_bytes()
+    used.write_text(used.read_text() + "engine = linear\n")
+    assert run(["--config", used, "index", "build", "--out", tmp_path / "i3"]) == 2
 
 
 def test_bad_config_value_exits_2(tmp_path):

@@ -57,14 +57,6 @@ def test_engine_swap_gives_identical_results():
     assert runs["linear"].results == runs["wrtree"].results == runs["rtree"].results
 
 
-def test_lsh_engine_finds_most_matches():
-    traces, anchors = generate_synthetic(60, 500, 0.08, 100, seed=2)
-    halves = split_dataset(traces, SplitStrategy.interleaved())
-    exact = link_all(halves.q, halves.d, anchors, engine="linear", k=5, m=None)
-    approx = link_all(halves.q, halves.d, anchors, engine="lsh", k=5, m=None)
-    assert accuracy_at_k(approx, 5) >= accuracy_at_k(exact, 1) * 0.6
-
-
 def test_empty_query_set():
     traces, anchors = generate_synthetic(10, 100, 0.1, 40, seed=3)
     run = link_all([], traces, anchors, engine="linear", k=2, m=5)
@@ -149,6 +141,18 @@ def test_rerank_missing_signature_errors():
         rerank(run, {"q": sig({1: 1.0})}, {})
     with pytest.raises(ValueError):
         rerank(run, {}, {"a": sig({1: 1.0})})
+
+
+def test_rerank_with_link_signatures_reproduces_linear_similarities():
+    from siglink.linking import query_signature, reference_signatures
+
+    traces, anchors = generate_synthetic(60, 500, 0.08, 90, seed=4)
+    halves = split_dataset(traces, SplitStrategy.interleaved())
+    run = link_all(halves.q, halves.d, anchors, engine="linear", k=5, m=None)
+    ref_sigs, _, stats = reference_signatures(halves.d)
+    query_sigs = {t.object_id: query_signature(t, stats) for t in halves.q if t.points}
+    # same signatures and the same kernel: floats and order are bit-identical
+    assert rerank(run, query_sigs, ref_sigs).results == run.results
 
 
 def test_rerank_mean_gain_nonnegative_over_seeds():
@@ -355,5 +359,5 @@ def test_results_csv_round_trip(tmp_path):
     path = tmp_path / "results.csv"
     write_results_csv(path, results)
     back = read_results_csv(path)
-    assert back["q1"] == results["q1"]
-    assert "q2" not in back  # empty result lists have no rows
+    assert back == results  # an empty list survives as one rank-0 row
+    assert "q2,0,," in path.read_text().splitlines()

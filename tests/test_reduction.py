@@ -5,15 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siglink.reduction import (
-    LshPlanes,
-    Mbr,
-    cut_reduce,
-    lsh_sketch,
-    mbr_of,
-    sketch_cosine_estimate,
-    union_mbrs,
-)
+from siglink.reduction import Mbr, cut_reduce, mbr_of, union_mbrs
 from siglink.signatures import cosine_similarity
 from siglink.traces import AnchorSet
 
@@ -81,57 +73,6 @@ def test_cut_containment_and_nesting(seed, n, m1, m2):
     kept_min = min(w for d, w in s.pairs() if d in kept)
     dropped = [w for d, w in s.pairs() if d not in kept]
     assert all(kept_min >= w for w in dropped)
-
-
-# ---------------------------------------------------------------------------
-# Random hyperplane sketches
-
-
-def test_identical_signatures_identical_sketches():
-    rng = np.random.default_rng(0)
-    planes = LshPlanes(64, seed=3)
-    s = random_signature(rng, 12)
-    assert np.array_equal(lsh_sketch(s, planes).bits, lsh_sketch(s, planes).bits)
-
-
-def test_sketches_deterministic_across_plane_instances():
-    rng = np.random.default_rng(1)
-    s = random_signature(rng, 12)
-    a = lsh_sketch(s, LshPlanes(128, seed=9))
-    b = lsh_sketch(s, LshPlanes(128, seed=9))
-    assert np.array_equal(a.bits, b.bits)
-    c = lsh_sketch(s, LshPlanes(128, seed=10))
-    assert not np.array_equal(a.bits, c.bits)
-
-
-def test_antipodal_vectors_have_complementary_bits():
-    planes = LshPlanes(256, seed=1)
-    dims = [3, 8, 11]
-    weights = [0.5, -0.2, 0.7]
-    pos = planes.sketch(dims, weights)
-    neg = planes.sketch(dims, [-w for w in weights])
-    assert np.array_equal(pos.bits, ~neg.bits)
-
-
-def test_sketch_estimate_tracks_true_cosine():
-    rng = np.random.default_rng(5)
-    planes = LshPlanes(1000, seed=0)
-    errors = []
-    for _ in range(30):
-        a = random_signature(rng, int(rng.integers(3, 25)), dim_space=120)
-        b = random_signature(rng, int(rng.integers(3, 25)), dim_space=120)
-        est = sketch_cosine_estimate(lsh_sketch(a, planes), lsh_sketch(b, planes))
-        errors.append(abs(est - cosine_similarity(a, b)))
-    assert float(np.mean(errors)) < 0.05
-
-
-def test_sketch_length_mismatch_rejected():
-    rng = np.random.default_rng(2)
-    s = random_signature(rng, 5)
-    a = lsh_sketch(s, LshPlanes(32, seed=0))
-    b = lsh_sketch(s, LshPlanes(64, seed=0))
-    with pytest.raises(ValueError):
-        a.hamming(b)
 
 
 # ---------------------------------------------------------------------------

@@ -132,14 +132,18 @@ _GRID = st.integers(min_value=-4, max_value=4).map(lambda v: 116.0 + 0.25 * v)
 
 @settings(max_examples=60, deadline=None)
 @given(
-    cells=st.lists(st.tuples(_GRID, _GRID), min_size=1, max_size=_NEAREST_POOL),
+    cells=st.lists(st.tuples(_GRID, _GRID), min_size=1, max_size=12),
+    stack=st.tuples(_GRID, _GRID),
+    copies=st.integers(min_value=0, max_value=5 * _NEAREST_POOL),
     extra=st.lists(st.tuples(_GRID, _GRID), max_size=5),
     metric=st.sampled_from(["planar", "haversine"]),
+    data=st.data(),
 )
-def test_nearest_anchor_ties_match_bruteforce_oracle(cells, extra, metric):
-    # at most _NEAREST_POOL anchors, so even a point tied with all of them is
-    # decided by the exact re-ranking; lists may repeat a cell (coincident
-    # anchors) and may hold a single anchor
+def test_nearest_anchor_ties_match_bruteforce_oracle(cells, stack, copies, extra, metric, data):
+    # up to 5x the first re-ranking pool of coincident anchors, at shuffled
+    # ids, so a point on the stack is tied with more anchors than the pool
+    # holds; lists may also repeat a cell and may hold a single anchor
+    cells = data.draw(st.permutations(cells + [stack] * copies))
     anchors = AnchorSet([c[0] for c in cells], [c[1] - 76.0 for c in cells])
     lons, lats = _probe_points(anchors, [e[0] for e in extra], [e[1] - 76.0 for e in extra])
     got = nearest_anchors(anchors, lons, lats, metric=metric)

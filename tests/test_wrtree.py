@@ -9,7 +9,6 @@ from siglink.wrtree import (
     WrNode,
     aggregate_signatures,
     bulk_load,
-    bulk_load_rtree,
     insert,
     knn_search,
     linear_knn,
@@ -212,7 +211,7 @@ def test_query_disjoint_from_everything_returns_empty():
     tree = bulk_load(entries, capacity=4)
     probe = entry("q", sig({2: 1.0}), anchors)
     assert knn_search(tree, (probe[1], probe[2]), 5) == []
-    assert rtree_baseline_knn(bulk_load_rtree(entries, 4), (probe[1], probe[2]), 5) == []
+    assert rtree_baseline_knn(tree, (probe[1], probe[2]), 5) == []
 
 
 def test_knn_rejects_bad_inputs():
@@ -269,23 +268,22 @@ def test_tie_order_is_ascending_object_id():
 
 def test_rtree_baseline_equals_linear_when_everything_overlaps():
     entries, anchors = synthetic_entries(60, seed=11)
-    plain = bulk_load_rtree(entries, capacity=8)
+    tree = bulk_load(entries, capacity=8)
     world = Mbr(-180.0, -90.0, 180.0, 90.0)
     for oid, s, _ in entries[::7]:
-        assert rtree_baseline_knn(plain, (s, world), 5) == linear_knn(
+        assert rtree_baseline_knn(tree, (s, world), 5) == linear_knn(
             entries, (s, world), 5
         )
 
 
 def test_rtree_baseline_matches_wrtree_on_overlap_complete_queries():
     entries, _ = synthetic_entries(120, seed=12)
-    plain = bulk_load_rtree(entries, capacity=8)
-    weighted = bulk_load(entries, capacity=8)
+    tree = bulk_load(entries, capacity=8)
     for oid, s, m in entries[::5]:
-        base = rtree_baseline_knn(plain, (s, m), 5)
+        base = rtree_baseline_knn(tree, (s, m), 5)
         true = linear_knn(entries, (s, m), 5)
         if base == true:  # overlap-complete case
-            assert knn_search(weighted, (s, m), 5) == true
+            assert knn_search(tree, (s, m), 5) == true
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +294,8 @@ def test_validator_flags_corrupted_aggregate():
     entries, _ = synthetic_entries(30, seed=13)
     tree = bulk_load(entries, capacity=4)
     node = tree.root.children[0]
-    node.signature.weights[0] *= 0.5
+    dim = min(node.weight_map)
+    node.weight_map[dim] *= 0.5
     assert any("aggregate" in p for p in validate(tree))
 
 
@@ -347,9 +346,11 @@ def _saved_index_bytes(tmp_path, n=6, capacity=2):
     return path, bytearray(path.read_bytes())
 
 
-# header layout after the 10-byte magic: <H version, I capacity, Q n_objects, ...
+# header layout after the 10-byte magic: <H version, I capacity, Q n_objects,
+# B weighted, ...
 _CAPACITY_AT = 12
 _N_OBJECTS_AT = 16
+_WEIGHTED_AT = 24
 
 
 def test_index_object_count_mismatch_rejected(tmp_path):
@@ -363,6 +364,15 @@ def test_index_object_count_mismatch_rejected(tmp_path):
 def test_index_capacity_below_two_rejected(tmp_path):
     path, raw = _saved_index_bytes(tmp_path)
     raw[_CAPACITY_AT : _CAPACITY_AT + 4] = (1).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="corrupt index"):
+        load_index(path)
+
+
+def test_index_unweighted_flag_rejected(tmp_path):
+    path, raw = _saved_index_bytes(tmp_path)
+    assert raw[_WEIGHTED_AT] == 1
+    raw[_WEIGHTED_AT] = 0
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="corrupt index"):
         load_index(path)
