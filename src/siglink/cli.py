@@ -18,14 +18,13 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import ConfigError, SiglinkError
+from .errors import ConfigError, EmptySignatureError, EmptyTraceError, SiglinkError
 from .linking import (
     ENGINES,
     LinkingRun,
     accuracy_at_k,
     link_signatures,
     matching_accuracy,
-    query_signature,
     read_results_csv,
     rerank,
     stable_marriage,
@@ -46,7 +45,6 @@ from .signatures import (
     read_signatures_jsonl,
     write_signatures_jsonl,
 )
-from .errors import EmptySignatureError
 from .synth import generate_synthetic
 from .traces import (
     DEFAULT_UTC_OFFSET_HOURS,
@@ -261,42 +259,19 @@ def _cmd_split(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_kind_signatures(args, traces, corpus_traces, anchors, strict: bool):
-    """Signatures of the requested kind for `traces`, with corpus statistics
-    taken from `corpus_traces`. Returns (sigs, excluded, corpus_handle)."""
-    kind = args.kind
-    sigs: dict[str, object] = {}
-    excluded: list[str] = []
+def _kind_builder(args, corpus_traces, anchors):
+    """The signature function of the requested TF-IDF kind, weighted by
+    statistics over the non-empty traces of `corpus_traces`."""
     usable_corpus = [t for t in corpus_traces if t.points]
     if not usable_corpus:
         raise ConfigError("corpus has no non-empty traces")
-    if kind == "spatial":
+    if args.kind == "spatial":
         stats = build_corpus_stats(usable_corpus)
-        for t in traces:
-            if not t.points:
-                excluded.append(t.object_id)
-                continue
-            if strict:
-                try:
-                    sigs[t.object_id] = build_spatial_signature(t, stats)
-                except (EmptySignatureError, ValueError):
-                    excluded.append(t.object_id)
-            else:
-                sig = query_signature(t, stats)
-                if sig is None:
-                    excluded.append(t.object_id)
-                else:
-                    sigs[t.object_id] = sig
-        return sigs, excluded, stats
-    if kind == "sequential":
+        return lambda t: build_spatial_signature(t, stats)
+    if args.kind == "sequential":
         corpus = build_sequential_corpus(usable_corpus, _check_positive(args.q, "q"))
-        for t in traces:
-            try:
-                sigs[t.object_id] = build_sequential_signature(t, corpus, strict=strict)
-            except (EmptySignatureError, ValueError):
-                excluded.append(t.object_id)
-        return sigs, excluded, corpus
-    if kind == "spatiotemporal":
+        return lambda t: build_sequential_signature(t, corpus)
+    if args.kind == "spatiotemporal":
         if anchors is None:
             raise ConfigError("spatiotemporal signatures need --anchors")
         _check_dt(args.dt)
@@ -304,15 +279,22 @@ def _build_kind_signatures(args, traces, corpus_traces, anchors, strict: bool):
         corpus = build_spatiotemporal_corpus(
             usable_corpus, anchors, grid, args.dt, args.utc_offset
         )
-        for t in traces:
-            try:
-                sigs[t.object_id] = build_spatiotemporal_signature(
-                    t, anchors, corpus, strict=strict
-                )
-            except (EmptySignatureError, ValueError):
-                excluded.append(t.object_id)
-        return sigs, excluded, corpus
-    raise ConfigError(f"unsupported signature kind {kind!r}")
+        return lambda t: build_spatiotemporal_signature(t, anchors, corpus)
+    raise ConfigError(f"unsupported signature kind {args.kind!r}")
+
+
+def _build_kind_signatures(build, traces):
+    """Signatures of `traces` by the function `_kind_builder` picked. Returns
+    (sigs, excluded): an object with an empty trace or no dimension left
+    after weighting is excluded."""
+    sigs: dict[str, object] = {}
+    excluded: list[str] = []
+    for t in traces:
+        try:
+            sigs[t.object_id] = build(t)
+        except (EmptySignatureError, EmptyTraceError):
+            excluded.append(t.object_id)
+    return sigs, excluded
 
 
 def _cmd_signature(args: argparse.Namespace) -> int:
@@ -341,9 +323,8 @@ def _cmd_signature(args: argparse.Namespace) -> int:
         print(f"wrote {len(records)} temporal histograms to {path}")
         return EXIT_OK
     corpus_traces = read_trace_csv(args.corpus) if args.corpus else traces
-    sigs, excluded, _ = _build_kind_signatures(
-        args, traces, corpus_traces, anchors, strict=args.corpus is None
-    )
+    build = _kind_builder(args, corpus_traces, anchors)
+    sigs, excluded = _build_kind_signatures(build, traces)
     path = out / "signatures.jsonl"
     write_signatures_jsonl(path, sorted(sigs.items()))
     _capture_config(out, "signature", args)
@@ -355,10 +336,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     _check_positive(args.m, "m")
     entries = read_signatures_jsonl(args.signatures)
-    reduced = [
-        (oid, cut_reduce(sig, args.m, renormalize=not args.no_renormalize))
-        for oid, sig in entries
-    ]
+    reduced = [(oid, cut_reduce(sig, args.m)) for oid, sig in entries]
     path = out / "signatures.jsonl"
     write_signatures_jsonl(path, reduced)
     _capture_config(out, "reduce", args)
@@ -410,9 +388,9 @@ def _cmd_index_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_link(args: argparse.Namespace) -> int:
+    if args.engine != "linear" and not args.anchors:
+        raise ConfigError(f"engine {args.engine!r} needs --anchors for bounding boxes")
     out = _out_dir(args)
-    if args.engine not in ENGINES:
-        raise ConfigError(f"unknown engine {args.engine!r} (choices: {ENGINES})")
     queries = _load_signature_map(args.queries)
     references = _load_signature_map(args.references)
     anchors = read_anchor_csv(args.anchors) if args.anchors else None
@@ -483,7 +461,7 @@ def _cmd_marry(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     qd = read_results_csv(args.results_qd)
     dq = read_results_csv(args.results_dq)
-    matching = stable_marriage(qd, dq, inverted_acceptance=args.inverted_acceptance)
+    matching = stable_marriage(qd, dq)
     with open(out / "matching.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("query_id,candidate_id,phase\n")
         for q in sorted(matching.stable_pairs):
@@ -592,8 +570,6 @@ def _pipeline_traces(args: argparse.Namespace):
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    if args.engine not in ENGINES:
-        raise ConfigError(f"unknown engine {args.engine!r} (choices: {ENGINES})")
     if args.dt is not None:
         _check_dt(args.dt)
     _check_positive(args.k, "k")
@@ -619,12 +595,9 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     write_trace_csv(out / "q.csv", halves.q)
     write_trace_csv(out / "d.csv", halves.d)
 
-    ref_sigs, excluded_refs, _corpus = _build_kind_signatures(
-        args, halves.d, halves.d, anchors, strict=True
-    )
-    query_sigs, excluded_queries, _ = _build_kind_signatures(
-        args, halves.q, halves.d, anchors, strict=False
-    )
+    build = _kind_builder(args, halves.d, anchors)
+    ref_sigs, excluded_refs = _build_kind_signatures(build, halves.d)
+    query_sigs, excluded_queries = _build_kind_signatures(build, halves.q)
     write_signatures_jsonl(out / "signatures_d.jsonl", sorted(ref_sigs.items()))
     write_signatures_jsonl(out / "signatures_q.jsonl", sorted(query_sigs.items()))
 
@@ -728,7 +701,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]
     p.add_argument("--out", required=True)
     p.add_argument("--signatures", required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--no-renormalize", action="store_true")
     p.set_defaults(handler=_cmd_reduce)
 
     p = subparsers.add_parser("index", help="build, extend, or check an index")
@@ -781,11 +753,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]
     p.add_argument("--out", required=True)
     p.add_argument("--results-qd", required=True)
     p.add_argument("--results-dq", required=True)
-    p.add_argument(
-        "--inverted-acceptance",
-        action="store_true",
-        help="invert the acceptance comparison (the lower-ranked proposer wins)",
-    )
     p.set_defaults(handler=_cmd_marry)
 
     p = subparsers.add_parser("closure", help="iterative signature suppression")

@@ -15,9 +15,11 @@ from typing import Mapping, Sequence
 from .errors import EmptySignatureError, EmptyTraceError
 from .reduction import Mbr, cut_reduce, mbr_of
 from .signatures import (
+    KIND_SPATIAL,
     CorpusStats,
     Signature,
     build_corpus_stats,
+    build_spatial_signature,
     tfidf_signature,
 )
 from .traces import AnchorSet, Trace
@@ -67,28 +69,18 @@ def reference_signatures(
     degenerate: list[str] = []
     for trace in usable:
         try:
-            sigs[trace.object_id] = tfidf_signature(
-                trace.anchor_counts(), stats, "spatial"
-            )
+            sigs[trace.object_id] = build_spatial_signature(trace, stats)
         except EmptySignatureError:
             degenerate.append(trace.object_id)
     return sigs, empty + degenerate, stats
 
 
 def query_signature(trace: Trace, stats: CorpusStats) -> Signature | None:
-    """Query-side signature in the reference corpus's weight space.
-
-    Anchors unseen in the reference corpus cannot contribute to any
-    similarity, so they are dropped before weighting; ``None`` means nothing
-    usable remains.
-    """
-    counts = {
-        a: c for a, c in trace.anchor_counts().items() if a in stats.doc_freq
-    }
-    if not counts:
-        return None
+    """Query-side signature in the reference corpus's weight space; anchors
+    unseen there are dropped (see ``tfidf_signature``), and ``None`` means
+    nothing usable remains."""
     try:
-        return tfidf_signature(counts, stats, "spatial")
+        return tfidf_signature(trace.anchor_counts(), stats, KIND_SPATIAL)
     except EmptySignatureError:
         return None
 
@@ -99,6 +91,9 @@ _NO_MBR = Mbr(0.0, 0.0, 0.0, 0.0)
 def _reduce_entry(
     object_id: str, sig: Signature, anchors: AnchorSet | None, m: int | None
 ) -> IndexEntry:
+    if not sig.normalized:
+        # cosine scores and the pruning bounds hold only for unit vectors
+        raise ValueError(f"signature of {object_id!r} is not normalized")
     reduced = cut_reduce(sig, m) if m is not None and m < sig.nnz() else sig
     mbr = mbr_of(reduced, anchors) if anchors is not None else _NO_MBR
     return (object_id, reduced, mbr)
@@ -124,7 +119,8 @@ def link_signatures(
     the same tree by rectangle alone (the baseline without the weight bound).
     The tree engines need an anchor set to derive bounding boxes, so they
     only work on spatial signatures; ``linear`` accepts any cosine-comparable
-    kind.
+    kind. Every signature must be normalized; an unnormalized one raises
+    ``ValueError`` naming its object.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -317,16 +313,12 @@ def _result_map(run: LinkingRun | Mapping[str, KnnResult]) -> Mapping[str, KnnRe
 def stable_marriage(
     run_qd: LinkingRun | Mapping[str, KnnResult],
     run_dq: LinkingRun | Mapping[str, KnnResult],
-    *,
-    inverted_acceptance: bool = False,
 ) -> Matching:
     """Proposal-based one-to-one matching over the two directions' top-k lists.
 
     Queries propose down their candidate lists; a proposed reference keeps
     whichever proposer ranks higher in its own list (proposers absent from the
-    list rank below every listed one, ties by ascending id). With
-    ``inverted_acceptance`` the comparison flips and the lower-ranked proposer
-    wins; it exists only for A/B comparison against that convention.
+    list rank below every listed one, ties by ascending id).
     """
     qd = _result_map(run_qd)
     dq = _result_map(run_dq)
@@ -360,11 +352,7 @@ def stable_marriage(
         if holder is None:
             engaged[d] = q
             continue
-        if inverted_acceptance:
-            accept = rank_key(d, q) > rank_key(d, holder)
-        else:
-            accept = rank_key(d, q) < rank_key(d, holder)
-        if accept:
+        if rank_key(d, q) < rank_key(d, holder):
             engaged[d] = q
             queue.append(holder)
         else:

@@ -78,14 +78,13 @@ def utility_metrics(
     before: Sequence[Trace],
     after: Sequence[Trace],
     anchors: AnchorSet,
-    large_cell_m: float = DEFAULT_LARGE_CELL_M,
-    small_cell_m: float = DEFAULT_SMALL_CELL_M,
 ) -> UtilityMetrics:
     """Average retained fraction of points, bounding-box area, and grid cells.
 
-    Grid cell sizes are given in meters and converted to degrees at the mean
-    latitude of the original data; a degenerate (zero-area) original bounding
-    box scores 1 whenever the suppressed trace still falls inside it.
+    The grid cells are ``DEFAULT_LARGE_CELL_M`` and ``DEFAULT_SMALL_CELL_M``
+    meters wide, converted to degrees at the mean latitude of the original
+    data; a degenerate (zero-area) original bounding box scores 1 whenever
+    the suppressed trace still falls inside it.
     """
     before_by_id = {t.object_id: t for t in before}
     after_by_id = {t.object_id: t for t in after}
@@ -103,8 +102,8 @@ def utility_metrics(
         dlon = cell_m / (METERS_PER_DEGREE * max(np.cos(np.radians(mean_lat)), 1e-9))
         return (dlon, dlat)
 
-    large = cell_deg(large_cell_m)
-    small = cell_deg(small_cell_m)
+    large = cell_deg(DEFAULT_LARGE_CELL_M)
+    small = cell_deg(DEFAULT_SMALL_CELL_M)
 
     remain, overlap, cover_large, cover_small = [], [], [], []
     for oid, b in before_by_id.items():
@@ -168,66 +167,54 @@ def signature_closure(
     split: SplitStrategy | None = None,
     engine: str = "wrtree",
     k: int = 5,
-    link_m: int | None = None,
     capacity: int = 32,
     utc_offset_hours: int = DEFAULT_UTC_OFFSET_HOURS,
-    rebuild_stats: bool = True,
-    large_cell_m: float = DEFAULT_LARGE_CELL_M,
-    small_cell_m: float = DEFAULT_SMALL_CELL_M,
 ) -> tuple[list[Trace], ClosureReport]:
     """Repeatedly suppress each object's top-m weighted anchors and re-measure.
 
-    Every round builds spatial signatures from the current traces (corpus
-    statistics recomputed unless ``rebuild_stats`` is off), deletes every
-    occurrence of each object's top-m anchors from both halves symmetrically,
-    then records linking accuracy on the suppressed data and utility against
-    the original. The report's baseline accuracy is measured before any
-    suppression. Accuracy comes from ``link_all`` with ``engine`` (any of
-    ``linking.ENGINES``; all are exact, so the choice changes only the
-    time), at reduction level ``link_m`` (default ``m``).
+    Every round recomputes corpus statistics over the current non-empty
+    traces, builds each object's spatial signature from them, deletes every
+    occurrence of its top-m anchors from both halves symmetrically, then
+    records linking accuracy on the suppressed data and utility against the
+    original. An object with an empty trace or no discriminative anchor left
+    loses nothing that round. The report's baseline accuracy is measured
+    before any suppression. Accuracy comes from ``link_all`` at reduction
+    level ``m`` with ``engine`` (any of ``linking.ENGINES``; all are exact,
+    so the choice changes only the time).
     """
     if m < 1 or rounds < 1:
         raise ValueError("m and rounds must both be >= 1")
     if split is None:
         split = SplitStrategy.interleaved()
-    link_m = m if link_m is None else link_m
     original = [Trace(t.object_id, list(t.points)) for t in traces]
     current = [Trace(t.object_id, list(t.points)) for t in traces]
 
     def measure() -> dict[int, float]:
         return _link_accuracy(
-            current, anchors, split, engine, k, link_m, capacity, utc_offset_hours
+            current, anchors, split, engine, k, m, capacity, utc_offset_hours
         )
 
     baseline = measure()
-    frozen_stats = None
     report_rounds: list[ClosureRound] = []
     for round_no in range(1, rounds + 1):
         usable = [t for t in current if t.points]
         if not usable:
             break
-        if rebuild_stats or frozen_stats is None:
-            stats = build_corpus_stats(usable)
-            if not rebuild_stats:
-                frozen_stats = stats
-        else:
-            stats = frozen_stats
+        stats = build_corpus_stats(usable)
         removed: dict[str, list[int]] = {}
         for trace in current:
             if not trace.points:
                 continue
             try:
                 sig = build_spatial_signature(trace, stats)
-            except (EmptySignatureError, ValueError):
+            except EmptySignatureError:
                 continue
             top = cut_reduce(sig, m)
             doomed = set(top.dims.tolist())
             removed[trace.object_id] = sorted(doomed)
             trace.points = [p for p in trace.points if p[0] not in doomed]
         accuracy = measure()
-        utility = utility_metrics(
-            original, current, anchors, large_cell_m, small_cell_m
-        )
+        utility = utility_metrics(original, current, anchors)
         report_rounds.append(ClosureRound(round_no, removed, accuracy, utility))
     emptied = [t.object_id for t in current if not t.points]
     return current, ClosureReport(baseline, report_rounds, emptied)

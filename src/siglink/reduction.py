@@ -73,12 +73,9 @@ def union_mbrs(mbrs: Sequence[Mbr]) -> Mbr:
     )
 
 
-def cut_reduce(sig: Signature, m: int, renormalize: bool = True) -> Signature:
-    """Keep the m heaviest dimensions of a signature and drop the rest.
-
-    Ties at the m-th weight break toward the lower dimension id. The result is
-    re-normalized by default; pass renormalize=False to keep the raw truncated
-    weights for ablation runs.
+def cut_reduce(sig: Signature, m: int) -> Signature:
+    """Keep the m heaviest dimensions of a signature, drop the rest and
+    re-normalize. Ties at the m-th weight break toward the lower dimension id.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -92,9 +89,8 @@ def cut_reduce(sig: Signature, m: int, renormalize: bool = True) -> Signature:
     resort = np.argsort(dims)
     dims = dims[resort]
     weights = weights[resort]
-    if renormalize:
-        weights = weights / np.linalg.norm(weights)
-    return Signature(dims, weights, sig.kind, normalized=renormalize, reduced_m=m)
+    weights = weights / np.linalg.norm(weights)
+    return Signature(dims, weights, sig.kind, normalized=True, reduced_m=m)
 
 
 def mbr_of_ids(anchor_ids, anchors: AnchorSet) -> Mbr:

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, filterfalse
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -117,34 +119,40 @@ class CorpusStats:
     doc_freq: dict[int, int]
 
 
+def corpus_stats(dim_sets: Sequence[Iterable[int]]) -> CorpusStats:
+    """Count, for each dimension, how many objects have it. Takes one
+    duplicate-free collection of dimensions per object; every TF-IDF kind
+    builds its corpus statistics here."""
+    if not dim_sets:
+        raise ValueError("corpus must contain at least one trace")
+    return CorpusStats(len(dim_sets), dict(Counter(chain.from_iterable(dim_sets))))
+
+
 def build_corpus_stats(traces: Sequence[Trace]) -> CorpusStats:
     """Count, for each anchor, how many objects visit it at least once."""
-    if not traces:
-        raise ValueError("corpus must contain at least one trace")
-    doc_freq: dict[int, int] = {}
-    for trace in traces:
-        for anchor_id in trace.anchor_ids():
-            doc_freq[anchor_id] = doc_freq.get(anchor_id, 0) + 1
-    return CorpusStats(len(traces), doc_freq)
+    return corpus_stats([trace.anchor_ids() for trace in traces])
 
 
 def tfidf_signature(counts: Mapping[int, int], stats: CorpusStats, kind: str) -> Signature:
     """TF-IDF weights from raw occurrence counts; natural-log IDF, L2 normalized.
 
-    Dimensions present in every object carry zero weight and are dropped; if
-    nothing survives the object has no discriminative signature.
+    This is the one weighting step of every TF-IDF kind. Dimensions the
+    corpus has not seen are dropped before weighting: they cannot contribute
+    to any similarity against it, and term frequencies are taken over the
+    counts that remain. Dimensions present in every object carry zero weight
+    and are dropped too. If nothing survives the object has no discriminative
+    signature and ``EmptySignatureError`` is raised.
     """
-    if not counts:
-        raise EmptyTraceError("cannot weight an empty occurrence map")
-    n = stats.n_objects
+    doc_freq = stats.doc_freq
     total = sum(counts.values())
+    for dim in filterfalse(doc_freq.__contains__, counts):
+        total -= counts[dim]
+    n = stats.n_objects
     weights: dict[int, float] = {}
     for dim, c in counts.items():
-        df = stats.doc_freq.get(dim)
+        df = doc_freq.get(dim)
         if df is None:
-            raise ValueError(
-                f"dimension {dim} missing from corpus stats; build stats over the corpus first"
-            )
+            continue
         if n == 1:
             # a single-object corpus carries no discriminative statistics;
             # IDF would be the same constant on every dimension and vanish
@@ -187,46 +195,28 @@ def build_sequential_corpus(traces: Sequence[Trace], q: int) -> SequentialCorpus
     live in the same dimension space as spatial ones."""
     if q < 1:
         raise ValueError("gram length q must be >= 1")
-    if not traces:
-        raise ValueError("corpus must contain at least one trace")
-    per_object: list[set[tuple[int, ...]]] = []
-    all_grams: set[tuple[int, ...]] = set()
-    for trace in traces:
-        seen = set(_grams(trace, q)) if len(trace) >= q else set()
-        per_object.append(seen)
-        all_grams |= seen
+    per_object = [set(_grams(trace, q)) for trace in traces]
+    all_grams = set().union(*per_object)
     if q == 1:
         vocab = {g: g[0] for g in all_grams}
     else:
         vocab = {g: i for i, g in enumerate(sorted(all_grams))}
-    doc_freq: dict[int, int] = {}
-    for seen in per_object:
-        for g in seen:
-            gid = vocab[g]
-            doc_freq[gid] = doc_freq.get(gid, 0) + 1
-    return SequentialCorpus(q, vocab, CorpusStats(len(traces), doc_freq))
+    stats = corpus_stats([set(map(vocab.__getitem__, seen)) for seen in per_object])
+    return SequentialCorpus(q, vocab, stats)
 
 
-def build_sequential_signature(
-    trace: Trace, corpus: SequentialCorpus, strict: bool = True
-) -> Signature:
-    """TF-IDF over the trace's grams. With strict=False, grams missing from
-    the corpus vocabulary are dropped instead of raising; query-side traces
-    use that to project into the reference weight space."""
+def build_sequential_signature(trace: Trace, corpus: SequentialCorpus) -> Signature:
+    """TF-IDF over the trace's grams in the corpus's weight space.
+
+    A gram outside the corpus vocabulary has no dimension id; it is counted
+    under ``None``, which no corpus has seen, so ``tfidf_signature`` drops it
+    like any unseen dimension.
+    """
     if len(trace) < corpus.q:
         raise EmptySignatureError(
             f"trace of {len(trace)} points yields no {corpus.q}-grams"
         )
-    counts: dict[int, int] = {}
-    for g in _grams(trace, corpus.q):
-        gid = corpus.vocab.get(g)
-        if gid is None:
-            if strict:
-                raise ValueError(f"gram {g} missing from corpus vocabulary")
-            continue
-        counts[gid] = counts.get(gid, 0) + 1
-    if not counts:
-        raise EmptySignatureError("no grams shared with the corpus vocabulary")
+    counts = Counter(map(corpus.vocab.get, _grams(trace, corpus.q)))
     return tfidf_signature(counts, corpus.stats, sequential_kind(corpus.q))
 
 
@@ -311,28 +301,20 @@ def build_spatiotemporal_corpus(
     utc_offset_hours: int = DEFAULT_UTC_OFFSET_HOURS,
 ) -> SpatiotemporalCorpus:
     dt = _check_dt(dt_hours)
-    if not traces:
-        raise ValueError("corpus must contain at least one trace")
-    doc_freq: dict[int, int] = {}
-    for trace in traces:
-        dims = set(_cell_time_counts(trace, anchors, grid, dt, utc_offset_hours))
-        for dim in dims:
-            doc_freq[dim] = doc_freq.get(dim, 0) + 1
-    return SpatiotemporalCorpus(grid, dt, utc_offset_hours, CorpusStats(len(traces), doc_freq))
+    stats = corpus_stats(
+        [_cell_time_counts(t, anchors, grid, dt, utc_offset_hours).keys() for t in traces]
+    )
+    return SpatiotemporalCorpus(grid, dt, utc_offset_hours, stats)
 
 
 def build_spatiotemporal_signature(
-    trace: Trace, anchors: AnchorSet, corpus: SpatiotemporalCorpus, strict: bool = True
+    trace: Trace, anchors: AnchorSet, corpus: SpatiotemporalCorpus
 ) -> Signature:
     if not trace.points:
         raise EmptyTraceError(f"object {trace.object_id!r} has an empty trace")
     counts = _cell_time_counts(
         trace, anchors, corpus.grid, corpus.dt_hours, corpus.utc_offset_hours
     )
-    if not strict:
-        counts = {d: c for d, c in counts.items() if d in corpus.stats.doc_freq}
-        if not counts:
-            raise EmptySignatureError("no cells shared with the corpus vocabulary")
     return tfidf_signature(
         counts, corpus.stats, spatiotemporal_kind(corpus.grid.g, corpus.dt_hours)
     )

@@ -40,7 +40,7 @@ from siglink.wrtree import (
     validate,
 )
 
-from conftest import random_signature, sig
+from testkit import random_signature, sig
 from test_emd import bruteforce_emd_counts, hist
 from test_linking import (
     _assert_no_blocking_pair,
@@ -226,7 +226,7 @@ def test_cut_reduction_properties():
     corpora = 0
     for seed in range(50):
         rng = np.random.default_rng(1000 + seed)
-        from conftest import trace_of
+        from testkit import trace_of
 
         traces = [
             trace_of(f"o{i}", rng.integers(0, 20, size=rng.integers(2, 25)).tolist())

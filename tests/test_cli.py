@@ -1,6 +1,8 @@
 import json
 
 from siglink.cli import main
+from siglink.synth import generate_synthetic
+from siglink.traces import SplitStrategy, split_dataset
 
 
 def run(args):
@@ -45,6 +47,22 @@ def test_pipeline_sequential_kind_with_linear_engine(tmp_path):
                 "--engine", "linear", "--m", "10", "--out", out]) == 0
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["acc"]["5"] > 0.0
+
+
+def test_pipeline_spatiotemporal_excludes_empty_half_objects(tmp_path):
+    # at this radius many objects keep no point in one half; each must be
+    # excluded, not fail the run
+    out = tmp_path / "st"
+    assert run(["pipeline", "--synthetic", "n=150,seed=1,radius=0.01", "--engine", "linear",
+                "--m", "3", "--kind", "spatiotemporal", "--dt", "6", "--out", out]) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    traces, _ = generate_synthetic(150, 1000, 0.01, 200, seed=1)
+    halves = split_dataset(traces, SplitStrategy.interleaved())
+    empty_q = {t.object_id for t in halves.q if not t.points}
+    empty_d = {t.object_id for t in halves.d if not t.points}
+    assert empty_q and empty_d
+    assert empty_q <= set(metrics["excluded_queries"])
+    assert empty_d <= set(metrics["excluded_references"])
 
 
 def test_pipeline_missing_inputs_exits_2(tmp_path):
@@ -123,6 +141,38 @@ def test_eval_agrees_with_metrics_json(tmp_path):
                 "--references", out / "signatures_d.jsonl", "--k", "5"]) == 0
     ev = json.loads((tmp_path / "ev/eval.json").read_text())
     assert ev["acc"] == metrics["acc"]
+
+
+def test_link_tree_engine_without_anchors_exits_2(tmp_path, capsys):
+    # the signature files are garbage: reading them would be a runtime failure
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("not json\n")
+    for engine in ("wrtree", "rtree"):
+        capsys.readouterr()
+        assert run(["link", "--out", tmp_path / "x", "--queries", bad, "--references", bad,
+                    "--engine", engine]) == 2
+        assert "--anchors" in capsys.readouterr().err
+    assert run(["link", "--out", tmp_path / "x", "--queries", bad, "--references", bad,
+                "--engine", "linear"]) == 1
+
+
+def test_link_rejects_unnormalized_signature(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run(["pipeline", "--synthetic", "n=40,seed=2", "--engine", "linear",
+                "--out", out]) == 0
+    lines = (out / "signatures_d.jsonl").read_text().splitlines()
+    record = json.loads(lines[3])
+    record["normalized"] = False
+    lines[3] = json.dumps(record)
+    edited = tmp_path / "edited.jsonl"
+    edited.write_text("\n".join(lines) + "\n")
+    for engine in ("linear", "wrtree"):
+        capsys.readouterr()
+        assert run(["link", "--out", tmp_path / engine, "--queries", out / "signatures_q.jsonl",
+                    "--references", edited, "--anchors", out / "anchors.csv",
+                    "--engine", engine]) == 1
+        err = capsys.readouterr().err
+        assert record["object_id"] in err and len(err.strip().splitlines()) == 1
 
 
 def test_unweighted_index_fails_validation(tmp_path, capsys):

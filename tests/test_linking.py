@@ -17,7 +17,7 @@ from siglink.linking import (
 from siglink.synth import generate_synthetic
 from siglink.traces import SplitStrategy, Trace, split_dataset
 
-from conftest import sig
+from testkit import sig
 
 
 def _run(results, reference_ids=None, k=None):
@@ -302,16 +302,6 @@ def test_no_blocking_pairs_on_incomplete_lists():
         qd, dq = _random_instance(rng, n, k)
         matching = stable_marriage(qd, dq)
         _assert_no_blocking_pair(matching, qd, dq)
-
-
-def test_inverted_acceptance_flag_changes_outcome():
-    qd = {"q1": [("d1", 0.9)], "q2": [("d1", 0.8), ("d2", 0.1)]}
-    dq = {"d1": [("q1", 0.9), ("q2", 0.8)], "d2": [("q2", 0.1)]}
-    standard = stable_marriage(qd, dq)
-    inverted = stable_marriage(qd, dq, inverted_acceptance=True)
-    assert standard.stable_pairs["q1"] == "d1"
-    # the inverted comparison keeps the lower-ranked proposer
-    assert inverted.stable_pairs["q2"] == "d1"
 
 
 def test_matching_accuracy_and_sm_gain_over_seeds():

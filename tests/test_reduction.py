@@ -9,7 +9,7 @@ from siglink.reduction import Mbr, cut_reduce, mbr_of, union_mbrs
 from siglink.signatures import cosine_similarity
 from siglink.traces import AnchorSet
 
-from conftest import random_signature, sig
+from testkit import random_signature, sig
 
 
 # ---------------------------------------------------------------------------
@@ -45,13 +45,6 @@ def test_cut_rejects_bad_inputs():
         cut_reduce(s, 0)
     with pytest.raises(ValueError):
         cut_reduce(sig({1: 2.0}, normalize=False), 1)
-
-
-def test_cut_without_renormalization_keeps_raw_weights():
-    s = sig({1: 0.9, 2: 0.5, 3: 0.1})
-    reduced = cut_reduce(s, 2, renormalize=False)
-    assert reduced.weights.tolist() == s.weights[:2].tolist()
-    assert not reduced.normalized
 
 
 @settings(max_examples=60, deadline=None)

@@ -23,7 +23,7 @@ from siglink.signatures import (
 )
 from siglink.traces import AnchorSet, Trace
 
-from conftest import random_signature, sig, trace_of
+from testkit import random_signature, sig, trace_of
 
 
 # ---------------------------------------------------------------------------
@@ -91,10 +91,13 @@ def test_object_with_only_universal_anchors_yields_empty_signature():
         build_spatial_signature(traces[0], stats)
 
 
-def test_anchor_missing_from_stats_rejected():
+def test_anchor_missing_from_stats_dropped():
+    # anchor 2 is unseen by the corpus and is dropped before weighting
     stats = CorpusStats(3, {1: 1})
-    with pytest.raises(ValueError):
-        build_spatial_signature(trace_of("o", [1, 2]), stats)
+    signature = build_spatial_signature(trace_of("o", [1, 2, 1]), stats)
+    assert signature.as_dict() == {1: 1.0}
+    with pytest.raises(EmptySignatureError):
+        build_spatial_signature(trace_of("o", [2, 3]), stats)
 
 
 def test_empty_trace_rejected():
@@ -221,10 +224,8 @@ def test_trace_shorter_than_q_rejected():
 def test_nonstrict_drops_unknown_grams():
     corpus = build_sequential_corpus([trace_of("a", [1, 2, 3])], 2)
     foreign = trace_of("b", [1, 2, 9])
-    signature = build_sequential_signature(foreign, corpus, strict=False)
+    signature = build_sequential_signature(foreign, corpus)
     assert signature.nnz() == 1
-    with pytest.raises(ValueError):
-        build_sequential_signature(foreign, corpus, strict=True)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from siglink.traces import (
     write_trace_csv,
 )
 
-from conftest import trace_of
+from testkit import trace_of
 
 TZ8 = timezone(timedelta(hours=8))
 

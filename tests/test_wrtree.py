@@ -19,7 +19,7 @@ from siglink.wrtree import (
     validate,
 )
 
-from conftest import entry, random_signature, sig
+from testkit import entry, random_signature, sig
 
 
 def synthetic_entries(n, seed, n_anchors=None, m=10):
