@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -66,12 +67,17 @@ class ClosureReport:
         Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _cells_covered(trace_ids: Sequence[int], anchors: AnchorSet, origin, cell_deg) -> set:
-    lons = anchors.lons[list(trace_ids)]
-    lats = anchors.lats[list(trace_ids)]
-    ix = np.floor((lons - origin[0]) / cell_deg[0]).astype(int)
-    iy = np.floor((lats - origin[1]) / cell_deg[1]).astype(int)
-    return set(zip(ix.tolist(), iy.tolist()))
+def _point_ids(trace: Trace) -> np.ndarray:
+    return np.fromiter(map(itemgetter(0), trace.points), dtype=np.int64, count=len(trace.points))
+
+
+def _cells_covered(ids: np.ndarray, anchors: AnchorSet, origin, cell_deg) -> int:
+    """Number of distinct grid cells the anchors ``ids`` fall in."""
+    ix = np.floor((anchors.lons[ids] - origin[0]) / cell_deg[0]).astype(np.int64)
+    iy = np.floor((anchors.lats[ids] - origin[1]) / cell_deg[1]).astype(np.int64)
+    order = np.lexsort((iy, ix))
+    ix, iy = ix[order], iy[order]
+    return len(ids) - int(np.count_nonzero((ix[1:] == ix[:-1]) & (iy[1:] == iy[:-1])))
 
 
 def utility_metrics(
@@ -93,7 +99,7 @@ def utility_metrics(
     if not before_by_id:
         raise ValueError("utility metrics need at least one object")
 
-    all_ids = [a for t in before for a, _ in t.points]
+    all_ids = np.concatenate([_point_ids(t) for t in before])
     mean_lat = float(np.mean(anchors.lats[all_ids]))
     origin = (float(anchors.lons[all_ids].min()), float(anchors.lats[all_ids].min()))
 
@@ -111,10 +117,10 @@ def utility_metrics(
         if not b.points:
             continue
         remain.append(len(a) / len(b))
-        b_ids = [aid for aid, _ in b.points]
-        a_ids = [aid for aid, _ in a.points]
+        b_ids = _point_ids(b)
+        a_ids = _point_ids(a)
         b_mbr = mbr_of_ids(b_ids, anchors)
-        if not a_ids:
+        if not len(a_ids):
             overlap.append(0.0)
             cover_large.append(0.0)
             cover_small.append(0.0)
@@ -127,7 +133,7 @@ def utility_metrics(
         for grid, acc in ((large, cover_large), (small, cover_small)):
             b_cells = _cells_covered(b_ids, anchors, origin, grid)
             a_cells = _cells_covered(a_ids, anchors, origin, grid)
-            acc.append(len(a_cells) / len(b_cells))
+            acc.append(a_cells / b_cells)
     return UtilityMetrics(
         data_remain=float(np.mean(remain)),
         mbr_overlap=float(np.mean(overlap)),

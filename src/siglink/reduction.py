@@ -94,7 +94,9 @@ def cut_reduce(sig: Signature, m: int) -> Signature:
 
 
 def mbr_of_ids(anchor_ids, anchors: AnchorSet) -> Mbr:
-    ids = np.asarray(list(anchor_ids), dtype=np.int64)
+    if not isinstance(anchor_ids, np.ndarray):
+        anchor_ids = list(anchor_ids)
+    ids = np.asarray(anchor_ids, dtype=np.int64)
     if len(ids) == 0:
         raise ValueError("cannot bound an empty anchor set")
     lons = anchors.lons[ids]

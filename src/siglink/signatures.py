@@ -117,6 +117,25 @@ class CorpusStats:
 
     n_objects: int
     doc_freq: dict[int, int]
+    _idf: dict[int, float] | None = field(default=None, repr=False, compare=False)
+
+    def idf(self) -> dict[int, float]:
+        """Weight factor of each dimension that carries weight: the natural-log
+        IDF ``log(n / df)`` where it is positive. A single-object corpus
+        carries no discriminative statistics; IDF would be the same constant
+        on every dimension and vanish under normalization, so every dimension
+        gets factor 1 and is weighted by frequency alone. Computed once, on
+        first use."""
+        if self._idf is None:
+            n = self.n_objects
+            if n == 1:
+                self._idf = dict.fromkeys(self.doc_freq, 1.0)
+            else:
+                log_of = {df: math.log(n / df) for df in set(self.doc_freq.values())}
+                self._idf = {
+                    dim: log_of[df] for dim, df in self.doc_freq.items() if log_of[df] > 0.0
+                }
+        return self._idf
 
 
 def corpus_stats(dim_sets: Sequence[Iterable[int]]) -> CorpusStats:
@@ -147,22 +166,15 @@ def tfidf_signature(counts: Mapping[int, int], stats: CorpusStats, kind: str) ->
     total = sum(counts.values())
     for dim in filterfalse(doc_freq.__contains__, counts):
         total -= counts[dim]
-    n = stats.n_objects
-    weights: dict[int, float] = {}
-    for dim, c in counts.items():
-        df = doc_freq.get(dim)
-        if df is None:
-            continue
-        if n == 1:
-            # a single-object corpus carries no discriminative statistics;
-            # IDF would be the same constant on every dimension and vanish
-            # under normalization, so weight by frequency alone
-            weights[dim] = c / total
-            continue
-        idf = math.log(n / df)
-        if idf > 0.0:
-            weights[dim] = (c / total) * idf
-    return make_signature(weights, kind)
+    idf = stats.idf()
+    dims = sorted(filter(idf.__contains__, counts))
+    if not dims:
+        raise EmptySignatureError("signature has no positive-weight dimensions")
+    n = len(dims)
+    freq = np.fromiter(map(counts.__getitem__, dims), dtype=float, count=n)
+    weights = freq / total * np.fromiter(map(idf.__getitem__, dims), dtype=float, count=n)
+    weights /= np.linalg.norm(weights)
+    return Signature(np.array(dims, dtype=np.int64), weights, kind, normalized=True)
 
 
 def build_spatial_signature(trace: Trace, stats: CorpusStats) -> Signature:

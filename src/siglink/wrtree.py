@@ -446,8 +446,13 @@ def linear_knn(objects: Sequence[IndexEntry], query: tuple[Signature, Mbr], k: i
     if not q_sig.normalized:
         raise ValueError("query signature must be normalized")
     q_map = _query_map(q_sig)
+    # an object sharing no dimension with the query scores 0 and is never
+    # reported; the set test skips its dot product
+    disjoint = q_sig.dim_set().isdisjoint
     scored: list[tuple[float, str]] = []
     for object_id, sig, _mbr in objects:
+        if disjoint(sig.dim_set()):
+            continue
         s = _leaf_sim(q_map, sig)
         if s > 0.0:
             scored.append((-s, object_id))
