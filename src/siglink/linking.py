@@ -54,7 +54,7 @@ class LinkingRun:
 
 
 def reference_signatures(
-    traces: Sequence[Trace], stats: CorpusStats | None = None
+    traces: Sequence[Trace],
 ) -> tuple[dict[str, Signature], list[str], CorpusStats]:
     """Spatial signatures for a reference corpus; objects whose every visited
     anchor is corpus-wide (zero discriminative weight) are reported, not
@@ -63,8 +63,7 @@ def reference_signatures(
     empty = [t.object_id for t in traces if not t.points]
     if not usable:
         raise EmptyTraceError("reference corpus has no non-empty traces")
-    if stats is None:
-        stats = build_corpus_stats(usable)
+    stats = build_corpus_stats(usable)
     sigs: dict[str, Signature] = {}
     degenerate: list[str] = []
     for trace in usable:
@@ -88,12 +87,16 @@ def query_signature(trace: Trace, stats: CorpusStats) -> Signature | None:
 _NO_MBR = Mbr(0.0, 0.0, 0.0, 0.0)
 
 
-def _reduce_entry(
-    object_id: str, sig: Signature, anchors: AnchorSet | None, m: int | None
-) -> IndexEntry:
+def _check_normalized(object_id: str, sig: Signature) -> None:
     if not sig.normalized:
         # cosine scores and the pruning bounds hold only for unit vectors
         raise ValueError(f"signature of {object_id!r} is not normalized")
+
+
+def _reduce_entry(
+    object_id: str, sig: Signature, anchors: AnchorSet | None, m: int | None
+) -> IndexEntry:
+    _check_normalized(object_id, sig)
     reduced = cut_reduce(sig, m) if m is not None and m < sig.nnz() else sig
     mbr = mbr_of(reduced, anchors) if anchors is not None else _NO_MBR
     return (object_id, reduced, mbr)
@@ -237,7 +240,8 @@ def rerank(
 
     The candidate sets are unchanged as sets; ordering is a stable re-sort by
     the richer similarity, so all-equal similarities keep the original order.
-    Both maps must cover every query and candidate involved.
+    Both maps must cover every query and candidate involved, with normalized
+    signatures; an unnormalized one raises ``ValueError`` naming its object.
     """
     new_results: dict[str, KnnResult] = {}
     for oid, result in run.results.items():
@@ -247,12 +251,14 @@ def rerank(
         q_sig = query_sigs.get(oid)
         if q_sig is None:
             raise ValueError(f"missing large signature for query {oid!r}")
+        _check_normalized(oid, q_sig)
         q_map = _query_map(q_sig)
         rescored: list[tuple[str, float]] = []
         for cand, _ in result:
             c_sig = reference_sigs.get(cand)
             if c_sig is None:
                 raise ValueError(f"missing large signature for candidate {cand!r}")
+            _check_normalized(cand, c_sig)
             rescored.append((cand, _leaf_sim(q_map, c_sig)))
         rescored.sort(key=lambda pair: -pair[1])
         new_results[oid] = rescored

@@ -5,7 +5,9 @@ Internal nodes carry, besides the usual bounding rectangle, a per-dimension
 max-weight aggregate of their subtree's signatures. The aggregate dot product
 with a query upper-bounds every descendant's cosine similarity, so best-first
 search can prune whole subtrees both spatially (disjoint rectangles imply zero
-similarity between reduced signatures) and by similarity bound.
+similarity between reduced signatures) and by similarity bound. Each internal
+node keeps a posting list over its children, so one pass over the query's
+dimensions scores every child of a node.
 """
 
 from __future__ import annotations
@@ -64,13 +66,21 @@ class WrNode:
     """Either a single-object leaf or an internal node over child nodes.
 
     A leaf holds its object's signature. An internal node holds its subtree's
-    aggregate only as a dim -> max weight map: search bounds read it and
-    inserts merge into it in O(signature nnz). ``signature`` builds the
-    sorted array form of that map on demand, for validation and
-    serialization.
+    aggregate only as a dim -> max weight map: inserts merge into it in
+    O(signature nnz). ``signature`` builds the sorted array form of that map
+    on demand, for validation and serialization.
+
+    An internal node also holds ``postings``, an inverted file over its
+    children: dim -> {child index: weight}, the weight being a leaf child's
+    signature weight or an internal child's aggregate maximum. Search scores
+    every child of a node through it in one pass (``_child_scores``).
+    ``insert`` keeps it current by touching only what changed: an appended
+    leaf adds its pairs, a raised child aggregate overwrites that child's
+    entries, and a split child's entries give way to its two halves'. A
+    node's children are either all leaves or all internal nodes.
     """
 
-    __slots__ = ("object_id", "mbr", "children", "weight_map", "_leaf_sig")
+    __slots__ = ("object_id", "mbr", "children", "weight_map", "_leaf_sig", "postings")
 
     def __init__(self, object_id, leaf_sig, mbr, children, weight_map):
         self.object_id: str | None = object_id
@@ -78,6 +88,9 @@ class WrNode:
         self.children: list[WrNode] | None = children
         self.weight_map: dict[int, float] | None = weight_map
         self._leaf_sig: Signature | None = leaf_sig
+        self.postings: dict[int, dict[int, float]] | None = (
+            None if children is None else _build_postings(children)
+        )
 
     @property
     def signature(self) -> Signature:
@@ -104,23 +117,31 @@ class WrNode:
 
     @classmethod
     def internal(cls, children: Sequence["WrNode"]) -> "WrNode":
-        """Node over ``children`` whose aggregate max-merges theirs."""
+        """Node over ``children`` whose aggregate is the dimension-wise
+        maximum of theirs."""
         children = list(children)
         if not children:
             raise ValueError("internal node needs at least one child")
-        agg: dict[int, float] = {}
-        for c in children:
-            _max_merge(agg, c._leaf_sig.pairs() if c.children is None else c.weight_map.items())
-        return cls(None, None, union_mbrs([c.mbr for c in children]), children, agg)
+        node = cls(None, None, union_mbrs([c.mbr for c in children]), children, None)
+        node.weight_map = {d: max(plist.values()) for d, plist in node.postings.items()}
+        return node
 
 
-def _max_merge(weight_map: dict[int, float], pairs) -> None:
-    """Raise ``weight_map`` to the dimension-wise maximum with ``pairs``."""
-    get = weight_map.get
+def _post(postings: dict[int, dict[int, float]], index: int, pairs) -> None:
+    """Set child ``index``'s weight in the posting list of each pair's dim."""
     for d, w in pairs:
-        current = get(d)
-        if current is None or w > current:
-            weight_map[d] = w
+        plist = postings.get(d)
+        if plist is None:
+            postings[d] = {index: w}
+        else:
+            plist[index] = w
+
+
+def _build_postings(children: Sequence[WrNode]) -> dict[int, dict[int, float]]:
+    postings: dict[int, dict[int, float]] = {}
+    for i, c in enumerate(children):
+        _post(postings, i, c._leaf_sig.pairs() if c.children is None else c.weight_map.items())
+    return postings
 
 
 @dataclass
@@ -237,9 +258,14 @@ def _choose_child(node: WrNode, sig: Signature, mbr: Mbr) -> int:
     """Most attractive subtree: most shared dimensions, then least area
     enlargement, then least overlap enlargement, then lowest index."""
     children = node.children
-    assert children is not None
-    sig_dims = sig.dim_set()
-    commons = [len(sig_dims & c.weight_map.keys()) for c in children]
+    # shared dims per child, counted through the posting list
+    commons = [0] * len(children)
+    get = node.postings.get
+    for d, _ in sig.pairs():
+        plist = get(d)
+        if plist is not None:
+            for i in plist:
+                commons[i] += 1
     best_common = max(commons)
     cand = [i for i, c in enumerate(commons) if c == best_common]
     if len(cand) > 1:
@@ -304,15 +330,42 @@ def _quadratic_split(children: list[WrNode], capacity: int) -> tuple[list[WrNode
     return group1, group2
 
 
-def _absorb(node: WrNode, sig: Signature, mbr: Mbr) -> None:
-    """Fold one more member into a node's aggregate and rectangle in place."""
+def _absorb(node: WrNode, pairs, mbr: Mbr) -> list[tuple[int, float]]:
+    """Fold one more member's rectangle and weight pairs into a node in
+    place; returns the pairs that raised or added an aggregate dim."""
     node.mbr = node.mbr.union(mbr)
-    _max_merge(node.weight_map, sig.pairs())
+    weight_map = node.weight_map
+    raised = []
+    for d, w in pairs:
+        current = weight_map.get(d)
+        if current is None or w > current:
+            weight_map[d] = w
+            raised.append((d, w))
+    return raised
+
+
+def _replace_child(node: WrNode, index: int, first: WrNode, second: WrNode) -> None:
+    """Put the halves of the split child at ``index`` in its place and at the
+    end, swapping its posting entries for theirs."""
+    old = node.children[index]
+    node.children[index] = first
+    node.children.append(second)
+    postings = node.postings
+    # the split child never absorbed the new object, so its entries here are
+    # exactly its aggregate's dims
+    for d in old.weight_map:
+        plist = postings[d]
+        del plist[index]
+        if not plist:
+            del postings[d]
+    _post(postings, index, first.weight_map.items())
+    _post(postings, len(node.children) - 1, second.weight_map.items())
 
 
 def insert(tree: WrTree, entry: IndexEntry) -> None:
-    """Insert one object, updating aggregates and rectangles along the path;
-    overflowing nodes are split quadratically on their rectangles."""
+    """Insert one object, updating aggregates, rectangles and posting lists
+    along the path; overflowing nodes are split quadratically on their
+    rectangles."""
     object_id, sig, mbr = entry
     if object_id in tree.ids:
         raise ValueError(f"duplicate object id {object_id!r}")
@@ -327,28 +380,34 @@ def insert(tree: WrTree, entry: IndexEntry) -> None:
         raise ValueError(f"signature kind mismatch: {sig.kind!r} vs index {tree.kind!r}")
 
     path = [tree.root]
+    slots: list[int] = []  # slots[i]: index of the next node down among path[i]'s children
     node = tree.root
     while node.children and not node.children[0].is_leaf:
-        node = node.children[_choose_child(node, sig, mbr)]
+        slots.append(_choose_child(node, sig, mbr))
+        node = node.children[slots[-1]]
         path.append(node)
     node.children.append(leaf)
+    slots.append(len(node.children) - 1)
 
-    child_split: tuple[WrNode, WrNode, WrNode] | None = None
-    for current in reversed(path):
-        if child_split is not None:
-            old, first, second = child_split
-            idx = current.children.index(old)
-            current.children[idx] = first
-            current.children.append(second)
-            child_split = None
+    # the child below either split in two or raised the weights `raised`
+    # (the new leaf's, at first). Only a pair that raised a node can raise its
+    # parent, since a parent's aggregate dominates its children's.
+    split: tuple[WrNode, WrNode] | None = None
+    raised = sig.pairs()
+    for depth in range(len(path) - 1, -1, -1):
+        current = path[depth]
+        if split is not None:
+            _replace_child(current, slots[depth], *split)
+        else:
+            _post(current.postings, slots[depth], raised)
         if len(current.children) > tree.capacity:
             group1, group2 = _quadratic_split(current.children, tree.capacity)
-            child_split = (current, WrNode.internal(group1), WrNode.internal(group2))
+            split = (WrNode.internal(group1), WrNode.internal(group2))
         else:
-            _absorb(current, sig, mbr)
-    if child_split is not None:
-        _, first, second = child_split
-        tree.root = WrNode.internal([first, second])
+            split = None
+            raised = _absorb(current, raised, mbr)
+    if split is not None:
+        tree.root = WrNode.internal(split)
     tree.n_objects += 1
     tree.ids.add(object_id)
 
@@ -373,14 +432,23 @@ def _leaf_sim(q_map: dict[int, float], sig: Signature) -> float:
     return total
 
 
-def _bound(q_pairs: list[tuple[int, float]], weight_map: dict[int, float]) -> float:
-    total = 0.0
-    get = weight_map.get
-    for d, w in q_pairs:
-        v = get(d)
-        if v is not None:
-            total += w * v
-    return total
+def _child_scores(node: WrNode, q_pairs: list[tuple[int, float]]) -> list[float]:
+    """Dot product of the query with each child's weights, by child index.
+
+    The query's pairs are walked in ascending dim order and each product is
+    added to its child's total, so a child's total sums the same products,
+    from the first, in the same ascending shared-dim order as a per-child
+    loop would: the floats are bit-identical to ``_leaf_sim``. A child that
+    shares no dim with the query scores 0.
+    """
+    totals = [0.0] * len(node.children)
+    get = node.postings.get
+    for d, wq in q_pairs:
+        plist = get(d)
+        if plist is not None:
+            for i, w in plist.items():
+                totals[i] += wq * w
+    return totals
 
 
 def _offer(res: list[tuple[float, str]], k: int, sim: float, object_id: str) -> None:
@@ -395,10 +463,16 @@ def _offer(res: list[tuple[float, str]], k: int, sim: float, object_id: str) -> 
 def knn_search(tree: WrTree, query: tuple[Signature, Mbr], k: int) -> KnnResult:
     """Best-first k-NN over the weighted tree.
 
-    The queue is ordered by aggregate-signature bound (seeded unbounded at the
-    root); children are pruned when their rectangle misses the query's or
-    their bound cannot beat the current k-th similarity. Only strictly
-    positive similarities are ever reported, matching the linear oracle.
+    The queue holds internal nodes ordered by aggregate-signature bound
+    (seeded unbounded at the root). A popped node scores all its children at
+    once through its posting list (``_child_scores``): a leaf child gets its
+    exact similarity, an internal child the bound of its aggregate. Children
+    are pruned when their rectangle misses the query's or their score is 0;
+    an internal child is also pruned when its bound cannot beat the current
+    k-th similarity, and a leaf child's similarity goes straight into the
+    top-k, which then fills sooner and prunes more. Only strictly positive
+    similarities are ever reported, matching the linear oracle, and they are
+    bit-identical to its floats.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -410,28 +484,27 @@ def knn_search(tree: WrTree, query: tuple[Signature, Mbr], k: int) -> KnnResult:
     if tree.kind is not None and q_sig.kind != tree.kind:
         raise ValueError(f"signature kind mismatch: {q_sig.kind!r} vs index {tree.kind!r}")
 
-    q_map = _query_map(q_sig)
     q_pairs = q_sig.pairs()
     res: list[tuple[float, str]] = []  # (-sim, id), ascending
     counter = 0
     heap: list[tuple[float, int, WrNode]] = [(-math.inf, counter, tree.root)]
     while heap:
         neg_bound, _, node = heapq.heappop(heap)
-        bound = -neg_bound
-        if len(res) == k and bound < -res[k - 1][0]:
+        if len(res) == k and -neg_bound < -res[k - 1][0]:
             break
-        if node.is_leaf:
-            _offer(res, k, bound, node.object_id)
-            continue
+        children = node.children
+        scores = _child_scores(node, q_pairs)
         k_sim = -res[k - 1][0] if len(res) == k else 0.0
-        for child in node.children:
-            if not child.mbr.intersects(q_mbr):
-                continue
-            if child.is_leaf:
-                s = _leaf_sim(q_map, child.signature)
-            else:
-                s = _bound(q_pairs, child.weight_map)
-            if s <= 0.0 or (len(res) == k and s < k_sim):
+        if children[0].is_leaf:
+            for child, s in zip(children, scores):
+                if s <= 0.0 or s < k_sim or not child.mbr.intersects(q_mbr):
+                    continue
+                _offer(res, k, s, child.object_id)
+                if len(res) == k:
+                    k_sim = -res[k - 1][0]
+            continue
+        for child, s in zip(children, scores):
+            if s <= 0.0 or s < k_sim or not child.mbr.intersects(q_mbr):
                 continue
             counter += 1
             heapq.heappush(heap, (-s, counter, child))
@@ -462,25 +535,28 @@ def linear_knn(objects: Sequence[IndexEntry], query: tuple[Signature, Mbr], k: i
 
 def rtree_baseline_knn(tree: WrTree, query: tuple[Signature, Mbr], k: int) -> KnnResult:
     """The rectangle-only baseline: a range query that ignores the aggregates,
-    then every surviving object is scored."""
+    then the leaves under every surviving node are scored through the same
+    posting-list kernel as ``knn_search`` (``_child_scores``), so the two tree
+    engines differ only in pruning."""
     if k < 1:
         raise ValueError("k must be >= 1")
     q_sig, q_mbr = query
     if tree.root is None:
         return []
-    q_map = _query_map(q_sig)
+    q_pairs = q_sig.pairs()
     scored: list[tuple[float, str]] = []
     stack = [tree.root]
     while stack:
         node = stack.pop()
         if not node.mbr.intersects(q_mbr):
             continue
-        if node.is_leaf:
-            s = _leaf_sim(q_map, node.signature)
-            if s > 0.0:
-                scored.append((-s, node.object_id))
-        else:
-            stack.extend(node.children)
+        children = node.children
+        if not children[0].is_leaf:
+            stack.extend(children)
+            continue
+        for child, s in zip(children, _child_scores(node, q_pairs)):
+            if s > 0.0 and child.mbr.intersects(q_mbr):
+                scored.append((-s, child.object_id))
     scored.sort()
     return [(oid, -neg) for neg, oid in scored[:k]]
 
@@ -506,9 +582,13 @@ def validate(tree: WrTree) -> list[str]:
             return
         if not (1 <= len(node.children) <= tree.capacity):
             problems.append(f"node at depth {depth} has {len(node.children)} children")
+        if len({child.is_leaf for child in node.children}) > 1:
+            problems.append(f"node at depth {depth} mixes leaf and internal children")
         for child in node.children:
             if not node.mbr.contains(child.mbr):
                 problems.append(f"child mbr escapes parent at depth {depth}")
+        if node.postings != _build_postings(node.children):
+            problems.append(f"stale posting list at depth {depth}")
         expect = aggregate_signatures([c.signature for c in node.children])
         agg = node.signature
         if not (
@@ -653,10 +733,12 @@ def _parse_index(buf: memoryview, off: int) -> WrTree:
             off += 4
             sig, off = _unpack_sig(buf, off, kind or "")
             mbr, off = _unpack_mbr(buf, off)
-            if n_children > len(stack):
+            if not 1 <= n_children <= len(stack):
                 raise ValueError("corrupt index: node stream underflow")
             children = stack[-n_children:]
             del stack[-n_children:]
+            if len({c.is_leaf for c in children}) > 1:
+                raise ValueError("corrupt index: node mixes leaf and internal children")
             stack.append(WrNode(None, None, mbr, children, dict(sig.pairs())))
         else:
             raise ValueError(f"corrupt index: unknown node tag {tag}")
@@ -667,4 +749,6 @@ def _parse_index(buf: memoryview, off: int) -> WrTree:
             f"corrupt index: header says {n_objects} objects, stream holds {n_leaves}"
         )
     root = stack[0] if stack else None
+    if root is not None and root.is_leaf:
+        raise ValueError("corrupt index: node stream ends in a leaf")
     return WrTree(root, capacity, kind, n_objects, ids=ids)

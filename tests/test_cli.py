@@ -175,6 +175,29 @@ def test_link_rejects_unnormalized_signature(tmp_path, capsys):
         assert record["object_id"] in err and len(err.strip().splitlines()) == 1
 
 
+def test_rerank_rejects_unnormalized_signature(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run(["pipeline", "--synthetic", "n=40,seed=2", "--engine", "linear",
+                "--out", out]) == 0
+    results = (out / "results.csv").read_text().splitlines()
+    candidate = results[1].split(",")[2]
+    lines = (out / "signatures_d.jsonl").read_text().splitlines()
+    for i, line in enumerate(lines):
+        record = json.loads(line)
+        if record["object_id"] == candidate:
+            record["normalized"] = False
+            record["sig"] = [[d, 3.0 * w] for d, w in record["sig"]]
+            lines[i] = json.dumps(record)
+    edited = tmp_path / "edited.jsonl"
+    edited.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["rerank", "--out", tmp_path / "rr", "--results", out / "results.csv",
+                "--queries-large", out / "signatures_q.jsonl",
+                "--references-large", edited]) == 1
+    err = capsys.readouterr().err
+    assert candidate in err and "normalized" in err and len(err.strip().splitlines()) == 1
+
+
 def test_unweighted_index_fails_validation(tmp_path, capsys):
     base = tmp_path
     assert run(["synth", "--out", base, "--n-objects", "20", "--n-anchors", "300",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siglink.reduction import Mbr, cut_reduce, mbr_of
 from siglink.signatures import cosine_similarity
@@ -19,7 +21,7 @@ from siglink.wrtree import (
     validate,
 )
 
-from testkit import entry, random_signature, sig
+from testkit import entry, line_anchors, random_signature, sig
 
 
 def synthetic_entries(n, seed, n_anchors=None, m=10):
@@ -188,6 +190,94 @@ def test_many_inserts_preserve_oracle_equivalence():
             assert knn_search(tree, (s, m), k) == linear_knn(entries, (s, m), k)
 
 
+def _height(tree):
+    height, node = 0, tree.root
+    while not node.is_leaf:
+        height, node = height + 1, node.children[0]
+    return height
+
+
+def test_postings_stay_current_between_searches(tmp_path):
+    # capacity 3 splits the root several times; every insert is followed by
+    # searches that must agree with the oracle over the objects present
+    entries, _ = synthetic_entries(90, seed=17)
+    rng = np.random.default_rng(17)
+    present = []
+
+    def check(tree):
+        assert validate(tree) == []
+        for idx in rng.choice(len(entries), size=3, replace=False):
+            _, s, m = entries[idx]
+            for k in (1, 5):
+                expect = linear_knn(present, (s, m), k)
+                assert knn_search(tree, (s, m), k) == expect
+                assert rtree_baseline_knn(tree, (s, m), k) == expect
+
+    tree = bulk_load([], capacity=3)
+    heights = set()
+    for e in entries[:60]:
+        insert(tree, e)
+        present.append(e)
+        heights.add(_height(tree))
+        check(tree)
+    assert len(heights) >= 3
+    path = tmp_path / "index.bin"
+    save_index(tree, path)
+    tree = load_index(path)
+    check(tree)
+    for e in entries[60:]:
+        insert(tree, e)
+        present.append(e)
+        check(tree)
+
+
+_HUBS = (0, 1, 2)
+_WEIGHTS = st.sampled_from([0.25, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def _hub_heavy_signature(draw):
+    # two or three of the three hub dims in every object, so each hub is in
+    # most objects, plus up to three personal dims; few distinct weights make
+    # ties common
+    hubs = draw(st.lists(st.sampled_from(_HUBS), min_size=2, max_size=3, unique=True))
+    personal = draw(st.lists(st.integers(3, 40), max_size=3, unique=True))
+    return sig({d: draw(_WEIGHTS) for d in hubs + personal})
+
+
+@st.composite
+def _hub_heavy_corpus(draw):
+    anchors = line_anchors(100)
+    n = draw(st.integers(1, 40))
+    labels = draw(st.permutations(range(n)))
+    entries = [entry(f"o{label:02d}", draw(_hub_heavy_signature()), anchors)
+               for label in labels]
+    probes = draw(st.lists(_hub_heavy_signature(), min_size=1, max_size=3))
+    queries = [(s, m) for _, s, m in entries[:2]]
+    queries += [(s, mbr_of(s, anchors)) for s in probes]
+    return entries, queries
+
+
+def _hexed(result):
+    return [(oid, s.hex()) for oid, s in result]
+
+
+@settings(max_examples=80, deadline=None)
+@given(corpus=_hub_heavy_corpus(), capacity=st.sampled_from([2, 3, 8, 32]))
+def test_hub_heavy_tree_search_matches_linear_bit_for_bit(corpus, capacity):
+    entries, queries = corpus
+    grown = bulk_load([], capacity=capacity)
+    for e in entries:
+        insert(grown, e)
+    trees = [bulk_load(entries, capacity=capacity), grown]
+    for k in (1, 5, len(entries) + 1):
+        for query in queries:
+            expect = _hexed(linear_knn(entries, query, k))
+            for tree in trees:
+                assert _hexed(knn_search(tree, query, k)) == expect
+                assert _hexed(rtree_baseline_knn(tree, query, k)) == expect
+
+
 # ---------------------------------------------------------------------------
 # Search behavior
 
@@ -299,6 +389,25 @@ def test_validator_flags_corrupted_aggregate():
     assert any("aggregate" in p for p in validate(tree))
 
 
+def test_validator_flags_stale_postings():
+    entries, _ = synthetic_entries(30, seed=13)
+    tree = bulk_load(entries, capacity=4)
+    node = tree.root.children[0]
+    plist = node.postings[min(node.postings)]
+    plist[min(plist)] *= 0.5
+    assert any("posting" in p for p in validate(tree))
+
+
+def test_validator_flags_mixed_children():
+    entries, _ = synthetic_entries(30, seed=13)
+    tree = bulk_load(entries, capacity=4)
+    node = tree.root.children[0]
+    assert not node.children[0].is_leaf
+    oid, s, m = entries[0]
+    node.children.append(WrNode.leaf("extra", s, m))
+    assert any("mixes leaf and internal" in p for p in validate(tree))
+
+
 def test_validator_flags_escaped_mbr():
     entries, _ = synthetic_entries(30, seed=14)
     tree = bulk_load(entries, capacity=4)
@@ -321,6 +430,23 @@ def test_index_round_trip(tmp_path):
         assert knn_search(loaded, (s, m), 5) == knn_search(tree, (s, m), 5)
     insert(loaded, ("brand-new", entries[0][1], entries[0][2]))
     assert loaded.n_objects == tree.n_objects + 1
+
+
+def test_index_with_mixed_children_or_a_leaf_root_rejected(tmp_path):
+    entries, _ = synthetic_entries(30, seed=13)
+    path = tmp_path / "index.bin"
+    tree = bulk_load(entries, capacity=4)
+    oid, s, m = entries[0]
+    tree.root.children[0].children.append(WrNode.leaf("extra", s, m))
+    tree.n_objects += 1
+    save_index(tree, path)
+    with pytest.raises(ValueError, match="corrupt index: node mixes"):
+        load_index(path)
+    tree = bulk_load(entries[:1], capacity=4)
+    tree.root = tree.root.children[0]
+    save_index(tree, path)
+    with pytest.raises(ValueError, match="corrupt index: node stream ends in a leaf"):
+        load_index(path)
 
 
 def test_index_bad_magic_rejected(tmp_path):
