@@ -42,6 +42,7 @@ from .signatures import (
     build_spatiotemporal_corpus,
     build_spatiotemporal_signature,
     build_temporal_histogram,
+    check_dt,
     read_signatures_jsonl,
     write_signatures_jsonl,
 )
@@ -63,8 +64,6 @@ from .wrtree import bulk_load, insert, load_index, save_index, validate
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
-
-_VALID_DT = (1, 2, 3, 4, 6, 8, 12, 24)
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +161,11 @@ def _strategy(args: argparse.Namespace) -> SplitStrategy:
 
 
 def _check_dt(dt: int) -> int:
-    if dt not in _VALID_DT:
-        raise ConfigError(
-            f"dt must divide 24 exactly (one of {_VALID_DT}), got {dt}"
-        )
-    return dt
+    """The library's dt rule, reported as a configuration error."""
+    try:
+        return check_dt(dt)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _check_positive(value: int, name: str) -> int:

@@ -18,6 +18,7 @@ from .signatures import (
     KIND_SPATIAL,
     CorpusStats,
     Signature,
+    _leaf_sim,
     build_corpus_stats,
     build_spatial_signature,
     tfidf_signature,
@@ -27,8 +28,6 @@ from .wrtree import (
     IndexEntry,
     KnnResult,
     WrTree,
-    _leaf_sim,
-    _query_map,
     bulk_load,
     knn_search,
     linear_knn,
@@ -118,7 +117,7 @@ def link_signatures(
 
     Every engine is exact and returns the same lists: ``linear`` scans every
     reference (the oracle), ``wrtree`` searches the weighted tree best-first
-    with rectangle and aggregate-bound pruning, and ``rtree`` range-queries
+    with aggregate-bound pruning, and ``rtree`` range-queries
     the same tree by rectangle alone (the baseline without the weight bound).
     The tree engines need an anchor set to derive bounding boxes, so they
     only work on spatial signatures; ``linear`` accepts any cosine-comparable
@@ -252,7 +251,7 @@ def rerank(
         if q_sig is None:
             raise ValueError(f"missing large signature for query {oid!r}")
         _check_normalized(oid, q_sig)
-        q_map = _query_map(q_sig)
+        q_map = q_sig.as_dict()
         rescored: list[tuple[str, float]] = []
         for cand, _ in result:
             c_sig = reference_sigs.get(cand)

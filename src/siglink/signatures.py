@@ -86,16 +86,17 @@ def make_signature(
     return Signature(dims, weights, kind, normalized=normalize)
 
 
-def sparse_dot(a: Signature, b: Signature) -> float:
-    """Merge-join dot product over the shared dimensions of two signatures."""
-    common, ia, ib = np.intersect1d(
-        a.dims, b.dims, assume_unique=True, return_indices=True
-    )
-    if len(common) == 0:
-        return 0.0
+def _leaf_sim(q_map: dict[int, float], sig: Signature) -> float:
+    """Dot product of a query's dim -> weight map with a signature: the one
+    pairwise similarity kernel. It accumulates over the signature's
+    dimensions in ascending order, from 0.0, so every engine produces
+    bit-identical similarities."""
     total = 0.0
-    for v in (a.weights[ia] * b.weights[ib]).tolist():
-        total += v
+    get = q_map.get
+    for d, w in sig.pairs():
+        v = get(d)
+        if v is not None:
+            total += v * w
     return total
 
 
@@ -104,7 +105,7 @@ def cosine_similarity(a: Signature, b: Signature) -> float:
         raise ValueError(f"signature kind mismatch: {a.kind!r} vs {b.kind!r}")
     if not (a.normalized and b.normalized):
         raise ValueError("cosine similarity needs both signatures normalized")
-    return sparse_dot(a, b)
+    return _leaf_sim(a.as_dict(), b)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +269,7 @@ class Grid:
         return iy * self.g + ix
 
 
-def _check_dt(dt_hours: int) -> int:
+def check_dt(dt_hours: int) -> int:
     dt = int(dt_hours)
     if dt < 1 or 24 % dt != 0:
         raise ValueError(f"dt_hours must divide 24 exactly, got {dt_hours}")
@@ -312,7 +313,7 @@ def build_spatiotemporal_corpus(
     dt_hours: int,
     utc_offset_hours: int = DEFAULT_UTC_OFFSET_HOURS,
 ) -> SpatiotemporalCorpus:
-    dt = _check_dt(dt_hours)
+    dt = check_dt(dt_hours)
     stats = corpus_stats(
         [_cell_time_counts(t, anchors, grid, dt, utc_offset_hours).keys() for t in traces]
     )
@@ -356,7 +357,7 @@ def build_temporal_histogram(
     dt_hours: int,
     utc_offset_hours: int = DEFAULT_UTC_OFFSET_HOURS,
 ) -> TemporalHistogram:
-    dt = _check_dt(dt_hours)
+    dt = check_dt(dt_hours)
     if not trace.points:
         raise EmptyTraceError(f"object {trace.object_id!r} has an empty trace")
     d = 24 // dt
@@ -369,7 +370,7 @@ def build_temporal_histogram(
 def temporal_cost(i: int, j: int, dt_hours: int) -> float:
     """Unit transport cost between two daily intervals: the circular gap in
     hours over 12, so the antipodal half-day costs exactly 1."""
-    dt = _check_dt(dt_hours)
+    dt = check_dt(dt_hours)
     d = 24 // dt
     if not (0 <= i < d and 0 <= j < d):
         raise ValueError(f"bin index out of range for {d} bins: ({i}, {j})")

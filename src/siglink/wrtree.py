@@ -4,10 +4,9 @@ to cross-check it: a linear scan and a rectangle-only search of the same tree.
 Internal nodes carry, besides the usual bounding rectangle, a per-dimension
 max-weight aggregate of their subtree's signatures. The aggregate dot product
 with a query upper-bounds every descendant's cosine similarity, so best-first
-search can prune whole subtrees both spatially (disjoint rectangles imply zero
-similarity between reduced signatures) and by similarity bound. Each internal
-node keeps a posting list over its children, so one pass over the query's
-dimensions scores every child of a node.
+search prunes every subtree whose bound cannot beat the current k-th
+similarity. Each internal node keeps a posting list over its children, so one
+pass over the query's dimensions scores every child of a node.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .reduction import Mbr, union_mbrs
-from .signatures import Signature
+from .signatures import Signature, _leaf_sim
 
 DEFAULT_CAPACITY = 32
 
@@ -82,15 +81,16 @@ class WrNode:
 
     __slots__ = ("object_id", "mbr", "children", "weight_map", "_leaf_sig", "postings")
 
-    def __init__(self, object_id, leaf_sig, mbr, children, weight_map):
+    def __init__(self, object_id, leaf_sig, mbr, children):
         self.object_id: str | None = object_id
         self.mbr: Mbr = mbr
         self.children: list[WrNode] | None = children
-        self.weight_map: dict[int, float] | None = weight_map
         self._leaf_sig: Signature | None = leaf_sig
-        self.postings: dict[int, dict[int, float]] | None = (
-            None if children is None else _build_postings(children)
-        )
+        self.postings: dict[int, dict[int, float]] | None = None
+        self.weight_map: dict[int, float] | None = None
+        if children is not None:
+            self.postings = _build_postings(children)
+            self.weight_map = {d: max(plist.values()) for d, plist in self.postings.items()}
 
     @property
     def signature(self) -> Signature:
@@ -113,7 +113,7 @@ class WrNode:
 
     @classmethod
     def leaf(cls, object_id: str, signature: Signature, mbr: Mbr) -> "WrNode":
-        return cls(object_id, signature, mbr, None, None)
+        return cls(object_id, signature, mbr, None)
 
     @classmethod
     def internal(cls, children: Sequence["WrNode"]) -> "WrNode":
@@ -122,9 +122,7 @@ class WrNode:
         children = list(children)
         if not children:
             raise ValueError("internal node needs at least one child")
-        node = cls(None, None, union_mbrs([c.mbr for c in children]), children, None)
-        node.weight_map = {d: max(plist.values()) for d, plist in node.postings.items()}
-        return node
+        return cls(None, None, union_mbrs([c.mbr for c in children]), children)
 
 
 def _post(postings: dict[int, dict[int, float]], index: int, pairs) -> None:
@@ -192,6 +190,9 @@ def merge_node(bulk: Sequence[WrNode], capacity: int) -> list[WrNode]:
 
 
 def _str_level(children: Sequence[WrNode], capacity: int) -> list[WrNode]:
+    """Group one tree level into nodes: tile the children into vertical
+    slabs by rectangle centre, then pack each slab with ``merge_node``.
+    Bulk load builds every level with it and insert splits with it."""
     n = len(children)
     n_nodes = math.ceil(n / capacity)
     n_slabs = math.ceil(math.sqrt(n_nodes))
@@ -238,25 +239,9 @@ def bulk_load(objects: Sequence[IndexEntry], capacity: int = DEFAULT_CAPACITY) -
 # Incremental insert
 
 
-def _area_enlargement(mbr: Mbr, added: Mbr) -> float:
-    return mbr.union(added).area() - mbr.area()
-
-
-def _overlap_enlargement(children: Sequence[WrNode], idx: int, added: Mbr) -> float:
-    grown = children[idx].mbr.union(added)
-    delta = 0.0
-    for j, other in enumerate(children):
-        if j == idx:
-            continue
-        delta += grown.intersection_area(other.mbr) - children[idx].mbr.intersection_area(
-            other.mbr
-        )
-    return delta
-
-
 def _choose_child(node: WrNode, sig: Signature, mbr: Mbr) -> int:
     """Most attractive subtree: most shared dimensions, then least area
-    enlargement, then least overlap enlargement, then lowest index."""
+    enlargement, then lowest index."""
     children = node.children
     # shared dims per child, counted through the posting list
     commons = [0] * len(children)
@@ -268,66 +253,10 @@ def _choose_child(node: WrNode, sig: Signature, mbr: Mbr) -> int:
                 commons[i] += 1
     best_common = max(commons)
     cand = [i for i, c in enumerate(commons) if c == best_common]
-    if len(cand) > 1:
-        grow = {i: _area_enlargement(children[i].mbr, mbr) for i in cand}
-        least = min(grow.values())
-        cand = [i for i in cand if grow[i] == least]
-    if len(cand) > 1:
-        over = {i: _overlap_enlargement(children, i, mbr) for i in cand}
-        least = min(over.values())
-        cand = [i for i in cand if over[i] == least]
-    return cand[0]
-
-
-def _quadratic_split(children: list[WrNode], capacity: int) -> tuple[list[WrNode], list[WrNode]]:
-    n = len(children)
-    min_fill = max(1, capacity // 3)
-    best_pair = (0, 1)
-    worst_waste = -math.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            waste = (
-                children[i].mbr.union(children[j].mbr).area()
-                - children[i].mbr.area()
-                - children[j].mbr.area()
-            )
-            if waste > worst_waste:
-                worst_waste = waste
-                best_pair = (i, j)
-    gi, gj = best_pair
-    group1, group2 = [children[gi]], [children[gj]]
-    mbr1, mbr2 = children[gi].mbr, children[gj].mbr
-    rest = [c for idx, c in enumerate(children) if idx not in best_pair]
-    while rest:
-        if len(group1) + len(rest) == min_fill:
-            group1.extend(rest)
-            break
-        if len(group2) + len(rest) == min_fill:
-            group2.extend(rest)
-            break
-        pick, go_first = 0, True
-        best_gap = -1.0
-        for idx, c in enumerate(rest):
-            d1 = _area_enlargement(mbr1, c.mbr)
-            d2 = _area_enlargement(mbr2, c.mbr)
-            gap = abs(d1 - d2)
-            if gap > best_gap:
-                best_gap = gap
-                pick = idx
-                if d1 != d2:
-                    go_first = d1 < d2
-                elif mbr1.area() != mbr2.area():
-                    go_first = mbr1.area() < mbr2.area()
-                else:
-                    go_first = len(group1) <= len(group2)
-        chosen = rest.pop(pick)
-        if go_first:
-            group1.append(chosen)
-            mbr1 = mbr1.union(chosen.mbr)
-        else:
-            group2.append(chosen)
-            mbr2 = mbr2.union(chosen.mbr)
-    return group1, group2
+    if len(cand) == 1:
+        return cand[0]
+    # min keeps the first of equal keys: the lowest index
+    return min(cand, key=lambda i: children[i].mbr.union(mbr).area() - children[i].mbr.area())
 
 
 def _absorb(node: WrNode, pairs, mbr: Mbr) -> list[tuple[int, float]]:
@@ -364,8 +293,8 @@ def _replace_child(node: WrNode, index: int, first: WrNode, second: WrNode) -> N
 
 def insert(tree: WrTree, entry: IndexEntry) -> None:
     """Insert one object, updating aggregates, rectangles and posting lists
-    along the path; overflowing nodes are split quadratically on their
-    rectangles."""
+    along the path. An overflowing node is split in two by the bulk loader's
+    rule: one STR slab packed greedily by shared dimensions."""
     object_id, sig, mbr = entry
     if object_id in tree.ids:
         raise ValueError(f"duplicate object id {object_id!r}")
@@ -392,7 +321,7 @@ def insert(tree: WrTree, entry: IndexEntry) -> None:
     # the child below either split in two or raised the weights `raised`
     # (the new leaf's, at first). Only a pair that raised a node can raise its
     # parent, since a parent's aggregate dominates its children's.
-    split: tuple[WrNode, WrNode] | None = None
+    split: list[WrNode] | None = None
     raised = sig.pairs()
     for depth in range(len(path) - 1, -1, -1):
         current = path[depth]
@@ -401,8 +330,7 @@ def insert(tree: WrTree, entry: IndexEntry) -> None:
         else:
             _post(current.postings, slots[depth], raised)
         if len(current.children) > tree.capacity:
-            group1, group2 = _quadratic_split(current.children, tree.capacity)
-            split = (WrNode.internal(group1), WrNode.internal(group2))
+            split = _str_level(current.children, (len(current.children) + 1) // 2)
         else:
             split = None
             raised = _absorb(current, raised, mbr)
@@ -414,22 +342,6 @@ def insert(tree: WrTree, entry: IndexEntry) -> None:
 
 # ---------------------------------------------------------------------------
 # Search
-
-
-def _query_map(sig: Signature) -> dict[int, float]:
-    return dict(sig.pairs())
-
-
-def _leaf_sim(q_map: dict[int, float], sig: Signature) -> float:
-    # accumulate over the candidate's dimensions in ascending order so every
-    # engine produces bit-identical similarities
-    total = 0.0
-    get = q_map.get
-    for d, w in sig.pairs():
-        v = get(d)
-        if v is not None:
-            total += v * w
-    return total
 
 
 def _child_scores(node: WrNode, q_pairs: list[tuple[int, float]]) -> list[float]:
@@ -467,16 +379,17 @@ def knn_search(tree: WrTree, query: tuple[Signature, Mbr], k: int) -> KnnResult:
     (seeded unbounded at the root). A popped node scores all its children at
     once through its posting list (``_child_scores``): a leaf child gets its
     exact similarity, an internal child the bound of its aggregate. Children
-    are pruned when their rectangle misses the query's or their score is 0;
-    an internal child is also pruned when its bound cannot beat the current
-    k-th similarity, and a leaf child's similarity goes straight into the
-    top-k, which then fills sooner and prunes more. Only strictly positive
-    similarities are ever reported, matching the linear oracle, and they are
+    scoring 0 are pruned; an internal child is also pruned when its bound
+    cannot beat the current k-th similarity, and a leaf child's similarity
+    goes straight into the top-k, which then fills sooner and prunes more.
+    No rectangle test is needed: a positive score means a shared anchor,
+    which lies inside both rectangles. Only strictly positive similarities
+    are ever reported, matching the linear oracle, and they are
     bit-identical to its floats.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    q_sig, q_mbr = query
+    q_sig, _ = query
     if not q_sig.normalized:
         raise ValueError("query signature must be normalized")
     if tree.root is None:
@@ -497,14 +410,14 @@ def knn_search(tree: WrTree, query: tuple[Signature, Mbr], k: int) -> KnnResult:
         k_sim = -res[k - 1][0] if len(res) == k else 0.0
         if children[0].is_leaf:
             for child, s in zip(children, scores):
-                if s <= 0.0 or s < k_sim or not child.mbr.intersects(q_mbr):
+                if s <= 0.0 or s < k_sim:
                     continue
                 _offer(res, k, s, child.object_id)
                 if len(res) == k:
                     k_sim = -res[k - 1][0]
             continue
         for child, s in zip(children, scores):
-            if s <= 0.0 or s < k_sim or not child.mbr.intersects(q_mbr):
+            if s <= 0.0 or s < k_sim:
                 continue
             counter += 1
             heapq.heappush(heap, (-s, counter, child))
@@ -518,7 +431,7 @@ def linear_knn(objects: Sequence[IndexEntry], query: tuple[Signature, Mbr], k: i
     q_sig, _ = query
     if not q_sig.normalized:
         raise ValueError("query signature must be normalized")
-    q_map = _query_map(q_sig)
+    q_map = q_sig.as_dict()
     # an object sharing no dimension with the query scores 0 and is never
     # reported; the set test skips its dot product
     disjoint = q_sig.dim_set().isdisjoint
@@ -537,7 +450,8 @@ def rtree_baseline_knn(tree: WrTree, query: tuple[Signature, Mbr], k: int) -> Kn
     """The rectangle-only baseline: a range query that ignores the aggregates,
     then the leaves under every surviving node are scored through the same
     posting-list kernel as ``knn_search`` (``_child_scores``), so the two tree
-    engines differ only in pruning."""
+    engines differ only in pruning. A leaf with a positive score shares an
+    anchor with the query, so its rectangle meets the query's untested."""
     if k < 1:
         raise ValueError("k must be >= 1")
     q_sig, q_mbr = query
@@ -555,7 +469,7 @@ def rtree_baseline_knn(tree: WrTree, query: tuple[Signature, Mbr], k: int) -> Kn
             stack.extend(children)
             continue
         for child, s in zip(children, _child_scores(node, q_pairs)):
-            if s > 0.0 and child.mbr.intersects(q_mbr):
+            if s > 0.0:
                 scored.append((-s, child.object_id))
     scored.sort()
     return [(oid, -neg) for neg, oid in scored[:k]]
@@ -682,8 +596,10 @@ def save_index(tree: WrTree, path: str | Path) -> None:
 def load_index(path: str | Path) -> WrTree:
     """Read a tree written by save_index.
 
-    A truncated file, an impossible header or a node stream that does not
-    form one tree raises ``ValueError("corrupt index: ...")``.
+    A truncated file, an impossible header, a node stream that does not
+    form one tree, or an internal record whose aggregate or rectangle differs
+    from the one its children derive raises ``ValueError("corrupt index:
+    ...")``. Leaf records are taken as stored.
     """
     raw = Path(path).read_bytes()
     if raw[: len(_INDEX_MAGIC)] != _INDEX_MAGIC:
@@ -731,15 +647,24 @@ def _parse_index(buf: memoryview, off: int) -> WrTree:
         elif tag == 1:
             (n_children,) = struct.unpack_from("<I", buf, off)
             off += 4
-            sig, off = _unpack_sig(buf, off, kind or "")
-            mbr, off = _unpack_mbr(buf, off)
+            start = off
+            _, off = _unpack_sig(buf, off, kind or "")
+            _, off = _unpack_mbr(buf, off)
             if not 1 <= n_children <= len(stack):
                 raise ValueError("corrupt index: node stream underflow")
             children = stack[-n_children:]
             del stack[-n_children:]
             if len({c.is_leaf for c in children}) > 1:
                 raise ValueError("corrupt index: node mixes leaf and internal children")
-            stack.append(WrNode(None, None, mbr, children, dict(sig.pairs())))
+            # an internal node is derived from its children, by the rule bulk
+            # load and split use; the stored record must match it bit for bit
+            node = WrNode.internal(children)
+            if bytes(buf[start:off]) != _pack_sig(node.signature) + _pack_mbr(node.mbr):
+                raise ValueError(
+                    f"corrupt index: internal node at byte {start} does not match"
+                    " its children's aggregate and rectangle"
+                )
+            stack.append(node)
         else:
             raise ValueError(f"corrupt index: unknown node tag {tag}")
     if len(stack) > 1:

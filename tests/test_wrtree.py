@@ -170,6 +170,19 @@ def test_inserted_object_found_by_self_query():
         assert top[0][1] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_split_keeps_dimension_families_apart():
+    # five leaves at one point overflow a capacity-4 root; a rectangle-only
+    # split cannot tell them apart, the greedy packing groups them by dims
+    tree = bulk_load([], capacity=4)
+    a, b = [1, 2], [3, 4]
+    for oid, dims in [("A0", a), ("A1", a), ("B2", b), ("B3", b), ("A4", a)]:
+        leaf = _leaf(oid, dims)
+        insert(tree, (oid, leaf.signature, leaf.mbr))
+    halves = [[c.object_id for c in half.children] for half in tree.root.children]
+    assert halves == [["A0", "A1", "A4"], ["B2", "B3"]]
+    assert validate(tree) == []
+
+
 def test_insert_duplicate_id_rejected():
     entries, _ = synthetic_entries(3, seed=6)
     tree = bulk_load(entries, capacity=4)
@@ -501,6 +514,16 @@ def test_index_unweighted_flag_rejected(tmp_path):
     raw[_WEIGHTED_AT] = 0
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="corrupt index"):
+        load_index(path)
+
+
+def test_index_with_a_flipped_aggregate_weight_rejected(tmp_path):
+    path, raw = _saved_index_bytes(tmp_path)
+    # the stream ends with the root's aggregate weights, then its 32-byte
+    # rectangle: this flips the low byte of the root's last weight
+    raw[-40] ^= 1
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="corrupt index: internal node"):
         load_index(path)
 
 
