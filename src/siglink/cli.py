@@ -5,9 +5,11 @@ on bad config, 1 on runtime failure), writes machine-readable artifacts into
 the output directory, captures the resolved configuration there, and prints a
 console table.
 
-Config files are flat `key = value` documents ('#' starts a comment); keys
-match the long flag names with '-' replaced by '_', and a key matching no
-flag of the verb is a config error. Flags win over the file.
+Each flag's rule lives in the parser: a ranged flag carries its range as its
+argparse type. `--config FILE` names a flat `key = value` document ('#'
+starts a comment) whose keys are read as long flags (`_` read as `-`) placed
+right after the verb words, so a file meets the same checks as the command
+line and a flag typed on the line wins. Flags and keys are spelled in full.
 """
 
 from __future__ import annotations
@@ -70,11 +72,16 @@ EXIT_CONFIG = 2
 # Shared plumbing
 
 
-def parse_config_file(path: str | Path) -> dict[str, str]:
+# keys config.used records besides the verb's own flags, spelled as flags
+_CAPTURED_KEYS = {"verb", "index-verb"}
+
+
+def _config_flags(path: str) -> list[str]:
+    """The `key = value` lines of a config file as `--key=value` flags."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
-    cfg: dict[str, str] = {}
+    flags = []
     for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -82,37 +89,25 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        cfg[key.strip().replace("-", "_")] = value.strip()
-    return cfg
+        key = key.strip().replace("_", "-")
+        if key not in _CAPTURED_KEYS:
+            flags.append(f"--{key}={value.strip()}")
+    return flags
 
 
-# keys config.used records besides the verb's own flags
-_CAPTURED_KEYS = {"verb", "index_verb"}
-
-
-def _apply_config(sub: argparse.ArgumentParser, cfg: dict[str, str]) -> None:
-    unknown = sorted(set(cfg) - {a.dest for a in sub._actions} - _CAPTURED_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config key(s) for {sub.prog}: {', '.join(unknown)}")
-    for action in sub._actions:
-        if action.dest not in cfg:
-            continue
-        raw = cfg[action.dest]
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            value: object = raw.lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            try:
-                value = action.type(raw)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad config value for {action.dest}: {raw!r}") from exc
+def _with_config(argv: list[str]) -> list[str]:
+    """argv with `--config FILE` taken out and the file's flags put in right
+    after the verb words, where a flag typed later on the line wins."""
+    for i, token in enumerate(argv):
+        if token == "--config" and i + 1 < len(argv):
+            path, rest = argv[i + 1], argv[:i] + argv[i + 2:]
+        elif token.startswith("--config="):
+            path, rest = token.partition("=")[2], argv[:i] + argv[i + 1:]
         else:
-            value = raw
-        if action.choices is not None and value not in action.choices:
-            raise ConfigError(
-                f"bad config value for {action.dest}: {raw!r} (choices: {sorted(action.choices)})"
-            )
-        action.default = value
-        action.required = False
+            continue
+        n_words = next((j for j, t in enumerate(rest) if t.startswith("-")), len(rest))
+        return rest[:n_words] + _config_flags(path) + rest[n_words:]
+    return argv
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -121,16 +116,17 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _capture_config(out: Path, verb: str, args: argparse.Namespace) -> None:
+def _capture_config(args: argparse.Namespace) -> None:
+    verb = " ".join(v for v in (args.verb, getattr(args, "index_verb", None)) if v)
     lines = [f"verb = {verb}"]
     for key in sorted(vars(args)):
-        if key in ("handler", "verb", "config"):
+        if key in ("handler", "verb"):
             continue
         value = getattr(args, key)
         if value is None or callable(value):
             continue
         lines.append(f"{key} = {value}")
-    (out / "config.used").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (Path(args.out) / "config.used").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _print_table(headers: list[str], rows: list[list]) -> None:
@@ -148,30 +144,18 @@ def _print_table(headers: list[str], rows: list[list]) -> None:
 
 def _strategy(args: argparse.Namespace) -> SplitStrategy:
     name = args.strategy.replace("-", "_")
-    try:
-        if name in ("serial", "random"):
-            if args.q_days is None:
-                raise ConfigError(f"--q-days is required for the {name} split")
-            if name == "serial":
-                return SplitStrategy.serial(args.q_days)
-            return SplitStrategy.random(args.q_days, getattr(args, "split_seed", 0) or 0)
-        return SplitStrategy(name)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if name in ("serial", "random"):
+        if args.q_days is None:
+            raise ConfigError(f"--q-days is required for the {name} split")
+        if name == "serial":
+            return SplitStrategy.serial(args.q_days)
+        return SplitStrategy.random(args.q_days, args.split_seed)
+    return SplitStrategy(name)
 
 
-def _check_dt(dt: int) -> int:
-    """The library's dt rule, reported as a configuration error."""
-    try:
-        return check_dt(dt)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _check_positive(value: int, name: str) -> int:
-    if value < 1:
-        raise ConfigError(f"{name} must be >= 1, got {value}")
-    return value
+def _require_dt(args: argparse.Namespace) -> None:
+    if args.kind in ("temporal", "spatiotemporal") and args.dt is None:
+        raise ConfigError(f"the {args.kind} kind needs --dt")
 
 
 def _load_signature_map(path: str) -> dict:
@@ -184,9 +168,6 @@ def _load_signature_map(path: str) -> dict:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    _check_positive(args.n_objects, "n-objects")
-    _check_positive(args.n_anchors, "n-anchors")
-    _check_positive(args.points, "points")
     traces, anchors = generate_synthetic(
         args.n_objects,
         args.n_anchors,
@@ -209,7 +190,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         "total_points": sum(len(t) for t in traces),
     }
     (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
-    _capture_config(out, "synth", args)
     print(f"wrote {len(traces)} traces over {len(anchors)} anchors to {out}")
     return EXIT_OK
 
@@ -233,7 +213,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         "total_points": sum(len(t) for t in traces),
     }
     (out / "ingest_report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    _capture_config(out, "ingest", args)
     print(f"calibrated {len(traces)}/{before} objects into {out / 'calibrated.csv'}")
     return EXIT_OK
 
@@ -250,7 +229,6 @@ def _cmd_split(args: argparse.Namespace) -> int:
         "flagged_empty_half": sorted(result.flagged),
     }
     (out / "split_report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    _capture_config(out, "split", args)
     print(
         f"split {len(traces)} objects into {out / 'q.csv'} / {out / 'd.csv'}"
         f" ({len(result.flagged)} flagged with an empty half)"
@@ -268,13 +246,12 @@ def _kind_builder(args, corpus_traces, anchors):
         stats = build_corpus_stats(usable_corpus)
         return lambda t: build_spatial_signature(t, stats)
     if args.kind == "sequential":
-        corpus = build_sequential_corpus(usable_corpus, _check_positive(args.q, "q"))
+        corpus = build_sequential_corpus(usable_corpus, args.q)
         return lambda t: build_sequential_signature(t, corpus)
     if args.kind == "spatiotemporal":
         if anchors is None:
             raise ConfigError("spatiotemporal signatures need --anchors")
-        _check_dt(args.dt)
-        grid = Grid.fit(anchors, _check_positive(args.grid, "grid"))
+        grid = Grid.fit(anchors, args.grid)
         corpus = build_spatiotemporal_corpus(
             usable_corpus, anchors, grid, args.dt, args.utc_offset
         )
@@ -298,10 +275,10 @@ def _build_kind_signatures(build, traces):
 
 def _cmd_signature(args: argparse.Namespace) -> int:
     out = _out_dir(args)
+    _require_dt(args)
     traces = read_trace_csv(args.traces)
     anchors = read_anchor_csv(args.anchors) if args.anchors else None
     if args.kind == "temporal":
-        _check_dt(args.dt)
         records = []
         for t in traces:
             if not t.points:
@@ -318,7 +295,6 @@ def _cmd_signature(args: argparse.Namespace) -> int:
         with open(path, "w", encoding="utf-8") as fh:
             for rec in records:
                 fh.write(json.dumps(rec) + "\n")
-        _capture_config(out, "signature", args)
         print(f"wrote {len(records)} temporal histograms to {path}")
         return EXIT_OK
     corpus_traces = read_trace_csv(args.corpus) if args.corpus else traces
@@ -326,19 +302,16 @@ def _cmd_signature(args: argparse.Namespace) -> int:
     sigs, excluded = _build_kind_signatures(build, traces)
     path = out / "signatures.jsonl"
     write_signatures_jsonl(path, sorted(sigs.items()))
-    _capture_config(out, "signature", args)
     print(f"wrote {len(sigs)} {args.kind} signatures to {path} ({len(excluded)} excluded)")
     return EXIT_OK
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    _check_positive(args.m, "m")
     entries = read_signatures_jsonl(args.signatures)
     reduced = [(oid, cut_reduce(sig, args.m)) for oid, sig in entries]
     path = out / "signatures.jsonl"
     write_signatures_jsonl(path, reduced)
-    _capture_config(out, "reduce", args)
     print(f"reduced {len(reduced)} signatures to top-{args.m} at {path}")
     return EXIT_OK
 
@@ -351,11 +324,10 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
         for oid, sig in read_signatures_jsonl(args.signatures)
     ]
     t0 = time.perf_counter()
-    tree = bulk_load(entries, _check_positive(args.capacity, "capacity"))
+    tree = bulk_load(entries, args.capacity)
     build_s = time.perf_counter() - t0
     path = out / "index.bin"
     save_index(tree, path)
-    _capture_config(out, "index build", args)
     print(f"built index over {tree.n_objects} objects in {build_s:.3f}s -> {path}")
     return EXIT_OK
 
@@ -370,7 +342,6 @@ def _cmd_index_insert(args: argparse.Namespace) -> int:
         added += 1
     path = out / "index.bin"
     save_index(tree, path)
-    _capture_config(out, "index insert", args)
     print(f"inserted {added} objects; index now holds {tree.n_objects} -> {path}")
     return EXIT_OK
 
@@ -398,13 +369,12 @@ def _cmd_link(args: argparse.Namespace) -> int:
         references,
         anchors,
         engine=args.engine,
-        k=_check_positive(args.k, "k"),
+        k=args.k,
         m=args.m,
         capacity=args.capacity,
     )
     write_results_csv(out / "results.csv", run)
     metrics = write_metrics_json(out / "metrics.json", run)
-    _capture_config(out, "link", args)
     _print_table(
         ["k", "acc"],
         [[kk, f"{metrics['acc'][str(kk)]:.4f}"] for kk in range(1, run.k + 1)],
@@ -414,10 +384,9 @@ def _cmd_link(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    k = _check_positive(args.k, "k")
     run = LinkingRun(
         engine="file",
-        k=k,
+        k=args.k,
         reduced_m=None,
         results=read_results_csv(args.results),
         timings={},
@@ -425,9 +394,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         excluded_references=[],
         reference_ids=set(_load_signature_map(args.references)),
     )
-    acc = {str(kk): accuracy_at_k(run, kk) for kk in range(1, k + 1)}
+    acc = {str(kk): accuracy_at_k(run, kk) for kk in range(1, args.k + 1)}
     (out / "eval.json").write_text(json.dumps({"acc": acc}, indent=2) + "\n", encoding="utf-8")
-    _capture_config(out, "eval", args)
     _print_table(["k", "acc"], [[kk, f"{v:.4f}"] for kk, v in acc.items()])
     return EXIT_OK
 
@@ -451,7 +419,6 @@ def _cmd_rerank(args: argparse.Namespace) -> int:
         _load_signature_map(args.references_large),
     )
     write_results_csv(out / "results.csv", reranked)
-    _capture_config(out, "rerank", args)
     print(f"reranked {len(results)} result lists -> {out / 'results.csv'}")
     return EXIT_OK
 
@@ -480,7 +447,6 @@ def _cmd_marry(args: argparse.Namespace) -> int:
         },
     }
     (out / "marry.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    _capture_config(out, "marry", args)
     print(
         f"matched {summary['stable']} stable / {summary['fallback']} fallback"
         f" / {summary['unmatched']} unmatched; accuracy {summary['accuracy']:.4f}"
@@ -495,11 +461,11 @@ def _cmd_closure(args: argparse.Namespace) -> int:
     modified, report = signature_closure(
         traces,
         anchors,
-        m=_check_positive(args.m, "m"),
-        rounds=_check_positive(args.rounds, "rounds"),
+        m=args.m,
+        rounds=args.rounds,
         split=_strategy(args),
         engine=args.engine,
-        k=_check_positive(args.k, "k"),
+        k=args.k,
         capacity=args.capacity,
         utc_offset_hours=args.utc_offset,
     )
@@ -514,7 +480,6 @@ def _cmd_closure(args: argparse.Namespace) -> int:
                 f"{r.round_no},{r.accuracy[1]!r},{r.accuracy[args.k]!r},"
                 f"{u.data_remain!r},{u.mbr_overlap!r},{u.grid_coverage_large!r},{u.grid_coverage_small!r}\n"
             )
-    _capture_config(out, "closure", args)
     rows = [["0", f"{report.baseline_accuracy[1]:.4f}", "1.000", "1.000"]]
     for r in report.rounds:
         rows.append(
@@ -531,26 +496,15 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 
 def _pipeline_traces(args: argparse.Namespace):
     if args.synthetic:
-        params: dict[str, float] = {}
-        for part in args.synthetic.split(","):
-            if not part:
-                continue
-            if "=" not in part:
-                raise ConfigError(f"--synthetic expects k=v pairs, got {part!r}")
-            key, _, value = part.partition("=")
-            params[key.strip()] = float(value)
-        if "n" not in params:
-            raise ConfigError("--synthetic needs at least n=<objects>")
-        n = int(params["n"])
-        n_anchors = int(params.get("anchors", 0)) or max(1000, 4 * n)
-        traces, anchors = generate_synthetic(
+        params = _synthetic_params(args.synthetic)
+        n = params["n"]
+        return generate_synthetic(
             n,
-            n_anchors,
-            float(params.get("radius", 0.05)),
-            int(params.get("points", 200)),
-            seed=int(params.get("seed", args.seed)),
+            params.get("anchors", max(1000, 4 * n)),
+            params.get("radius", 0.05),
+            params.get("points", 200),
+            seed=params.get("seed", 0),
         )
-        return traces, anchors
     if not args.anchors:
         raise ConfigError("pipeline needs --synthetic or --anchors with --raw/--traces")
     anchors = read_anchor_csv(args.anchors)
@@ -569,15 +523,12 @@ def _pipeline_traces(args: argparse.Namespace):
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    if args.dt is not None:
-        _check_dt(args.dt)
-    _check_positive(args.k, "k")
-    _check_positive(args.m, "m")
     if args.kind == "temporal":
         raise ConfigError(
             "temporal histograms are compared with EMD and have no k-NN engine;"
             " use the signature verb to export them"
         )
+    _require_dt(args)
     if args.kind != "spatial" and args.engine in ("wrtree", "rtree"):
         raise ConfigError(
             f"{args.kind} signatures have no spatial bounding boxes;"
@@ -613,7 +564,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     )
     write_results_csv(out / "results.csv", run)
     metrics = write_metrics_json(out / "metrics.json", run)
-    _capture_config(out, "pipeline", args)
     print(f"pipeline: engine={args.engine} kind={args.kind} m={args.m} k={args.k}")
     _print_table(
         ["k", "acc"],
@@ -630,13 +580,85 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 # Parser assembly
 
 
+def _at_least(low, number=int):
+    """An argparse type: a `number` no smaller than `low`."""
+
+    def parse(raw: str):
+        try:
+            value = number(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {number.__name__}, got {raw!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {raw}")
+        return value
+
+    return parse
+
+
+_POSITIVE = _at_least(1)
+# bulk_load's rule: a node holds at least two children
+_CAPACITY = _at_least(2)
+_RADIUS = _at_least(0.0, float)
+
+
+def _dt(raw: str) -> int:
+    try:
+        return check_dt(raw)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+# the --synthetic keys and each one's rule
+_SYNTHETIC_KEYS = {
+    "n": _POSITIVE,
+    "anchors": _POSITIVE,
+    "radius": _RADIUS,
+    "points": _POSITIVE,
+    "seed": _at_least(0),
+}
+
+
+def _synthetic_params(spec: str) -> dict:
+    params = {}
+    for part in filter(None, spec.split(",")):
+        key, eq, value = (s.strip() for s in part.partition("="))
+        if not eq:
+            raise argparse.ArgumentTypeError(f"expects key=value pairs, got {part!r}")
+        if key not in _SYNTHETIC_KEYS:
+            raise argparse.ArgumentTypeError(
+                f"unknown key {key!r} (keys: {', '.join(_SYNTHETIC_KEYS)})"
+            )
+        try:
+            params[key] = _SYNTHETIC_KEYS[key](value)
+        except argparse.ArgumentTypeError as exc:
+            raise argparse.ArgumentTypeError(f"{key}: {exc}") from None
+    if "n" not in params:
+        raise argparse.ArgumentTypeError("needs at least n=<objects>")
+    return params
+
+
+def _synthetic(spec: str) -> str:
+    """--synthetic's type: the spec is checked and kept as typed, so
+    config.used records it as it was given."""
+    _synthetic_params(spec)
+    return spec
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that refuses abbreviated flags; the parsers of its verbs are
+    built from this class too."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def _add_split_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--strategy",
         default="interleaved",
         choices=["interleaved", "serial", "random", "weekday-weekend"],
     )
-    sub.add_argument("--q-days", type=int, default=None)
+    sub.add_argument("--q-days", type=_POSITIVE, default=None)
     sub.add_argument("--split-seed", type=int, default=0)
     sub.add_argument("--utc-offset", type=int, default=DEFAULT_UTC_OFFSET_HOURS)
 
@@ -647,29 +669,30 @@ def _add_kind_flags(sub: argparse.ArgumentParser) -> None:
         default="spatial",
         choices=["spatial", "sequential", "temporal", "spatiotemporal"],
     )
-    sub.add_argument("--q", type=int, default=2, help="gram length for sequential kind")
-    sub.add_argument("--dt", type=int, default=None, help="interval hours, must divide 24")
-    sub.add_argument("--grid", type=int, default=100, help="grid resolution per axis")
+    sub.add_argument("--q", type=_POSITIVE, default=2, help="gram length for sequential kind")
+    sub.add_argument("--dt", type=_dt, default=None, help="interval hours, must divide 24")
+    sub.add_argument("--grid", type=_POSITIVE, default=100, help="grid resolution per axis")
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]:
-    parser = argparse.ArgumentParser(
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="siglink",
         description="Movement-signature linking of trajectory datasets.",
+        epilog="--config FILE reads the file's `key = value` lines as flags"
+        " placed after the verb; flags typed on the line win.",
     )
-    parser.add_argument("--config", default=None, help="key = value config file; flags win")
     subparsers = parser.add_subparsers(dest="verb")
 
     p = subparsers.add_parser("synth", help="generate a synthetic workload")
     p.add_argument("--out", required=True)
-    p.add_argument("--n-objects", type=int, default=500)
-    p.add_argument("--n-anchors", type=int, default=2000)
-    p.add_argument("--locality-radius", type=float, default=0.05)
-    p.add_argument("--points", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-days", type=int, default=30)
+    p.add_argument("--n-objects", type=_POSITIVE, default=500)
+    p.add_argument("--n-anchors", type=_POSITIVE, default=2000)
+    p.add_argument("--locality-radius", type=_RADIUS, default=0.05)
+    p.add_argument("--points", type=_POSITIVE, default=200)
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--n-days", type=_POSITIVE, default=30)
     p.add_argument("--personal-mass", type=float, default=0.35)
-    p.add_argument("--personal-pool", type=int, default=40)
+    p.add_argument("--personal-pool", type=_POSITIVE, default=40)
     p.add_argument("--hub-fraction", type=float, default=0.2)
     p.set_defaults(handler=_cmd_synth)
 
@@ -678,7 +701,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]
     p.add_argument("--raw", required=True)
     p.add_argument("--anchors", required=True)
     p.add_argument("--metric", default="haversine", choices=["haversine", "planar"])
-    p.add_argument("--min-points", type=int, default=0)
+    p.add_argument("--min-points", type=_at_least(0), default=0)
     p.set_defaults(handler=_cmd_ingest)
 
     p = subparsers.add_parser("split", help="split calibrated traces into Q and D")
@@ -699,7 +722,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]
     p = subparsers.add_parser("reduce", help="truncate signatures to their top-m dims")
     p.add_argument("--out", required=True)
     p.add_argument("--signatures", required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_POSITIVE, required=True)
     p.set_defaults(handler=_cmd_reduce)
 
     p = subparsers.add_parser("index", help="build, extend, or check an index")
@@ -708,7 +731,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]
     b.add_argument("--out", required=True)
     b.add_argument("--signatures", required=True)
     b.add_argument("--anchors", required=True)
-    b.add_argument("--capacity", type=int, default=32)
+    b.add_argument("--capacity", type=_CAPACITY, default=32)
     b.set_defaults(handler=_cmd_index_build)
     i = index_sub.add_parser("insert")
     i.add_argument("--out", required=True)
@@ -726,9 +749,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]
     p.add_argument("--references", required=True)
     p.add_argument("--anchors", default=None)
     p.add_argument("--engine", default="wrtree", choices=list(ENGINES))
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--capacity", type=int, default=32)
+    p.add_argument("--k", type=_POSITIVE, default=5)
+    p.add_argument("--m", type=_POSITIVE, default=None)
+    p.add_argument("--capacity", type=_CAPACITY, default=32)
     p.set_defaults(handler=_cmd_link)
 
     p = subparsers.add_parser("eval", help="accuracy table from a results CSV")
@@ -738,7 +761,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]
         "--references", required=True,
         help="signature JSONL the run linked against; queries absent from it are not judged",
     )
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=_POSITIVE, default=5)
     p.set_defaults(handler=_cmd_eval)
 
     p = subparsers.add_parser("rerank", help="re-order results with larger signatures")
@@ -758,87 +781,53 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]
     p.add_argument("--out", required=True)
     p.add_argument("--traces", required=True)
     p.add_argument("--anchors", required=True)
-    p.add_argument("--m", type=int, default=10)
-    p.add_argument("--rounds", type=int, default=1)
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--m", type=_POSITIVE, default=10)
+    p.add_argument("--rounds", type=_POSITIVE, default=1)
+    p.add_argument("--k", type=_POSITIVE, default=5)
     p.add_argument("--engine", default="wrtree", choices=list(ENGINES))
-    p.add_argument("--capacity", type=int, default=32)
+    p.add_argument("--capacity", type=_CAPACITY, default=32)
     _add_split_flags(p)
     p.set_defaults(handler=_cmd_closure)
 
     p = subparsers.add_parser("pipeline", help="ingest -> split -> sign -> reduce -> index -> link -> score")
     p.add_argument("--out", required=True)
-    p.add_argument("--synthetic", default=None, help="n=500[,anchors=2000,radius=0.05,points=200,seed=0]")
+    p.add_argument(
+        "--synthetic", type=_synthetic, default=None,
+        help="n=500[,anchors=2000,radius=0.05,points=200,seed=0]",
+    )
     p.add_argument("--raw", default=None)
     p.add_argument("--traces", default=None)
     p.add_argument("--anchors", default=None)
     p.add_argument("--metric", default="haversine", choices=["haversine", "planar"])
-    p.add_argument("--min-points", type=int, default=0)
+    p.add_argument("--min-points", type=_at_least(0), default=0)
     p.add_argument("--engine", default="wrtree", choices=list(ENGINES))
-    p.add_argument("--m", type=int, default=10)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--capacity", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--m", type=_POSITIVE, default=10)
+    p.add_argument("--k", type=_POSITIVE, default=5)
+    p.add_argument("--capacity", type=_CAPACITY, default=32)
     _add_split_flags(p)
     _add_kind_flags(p)
     p.set_defaults(handler=_cmd_pipeline)
 
-    return parser, subparsers
-
-
-def _verb_parser(
-    subparsers: argparse._SubParsersAction, words: list[str]
-) -> argparse.ArgumentParser | None:
-    """The parser of the verb the leading words name, descending into
-    sub-verbs (``index build``); None if the words name no verb."""
-    sub = None
-    for word in words:
-        if subparsers is None or word not in subparsers.choices:
-            break
-        sub = subparsers.choices[word]
-        subparsers = next(
-            (a for a in sub._actions if isinstance(a, argparse._SubParsersAction)), None
-        )
-    return sub
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subparsers = build_parser()
+    parser = build_parser()
     try:
-        config_path = None
-        words: list[str] = []
-        skip_next = False
-        for i, token in enumerate(argv):
-            if skip_next:
-                skip_next = False
-                continue
-            if token == "--config" and i + 1 < len(argv):
-                config_path = argv[i + 1]
-                skip_next = True
-            elif token.startswith("--config="):
-                config_path = token.split("=", 1)[1]
-            elif token.startswith("-"):
-                break
-            else:
-                words.append(token)
-        if config_path:
-            cfg = parse_config_file(config_path)
-            sub = _verb_parser(subparsers, words)
-            if sub is not None:
-                _apply_config(sub, cfg)
         try:
-            args = parser.parse_args(argv)
+            args = parser.parse_args(_with_config(argv))
         except SystemExit as exc:
             return int(exc.code or 0)
         if not hasattr(args, "handler"):
             parser.print_help()
             return EXIT_CONFIG
-        return args.handler(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+        code = args.handler(args)
+        # a handler that returns has succeeded; failures raise
+        if getattr(args, "out", None) is not None:
+            _capture_config(args)
+        return code
+    except (ConfigError, FileNotFoundError) as exc:
         # referenced paths must exist at validation time
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

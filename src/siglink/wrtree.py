@@ -372,6 +372,17 @@ def _offer(res: list[tuple[float, str]], k: int, sim: float, object_id: str) -> 
         insort(res, key)
 
 
+def _check_query(q_sig: Signature, k: int, kind: str | None) -> None:
+    """The rules every k-NN engine holds its query to: k >= 1, a normalized
+    signature, and, when ``kind`` is given, the searched index's kind."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not q_sig.normalized:
+        raise ValueError("query signature must be normalized")
+    if kind is not None and q_sig.kind != kind:
+        raise ValueError(f"signature kind mismatch: {q_sig.kind!r} vs index {kind!r}")
+
+
 def knn_search(tree: WrTree, query: tuple[Signature, Mbr], k: int) -> KnnResult:
     """Best-first k-NN over the weighted tree.
 
@@ -387,15 +398,10 @@ def knn_search(tree: WrTree, query: tuple[Signature, Mbr], k: int) -> KnnResult:
     are ever reported, matching the linear oracle, and they are
     bit-identical to its floats.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     q_sig, _ = query
-    if not q_sig.normalized:
-        raise ValueError("query signature must be normalized")
+    _check_query(q_sig, k, tree.kind)
     if tree.root is None:
         return []
-    if tree.kind is not None and q_sig.kind != tree.kind:
-        raise ValueError(f"signature kind mismatch: {q_sig.kind!r} vs index {tree.kind!r}")
 
     q_pairs = q_sig.pairs()
     res: list[tuple[float, str]] = []  # (-sim, id), ascending
@@ -426,11 +432,8 @@ def knn_search(tree: WrTree, query: tuple[Signature, Mbr], k: int) -> KnnResult:
 
 def linear_knn(objects: Sequence[IndexEntry], query: tuple[Signature, Mbr], k: int) -> KnnResult:
     """Exact top-k by cosine over every object: the correctness oracle."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     q_sig, _ = query
-    if not q_sig.normalized:
-        raise ValueError("query signature must be normalized")
+    _check_query(q_sig, k, None)
     q_map = q_sig.as_dict()
     # an object sharing no dimension with the query scores 0 and is never
     # reported; the set test skips its dot product
@@ -452,9 +455,8 @@ def rtree_baseline_knn(tree: WrTree, query: tuple[Signature, Mbr], k: int) -> Kn
     posting-list kernel as ``knn_search`` (``_child_scores``), so the two tree
     engines differ only in pruning. A leaf with a positive score shares an
     anchor with the query, so its rectangle meets the query's untested."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     q_sig, q_mbr = query
+    _check_query(q_sig, k, tree.kind)
     if tree.root is None:
         return []
     q_pairs = q_sig.pairs()

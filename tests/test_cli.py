@@ -1,4 +1,8 @@
 import json
+import re
+from pathlib import Path
+
+import pytest
 
 from siglink.cli import main
 from siglink.synth import generate_synthetic
@@ -269,21 +273,67 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 
 
 def test_captured_config_reloads(tmp_path):
-    first = tmp_path / "r1"
-    assert run(["pipeline", "--synthetic", "n=40,seed=2", "--engine", "linear",
-                "--out", first]) == 0
-    second = tmp_path / "r2"
-    assert run(["--config", first / "config.used", "pipeline", "--out", second]) == 0
-    assert (first / "results.csv").read_bytes() == (second / "results.csv").read_bytes()
-    assert run(["index", "build", "--out", tmp_path / "i1", "--capacity", "4",
-                "--signatures", first / "signatures_d.jsonl",
-                "--anchors", first / "anchors.csv"]) == 0
+    # every verb with --out, run again from its own config.used with only
+    # --out typed, writes the same files, timings apart
+    def reloads(name, words, *flags):
+        first, again = tmp_path / name, tmp_path / f"{name}-again"
+        assert run([*words, *flags, "--out", first]) == 0
+        assert run(["--config", first / "config.used", *words, "--out", again]) == 0
+        assert sorted(p.name for p in first.iterdir()) == sorted(p.name for p in again.iterdir())
+        for path in first.iterdir():
+            a, b = path.read_bytes(), (again / path.name).read_bytes()
+            if path.name == "config.used":
+                a = a.replace(f"out = {first}\n".encode(), f"out = {again}\n".encode())
+            elif path.name == "metrics.json":
+                a, b = (dict(json.loads(x), timings=None) for x in (a, b))
+            assert a == b, path.name
+        return first
+
+    pipe = reloads("pipeline", ["pipeline"], "--synthetic", "n=40,seed=2", "--engine", "linear")
+    idx = reloads("index", ["index", "build"], "--capacity", "4",
+                  "--signatures", pipe / "signatures_d.jsonl", "--anchors", pipe / "anchors.csv")
     # the sub-verb's parser takes the config: capacity applies, a stray key fails
-    used = tmp_path / "i1/config.used"
-    assert run(["--config", used, "index", "build", "--out", tmp_path / "i2"]) == 0
-    assert (tmp_path / "i1/index.bin").read_bytes() == (tmp_path / "i2/index.bin").read_bytes()
+    used = idx / "config.used"
     used.write_text(used.read_text() + "engine = linear\n")
     assert run(["--config", used, "index", "build", "--out", tmp_path / "i3"]) == 2
+
+    syn = reloads("synth", ["synth"], "--n-objects", 30, "--n-anchors", 300, "--points", 60,
+                  "--seed", 4, "--personal-pool", 20)
+    raw = tmp_path / "raw.csv"
+    raw.write_text("object_id,lon,lat,timestamp\n" + "".join(
+        f"r{o},{0.1 * j},{0.3 * o},{1_600_041_600 + 3600 * j}\n"
+        for o in range(3) for j in range(4 + o)
+    ))
+    reloads("ingest", ["ingest"], "--raw", raw, "--anchors", syn / "anchors.csv",
+            "--metric", "planar", "--min-points", 5)
+    halves = reloads("split", ["split"], "--traces", syn / "traces.csv",
+                     "--strategy", "random", "--q-days", 10, "--split-seed", 3)
+    sd = reloads("sig-d", ["signature"], "--traces", halves / "d.csv")
+    sq = reloads("sig-q", ["signature"], "--traces", halves / "q.csv", "--corpus", halves / "d.csv")
+    reloads("sig-st", ["signature"], "--traces", halves / "q.csv", "--kind", "spatiotemporal",
+            "--dt", 8, "--grid", 20, "--anchors", syn / "anchors.csv", "--utc-offset", -5)
+    rd = reloads("reduce", ["reduce"], "--signatures", sd / "signatures.jsonl", "--m", 10)
+    lines = (rd / "signatures.jsonl").read_text().splitlines(keepends=True)
+    (tmp_path / "first.jsonl").write_text("".join(lines[:20]))
+    (tmp_path / "extra.jsonl").write_text("".join(lines[20:]))
+    built = reloads("built", ["index", "build"], "--signatures", tmp_path / "first.jsonl",
+                    "--anchors", syn / "anchors.csv")
+    reloads("insert", ["index", "insert"], "--index", built / "index.bin",
+            "--signatures", tmp_path / "extra.jsonl", "--anchors", syn / "anchors.csv")
+    qd = reloads("link-qd", ["link"], "--queries", sq / "signatures.jsonl",
+                 "--references", sd / "signatures.jsonl", "--anchors", syn / "anchors.csv",
+                 "--m", 10, "--k", 3, "--capacity", 5)
+    dq = reloads("link-dq", ["link"], "--queries", sd / "signatures.jsonl",
+                 "--references", sq / "signatures.jsonl", "--engine", "linear")
+    reloads("eval", ["eval"], "--results", qd / "results.csv",
+            "--references", sd / "signatures.jsonl", "--k", 2)
+    rr = reloads("rerank", ["rerank"], "--results", qd / "results.csv",
+                 "--queries-large", sq / "signatures.jsonl",
+                 "--references-large", sd / "signatures.jsonl")
+    reloads("marry", ["marry"], "--results-qd", rr / "results.csv",
+            "--results-dq", dq / "results.csv")
+    reloads("closure", ["closure"], "--traces", syn / "traces.csv", "--anchors", syn / "anchors.csv",
+            "--m", 5, "--rounds", 1, "--engine", "linear", "--strategy", "serial", "--q-days", 15)
 
 
 def test_bad_config_value_exits_2(tmp_path):
@@ -295,3 +345,100 @@ def test_bad_config_value_exits_2(tmp_path):
 def test_no_verb_prints_help(capsys):
     assert main([]) == 2
     assert "usage" in capsys.readouterr().out.lower()
+
+
+def test_kind_without_dt_is_config_error(tmp_path, capsys):
+    assert run(["synth", "--out", tmp_path, "--n-objects", 10, "--n-anchors", 100,
+                "--points", 30]) == 0
+    traces, anchors = tmp_path / "traces.csv", tmp_path / "anchors.csv"
+    for argv in (
+        ["signature", "--kind", "temporal", "--traces", traces],
+        ["signature", "--kind", "spatiotemporal", "--traces", traces, "--anchors", anchors],
+        ["pipeline", "--kind", "spatiotemporal", "--traces", traces, "--anchors", anchors,
+         "--engine", "linear"],
+    ):
+        capsys.readouterr()
+        assert run([*argv, "--out", tmp_path / "x"]) == 2
+        assert capsys.readouterr().err == f"config error: the {argv[2]} kind needs --dt\n"
+
+
+# (verb words, flag, bad value, the rule stderr's last line states): every
+# ranged flag on every verb that has it, then flags no verb takes
+BAD_FLAGS = [
+    *((["synth"], flag, "0", ">= 1")
+      for flag in ("n-objects", "n-anchors", "points", "n-days", "personal-pool")),
+    (["synth"], "seed", "-1", ">= 0"),
+    (["synth"], "locality-radius", "-0.5", ">= 0.0"),
+    (["ingest"], "min-points", "-1", ">= 0"),
+    (["split"], "q-days", "0", ">= 1"),
+    (["signature"], "q", "0", ">= 1"),
+    (["signature"], "grid", "0", ">= 1"),
+    (["signature"], "dt", "5", "divide 24"),
+    (["reduce"], "m", "0", ">= 1"),
+    (["index", "build"], "capacity", "1", ">= 2"),
+    (["link"], "k", "0", ">= 1"),
+    (["link"], "m", "0", ">= 1"),
+    (["link"], "capacity", "1", ">= 2"),
+    (["eval"], "k", "0", ">= 1"),
+    (["closure"], "m", "0", ">= 1"),
+    (["closure"], "rounds", "0", ">= 1"),
+    (["closure"], "k", "0", ">= 1"),
+    (["closure"], "capacity", "1", ">= 2"),
+    (["closure"], "q-days", "0", ">= 1"),
+    (["pipeline"], "min-points", "-1", ">= 0"),
+    (["pipeline"], "m", "0", ">= 1"),
+    (["pipeline"], "k", "0", ">= 1"),
+    (["pipeline"], "capacity", "1", ">= 2"),
+    (["pipeline"], "q", "0", ">= 1"),
+    (["pipeline"], "grid", "0", ">= 1"),
+    (["pipeline"], "dt", "0", "divide 24"),
+    (["pipeline"], "q-days", "0", ">= 1"),
+    (["pipeline"], "synthetic", "n=0", "n: must be >= 1"),
+    (["pipeline"], "synthetic", "n=abc", "n: expected int"),
+    (["pipeline"], "synthetic", "n=20,radus=0.5", "unknown key 'radus'"),
+    (["pipeline"], "synthetic", "radius=0.5", "needs at least n="),
+    (["pipeline"], "engin", "linear", "unrecognized"),
+    (["pipeline"], "seed", "1", "unrecognized"),
+]
+
+
+@pytest.mark.parametrize("source", ["line", "config"])
+@pytest.mark.parametrize(
+    "words,flag,value,rule", BAD_FLAGS,
+    ids=[f"{' '.join(w)}--{f}={v}" for w, f, v, _ in BAD_FLAGS],
+)
+def test_bad_flag_value_exits_2_naming_flag(tmp_path, capsys, words, flag, value, rule, source):
+    if source == "line":
+        argv = [*words, f"--{flag}", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag.replace('-', '_')} = {value}\n")
+        argv = ["--config", cfg, *words]
+    assert run([*argv, "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = err.strip().splitlines()[-1]
+    assert f"--{flag}" in last and rule in last
+
+
+def test_readme_verb_table_matches_parser(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = set()
+    for cell in re.findall(r"^\| `([a-z /]+)` \|", readme, re.M):
+        verb, _, subs = cell.partition(" ")
+        listed |= {f"{verb} {sub}" for sub in subs.split("/")} if subs else {verb}
+
+    def help_text(words):
+        capsys.readouterr()
+        assert main([*words, "--help"]) == 0
+        return capsys.readouterr().out
+
+    def choices(words):
+        return re.search(r"\{([a-z,]+)\}", help_text(words)).group(1).split(",")
+
+    registered = set()
+    for verb in choices([]):
+        registered |= {f"{verb} {sub}" for sub in choices([verb])} if verb == "index" else {verb}
+    assert listed == registered
+    for verb in registered:
+        help_text(verb.split())

@@ -321,12 +321,17 @@ def test_knn_rejects_bad_inputs():
     entries, _ = synthetic_entries(5, seed=9)
     tree = bulk_load(entries, capacity=4)
     _, s, m = entries[0]
-    with pytest.raises(ValueError):
-        knn_search(tree, (s, m), 0)
-    with pytest.raises(ValueError):
-        knn_search(tree, (sig({1: 2.0}, normalize=False), m), 1)
-    with pytest.raises(ValueError):
-        knn_search(tree, (sig({1: 1.0}, kind="sequential:q=2"), m), 1)
+    unnormalized = sig({1: 3.0, 2: 4.0}, normalize=False)
+    sequential = sig({1: 1.0}, kind="sequential:q=2")
+    for search in (knn_search, rtree_baseline_knn, lambda _, q, k: linear_knn(entries, q, k)):
+        with pytest.raises(ValueError, match="k must be"):
+            search(tree, (s, m), 0)
+        with pytest.raises(ValueError, match="normalized"):
+            search(tree, (unnormalized, m), 1)
+    # the oracle scans any entries it is given; only an index has a kind
+    for search in (knn_search, rtree_baseline_knn):
+        with pytest.raises(ValueError, match="kind mismatch"):
+            search(tree, (sequential, m), 1)
 
 
 def test_linear_knn_ranks_all_when_k_exceeds_n():
