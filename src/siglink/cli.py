@@ -580,19 +580,31 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 # Parser assembly
 
 
+def _number(raw: str, number):
+    try:
+        return number(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected {number.__name__}, got {raw!r}") from None
+
+
 def _at_least(low, number=int):
     """An argparse type: a `number` no smaller than `low`."""
 
     def parse(raw: str):
-        try:
-            value = number(raw)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected {number.__name__}, got {raw!r}") from None
+        value = _number(raw, number)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {raw}")
         return value
 
     return parse
+
+
+def _fraction(raw: str) -> float:
+    """An argparse type: a float in [0, 1]."""
+    value = _number(raw, float)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {raw}")
+    return value
 
 
 _POSITIVE = _at_least(1)
@@ -691,9 +703,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=_POSITIVE, default=200)
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--n-days", type=_POSITIVE, default=30)
-    p.add_argument("--personal-mass", type=float, default=0.35)
+    p.add_argument("--personal-mass", type=_fraction, default=0.35)
     p.add_argument("--personal-pool", type=_POSITIVE, default=40)
-    p.add_argument("--hub-fraction", type=float, default=0.2)
+    p.add_argument("--hub-fraction", type=_fraction, default=0.2)
     p.set_defaults(handler=_cmd_synth)
 
     p = subparsers.add_parser("ingest", help="calibrate raw GPS traces to anchors")

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import EmptySignatureError, EmptyTraceError
 from .reduction import Mbr, cut_reduce, mbr_of
 from .signatures import (
@@ -19,11 +21,13 @@ from .signatures import (
     CorpusStats,
     Signature,
     _leaf_sim,
-    build_corpus_stats,
-    build_spatial_signature,
+    build_corpus_stats,  # noqa: F401  (wrapped here by perfbench's tracer)
+    column_stats,
+    pair_counts,
+    tfidf_rows,
     tfidf_signature,
 )
-from .traces import AnchorSet, Trace
+from .traces import AnchorSet, Trace, point_table
 from .wrtree import (
     IndexEntry,
     KnnResult,
@@ -52,25 +56,52 @@ class LinkingRun:
     rerank_m: int | None = None
 
 
+def spatial_signatures(
+    object_ids: Sequence[str],
+    rows: np.ndarray,
+    anchor_ids: np.ndarray,
+    counts: np.ndarray,
+    stats: CorpusStats | None = None,
+) -> tuple[dict[str, Signature], list[str], CorpusStats]:
+    """Spatial signatures of objects from their visit counts: COO
+    ``(rows, anchor_ids, counts)`` as ``pair_counts`` returns them, where a
+    row indexes ``object_ids``.
+
+    Weights come from ``stats`` or, without it, from the objects that have
+    visits among these. An object that gets no signature (no visits, or
+    only anchors that carry no weight) is listed in the excluded ids, in
+    ``object_ids`` order. Returns the signatures by id, the excluded ids and
+    the statistics used.
+    """
+    if stats is None:
+        stats = column_stats(np.count_nonzero(np.diff(rows, prepend=-1)), anchor_ids)
+    sigs: dict[str, Signature] = {}
+    excluded: list[str] = []
+    built = tfidf_rows(rows, anchor_ids, counts, stats, KIND_SPATIAL, len(object_ids))
+    for object_id, sig in zip(object_ids, built):
+        if sig is None:
+            excluded.append(object_id)
+        else:
+            sigs[object_id] = sig
+    return sigs, excluded, stats
+
+
 def reference_signatures(
     traces: Sequence[Trace],
+    stats: CorpusStats | None = None,
 ) -> tuple[dict[str, Signature], list[str], CorpusStats]:
-    """Spatial signatures for a reference corpus; objects whose every visited
-    anchor is corpus-wide (zero discriminative weight) are reported, not
-    indexed."""
-    usable = [t for t in traces if t.points]
-    empty = [t.object_id for t in traces if not t.points]
-    if not usable:
+    """Spatial signatures of traces, weighted by the statistics of their own
+    non-empty traces or, given ``stats``, projected into that corpus's
+    weight space (the query side of ``link_all``). Traces left without a
+    signature (empty, or every visited anchor corpus-wide or unseen) are
+    reported, not returned; see ``spatial_signatures``."""
+    if stats is None and not any(t.points for t in traces):
         raise EmptyTraceError("reference corpus has no non-empty traces")
-    stats = build_corpus_stats(usable)
-    sigs: dict[str, Signature] = {}
-    degenerate: list[str] = []
-    for trace in usable:
-        try:
-            sigs[trace.object_id] = build_spatial_signature(trace, stats)
-        except EmptySignatureError:
-            degenerate.append(trace.object_id)
-    return sigs, empty + degenerate, stats
+    rows, anchor_ids, _ = point_table(traces)
+    pair_rows, pair_anchors, counts, _ = pair_counts(rows, anchor_ids)
+    return spatial_signatures(
+        [t.object_id for t in traces], pair_rows, pair_anchors, counts, stats
+    )
 
 
 def query_signature(trace: Trace, stats: CorpusStats) -> Signature | None:
@@ -181,19 +212,12 @@ def link_all(
     reference corpus, under the chosen engine, at reduction level m.
 
     Reference IDF statistics come from the reference corpus alone; query
-    traces are projected into that weight space.
+    traces are projected into that weight space. Each side is weighted in
+    one batch (``tfidf_rows``).
     """
-    timings: dict[str, float] = {}
     t0 = time.perf_counter()
     ref_sigs, excluded_refs, stats = reference_signatures(references)
-    query_sigs: dict[str, Signature] = {}
-    excluded_queries: list[str] = []
-    for trace in queries:
-        sig = query_signature(trace, stats) if trace.points else None
-        if sig is None:
-            excluded_queries.append(trace.object_id)
-        else:
-            query_sigs[trace.object_id] = sig
+    query_sigs, excluded_queries, _ = reference_signatures(queries, stats)
     sig_time = time.perf_counter() - t0
 
     run = link_signatures(

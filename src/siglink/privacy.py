@@ -5,24 +5,31 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from operator import itemgetter
+from itertools import compress
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptySignatureError
-from .reduction import cut_reduce, mbr_of_ids
-from .signatures import build_corpus_stats, build_spatial_signature
+from .linking import accuracy_at_k, link_signatures, spatial_signatures
+from .reduction import cut_reduce
+from .signatures import KIND_SPATIAL, column_stats, pair_counts, tfidf_rows
 from .traces import (
     DEFAULT_UTC_OFFSET_HOURS,
     METERS_PER_DEGREE,
     AnchorSet,
     SplitStrategy,
     Trace,
-    split_dataset,
+    day_pairs,
+    point_table,
+    query_days,
 )
-from .linking import accuracy_at_k, link_all
+
+# Names perfbench's tracer wraps in this module. The closure works on the
+# point table and calls none of them.
+from .linking import link_all  # noqa: F401, E402
+from .signatures import build_corpus_stats, build_spatial_signature  # noqa: F401, E402
+from .traces import split_dataset  # noqa: F401, E402
 
 DEFAULT_LARGE_CELL_M = 423.0
 DEFAULT_SMALL_CELL_M = 85.0
@@ -67,17 +74,90 @@ class ClosureReport:
         Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _point_ids(trace: Trace) -> np.ndarray:
-    return np.fromiter(map(itemgetter(0), trace.points), dtype=np.int64, count=len(trace.points))
+class _UtilityGrids:
+    """Per-object summaries for the utility metrics, over the two utility
+    grids of one original point set.
+
+    The grid cells are ``DEFAULT_LARGE_CELL_M`` and ``DEFAULT_SMALL_CELL_M``
+    meters wide, converted to degrees at the mean latitude of the original
+    points, and start at their south-west corner. Each anchor's cell in each
+    grid is computed once.
+    """
+
+    def __init__(self, original_anchor_ids: np.ndarray, anchors: AnchorSet):
+        lons, lats = anchors.lons, anchors.lats
+        mean_lat = float(np.mean(lats[original_anchor_ids]))
+        origin = (
+            float(lons[original_anchor_ids].min()),
+            float(lats[original_anchor_ids].min()),
+        )
+        self.anchors = anchors
+        self.cells: list[tuple[np.ndarray, int]] = []
+        for cell_m in (DEFAULT_LARGE_CELL_M, DEFAULT_SMALL_CELL_M):
+            dlat = cell_m / METERS_PER_DEGREE
+            dlon = cell_m / (METERS_PER_DEGREE * max(np.cos(np.radians(mean_lat)), 1e-9))
+            ix = np.floor((lons - origin[0]) / dlon).astype(np.int64)
+            iy = np.floor((lats - origin[1]) / dlat).astype(np.int64)
+            distinct, cell = np.unique(np.column_stack([ix, iy]), axis=0, return_inverse=True)
+            self.cells.append((cell, len(distinct)))
+
+    def summarize(
+        self, rows: np.ndarray, anchor_ids: np.ndarray, counts: np.ndarray, n_objects: int
+    ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """Point count, bounding box (min lon, min lat, max lon, max lat;
+        zeros where there are no points) and distinct cells per grid of each
+        object, from its visit counts: COO ``(rows, anchor_ids, counts)``
+        sorted by row, as ``pair_counts`` returns them."""
+        count = np.bincount(rows, weights=counts, minlength=n_objects)
+        box = np.zeros((n_objects, 4))
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        if len(starts):
+            present = rows[starts]
+            lons, lats = self.anchors.lons[anchor_ids], self.anchors.lats[anchor_ids]
+            box[present, 0] = np.minimum.reduceat(lons, starts)
+            box[present, 1] = np.minimum.reduceat(lats, starts)
+            box[present, 2] = np.maximum.reduceat(lons, starts)
+            box[present, 3] = np.maximum.reduceat(lats, starts)
+        cells = []
+        for cell, n_cells in self.cells:
+            keys = np.sort(rows * n_cells + cell[anchor_ids])
+            first = np.ones(len(keys), dtype=bool)
+            first[1:] = keys[1:] != keys[:-1]
+            cells.append(np.bincount(keys[first] // n_cells, minlength=n_objects))
+        return count, box, cells
 
 
-def _cells_covered(ids: np.ndarray, anchors: AnchorSet, origin, cell_deg) -> int:
-    """Number of distinct grid cells the anchors ``ids`` fall in."""
-    ix = np.floor((anchors.lons[ids] - origin[0]) / cell_deg[0]).astype(np.int64)
-    iy = np.floor((anchors.lats[ids] - origin[1]) / cell_deg[1]).astype(np.int64)
-    order = np.lexsort((iy, ix))
-    ix, iy = ix[order], iy[order]
-    return len(ids) - int(np.count_nonzero((ix[1:] == ix[:-1]) & (iy[1:] == iy[:-1])))
+def _utility(before, after, objects: list[int]) -> UtilityMetrics:
+    """Utility of the summarized ``after`` against ``before`` over the
+    ``objects`` rows; an object with no original point is skipped. A
+    degenerate (zero-area) original bounding box scores 1 whenever the
+    suppressed points still fall inside it."""
+    (b_count, b_box, b_cells), (a_count, a_box, a_cells) = before, after
+    rows = [i for i in objects if b_count[i]]
+    b_count, b_box, a_count, a_box = b_count[rows], b_box[rows], a_count[rows], a_box[rows]
+    kept = a_count > 0
+    b_area = (b_box[:, 2] - b_box[:, 0]) * (b_box[:, 3] - b_box[:, 1])
+    w = np.minimum(a_box[:, 2], b_box[:, 2]) - np.maximum(a_box[:, 0], b_box[:, 0])
+    h = np.minimum(a_box[:, 3], b_box[:, 3]) - np.maximum(a_box[:, 1], b_box[:, 1])
+    shared = np.where((w < 0.0) | (h < 0.0), 0.0, w * h)
+    contained = np.all(b_box[:, :2] <= a_box[:, :2], axis=1) & np.all(
+        b_box[:, 2:] >= a_box[:, 2:], axis=1
+    )
+    flat = b_area == 0.0
+    overlap = np.where(flat, contained.astype(float), shared / np.where(flat, 1.0, b_area))
+    cover = [np.where(kept, a[rows] / b[rows], 0.0) for a, b in zip(a_cells, b_cells)]
+    return UtilityMetrics(
+        data_remain=float(np.mean(a_count / b_count)),
+        mbr_overlap=float(np.mean(np.where(kept, overlap, 0.0))),
+        grid_coverage_large=float(np.mean(cover[0])),
+        grid_coverage_small=float(np.mean(cover[1])),
+    )
+
+
+def _summaries_of(traces: Sequence[Trace], grids: _UtilityGrids):
+    rows, anchor_ids, _ = point_table(traces)
+    pair_rows, pair_anchors, counts, _ = pair_counts(rows, anchor_ids)
+    return grids.summarize(pair_rows, pair_anchors, counts, len(traces))
 
 
 def utility_metrics(
@@ -85,83 +165,23 @@ def utility_metrics(
     after: Sequence[Trace],
     anchors: AnchorSet,
 ) -> UtilityMetrics:
-    """Average retained fraction of points, bounding-box area, and grid cells.
-
-    The grid cells are ``DEFAULT_LARGE_CELL_M`` and ``DEFAULT_SMALL_CELL_M``
-    meters wide, converted to degrees at the mean latitude of the original
-    data; a degenerate (zero-area) original bounding box scores 1 whenever
-    the suppressed trace still falls inside it.
-    """
+    """Average retained fraction of points, bounding-box area, and grid cells,
+    over the objects of ``before`` (by id) with at least one point; see
+    ``_UtilityGrids`` for the grids. A degenerate (zero-area) original
+    bounding box scores 1 whenever the suppressed trace still falls inside
+    it."""
     before_by_id = {t.object_id: t for t in before}
     after_by_id = {t.object_id: t for t in after}
     if set(before_by_id) != set(after_by_id):
         raise ValueError("utility metrics need identical object sets")
     if not before_by_id:
         raise ValueError("utility metrics need at least one object")
-
-    all_ids = np.concatenate([_point_ids(t) for t in before])
-    mean_lat = float(np.mean(anchors.lats[all_ids]))
-    origin = (float(anchors.lons[all_ids].min()), float(anchors.lats[all_ids].min()))
-
-    def cell_deg(cell_m: float) -> tuple[float, float]:
-        dlat = cell_m / METERS_PER_DEGREE
-        dlon = cell_m / (METERS_PER_DEGREE * max(np.cos(np.radians(mean_lat)), 1e-9))
-        return (dlon, dlat)
-
-    large = cell_deg(DEFAULT_LARGE_CELL_M)
-    small = cell_deg(DEFAULT_SMALL_CELL_M)
-
-    remain, overlap, cover_large, cover_small = [], [], [], []
-    for oid, b in before_by_id.items():
-        a = after_by_id[oid]
-        if not b.points:
-            continue
-        remain.append(len(a) / len(b))
-        b_ids = _point_ids(b)
-        a_ids = _point_ids(a)
-        b_mbr = mbr_of_ids(b_ids, anchors)
-        if not len(a_ids):
-            overlap.append(0.0)
-            cover_large.append(0.0)
-            cover_small.append(0.0)
-            continue
-        a_mbr = mbr_of_ids(a_ids, anchors)
-        if b_mbr.area() == 0.0:
-            overlap.append(1.0 if b_mbr.contains(a_mbr) else 0.0)
-        else:
-            overlap.append(a_mbr.intersection_area(b_mbr) / b_mbr.area())
-        for grid, acc in ((large, cover_large), (small, cover_small)):
-            b_cells = _cells_covered(b_ids, anchors, origin, grid)
-            a_cells = _cells_covered(a_ids, anchors, origin, grid)
-            acc.append(a_cells / b_cells)
-    return UtilityMetrics(
-        data_remain=float(np.mean(remain)),
-        mbr_overlap=float(np.mean(overlap)),
-        grid_coverage_large=float(np.mean(cover_large)),
-        grid_coverage_small=float(np.mean(cover_small)),
+    grids = _UtilityGrids(point_table(before)[1], anchors)
+    return _utility(
+        _summaries_of(list(before_by_id.values()), grids),
+        _summaries_of([after_by_id[oid] for oid in before_by_id], grids),
+        list(range(len(before_by_id))),
     )
-
-
-def _link_accuracy(
-    traces: Sequence[Trace],
-    anchors: AnchorSet,
-    split: SplitStrategy,
-    engine: str,
-    k: int,
-    m: int | None,
-    capacity: int,
-    utc_offset_hours: int,
-) -> dict[int, float]:
-    halves = split_dataset(
-        [t for t in traces if t.points], split, utc_offset_hours=utc_offset_hours
-    )
-    if not any(t.points for t in halves.d) or not any(t.points for t in halves.q):
-        # suppression wiped one half out entirely: nothing is linkable
-        return {kk: 0.0 for kk in range(1, k + 1)}
-    run = link_all(
-        halves.q, halves.d, anchors, engine=engine, k=k, m=m, capacity=capacity
-    )
-    return {kk: accuracy_at_k(run, kk) for kk in range(1, k + 1)}
 
 
 def signature_closure(
@@ -184,43 +204,88 @@ def signature_closure(
     records linking accuracy on the suppressed data and utility against the
     original. An object with an empty trace or no discriminative anchor left
     loses nothing that round. The report's baseline accuracy is measured
-    before any suppression. Accuracy comes from ``link_all`` at reduction
-    level ``m`` with ``engine`` (any of ``linking.ENGINES``; all are exact,
-    so the choice changes only the time).
+    before any suppression. Accuracy comes from linking the split's query
+    half against its reference half with ``link_all``'s weighting and
+    exclusion rules, at reduction level ``m`` with ``engine`` (any of
+    ``linking.ENGINES``; all are exact, so the choice changes only the time).
+
+    The traces are read once into a flat point table and counted once into
+    (object, anchor) pairs. Suppression removes whole pairs, so a round is a
+    mask over that one count table; the split is re-applied to the days of
+    the points still alive.
     """
     if m < 1 or rounds < 1:
         raise ValueError("m and rounds must both be >= 1")
     if split is None:
         split = SplitStrategy.interleaved()
-    original = [Trace(t.object_id, list(t.points)) for t in traces]
-    current = [Trace(t.object_id, list(t.points)) for t in traces]
+    object_ids = [t.object_id for t in traces]
+    n = len(object_ids)
+    rows, anchor_ids, t = point_table(traces)
+    pair_rows, pair_anchors, counts, pair_of = pair_counts(rows, anchor_ids)
+    day_rows, days, day_of = day_pairs(rows, t, utc_offset_hours)
+    pair_alive = np.ones(len(pair_rows), dtype=bool)
 
     def measure() -> dict[int, float]:
-        return _link_accuracy(
-            current, anchors, split, engine, k, m, capacity, utc_offset_hours
+        alive = pair_alive[pair_of]
+        live_days = np.bincount(day_of[alive], minlength=len(days)) > 0
+        day_in_q = np.zeros(len(days), dtype=bool)
+        day_in_q[live_days] = query_days(object_ids, day_rows[live_days], days[live_days], split)
+        in_q = day_in_q[day_of]
+        q_counts = np.bincount(pair_of[alive & in_q], minlength=len(pair_rows))
+        d_counts = np.bincount(pair_of[alive & ~in_q], minlength=len(pair_rows))
+        if not q_counts.any() or not d_counts.any():
+            # suppression wiped one half out entirely: nothing is linkable
+            return {kk: 0.0 for kk in range(1, k + 1)}
+        q, d = q_counts > 0, d_counts > 0
+        ref_sigs, _, stats = spatial_signatures(
+            object_ids, pair_rows[d], pair_anchors[d], d_counts[d]
+        )
+        query_sigs, _, _ = spatial_signatures(
+            object_ids, pair_rows[q], pair_anchors[q], q_counts[q], stats
+        )
+        run = link_signatures(
+            query_sigs, ref_sigs, anchors, engine=engine, k=k, m=m, capacity=capacity
+        )
+        return {kk: accuracy_at_k(run, kk) for kk in range(1, k + 1)}
+
+    def summary():
+        return grids.summarize(
+            pair_rows[pair_alive], pair_anchors[pair_alive], counts[pair_alive], n
         )
 
     baseline = measure()
     report_rounds: list[ClosureRound] = []
+    if len(rows):
+        grids = _UtilityGrids(anchor_ids, anchors)
+        original = summary()
+    # utility counts each object id once, its last trace, in first-seen order
+    last_of = list({oid: i for i, oid in enumerate(object_ids)}.values())
+    width = int(anchor_ids.max(initial=-1)) + 1
+    keys = pair_rows * width + pair_anchors  # sorted, as the pairs are
     for round_no in range(1, rounds + 1):
-        usable = [t for t in current if t.points]
-        if not usable:
+        live = np.flatnonzero(pair_alive)
+        if not len(live):
             break
-        stats = build_corpus_stats(usable)
+        live_rows = pair_rows[live]
+        stats = column_stats(np.count_nonzero(np.diff(live_rows, prepend=-1)), pair_anchors[live])
+        sigs = tfidf_rows(live_rows, pair_anchors[live], counts[live], stats, KIND_SPATIAL, n)
         removed: dict[str, list[int]] = {}
-        for trace in current:
-            if not trace.points:
-                continue
-            try:
-                sig = build_spatial_signature(trace, stats)
-            except EmptySignatureError:
-                continue
-            top = cut_reduce(sig, m)
-            doomed = set(top.dims.tolist())
-            removed[trace.object_id] = sorted(doomed)
-            trace.points = [p for p in trace.points if p[0] not in doomed]
+        doomed = []
+        for i, sig in enumerate(sigs):
+            if sig is not None:
+                top = cut_reduce(sig, m).dims
+                removed[object_ids[i]] = top.tolist()
+                doomed.append(i * width + top)
+        if doomed:
+            pair_alive[np.searchsorted(keys, np.concatenate(doomed))] = False
         accuracy = measure()
-        utility = utility_metrics(original, current, anchors)
+        utility = _utility(original, summary(), last_of)
         report_rounds.append(ClosureRound(round_no, removed, accuracy, utility))
+    keep = pair_alive[pair_of].tolist()
+    current = []
+    end = 0
+    for trace in traces:
+        start, end = end, end + len(trace.points)
+        current.append(Trace(trace.object_id, list(compress(trace.points, keep[start:end]))))
     emptied = [t.object_id for t in current if not t.points]
     return current, ClosureReport(baseline, report_rounds, emptied)

@@ -7,7 +7,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, filterfalse
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -118,34 +118,57 @@ class CorpusStats:
 
     n_objects: int
     doc_freq: dict[int, int]
-    _idf: dict[int, float] | None = field(default=None, repr=False, compare=False)
+    _columns: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
 
-    def idf(self) -> dict[int, float]:
-        """Weight factor of each dimension that carries weight: the natural-log
-        IDF ``log(n / df)`` where it is positive. A single-object corpus
-        carries no discriminative statistics; IDF would be the same constant
-        on every dimension and vanish under normalization, so every dimension
-        gets factor 1 and is weighted by frequency alone. Computed once, on
-        first use."""
-        if self._idf is None:
-            n = self.n_objects
-            if n == 1:
-                self._idf = dict.fromkeys(self.doc_freq, 1.0)
-            else:
-                log_of = {df: math.log(n / df) for df in set(self.doc_freq.values())}
-                self._idf = {
-                    dim: log_of[df] for dim, df in self.doc_freq.items() if log_of[df] > 0.0
-                }
-        return self._idf
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dense ``(df, idf)`` arrays indexed by dimension id, computed once,
+        on first use. ``df`` is the document frequency, 0 where the corpus
+        lacks the dimension. ``idf`` is the weight factor: the natural-log
+        IDF ``log(n / df)`` where it is positive, 0 elsewhere. A
+        single-object corpus carries no discriminative statistics; IDF would
+        be the same constant on every dimension and vanish under
+        normalization, so every dimension it has gets factor 1 and is
+        weighted by frequency alone."""
+        if self._columns is None:
+            seen = np.fromiter(self.doc_freq, dtype=np.int64, count=len(self.doc_freq))
+            df = np.zeros(int(seen.max()) + 1 if len(seen) else 1, dtype=np.int64)
+            df[seen] = np.fromiter(self.doc_freq.values(), dtype=np.int64, count=len(seen))
+            self._columns = (df, _idf_of(df, self.n_objects))
+        return self._columns
+
+
+def _idf_of(df: np.ndarray, n: int) -> np.ndarray:
+    idf = np.zeros(len(df))
+    seen = np.flatnonzero(df)
+    if n == 1:
+        idf[seen] = 1.0
+        return idf
+    dfs, which = np.unique(df[seen], return_inverse=True)
+    log_of = np.array([math.log(n / d) for d in dfs.tolist()])
+    idf[seen] = np.maximum(log_of, 0.0)[which]
+    return idf
+
+
+def column_stats(n_objects: int, dims: np.ndarray) -> CorpusStats:
+    """Corpus statistics of ``n_objects`` objects from the dimensions of
+    their distinct (object, dimension) pairs: a dimension's document
+    frequency is the number of nonzeros in its column."""
+    if n_objects < 1:
+        raise ValueError("corpus must contain at least one trace")
+    df = np.bincount(np.asarray(dims, dtype=np.int64), minlength=1)
+    seen = np.flatnonzero(df)
+    stats = CorpusStats(n_objects, dict(zip(seen.tolist(), df[seen].tolist())))
+    stats._columns = (df, _idf_of(df, n_objects))
+    return stats
 
 
 def corpus_stats(dim_sets: Sequence[Iterable[int]]) -> CorpusStats:
     """Count, for each dimension, how many objects have it. Takes one
-    duplicate-free collection of dimensions per object; every TF-IDF kind
-    builds its corpus statistics here."""
-    if not dim_sets:
-        raise ValueError("corpus must contain at least one trace")
-    return CorpusStats(len(dim_sets), dict(Counter(chain.from_iterable(dim_sets))))
+    duplicate-free collection of dimensions per object."""
+    dims = np.fromiter(chain.from_iterable(dim_sets), dtype=np.int64)
+    return column_stats(len(dim_sets), dims)
 
 
 def build_corpus_stats(traces: Sequence[Trace]) -> CorpusStats:
@@ -153,29 +176,76 @@ def build_corpus_stats(traces: Sequence[Trace]) -> CorpusStats:
     return corpus_stats([trace.anchor_ids() for trace in traces])
 
 
-def tfidf_signature(counts: Mapping[int, int], stats: CorpusStats, kind: str) -> Signature:
-    """TF-IDF weights from raw occurrence counts; natural-log IDF, L2 normalized.
+def pair_counts(
+    rows: np.ndarray, dims: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Occurrence counts of (row, dimension) pairs, one pair per point.
 
-    This is the one weighting step of every TF-IDF kind. Dimensions the
-    corpus has not seen are dropped before weighting: they cannot contribute
-    to any similarity against it, and term frequencies are taken over the
-    counts that remain. Dimensions present in every object carry zero weight
-    and are dropped too. If nothing survives the object has no discriminative
-    signature and ``EmptySignatureError`` is raised.
+    Returns the distinct pairs' rows, dimensions and counts, sorted by
+    (row, dimension): the COO input of ``tfidf_rows``. The fourth array maps
+    each point to its pair.
     """
-    doc_freq = stats.doc_freq
-    total = sum(counts.values())
-    for dim in filterfalse(doc_freq.__contains__, counts):
-        total -= counts[dim]
-    idf = stats.idf()
-    dims = sorted(filter(idf.__contains__, counts))
-    if not dims:
+    width = int(dims.max()) + 1 if len(dims) else 1
+    keys, inverse, counts = np.unique(
+        rows * width + dims, return_inverse=True, return_counts=True
+    )
+    return keys // width, keys % width, counts, inverse
+
+
+def tfidf_rows(
+    rows: np.ndarray,
+    dims: np.ndarray,
+    counts: np.ndarray,
+    stats: CorpusStats,
+    kind: str,
+    n_rows: int,
+) -> list[Signature | None]:
+    """TF-IDF signatures of rows ``0 .. n_rows - 1``; natural-log IDF, L2
+    normalized.
+
+    Takes COO occurrence counts sorted by (row, dimension), duplicates
+    summed (see ``pair_counts``). This is the one weighting step of every
+    TF-IDF kind. Dimensions the corpus has not seen are dropped before
+    weighting: they cannot contribute to any similarity against it, and term
+    frequencies are taken over the counts that remain. Dimensions present in
+    every object carry zero weight and are dropped too. A row with nothing
+    left has no discriminative signature and gets ``None``.
+
+    Each row is scaled by its own norm, ``sqrt(w.dot(w))``, which is how
+    ``np.linalg.norm`` computes it, so a row's weights are bit-identical to
+    weighting that object alone.
+    """
+    df, idf = stats.columns()
+    inside = dims < len(df)
+    at = np.where(inside, dims, 0)
+    seen = inside & (df[at] > 0)
+    counts = np.asarray(counts, dtype=float)
+    total = np.bincount(rows[seen], weights=counts[seen], minlength=n_rows)
+    factor = np.where(inside, idf[at], 0.0)
+    keep = factor > 0.0
+    rows, dims = rows[keep], dims[keep]
+    weights = counts[keep] / total[rows] * factor[keep]
+    out: list[Signature | None] = [None] * n_rows
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    ends = np.append(starts[1:], len(rows))
+    for row, s, e in zip(rows[starts].tolist(), starts.tolist(), ends.tolist()):
+        seg = weights[s:e]
+        seg /= math.sqrt(seg.dot(seg))
+        out[row] = Signature(dims[s:e], seg, kind, normalized=True)
+    return out
+
+
+def tfidf_signature(counts: Mapping[int, int], stats: CorpusStats, kind: str) -> Signature:
+    """``tfidf_rows`` for one object's occurrence counts by dimension;
+    raises ``EmptySignatureError`` if nothing carries weight."""
+    n = len(counts)
+    dims = np.fromiter(counts.keys(), dtype=np.int64, count=n)
+    order = np.argsort(dims)
+    freq = np.fromiter(counts.values(), dtype=float, count=n)
+    sig = tfidf_rows(np.zeros(n, dtype=np.int64), dims[order], freq[order], stats, kind, 1)[0]
+    if sig is None:
         raise EmptySignatureError("signature has no positive-weight dimensions")
-    n = len(dims)
-    freq = np.fromiter(map(counts.__getitem__, dims), dtype=float, count=n)
-    weights = freq / total * np.fromiter(map(idf.__getitem__, dims), dtype=float, count=n)
-    weights /= np.linalg.norm(weights)
-    return Signature(np.array(dims, dtype=np.int64), weights, kind, normalized=True)
+    return sig
 
 
 def build_spatial_signature(trace: Trace, stats: CorpusStats) -> Signature:
@@ -221,15 +291,15 @@ def build_sequential_corpus(traces: Sequence[Trace], q: int) -> SequentialCorpus
 def build_sequential_signature(trace: Trace, corpus: SequentialCorpus) -> Signature:
     """TF-IDF over the trace's grams in the corpus's weight space.
 
-    A gram outside the corpus vocabulary has no dimension id; it is counted
-    under ``None``, which no corpus has seen, so ``tfidf_signature`` drops it
-    like any unseen dimension.
+    A gram outside the corpus vocabulary has no dimension id, and is
+    dropped like any dimension the corpus has not seen.
     """
     if len(trace) < corpus.q:
         raise EmptySignatureError(
             f"trace of {len(trace)} points yields no {corpus.q}-grams"
         )
     counts = Counter(map(corpus.vocab.get, _grams(trace, corpus.q)))
+    counts.pop(None, None)
     return tfidf_signature(counts, corpus.stats, sequential_kind(corpus.q))
 
 

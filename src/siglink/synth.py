@@ -42,6 +42,9 @@ def generate_synthetic(
         raise ValueError("all synthetic workload counts must be >= 1")
     if locality_radius < 0:
         raise ValueError("locality_radius must be >= 0")
+    for name, share in (("personal_mass", personal_mass), ("hub_fraction", hub_fraction)):
+        if not 0.0 <= share <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {share}")
     rng = np.random.default_rng(seed)
     min_lon, min_lat, max_lon, max_lat = box
 

@@ -7,7 +7,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
-from itertools import compress
+from itertools import chain, compress
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -305,6 +305,54 @@ def _query_dates(
     return set(rng.sample(ordered, take))
 
 
+def point_table(traces: Sequence[Trace]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every point of ``traces`` as three flat int64 columns, in trace order:
+    the index of its trace, its anchor id and its timestamp."""
+    lengths = np.fromiter(map(len, traces), dtype=np.int64, count=len(traces))
+    n = int(lengths.sum())
+
+    def column(i: int) -> np.ndarray:
+        points = chain.from_iterable(t.points for t in traces)
+        return np.fromiter(map(itemgetter(i), points), dtype=np.int64, count=n)
+
+    return np.repeat(np.arange(len(traces)), lengths), column(0), column(1)
+
+
+def day_pairs(
+    rows: np.ndarray, t: np.ndarray, utc_offset_hours: int = DEFAULT_UTC_OFFSET_HOURS
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (object, local day) pairs of a point table, sorted: their
+    objects, their day numbers since 1970-01-01, and each point's pair.
+    ``rows`` gives each point's object and ``t`` its timestamp."""
+    # floor division keeps days before the epoch whole
+    day = (t + utc_offset_hours * 3600) // 86400
+    order = np.lexsort((day, rows))
+    rows, day = rows[order], day[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (day[1:] != day[:-1])
+    pair_of = np.empty(len(order), dtype=np.int64)
+    pair_of[order] = np.cumsum(first) - 1
+    return rows[first], day[first], pair_of
+
+
+def query_days(
+    object_ids: Sequence[str],
+    rows: np.ndarray,
+    days: np.ndarray,
+    strategy: SplitStrategy,
+) -> np.ndarray:
+    """Whether each distinct (object, day) pair from ``day_pairs`` goes to
+    the query half. Each object's days go through ``_query_dates`` together,
+    so an object's split depends only on the days among the pairs given."""
+    dates = list(map(date.fromordinal, (days + _EPOCH_ORDINAL).tolist()))
+    bounds = np.flatnonzero(np.diff(rows, prepend=-1, append=-1)).tolist()
+    in_q: list[bool] = []
+    for s, e in zip(bounds, bounds[1:]):
+        to_q = _query_dates(object_ids[rows[s]], dates[s:e], strategy)
+        in_q.extend(map(to_q.__contains__, dates[s:e]))
+    return np.array(in_q, dtype=bool)
+
+
 def split_dataset(
     traces: Iterable[Trace],
     strategy: SplitStrategy,
@@ -316,22 +364,19 @@ def split_dataset(
     empty are still emitted but reported in ``flagged`` so downstream accuracy
     denominators can exclude them.
     """
+    traces = list(traces)
+    rows, _, t = point_table(traces)
+    day_rows, days, day_of = day_pairs(rows, t, utc_offset_hours)
+    in_q = query_days([tr.object_id for tr in traces], day_rows, days, strategy)[day_of]
     q_half: list[Trace] = []
     d_half: list[Trace] = []
     flagged: list[str] = []
-    shift = utc_offset_hours * 3600
+    end = 0
     for trace in traces:
-        points = trace.points
-        t = np.fromiter(map(itemgetter(1), points), dtype=np.int64, count=len(points))
-        # local day number since 1970-01-01; floor division keeps days
-        # before the epoch whole
-        days, day_of_point = np.unique((t + shift) // 86400, return_inverse=True)
-        dates = [date.fromordinal(_EPOCH_ORDINAL + d) for d in days.tolist()]
-        to_q = _query_dates(trace.object_id, dates, strategy)
-        day_to_q = np.fromiter((d in to_q for d in dates), dtype=bool, count=len(dates))
-        in_q = day_to_q[day_of_point]
-        q_points = list(compress(points, in_q.tolist()))
-        d_points = list(compress(points, (~in_q).tolist()))
+        start, end = end, end + len(trace.points)
+        to_q = in_q[start:end]
+        q_points = list(compress(trace.points, to_q.tolist()))
+        d_points = list(compress(trace.points, (~to_q).tolist()))
         if not q_points or not d_points:
             flagged.append(trace.object_id)
         q_half.append(Trace(trace.object_id, q_points))

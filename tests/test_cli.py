@@ -369,6 +369,8 @@ BAD_FLAGS = [
       for flag in ("n-objects", "n-anchors", "points", "n-days", "personal-pool")),
     (["synth"], "seed", "-1", ">= 0"),
     (["synth"], "locality-radius", "-0.5", ">= 0.0"),
+    *((["synth"], flag, value, "must be in [0, 1]")
+      for flag in ("personal-mass", "hub-fraction") for value in ("1.5", "-0.5", "nan")),
     (["ingest"], "min-points", "-1", ">= 0"),
     (["split"], "q-days", "0", ">= 1"),
     (["signature"], "q", "0", ">= 1"),

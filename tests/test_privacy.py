@@ -1,9 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 
-from siglink.privacy import signature_closure, utility_metrics
+from siglink.errors import EmptySignatureError
+from siglink.linking import accuracy_at_k, link_all
+from siglink.privacy import (
+    DEFAULT_LARGE_CELL_M,
+    DEFAULT_SMALL_CELL_M,
+    ClosureReport,
+    ClosureRound,
+    UtilityMetrics,
+    signature_closure,
+    utility_metrics,
+)
+from siglink.reduction import cut_reduce, mbr_of_ids
+from siglink.signatures import build_corpus_stats, build_spatial_signature
 from siglink.synth import generate_synthetic
-from siglink.traces import AnchorSet, Trace
+from siglink.traces import METERS_PER_DEGREE, AnchorSet, SplitStrategy, Trace, split_dataset
 
 
 def _trace(object_id, anchor_ids):
@@ -136,3 +150,161 @@ def test_parameter_validation():
         signature_closure(traces, anchors, m=0)
     with pytest.raises(ValueError):
         signature_closure(traces, anchors, rounds=0)
+
+
+# ---------------------------------------------------------------------------
+# The closure against its object-by-object definition
+
+
+def _oracle_utility(before, after, anchors):
+    """utility_metrics by its definition, one object and one point at a time."""
+    all_ids = [a for t in before for a, _ in t.points]
+    mean_lat = float(np.mean(anchors.lats[all_ids]))
+    origin = (float(anchors.lons[all_ids].min()), float(anchors.lats[all_ids].min()))
+    grids = [
+        (cell_m / (METERS_PER_DEGREE * max(np.cos(np.radians(mean_lat)), 1e-9)),
+         cell_m / METERS_PER_DEGREE)
+        for cell_m in (DEFAULT_LARGE_CELL_M, DEFAULT_SMALL_CELL_M)
+    ]
+
+    def cells(trace, grid):
+        return len({(math.floor((anchors.lons[a] - origin[0]) / grid[0]),
+                     math.floor((anchors.lats[a] - origin[1]) / grid[1])) for a, _ in trace.points})
+
+    after_by_id = {t.object_id: t for t in after}
+    remain, overlap, large, small = [], [], [], []
+    for b in before:
+        a = after_by_id[b.object_id]
+        if not b.points:
+            continue
+        remain.append(len(a) / len(b))
+        if not a.points:
+            for scores in (overlap, large, small):
+                scores.append(0.0)
+            continue
+        b_box = mbr_of_ids([p[0] for p in b.points], anchors)
+        a_box = mbr_of_ids([p[0] for p in a.points], anchors)
+        if b_box.area() == 0.0:
+            overlap.append(1.0 if b_box.contains(a_box) else 0.0)
+        else:
+            overlap.append(a_box.intersection_area(b_box) / b_box.area())
+        large.append(cells(a, grids[0]) / cells(b, grids[0]))
+        small.append(cells(a, grids[1]) / cells(b, grids[1]))
+    return UtilityMetrics(*(float(np.mean(v)) for v in (remain, overlap, large, small)))
+
+
+def _oracle_closure(traces, anchors, m, rounds, split, engine, k=5):
+    """signature_closure object by object: re-split, re-weight and re-link
+    the suppressed traces in every round."""
+    current = [Trace(t.object_id, list(t.points)) for t in traces]
+
+    def accuracy():
+        halves = split_dataset([t for t in current if t.points], split)
+        if not any(t.points for t in halves.q) or not any(t.points for t in halves.d):
+            return {kk: 0.0 for kk in range(1, k + 1)}
+        run = link_all(halves.q, halves.d, anchors, engine=engine, k=k, m=m)
+        return {kk: accuracy_at_k(run, kk) for kk in range(1, k + 1)}
+
+    baseline, report_rounds = accuracy(), []
+    for round_no in range(1, rounds + 1):
+        usable = [t for t in current if t.points]
+        if not usable:
+            break
+        stats = build_corpus_stats(usable)
+        removed = {}
+        for trace in usable:
+            try:
+                sig = build_spatial_signature(trace, stats)
+            except EmptySignatureError:
+                continue
+            doomed = set(cut_reduce(sig, m).dims.tolist())
+            removed[trace.object_id] = sorted(doomed)
+            trace.points = [p for p in trace.points if p[0] not in doomed]
+        utility = _oracle_utility(traces, current, anchors)
+        report_rounds.append(ClosureRound(round_no, removed, accuracy(), utility))
+    emptied = [t.object_id for t in current if not t.points]
+    return current, ClosureReport(baseline, report_rounds, emptied)
+
+
+def _edge_corpus(seed):
+    """Eight objects that all visit anchors 0, 1 and 2; one that visits only
+    those (its anchors are corpus-wide once the last object empties out) and
+    one with two anchors of its own (it empties out in the first round at
+    m=2)."""
+    rng = np.random.default_rng(seed)
+    anchors = AnchorSet(rng.uniform(0, 1, 60), rng.uniform(0, 1, 60))
+
+    def visits(ids):
+        return [(int(a), 1_600_000_000 + i * 28_800 + int(rng.integers(0, 3000)))
+                for i, a in enumerate(ids)]
+
+    traces = [
+        Trace(f"o{i}", visits(np.r_[0, 1, 2, rng.integers(6, 60, 30)])) for i in range(8)
+    ]
+    traces.append(Trace("hub_only", visits([0, 1, 0, 1, 0, 1, 2, 0, 1])))
+    traces.append(Trace("tiny", visits([3, 5, 3, 5])))
+    return traces, anchors
+
+
+SPLITS = [
+    SplitStrategy.interleaved(),
+    SplitStrategy.serial(4),
+    SplitStrategy.random(5, seed=2),
+    SplitStrategy.weekday_weekend(),
+]
+
+
+@pytest.mark.parametrize("engine", ["linear", "rtree", "wrtree"])
+@pytest.mark.parametrize("split", SPLITS, ids=[s.name for s in SPLITS])
+def test_closure_equals_object_by_object_oracle(split, engine):
+    for seed in range(3):
+        traces, anchors = generate_synthetic(
+            40, 800, 0.06, 120, seed=seed, n_days=12,
+            personal_mass=0.2, personal_pool=12, hub_fraction=0.4,
+        )
+        expect = _oracle_closure(traces, anchors, 5, 3, split, engine)
+        assert signature_closure(
+            traces, anchors, m=5, rounds=3, split=split, engine=engine
+        ) == expect
+    traces, anchors = _edge_corpus(seed)
+    expect = _oracle_closure(traces, anchors, 2, 2, split, engine)
+    first, second = expect[1].rounds
+    assert expect[1].emptied == ["tiny"]
+    assert first.removed["hub_only"] == [0, 1] and "hub_only" not in second.removed
+    assert signature_closure(
+        traces, anchors, m=2, rounds=2, split=split, engine=engine
+    ) == expect
+
+
+# ---------------------------------------------------------------------------
+# utility_metrics on inputs the closure never makes
+
+
+def test_utility_of_unrelated_after_matches_oracle():
+    anchors = AnchorSet([0.0, 0.004, 0.01, 0.02, -0.01, 0.5], [0.0, 0.004, 0.01, 0.02, 0.3, 0.5])
+    before = [_trace("a", [0, 1, 2]), _trace("b", [3, 3]), _trace("c", [1, 2])]
+    # a: two points outside its box, one inside; b: a zero-area box left for
+    # a point elsewhere; c: unchanged
+    after = [_trace("b", [5]), _trace("a", [1, 4, 5, 4]), _trace("c", [1, 2])]
+    metrics = utility_metrics(before, after, anchors)
+    assert metrics == _oracle_utility(before, after, anchors)
+    assert metrics.data_remain == pytest.approx((4 / 3 + 1 / 2 + 1) / 3)
+    # a's new box covers the part of its old one above latitude 0.004
+    assert metrics.mbr_overlap == pytest.approx((0.6 + 0.0 + 1.0) / 3)
+
+
+def test_zero_area_before_box_scores_containment():
+    anchors = AnchorSet([0.2, 0.2, 0.7], [0.4, 0.4, 0.1])
+    before = [_trace("a", [0, 1]), _trace("b", [0, 1])]
+    after = [_trace("a", [1]), _trace("b", [2])]
+    metrics = utility_metrics(before, after, anchors)
+    assert metrics == _oracle_utility(before, after, anchors)
+    assert metrics.mbr_overlap == 0.5
+
+
+def test_empty_inputs_rejected():
+    anchors = AnchorSet([0.0], [0.0])
+    with pytest.raises(ValueError):
+        utility_metrics([], [], anchors)
+    with pytest.raises(ValueError):
+        utility_metrics([_trace("a", [0])], [_trace("a", [0]), _trace("b", [0])], anchors)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,9 +18,16 @@ from siglink.signatures import (
     build_spatiotemporal_signature,
     build_temporal_histogram,
     cosine_similarity,
+    pair_counts,
     read_signatures_jsonl,
+    sequential_kind,
+    spatiotemporal_kind,
+    tfidf_rows,
+    tfidf_signature,
     time_bin,
     write_signatures_jsonl,
+    _cell_time_counts,
+    _grams,
 )
 from siglink.traces import AnchorSet, Trace
 
@@ -336,3 +344,92 @@ def test_signature_jsonl_round_trip(tmp_path):
         assert np.array_equal(orig.weights, loaded.weights)  # full-precision floats
         assert orig.kind == loaded.kind
         assert orig.reduced_m == loaded.reduced_m
+
+
+# ---------------------------------------------------------------------------
+# Batched TF-IDF: bit-identical to weighting each object alone
+
+
+def _expected_weights(counts, stats):
+    """One object's TF-IDF weights by the definition: (c / total) * idf over
+    the dimensions the corpus has seen, then divided by the L2 norm."""
+    n, df = stats.n_objects, stats.doc_freq
+    total = sum(c for d, c in counts.items() if d in df)
+    idf = {d: 1.0 if n == 1 else math.log(n / df[d]) for d in counts if d in df}
+    dims = sorted(d for d in idf if idf[d] > 0.0)
+    if not dims:
+        return None
+    freq = np.array([counts[d] for d in dims], dtype=float)
+    weights = freq / total * np.array([idf[d] for d in dims])
+    weights /= np.linalg.norm(weights)
+    return np.array(dims, dtype=np.int64), weights
+
+
+def _kind_dims(kind, corpus_traces, traces, anchors):
+    """(stats, kind name, per-trace dimension occurrences) of one TF-IDF kind;
+    occurrences outside a gram vocabulary are dropped as unseen."""
+    if kind == "spatial":
+        stats = build_corpus_stats(corpus_traces)
+        return stats, "spatial", [[a for a, _ in t.points] for t in traces]
+    if kind.startswith("sequential"):
+        q = int(kind[-1])
+        corpus = build_sequential_corpus(corpus_traces, q)
+        occurrences = [
+            [d for d in map(corpus.vocab.get, _grams(t, q)) if d is not None] for t in traces
+        ]
+        return corpus.stats, sequential_kind(q), occurrences
+    grid = Grid.fit(anchors, 3)
+    corpus = build_spatiotemporal_corpus(corpus_traces, anchors, grid, 6)
+    occurrences = [
+        list(Counter(_cell_time_counts(t, anchors, grid, 6, 8)).elements()) for t in traces
+    ]
+    return corpus.stats, spatiotemporal_kind(3, 6), occurrences
+
+
+@st.composite
+def _tfidf_corpora(draw):
+    """Traces over anchors 0..59, the first few of them the corpus. With
+    ``universal`` set every trace visits anchor 0, a corpus-wide dimension;
+    traces outside the corpus bring unseen dimensions."""
+    n_traces = draw(st.integers(1, 7))
+    n_corpus = draw(st.integers(1, n_traces))
+    universal = draw(st.booleans())
+    traces = []
+    for i in range(n_traces):
+        ids = draw(st.lists(st.integers(0, 59), min_size=1, max_size=90))
+        if universal:
+            ids.append(0)
+        hours = draw(st.lists(st.integers(0, 200), min_size=len(ids), max_size=len(ids)))
+        t = 1_600_000_000 + 3600 * np.cumsum(hours)
+        traces.append(Trace(f"o{i}", list(zip(ids, t.tolist()))))
+    return traces[:n_corpus], traces
+
+
+_TFIDF_ANCHORS = AnchorSet(np.linspace(0.0, 1.0, 60), np.linspace(0.0, 1.0, 60) ** 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    corpora=_tfidf_corpora(),
+    kind=st.sampled_from(
+        ["spatial", "sequential1", "sequential2", "sequential3", "spatiotemporal"]
+    ),
+)
+def test_tfidf_rows_bit_identical_to_per_object_weights(corpora, kind):
+    corpus_traces, traces = corpora
+    stats, kind_name, occurrences = _kind_dims(kind, corpus_traces, traces, _TFIDF_ANCHORS)
+    rows = np.repeat(np.arange(len(traces)), [len(o) for o in occurrences])
+    dims = np.array([d for o in occurrences for d in o], dtype=np.int64)
+    pair_rows, pair_dims, counts, _ = pair_counts(rows, dims)
+    batched = tfidf_rows(pair_rows, pair_dims, counts, stats, kind_name, len(traces))
+    assert len(batched) == len(traces)
+    for occ, got in zip(occurrences, batched):
+        want = _expected_weights(Counter(occ), stats)
+        if want is None:
+            assert got is None
+            continue
+        assert got.kind == kind_name and got.normalized
+        assert np.array_equal(got.dims, want[0])
+        assert got.weights.tobytes() == want[1].tobytes()
+        one = tfidf_signature(Counter(occ), stats, kind_name)
+        assert one.weights.tobytes() == want[1].tobytes()

@@ -38,6 +38,20 @@ def test_invalid_counts_rejected():
         generate_synthetic(10, 10, -0.5, 10)
 
 
+@pytest.mark.parametrize("name", ["personal_mass", "hub_fraction"])
+@pytest.mark.parametrize("share", [-0.5, 1.5, float("nan")])
+def test_fractions_outside_unit_interval_rejected(name, share):
+    with pytest.raises(ValueError, match=name):
+        generate_synthetic(10, 50, 0.1, 10, **{name: share})
+
+
+@pytest.mark.parametrize("name", ["personal_mass", "hub_fraction"])
+@pytest.mark.parametrize("share", [0.0, 1.0])
+def test_fraction_bounds_are_accepted(name, share):
+    traces, _ = generate_synthetic(10, 50, 0.1, 10, **{name: share})
+    assert len(traces) == 10
+
+
 def test_trace_shape_invariants():
     traces, anchors = generate_synthetic(25, 400, 0.08, 120, seed=6)
     for trace in traces:
