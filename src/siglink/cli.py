@@ -20,7 +20,7 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import ConfigError, EmptySignatureError, EmptyTraceError, SiglinkError
+from .errors import ConfigError, SiglinkError
 from .linking import (
     ENGINES,
     LinkingRun,
@@ -36,16 +36,12 @@ from .linking import (
 from .privacy import signature_closure
 from .reduction import cut_reduce, mbr_of
 from .signatures import (
-    Grid,
-    build_corpus_stats,
-    build_sequential_corpus,
-    build_sequential_signature,
-    build_spatial_signature,
-    build_spatiotemporal_corpus,
-    build_spatiotemporal_signature,
+    Corpus,
     build_temporal_histogram,
     check_dt,
+    kind_corpus,
     read_signatures_jsonl,
+    tfidf_signatures,
     write_signatures_jsonl,
 )
 from .synth import generate_synthetic
@@ -236,46 +232,22 @@ def _cmd_split(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _kind_builder(args, corpus_traces, anchors):
-    """The signature function of the requested TF-IDF kind, weighted by
-    statistics over the non-empty traces of `corpus_traces`."""
-    usable_corpus = [t for t in corpus_traces if t.points]
-    if not usable_corpus:
-        raise ConfigError("corpus has no non-empty traces")
-    if args.kind == "spatial":
-        stats = build_corpus_stats(usable_corpus)
-        return lambda t: build_spatial_signature(t, stats)
-    if args.kind == "sequential":
-        corpus = build_sequential_corpus(usable_corpus, args.q)
-        return lambda t: build_sequential_signature(t, corpus)
-    if args.kind == "spatiotemporal":
-        if anchors is None:
-            raise ConfigError("spatiotemporal signatures need --anchors")
-        grid = Grid.fit(anchors, args.grid)
-        corpus = build_spatiotemporal_corpus(
-            usable_corpus, anchors, grid, args.dt, args.utc_offset
-        )
-        return lambda t: build_spatiotemporal_signature(t, anchors, corpus)
-    raise ConfigError(f"unsupported signature kind {args.kind!r}")
-
-
-def _build_kind_signatures(build, traces):
-    """Signatures of `traces` by the function `_kind_builder` picked. Returns
-    (sigs, excluded): an object with an empty trace or no dimension left
-    after weighting is excluded."""
-    sigs: dict[str, object] = {}
-    excluded: list[str] = []
-    for t in traces:
-        try:
-            sigs[t.object_id] = build(t)
-        except (EmptySignatureError, EmptyTraceError):
-            excluded.append(t.object_id)
-    return sigs, excluded
+def _kind_corpus(args: argparse.Namespace, anchors) -> Corpus:
+    return kind_corpus(
+        args.kind,
+        q=args.q,
+        anchors=anchors,
+        g=args.grid,
+        dt_hours=args.dt,
+        utc_offset_hours=args.utc_offset,
+    )
 
 
 def _cmd_signature(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     _require_dt(args)
+    if args.kind == "spatiotemporal" and not args.anchors:
+        raise ConfigError("spatiotemporal signatures need --anchors")
     traces = read_trace_csv(args.traces)
     anchors = read_anchor_csv(args.anchors) if args.anchors else None
     if args.kind == "temporal":
@@ -297,9 +269,10 @@ def _cmd_signature(args: argparse.Namespace) -> int:
                 fh.write(json.dumps(rec) + "\n")
         print(f"wrote {len(records)} temporal histograms to {path}")
         return EXIT_OK
-    corpus_traces = read_trace_csv(args.corpus) if args.corpus else traces
-    build = _kind_builder(args, corpus_traces, anchors)
-    sigs, excluded = _build_kind_signatures(build, traces)
+    corpus = _kind_corpus(args, anchors)
+    if args.corpus:
+        _, _, corpus = tfidf_signatures(read_trace_csv(args.corpus), corpus)
+    sigs, excluded, _ = tfidf_signatures(traces, corpus)
     path = out / "signatures.jsonl"
     write_signatures_jsonl(path, sorted(sigs.items()))
     print(f"wrote {len(sigs)} {args.kind} signatures to {path} ({len(excluded)} excluded)")
@@ -545,9 +518,8 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     write_trace_csv(out / "q.csv", halves.q)
     write_trace_csv(out / "d.csv", halves.d)
 
-    build = _kind_builder(args, halves.d, anchors)
-    ref_sigs, excluded_refs = _build_kind_signatures(build, halves.d)
-    query_sigs, excluded_queries = _build_kind_signatures(build, halves.q)
+    ref_sigs, excluded_refs, corpus = tfidf_signatures(halves.d, _kind_corpus(args, anchors))
+    query_sigs, excluded_queries, _ = tfidf_signatures(halves.q, corpus)
     write_signatures_jsonl(out / "signatures_d.jsonl", sorted(ref_sigs.items()))
     write_signatures_jsonl(out / "signatures_q.jsonl", sorted(query_sigs.items()))
 
@@ -592,7 +564,7 @@ def _at_least(low, number=int):
 
     def parse(raw: str):
         value = _number(raw, number)
-        if value < low:
+        if not value >= low:  # refuses nan too
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {raw}")
         return value
 

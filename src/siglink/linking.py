@@ -12,22 +12,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .errors import EmptySignatureError, EmptyTraceError
 from .reduction import Mbr, cut_reduce, mbr_of
 from .signatures import (
     KIND_SPATIAL,
+    Corpus,
     CorpusStats,
     Signature,
     _leaf_sim,
-    build_corpus_stats,  # noqa: F401  (wrapped here by perfbench's tracer)
-    column_stats,
-    pair_counts,
-    tfidf_rows,
-    tfidf_signature,
+    tfidf_signatures,
 )
-from .traces import AnchorSet, Trace, point_table
+from .traces import AnchorSet, Trace, _csv_rows
 from .wrtree import (
     IndexEntry,
     KnnResult,
@@ -56,62 +51,40 @@ class LinkingRun:
     rerank_m: int | None = None
 
 
-def spatial_signatures(
-    object_ids: Sequence[str],
-    rows: np.ndarray,
-    anchor_ids: np.ndarray,
-    counts: np.ndarray,
-    stats: CorpusStats | None = None,
-) -> tuple[dict[str, Signature], list[str], CorpusStats]:
-    """Spatial signatures of objects from their visit counts: COO
-    ``(rows, anchor_ids, counts)`` as ``pair_counts`` returns them, where a
-    row indexes ``object_ids``.
-
-    Weights come from ``stats`` or, without it, from the objects that have
-    visits among these. An object that gets no signature (no visits, or
-    only anchors that carry no weight) is listed in the excluded ids, in
-    ``object_ids`` order. Returns the signatures by id, the excluded ids and
-    the statistics used.
-    """
-    if stats is None:
-        stats = column_stats(np.count_nonzero(np.diff(rows, prepend=-1)), anchor_ids)
-    sigs: dict[str, Signature] = {}
-    excluded: list[str] = []
-    built = tfidf_rows(rows, anchor_ids, counts, stats, KIND_SPATIAL, len(object_ids))
-    for object_id, sig in zip(object_ids, built):
-        if sig is None:
-            excluded.append(object_id)
-        else:
-            sigs[object_id] = sig
-    return sigs, excluded, stats
-
-
 def reference_signatures(
     traces: Sequence[Trace],
     stats: CorpusStats | None = None,
 ) -> tuple[dict[str, Signature], list[str], CorpusStats]:
     """Spatial signatures of traces, weighted by the statistics of their own
     non-empty traces or, given ``stats``, projected into that corpus's
-    weight space (the query side of ``link_all``). Traces left without a
-    signature (empty, or every visited anchor corpus-wide or unseen) are
-    reported, not returned; see ``spatial_signatures``."""
-    if stats is None and not any(t.points for t in traces):
-        raise EmptyTraceError("reference corpus has no non-empty traces")
-    rows, anchor_ids, _ = point_table(traces)
-    pair_rows, pair_anchors, counts, _ = pair_counts(rows, anchor_ids)
-    return spatial_signatures(
-        [t.object_id for t in traces], pair_rows, pair_anchors, counts, stats
-    )
+    weight space (the query side of ``link_all``): the spatial case of
+    ``tfidf_signatures``. Returns the signatures by id, the ids of traces
+    left without one, and the statistics used."""
+    sigs, excluded, corpus = tfidf_signatures(traces, Corpus(KIND_SPATIAL, stats))
+    return sigs, excluded, corpus.stats
 
 
 def query_signature(trace: Trace, stats: CorpusStats) -> Signature | None:
-    """Query-side signature in the reference corpus's weight space; anchors
-    unseen there are dropped (see ``tfidf_signature``), and ``None`` means
-    nothing usable remains."""
-    try:
-        return tfidf_signature(trace.anchor_counts(), stats, KIND_SPATIAL)
-    except EmptySignatureError:
-        return None
+    """One trace's spatial signature in the reference corpus's weight space;
+    ``None`` when nothing usable remains."""
+    return tfidf_signatures([trace], Corpus(KIND_SPATIAL, stats))[0].get(trace.object_id)
+
+
+def build_corpus_stats(traces: Sequence[Trace]) -> CorpusStats:
+    """Spatial statistics of the non-empty traces: how many of them visit
+    each anchor."""
+    return tfidf_signatures(traces, Corpus(KIND_SPATIAL))[2].stats
+
+
+def build_spatial_signature(trace: Trace, stats: CorpusStats) -> Signature:
+    """``query_signature`` that raises ``EmptyTraceError`` for an empty
+    trace and ``EmptySignatureError`` when no anchor carries weight."""
+    if not trace.points:
+        raise EmptyTraceError(f"object {trace.object_id!r} has an empty trace")
+    sig = query_signature(trace, stats)
+    if sig is None:
+        raise EmptySignatureError("signature has no positive-weight dimensions")
+    return sig
 
 
 _NO_MBR = Mbr(0.0, 0.0, 0.0, 0.0)
@@ -213,7 +186,7 @@ def link_all(
 
     Reference IDF statistics come from the reference corpus alone; query
     traces are projected into that weight space. Each side is weighted in
-    one batch (``tfidf_rows``).
+    one batch (``reference_signatures``).
     """
     t0 = time.perf_counter()
     ref_sigs, excluded_refs, stats = reference_signatures(references)
@@ -423,18 +396,11 @@ def write_results_csv(path: str | Path, run: LinkingRun | Mapping[str, KnnResult
 def read_results_csv(path: str | Path) -> dict[str, KnnResult]:
     """Result lists by query id; a rank-0 row reads back as an empty list."""
     out: dict[str, KnnResult] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["query_id", "rank", "candidate_id", "similarity"]:
-            raise ValueError(f"bad results header in {path}: {header}")
-        for row in reader:
-            if not row:
-                continue
-            oid, rank_no, cand, sim = row
-            result = out.setdefault(oid, [])
-            if rank_no != "0":
-                result.append((cand, float(sim)))
+    header = ["query_id", "rank", "candidate_id", "similarity"]
+    for oid, rank_no, cand, sim in _csv_rows(path, header, "results"):
+        result = out.setdefault(oid, [])
+        if rank_no != "0":
+            result.append((cand, float(sim)))
     return out
 
 

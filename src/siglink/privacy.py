@@ -11,9 +11,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .linking import accuracy_at_k, link_signatures, spatial_signatures
+from .linking import accuracy_at_k, link_signatures
 from .reduction import cut_reduce
-from .signatures import KIND_SPATIAL, column_stats, pair_counts, tfidf_rows
+from .signatures import KIND_SPATIAL, Signature, column_stats, pair_counts, tfidf_rows
 from .traces import (
     DEFAULT_UTC_OFFSET_HOURS,
     METERS_PER_DEGREE,
@@ -27,8 +27,7 @@ from .traces import (
 
 # Names perfbench's tracer wraps in this module. The closure works on the
 # point table and calls none of them.
-from .linking import link_all  # noqa: F401, E402
-from .signatures import build_corpus_stats, build_spatial_signature  # noqa: F401, E402
+from .linking import build_corpus_stats, build_spatial_signature, link_all  # noqa: F401, E402
 from .traces import split_dataset  # noqa: F401, E402
 
 DEFAULT_LARGE_CELL_M = 423.0
@@ -156,7 +155,7 @@ def _utility(before, after, objects: list[int]) -> UtilityMetrics:
 
 def _summaries_of(traces: Sequence[Trace], grids: _UtilityGrids):
     rows, anchor_ids, _ = point_table(traces)
-    pair_rows, pair_anchors, counts, _ = pair_counts(rows, anchor_ids)
+    pair_rows, pair_anchors, counts = pair_counts(rows, anchor_ids)
     return grids.summarize(pair_rows, pair_anchors, counts, len(traces))
 
 
@@ -221,9 +220,16 @@ def signature_closure(
     object_ids = [t.object_id for t in traces]
     n = len(object_ids)
     rows, anchor_ids, t = point_table(traces)
-    pair_rows, pair_anchors, counts, pair_of = pair_counts(rows, anchor_ids)
+    pair_rows, pair_anchors, counts = pair_counts(rows, anchor_ids)
+    width = int(anchor_ids.max(initial=-1)) + 1
+    keys = pair_rows * width + pair_anchors  # sorted, as the pairs are
+    pair_of = np.searchsorted(keys, rows * width + anchor_ids)
     day_rows, days, day_of = day_pairs(rows, t, utc_offset_hours)
     pair_alive = np.ones(len(pair_rows), dtype=bool)
+
+    def signatures_by_id(rows, dims, counts, stats) -> dict[str, Signature]:
+        built = tfidf_rows(rows, dims, counts, stats, KIND_SPATIAL, n)
+        return {oid: sig for oid, sig in zip(object_ids, built) if sig is not None}
 
     def measure() -> dict[int, float]:
         alive = pair_alive[pair_of]
@@ -237,12 +243,10 @@ def signature_closure(
             # suppression wiped one half out entirely: nothing is linkable
             return {kk: 0.0 for kk in range(1, k + 1)}
         q, d = q_counts > 0, d_counts > 0
-        ref_sigs, _, stats = spatial_signatures(
-            object_ids, pair_rows[d], pair_anchors[d], d_counts[d]
-        )
-        query_sigs, _, _ = spatial_signatures(
-            object_ids, pair_rows[q], pair_anchors[q], q_counts[q], stats
-        )
+        d_rows = pair_rows[d]
+        stats = column_stats(np.count_nonzero(np.diff(d_rows, prepend=-1)), pair_anchors[d])
+        ref_sigs = signatures_by_id(d_rows, pair_anchors[d], d_counts[d], stats)
+        query_sigs = signatures_by_id(pair_rows[q], pair_anchors[q], q_counts[q], stats)
         run = link_signatures(
             query_sigs, ref_sigs, anchors, engine=engine, k=k, m=m, capacity=capacity
         )
@@ -260,8 +264,6 @@ def signature_closure(
         original = summary()
     # utility counts each object id once, its last trace, in first-seen order
     last_of = list({oid: i for i, oid in enumerate(object_ids)}.values())
-    width = int(anchor_ids.max(initial=-1)) + 1
-    keys = pair_rows * width + pair_anchors  # sorted, as the pairs are
     for round_no in range(1, rounds + 1):
         live = np.flatnonzero(pair_alive)
         if not len(live):

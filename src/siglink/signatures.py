@@ -5,16 +5,14 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import EmptySignatureError, EmptyTraceError
-from .traces import DEFAULT_UTC_OFFSET_HOURS, AnchorSet, Trace
+from .traces import DEFAULT_UTC_OFFSET_HOURS, AnchorSet, Trace, point_table
 
 NORM_TOL = 1e-9
 
@@ -164,32 +162,15 @@ def column_stats(n_objects: int, dims: np.ndarray) -> CorpusStats:
     return stats
 
 
-def corpus_stats(dim_sets: Sequence[Iterable[int]]) -> CorpusStats:
-    """Count, for each dimension, how many objects have it. Takes one
-    duplicate-free collection of dimensions per object."""
-    dims = np.fromiter(chain.from_iterable(dim_sets), dtype=np.int64)
-    return column_stats(len(dim_sets), dims)
-
-
-def build_corpus_stats(traces: Sequence[Trace]) -> CorpusStats:
-    """Count, for each anchor, how many objects visit it at least once."""
-    return corpus_stats([trace.anchor_ids() for trace in traces])
-
-
-def pair_counts(
-    rows: np.ndarray, dims: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def pair_counts(rows: np.ndarray, dims: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Occurrence counts of (row, dimension) pairs, one pair per point.
 
     Returns the distinct pairs' rows, dimensions and counts, sorted by
-    (row, dimension): the COO input of ``tfidf_rows``. The fourth array maps
-    each point to its pair.
+    (row, dimension): the COO input of ``tfidf_rows``.
     """
     width = int(dims.max()) + 1 if len(dims) else 1
-    keys, inverse, counts = np.unique(
-        rows * width + dims, return_inverse=True, return_counts=True
-    )
-    return keys // width, keys % width, counts, inverse
+    keys, counts = np.unique(rows * width + dims, return_counts=True)
+    return keys // width, keys % width, counts
 
 
 def tfidf_rows(
@@ -235,108 +216,8 @@ def tfidf_rows(
     return out
 
 
-def tfidf_signature(counts: Mapping[int, int], stats: CorpusStats, kind: str) -> Signature:
-    """``tfidf_rows`` for one object's occurrence counts by dimension;
-    raises ``EmptySignatureError`` if nothing carries weight."""
-    n = len(counts)
-    dims = np.fromiter(counts.keys(), dtype=np.int64, count=n)
-    order = np.argsort(dims)
-    freq = np.fromiter(counts.values(), dtype=float, count=n)
-    sig = tfidf_rows(np.zeros(n, dtype=np.int64), dims[order], freq[order], stats, kind, 1)[0]
-    if sig is None:
-        raise EmptySignatureError("signature has no positive-weight dimensions")
-    return sig
-
-
-def build_spatial_signature(trace: Trace, stats: CorpusStats) -> Signature:
-    if not trace.points:
-        raise EmptyTraceError(f"object {trace.object_id!r} has an empty trace")
-    return tfidf_signature(trace.anchor_counts(), stats, KIND_SPATIAL)
-
-
 # ---------------------------------------------------------------------------
-# Sequential signatures (anchor n-grams)
-
-
-@dataclass
-class SequentialCorpus:
-    """Gram vocabulary and document frequencies for a fixed gram length."""
-
-    q: int
-    vocab: dict[tuple[int, ...], int]
-    stats: CorpusStats
-
-
-def _grams(trace: Trace, q: int) -> list[tuple[int, ...]]:
-    ids = [a for a, _ in trace.points]
-    return [tuple(ids[i : i + q]) for i in range(len(ids) - q + 1)]
-
-
-def build_sequential_corpus(traces: Sequence[Trace], q: int) -> SequentialCorpus:
-    """Intern the corpus grams to dense integer ids and count document
-    frequencies. Length-1 grams keep the anchor id itself, so q=1 signatures
-    live in the same dimension space as spatial ones."""
-    if q < 1:
-        raise ValueError("gram length q must be >= 1")
-    per_object = [set(_grams(trace, q)) for trace in traces]
-    all_grams = set().union(*per_object)
-    if q == 1:
-        vocab = {g: g[0] for g in all_grams}
-    else:
-        vocab = {g: i for i, g in enumerate(sorted(all_grams))}
-    stats = corpus_stats([set(map(vocab.__getitem__, seen)) for seen in per_object])
-    return SequentialCorpus(q, vocab, stats)
-
-
-def build_sequential_signature(trace: Trace, corpus: SequentialCorpus) -> Signature:
-    """TF-IDF over the trace's grams in the corpus's weight space.
-
-    A gram outside the corpus vocabulary has no dimension id, and is
-    dropped like any dimension the corpus has not seen.
-    """
-    if len(trace) < corpus.q:
-        raise EmptySignatureError(
-            f"trace of {len(trace)} points yields no {corpus.q}-grams"
-        )
-    counts = Counter(map(corpus.vocab.get, _grams(trace, corpus.q)))
-    counts.pop(None, None)
-    return tfidf_signature(counts, corpus.stats, sequential_kind(corpus.q))
-
-
-# ---------------------------------------------------------------------------
-# Spatiotemporal signatures (grid cell x time interval)
-
-
-@dataclass(frozen=True)
-class Grid:
-    """Uniform g x g partition of a bounding box."""
-
-    min_lon: float
-    min_lat: float
-    max_lon: float
-    max_lat: float
-    g: int
-
-    @classmethod
-    def fit(cls, anchors: AnchorSet, g: int) -> "Grid":
-        if g < 1:
-            raise ValueError("grid resolution must be >= 1")
-        return cls(
-            float(anchors.lons.min()),
-            float(anchors.lats.min()),
-            float(anchors.lons.max()),
-            float(anchors.lats.max()),
-            g,
-        )
-
-    def cell_of(self, lon: float, lat: float) -> int:
-        span_lon = self.max_lon - self.min_lon
-        span_lat = self.max_lat - self.min_lat
-        ix = 0 if span_lon == 0 else int((lon - self.min_lon) / span_lon * self.g)
-        iy = 0 if span_lat == 0 else int((lat - self.min_lat) / span_lat * self.g)
-        ix = min(max(ix, 0), self.g - 1)
-        iy = min(max(iy, 0), self.g - 1)
-        return iy * self.g + ix
+# TF-IDF kinds: each turns a point table into one dimension per occurrence
 
 
 def check_dt(dt_hours: int) -> int:
@@ -346,61 +227,140 @@ def check_dt(dt_hours: int) -> int:
     return dt
 
 
-def time_bin(t: int, dt_hours: int, utc_offset_hours: int = DEFAULT_UTC_OFFSET_HOURS) -> int:
-    """Index of the half-open local time-of-day interval containing t."""
-    seconds_of_day = (int(t) + utc_offset_hours * 3600) % 86400
+def time_bin(t, dt_hours: int, utc_offset_hours: int = DEFAULT_UTC_OFFSET_HOURS):
+    """Index of the half-open local time-of-day interval containing t; takes
+    an int or an int array."""
+    seconds_of_day = (t + utc_offset_hours * 3600) % 86400
     return seconds_of_day // (dt_hours * 3600)
 
 
-def _cell_time_counts(
-    trace: Trace,
-    anchors: AnchorSet,
-    grid: Grid,
-    dt_hours: int,
-    utc_offset_hours: int,
-) -> dict[int, int]:
-    d_bins = 24 // dt_hours
-    counts: dict[int, int] = {}
-    for anchor_id, t in trace.points:
-        lon, lat = anchors.lonlat(anchor_id)
-        dim = grid.cell_of(lon, lat) * d_bins + time_bin(t, dt_hours, utc_offset_hours)
-        counts[dim] = counts.get(dim, 0) + 1
-    return counts
+def grid_cells(anchors: AnchorSet, g: int) -> np.ndarray:
+    """Each anchor's cell in a uniform g x g partition of the anchors'
+    bounding box, numbered row by row from the south-west corner; anchors on
+    the north or east edge fall in the last row or column."""
+    if g < 1:
+        raise ValueError("grid resolution must be >= 1")
+
+    def index(v: np.ndarray) -> np.ndarray:
+        span = v.max() - v.min()
+        if span == 0:
+            return np.zeros(len(v), dtype=np.int64)
+        return np.minimum(((v - v.min()) / span * g).astype(np.int64), g - 1)
+
+    return index(anchors.lats) * g + index(anchors.lons)
+
+
+def _gram_keys(rows: np.ndarray, anchor_ids: np.ndarray, q: int):
+    """Every run of q consecutive points that stays inside one trace: its
+    row, and its anchor ids as one record whose fields compare in order."""
+    n = max(len(rows) - q + 1, 0)
+    inside = rows[:n] == rows[q - 1 : q - 1 + n]
+    runs = np.column_stack([anchor_ids[i : i + n] for i in range(q)])[inside]
+    return rows[:n][inside], runs.view([(f"a{i}", np.int64) for i in range(q)]).ravel()
 
 
 @dataclass
-class SpatiotemporalCorpus:
-    grid: Grid
-    dt_hours: int
-    utc_offset_hours: int
-    stats: CorpusStats
+class Corpus:
+    """The weight space of one TF-IDF kind: how a trace's points become
+    dimensions, and the statistics of the corpus that weight them.
+
+    Spatial and sequential q=1 dimensions are anchor ids. A sequential
+    q >= 2 dimension is a gram's index in ``grams``, the corpus's sorted
+    table of runs of q consecutive points inside one trace. A spatiotemporal
+    dimension is ``cell * (24 // dt_hours) + interval``: the grid cell of the
+    visited anchor (``cells``, see ``grid_cells``) and the local
+    time-of-day interval of the visit. ``kind_corpus`` makes a corpus
+    without statistics; ``tfidf_signatures`` fits it.
+    """
+
+    kind: str
+    stats: CorpusStats | None = None
+    q: int = 1
+    grams: np.ndarray | None = None
+    cells: np.ndarray | None = None
+    dt_hours: int = 1
+    utc_offset_hours: int = DEFAULT_UTC_OFFSET_HOURS
+
+    def column(
+        self, rows: np.ndarray, anchor_ids: np.ndarray, t: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The row and dimension of each occurrence in a point table (see
+        ``traces.point_table``); grams outside ``grams`` are dropped."""
+        if self.cells is not None:
+            interval = time_bin(t, self.dt_hours, self.utc_offset_hours)
+            return rows, self.cells[anchor_ids] * (24 // self.dt_hours) + interval
+        if self.q == 1:
+            return rows, anchor_ids
+        rows, keys = _gram_keys(rows, anchor_ids, self.q)
+        ids = np.searchsorted(self.grams, keys)
+        seen = ids < len(self.grams)
+        seen[seen] = self.grams[ids[seen]] == keys[seen]
+        return rows[seen], ids[seen]
 
 
-def build_spatiotemporal_corpus(
-    traces: Sequence[Trace],
-    anchors: AnchorSet,
-    grid: Grid,
-    dt_hours: int,
+def kind_corpus(
+    kind: str = KIND_SPATIAL,
+    *,
+    q: int = 2,
+    anchors: AnchorSet | None = None,
+    g: int = 100,
+    dt_hours: int | None = None,
     utc_offset_hours: int = DEFAULT_UTC_OFFSET_HOURS,
-) -> SpatiotemporalCorpus:
-    dt = check_dt(dt_hours)
-    stats = corpus_stats(
-        [_cell_time_counts(t, anchors, grid, dt, utc_offset_hours).keys() for t in traces]
-    )
-    return SpatiotemporalCorpus(grid, dt, utc_offset_hours, stats)
+) -> Corpus:
+    """A corpus without statistics for the TF-IDF kind named ``spatial``,
+    ``sequential`` (grams of length ``q``) or ``spatiotemporal`` (a ``g`` x
+    ``g`` grid over ``anchors`` and intervals of ``dt_hours``). Length-1
+    grams keep the anchor id itself, so q=1 signatures live in the same
+    dimension space as spatial ones."""
+    if kind == KIND_SPATIAL:
+        return Corpus(KIND_SPATIAL)
+    if kind == "sequential":
+        if q < 1:
+            raise ValueError("gram length q must be >= 1")
+        return Corpus(sequential_kind(q), q=q)
+    if kind == "spatiotemporal":
+        if anchors is None or dt_hours is None:
+            raise ValueError("spatiotemporal signatures need anchors and dt_hours")
+        dt = check_dt(dt_hours)
+        return Corpus(
+            spatiotemporal_kind(g, dt),
+            cells=grid_cells(anchors, g),
+            dt_hours=dt,
+            utc_offset_hours=utc_offset_hours,
+        )
+    raise ValueError(f"unsupported signature kind {kind!r}")
 
 
-def build_spatiotemporal_signature(
-    trace: Trace, anchors: AnchorSet, corpus: SpatiotemporalCorpus
-) -> Signature:
-    if not trace.points:
-        raise EmptyTraceError(f"object {trace.object_id!r} has an empty trace")
-    counts = _cell_time_counts(
-        trace, anchors, corpus.grid, corpus.dt_hours, corpus.utc_offset_hours
-    )
-    return tfidf_signature(
-        counts, corpus.stats, spatiotemporal_kind(corpus.grid.g, corpus.dt_hours)
-    )
+def tfidf_signatures(
+    traces: Sequence[Trace], corpus: Corpus
+) -> tuple[dict[str, Signature], list[str], Corpus]:
+    """TF-IDF signatures of ``traces`` in the weight space of ``corpus``.
+
+    A corpus without statistics is first fitted to the non-empty traces
+    among these: their gram table, for q >= 2, and their document
+    frequencies. Returns the signatures by id, the ids of traces left
+    without one (empty, or every dimension corpus-wide or unseen) in trace
+    order, and the corpus used.
+    """
+    rows, anchor_ids, t = point_table(traces)
+    fit = corpus.stats is None
+    if fit and not len(rows):
+        raise EmptyTraceError("corpus has no non-empty traces")
+    if fit and corpus.q > 1:
+        corpus = replace(corpus, grams=np.unique(_gram_keys(rows, anchor_ids, corpus.q)[1]))
+    pair_rows, dims, counts = pair_counts(*corpus.column(rows, anchor_ids, t))
+    if fit:
+        n_objects = np.count_nonzero(np.diff(rows, prepend=-1))
+        corpus = replace(corpus, stats=column_stats(n_objects, dims))
+    sigs: dict[str, Signature] = {}
+    excluded: list[str] = []
+    built = tfidf_rows(pair_rows, dims, counts, corpus.stats, corpus.kind, len(traces))
+    for trace, sig in zip(traces, built):
+        if sig is None:
+            excluded.append(trace.object_id)
+        else:
+            sigs[trace.object_id] = sig
+    return sigs, excluded, corpus
 
 
 # ---------------------------------------------------------------------------
@@ -490,17 +450,44 @@ def signature_to_record(object_id: str, sig: Signature) -> dict:
     }
 
 
+_RECORD_KEYS = ("object_id", "kind", "normalized", "sig")
+
+
 def signature_from_record(record: Mapping) -> tuple[str, Signature]:
-    pairs = record["sig"]
-    dims = np.array([p[0] for p in pairs], dtype=np.int64)
-    weights = np.array([p[1] for p in pairs], dtype=float)
-    sig = Signature(
-        dims,
-        weights,
-        record["kind"],
-        normalized=bool(record["normalized"]),
-        reduced_m=record.get("reduced_m"),
-    )
+    """A signature read back from its record, checked for what cosine
+    scores and the pruning bounds rely on: dims strictly increasing
+    non-negative ints, weights finite and > 0, and unit norm within
+    ``NORM_TOL`` where the record says ``normalized``. Raises ``ValueError``
+    for a record that breaks any of these."""
+    if not isinstance(record, dict) or any(key not in record for key in _RECORD_KEYS):
+        raise ValueError(f"a signature record is an object with keys {', '.join(_RECORD_KEYS)}")
+    pairs, normalized, reduced_m = record["sig"], record["normalized"], record.get("reduced_m")
+    if not (
+        isinstance(record["kind"], str)
+        and isinstance(normalized, bool)
+        and (reduced_m is None or type(reduced_m) is int)
+    ):
+        raise ValueError(
+            "a signature record needs a string kind, a true/false normalized flag"
+            " and an integer or null reduced_m"
+        )
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 and type(p[0]) is int and type(p[1]) in (int, float)
+        for p in pairs
+    ):
+        raise ValueError("'sig' must be a list of [int dim, number weight] pairs")
+    try:
+        dims = np.array([p[0] for p in pairs], dtype=np.int64)
+        weights = np.array([p[1] for p in pairs], dtype=float)
+    except OverflowError:
+        raise ValueError("a dim or weight is out of range") from None
+    if np.any(dims < 0) or np.any(np.diff(dims) <= 0):
+        raise ValueError("dims must be non-negative and strictly increasing")
+    if not np.all(np.isfinite(weights) & (weights > 0.0)):
+        raise ValueError("weights must be finite and > 0")
+    sig = Signature(dims, weights, record["kind"], normalized, reduced_m)
+    if normalized and not abs(sig.norm() - 1.0) <= NORM_TOL:
+        raise ValueError(f"marked normalized but its norm is {sig.norm()!r}")
     return str(record["object_id"]), sig
 
 
@@ -513,10 +500,15 @@ def write_signatures_jsonl(
 
 
 def read_signatures_jsonl(path: str | Path) -> list[tuple[str, Signature]]:
+    """Signatures by id in file order; a line that is not a valid record
+    (see ``signature_from_record``) raises ``ValueError`` naming the file
+    and line."""
     out: list[tuple[str, Signature]] = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(signature_from_record(json.loads(line)))
+        for lineno, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    out.append(signature_from_record(json.loads(line)))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out

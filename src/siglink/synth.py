@@ -40,7 +40,7 @@ def generate_synthetic(
     """
     if n_objects < 1 or n_anchors < 1 or points_per_object < 1 or n_days < 1:
         raise ValueError("all synthetic workload counts must be >= 1")
-    if locality_radius < 0:
+    if not locality_radius >= 0:
         raise ValueError("locality_radius must be >= 0")
     for name, share in (("personal_mass", personal_mass), ("hub_fraction", hub_fraction)):
         if not 0.0 <= share <= 1.0:

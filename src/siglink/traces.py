@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import csv
 import random
-from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from itertools import chain, compress
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -54,13 +53,6 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def anchor_counts(self) -> dict[int, int]:
-        """Visits per anchor, keyed in first-visit order."""
-        return Counter(map(itemgetter(0), self.points))
-
-    def anchor_ids(self) -> set[int]:
-        return set(map(itemgetter(0), self.points))
 
 
 class AnchorSet:
@@ -388,19 +380,31 @@ def split_dataset(
 # File formats
 
 
-def read_raw_csv(path: str | Path) -> dict[str, list[RawPoint]]:
-    """Read `object_id,lon,lat,timestamp` rows grouped by object."""
-    out: dict[str, list[RawPoint]] = {}
+def _csv_rows(path: str | Path, header: list[str], what: str) -> Iterator[list[str]]:
+    """The non-blank rows after a CSV file's header; a wrong header or a
+    row without one field per header column raises ``ValueError`` naming
+    the file and line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["object_id", "lon", "lat", "timestamp"]:
-            raise ValueError(f"bad raw trace header in {path}: {header}")
+        first = next(reader, None)
+        if first != header:
+            raise ValueError(f"bad {what} header in {path}: {first}")
         for row in reader:
             if not row:
                 continue
-            oid, lon, lat, t = row
-            out.setdefault(oid, []).append(RawPoint(float(lon), float(lat), int(t)))
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
+                )
+            yield row
+
+
+def read_raw_csv(path: str | Path) -> dict[str, list[RawPoint]]:
+    """Read `object_id,lon,lat,timestamp` rows grouped by object."""
+    out: dict[str, list[RawPoint]] = {}
+    header = ["object_id", "lon", "lat", "timestamp"]
+    for oid, lon, lat, t in _csv_rows(path, header, "raw trace"):
+        out.setdefault(oid, []).append(RawPoint(float(lon), float(lat), int(t)))
     return out
 
 
@@ -414,17 +418,8 @@ def write_raw_csv(path: str | Path, raw: dict[str, list[RawPoint]]) -> None:
 
 
 def read_anchor_csv(path: str | Path) -> AnchorSet:
-    rows: list[tuple[int, float, float]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["anchor_id", "lon", "lat"]:
-            raise ValueError(f"bad anchor header in {path}: {header}")
-        for row in reader:
-            if not row:
-                continue
-            rows.append((int(row[0]), float(row[1]), float(row[2])))
-    return AnchorSet.from_rows(rows)
+    rows = _csv_rows(path, ["anchor_id", "lon", "lat"], "anchor")
+    return AnchorSet.from_rows([(int(i), float(lon), float(lat)) for i, lon, lat in rows])
 
 
 def write_anchor_csv(path: str | Path, anchors: AnchorSet) -> None:
@@ -437,22 +432,11 @@ def write_anchor_csv(path: str | Path, anchors: AnchorSet) -> None:
 
 def read_trace_csv(path: str | Path) -> list[Trace]:
     """Read calibrated `object_id,anchor_id,timestamp` rows, file order kept."""
-    order: list[str] = []
     points: dict[str, list[tuple[int, int]]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["object_id", "anchor_id", "timestamp"]:
-            raise ValueError(f"bad calibrated trace header in {path}: {header}")
-        for row in reader:
-            if not row:
-                continue
-            oid = row[0]
-            if oid not in points:
-                order.append(oid)
-                points[oid] = []
-            points[oid].append((int(row[1]), int(row[2])))
-    return [Trace(oid, points[oid]) for oid in order]
+    header = ["object_id", "anchor_id", "timestamp"]
+    for oid, anchor_id, t in _csv_rows(path, header, "calibrated trace"):
+        points.setdefault(oid, []).append((int(anchor_id), int(t)))
+    return [Trace(oid, pts) for oid, pts in points.items()]
 
 
 def write_trace_csv(path: str | Path, traces: Iterable[Trace]) -> None:

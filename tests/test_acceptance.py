@@ -23,12 +23,10 @@ from siglink.privacy import signature_closure
 from siglink.reduction import cut_reduce, mbr_of
 from siglink.signatures import (
     TemporalHistogram,
-    build_corpus_stats,
-    build_sequential_corpus,
-    build_sequential_signature,
-    build_spatial_signature,
     cosine_similarity,
     emd,
+    kind_corpus,
+    tfidf_signatures,
 )
 from siglink.synth import generate_synthetic
 from siglink.traces import SplitStrategy, split_dataset
@@ -232,14 +230,11 @@ def test_cut_reduction_properties():
             trace_of(f"o{i}", rng.integers(0, 20, size=rng.integers(2, 25)).tolist())
             for i in range(8)
         ]
-        corpus = build_sequential_corpus(traces, 1)
-        stats = build_corpus_stats(traces)
-        for trace in traces:
-            try:
-                spatial = build_spatial_signature(trace, stats)
-            except Exception:
-                continue
-            seq = build_sequential_signature(trace, corpus)
+        seq_sigs, _, _ = tfidf_signatures(traces, kind_corpus("sequential", q=1))
+        spatial_sigs, _, _ = reference_signatures(traces)
+        assert seq_sigs.keys() == spatial_sigs.keys()
+        for oid, spatial in spatial_sigs.items():
+            seq = seq_sigs[oid]
             assert np.array_equal(seq.dims, spatial.dims)
             assert np.allclose(seq.weights, spatial.weights, atol=1e-12)
         corpora += 1

@@ -369,6 +369,7 @@ BAD_FLAGS = [
       for flag in ("n-objects", "n-anchors", "points", "n-days", "personal-pool")),
     (["synth"], "seed", "-1", ">= 0"),
     (["synth"], "locality-radius", "-0.5", ">= 0.0"),
+    (["synth"], "locality-radius", "nan", ">= 0.0"),
     *((["synth"], flag, value, "must be in [0, 1]")
       for flag in ("personal-mass", "hub-fraction") for value in ("1.5", "-0.5", "nan")),
     (["ingest"], "min-points", "-1", ">= 0"),
@@ -397,6 +398,7 @@ BAD_FLAGS = [
     (["pipeline"], "q-days", "0", ">= 1"),
     (["pipeline"], "synthetic", "n=0", "n: must be >= 1"),
     (["pipeline"], "synthetic", "n=abc", "n: expected int"),
+    (["pipeline"], "synthetic", "n=20,radius=nan", "radius: must be >= 0.0"),
     (["pipeline"], "synthetic", "n=20,radus=0.5", "unknown key 'radus'"),
     (["pipeline"], "synthetic", "radius=0.5", "needs at least n="),
     (["pipeline"], "engin", "linear", "unrecognized"),
@@ -421,6 +423,80 @@ def test_bad_flag_value_exits_2_naming_flag(tmp_path, capsys, words, flag, value
     assert "Traceback" not in err
     last = err.strip().splitlines()[-1]
     assert f"--{flag}" in last and rule in last
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("run")
+    assert run(["pipeline", "--synthetic", "n=20,seed=2", "--engine", "linear",
+                "--out", out]) == 0
+    return out
+
+
+def _edited_record(edit):
+    """The reference signatures of a run with its first record edited."""
+
+    def text(run_dir):
+        lines = (run_dir / "signatures_d.jsonl").read_text().splitlines()
+        record = json.loads(lines[0])
+        assert len(record["sig"]) >= 2
+        lines[0] = json.dumps(edit(record))
+        return "\n".join(lines) + "\n"
+
+    return text
+
+
+def _with(key, value):
+    return _edited_record(lambda record: {**record, key: value})
+
+
+def _pairs(edit):
+    return _edited_record(lambda record: {**record, "sig": edit(record["sig"])})
+
+
+def _first_pair(dim=None, weight=None):
+    """The first [dim, weight] pair replaced, in whole or in part."""
+    return _pairs(lambda p: [[p[0][0] if dim is None else dim,
+                              p[0][1] if weight is None else weight], *p[1:]])
+
+
+# (case, input the bad file replaces, its text from a good run's directory)
+MALFORMED = [
+    ("trace-row-short", "traces", lambda d: "object_id,anchor_id,timestamp\no1,5\n"),
+    ("trace-row-long", "traces", lambda d: "object_id,anchor_id,timestamp\no1,5,6,7\n"),
+    ("anchor-row-short", "anchors", lambda d: "anchor_id,lon,lat\n0,1.0\n"),
+    ("record-without-sig", "signatures",
+     _edited_record(lambda r: {k: v for k, v in r.items() if k != "sig"})),
+    ("record-is-array", "signatures", _edited_record(lambda r: r["sig"])),
+    ("record-not-json", "signatures", lambda d: "{oops\n"),
+    ("dims-reversed", "signatures", _pairs(lambda p: p[::-1])),
+    ("dim-repeated", "signatures", _pairs(lambda p: [p[0], *p])),
+    ("dim-negative", "signatures", _first_pair(dim=-1)),
+    ("dim-not-int", "signatures", _first_pair(dim=0.5)),
+    ("weight-nan", "signatures", _first_pair(weight=float("nan"))),
+    ("weight-inf", "signatures", _first_pair(weight=float("inf"))),
+    ("weight-zero", "signatures", _first_pair(weight=0.0)),
+    ("weight-text", "signatures", _first_pair(weight="1")),
+    ("normalized-off-norm", "signatures", _pairs(lambda p: [[d, 3.0 * w] for d, w in p])),
+    ("normalized-not-bool", "signatures", _with("normalized", "yes")),
+]
+
+
+@pytest.mark.parametrize("what,text", [c[1:] for c in MALFORMED], ids=[c[0] for c in MALFORMED])
+def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, small_run, what, text):
+    bad = tmp_path / "bad"
+    bad.write_text(text(small_run))
+    argv = {
+        "traces": ["split", "--traces", bad],
+        "anchors": ["closure", "--traces", small_run / "d.csv", "--anchors", bad],
+        "signatures": ["link", "--queries", small_run / "signatures_q.jsonl",
+                       "--references", bad, "--engine", "linear"],
+    }[what]
+    capsys.readouterr()
+    assert run([*argv, "--out", tmp_path / "x"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert f"{bad}:" in err
 
 
 def test_readme_verb_table_matches_parser(capsys):

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from siglink.errors import EmptySignatureError
-from siglink.linking import accuracy_at_k, link_all
+from siglink.linking import (
+    accuracy_at_k,
+    build_corpus_stats,
+    build_spatial_signature,
+    link_all,
+)
 from siglink.privacy import (
     DEFAULT_LARGE_CELL_M,
     DEFAULT_SMALL_CELL_M,
@@ -15,7 +20,6 @@ from siglink.privacy import (
     utility_metrics,
 )
 from siglink.reduction import cut_reduce, mbr_of_ids
-from siglink.signatures import build_corpus_stats, build_spatial_signature
 from siglink.synth import generate_synthetic
 from siglink.traces import METERS_PER_DEGREE, AnchorSet, SplitStrategy, Trace, split_dataset
 

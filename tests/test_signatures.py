@@ -7,27 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siglink.errors import EmptySignatureError, EmptyTraceError
+from siglink.linking import build_corpus_stats, build_spatial_signature, reference_signatures
 from siglink.signatures import (
     CorpusStats,
-    Grid,
-    build_corpus_stats,
-    build_sequential_corpus,
-    build_sequential_signature,
-    build_spatial_signature,
-    build_spatiotemporal_corpus,
-    build_spatiotemporal_signature,
     build_temporal_histogram,
     cosine_similarity,
+    grid_cells,
+    kind_corpus,
     pair_counts,
     read_signatures_jsonl,
-    sequential_kind,
-    spatiotemporal_kind,
     tfidf_rows,
-    tfidf_signature,
+    tfidf_signatures,
     time_bin,
     write_signatures_jsonl,
-    _cell_time_counts,
-    _grams,
 )
 from siglink.traces import AnchorSet, Trace
 
@@ -58,8 +50,25 @@ def test_doc_freq_counts_objects_not_visits():
 
 
 def test_empty_corpus_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyTraceError):
         build_corpus_stats([])
+    with pytest.raises(EmptyTraceError):
+        build_corpus_stats([Trace("a", []), Trace("b", [])])
+
+
+def test_empty_traces_excluded_and_not_counted():
+    anchors = _square_anchors()
+    traces = [Trace("e", []), trace_of("a", [0, 1, 2]), Trace("f", []), trace_of("b", [1, 3])]
+    for kind, params in (
+        ("spatial", {}),
+        ("sequential", {"q": 1}),
+        ("sequential", {"q": 2}),
+        ("spatiotemporal", {"anchors": anchors, "g": 2, "dt_hours": 6}),
+    ):
+        sigs, excluded, corpus = tfidf_signatures(traces, kind_corpus(kind, **params))
+        assert corpus.stats.n_objects == 2
+        assert excluded == ["e", "f"]
+        assert set(sigs) == {"a", "b"}
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +193,20 @@ def test_euclidean_cosine_identity():
 # Sequential signatures
 
 
+def _sequential(traces, q, corpus_traces=None):
+    """Sequential signatures of traces by id, over a corpus fitted to
+    ``corpus_traces`` (the traces themselves by default), and the excluded
+    ids."""
+    corpus = kind_corpus("sequential", q=q)
+    if corpus_traces is not None:
+        corpus = tfidf_signatures(corpus_traces, corpus)[2]
+    sigs, excluded, _ = tfidf_signatures(traces, corpus)
+    return sigs, excluded
+
+
 def test_gram_counts_via_single_object_corpus():
     trace = trace_of("o", [10, 20, 10, 20])
-    corpus = build_sequential_corpus([trace], 2)
-    signature = build_sequential_signature(trace, corpus)
+    signature = _sequential([trace], 2)[0]["o"]
     # grams (10,20) x2 and (20,10) x1, so weights are 2/sqrt(5), 1/sqrt(5)
     weights = sorted(signature.weights.tolist(), reverse=True)
     assert weights == pytest.approx([2 / math.sqrt(5), 1 / math.sqrt(5)])
@@ -200,40 +219,47 @@ def test_q1_sequential_equals_spatial():
             trace_of(f"o{i}", rng.integers(0, 15, size=rng.integers(2, 20)).tolist())
             for i in range(6)
         ]
-        corpus = build_sequential_corpus(traces, 1)
-        stats = build_corpus_stats(traces)
-        for trace in traces:
-            try:
-                spatial = build_spatial_signature(trace, stats)
-            except EmptySignatureError:
-                with pytest.raises(EmptySignatureError):
-                    build_sequential_signature(trace, corpus)
-                continue
-            seq = build_sequential_signature(trace, corpus)
-            assert np.array_equal(seq.dims, spatial.dims)
-            assert np.allclose(seq.weights, spatial.weights, atol=1e-12)
+        seq, seq_excluded = _sequential(traces, 1)
+        spatial, spatial_excluded, _ = reference_signatures(traces)
+        assert seq_excluded == spatial_excluded
+        assert seq.keys() == spatial.keys()
+        for oid, s in seq.items():
+            assert s.kind == "sequential:q=1"
+            assert s.dims.tobytes() == spatial[oid].dims.tobytes()
+            assert s.weights.tobytes() == spatial[oid].weights.tobytes()
 
 
 def test_full_length_gram_single_dimension():
     trace = trace_of("o", [3, 1, 4, 1, 5])
-    corpus = build_sequential_corpus([trace], 5)
-    signature = build_sequential_signature(trace, corpus)
+    signature = _sequential([trace], 5)[0]["o"]
     assert signature.nnz() == 1
     assert signature.weights[0] == pytest.approx(1.0)
 
 
 def test_trace_shorter_than_q_rejected():
     trace = trace_of("o", [1, 2])
-    corpus = build_sequential_corpus([trace_of("x", [1, 2, 3])], 3)
-    with pytest.raises(EmptySignatureError):
-        build_sequential_signature(trace, corpus)
+    sigs, excluded = _sequential([trace], 3, corpus_traces=[trace_of("x", [1, 2, 3])])
+    assert sigs == {} and excluded == ["o"]
+    # a corpus of traces shorter than q still counts them, and has no grams
+    sigs, excluded = _sequential([trace, Trace("e", [])], 3)
+    assert sigs == {} and excluded == ["o", "e"]
 
 
 def test_nonstrict_drops_unknown_grams():
-    corpus = build_sequential_corpus([trace_of("a", [1, 2, 3])], 2)
     foreign = trace_of("b", [1, 2, 9])
-    signature = build_sequential_signature(foreign, corpus)
-    assert signature.nnz() == 1
+    sigs, _ = _sequential([foreign], 2, corpus_traces=[trace_of("a", [1, 2, 3])])
+    assert sigs["b"].nnz() == 1
+    # a trace of unseen grams only is excluded
+    sigs, excluded = _sequential([trace_of("c", [9, 2, 1])], 2, [trace_of("a", [1, 2, 3])])
+    assert sigs == {} and excluded == ["c"]
+
+
+def test_grams_stay_inside_one_trace():
+    # the run (2, 3) straddles the boundary of a and b and is no gram
+    traces = [trace_of("a", [1, 2]), trace_of("b", [3, 1]), trace_of("c", [2, 3])]
+    sigs, excluded = _sequential(traces[:2], 2, corpus_traces=traces[:2])
+    assert set(sigs) == {"a", "b"}
+    assert _sequential(traces[2:], 2, corpus_traces=traces[:2]) == ({}, ["c"])
 
 
 # ---------------------------------------------------------------------------
@@ -291,40 +317,53 @@ def _square_anchors():
     return AnchorSet([0.0, 0.9, 0.0, 0.9], [0.0, 0.0, 0.9, 0.9])
 
 
+def _spatiotemporal(traces, g, dt_hours=1):
+    corpus = kind_corpus("spatiotemporal", anchors=_square_anchors(), g=g, dt_hours=dt_hours)
+    return tfidf_signatures(traces, corpus)[0]
+
+
 def test_single_point_spatiotemporal():
-    anchors = _square_anchors()
     trace = Trace("o", [(0, 1_600_000_000)])
-    grid = Grid.fit(anchors, 10)
-    corpus = build_spatiotemporal_corpus([trace], anchors, grid, 1)
-    signature = build_spatiotemporal_signature(trace, anchors, corpus)
+    signature = _spatiotemporal([trace], 10)["o"]
     assert signature.nnz() == 1
     assert signature.weights[0] == pytest.approx(1.0)
 
 
 def test_same_cell_different_intervals_distinct_dims():
-    anchors = _square_anchors()
     trace = Trace("o", [(0, 1_600_000_000), (0, 1_600_000_000 + 6 * 3600)])
-    grid = Grid.fit(anchors, 10)
-    corpus = build_spatiotemporal_corpus([trace], anchors, grid, 1)
-    signature = build_spatiotemporal_signature(trace, anchors, corpus)
+    signature = _spatiotemporal([trace], 10)["o"]
     assert signature.nnz() == 2
 
 
 @pytest.mark.parametrize("g", [100, 200, 300])
 def test_common_grid_resolutions_accepted(g):
-    anchors = _square_anchors()
     trace = Trace("o", [(0, 1_600_000_000), (3, 1_600_050_000)])
-    grid = Grid.fit(anchors, g)
-    corpus = build_spatiotemporal_corpus([trace], anchors, grid, 1)
-    signature = build_spatiotemporal_signature(trace, anchors, corpus)
+    signature = _spatiotemporal([trace], g)["o"]
     assert signature.nnz() == 2
 
 
 def test_grid_cells_cover_bbox_corners():
-    anchors = _square_anchors()
-    grid = Grid.fit(anchors, 7)
-    assert grid.cell_of(0.0, 0.0) == 0
-    assert grid.cell_of(0.9, 0.9) == 7 * 7 - 1
+    cells = grid_cells(_square_anchors(), 7)
+    assert cells[0] == 0
+    # the north-east corner lies on the max edge and is clamped into the grid
+    assert cells[3] == 7 * 7 - 1
+    assert cells.tolist() == [0, 6, 42, 48]
+
+
+def test_grid_cells_of_a_flat_anchor_set():
+    anchors = AnchorSet([0.0, 0.5, 1.0], [2.0, 2.0, 2.0])
+    assert grid_cells(anchors, 4).tolist() == [0, 2, 3]
+    with pytest.raises(ValueError):
+        grid_cells(anchors, 0)
+
+
+def test_spatiotemporal_dims_are_cell_times_interval():
+    # UTC midnight is 08:00 local; dt=6 gives interval 1 of 4
+    t = 1_600_000_000 - (1_600_000_000 % 86400)
+    corpus = kind_corpus("spatiotemporal", anchors=_square_anchors(), g=2, dt_hours=6)
+    sigs, _, corpus = tfidf_signatures([Trace("o", [(3, t), (0, t + 12 * 3600)])], corpus)
+    assert corpus.kind == "spatiotemporal:g=2,dt=6"
+    assert sigs["o"].dims.tolist() == [0 * 4 + 3, 3 * 4 + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -365,47 +404,78 @@ def _expected_weights(counts, stats):
     return np.array(dims, dtype=np.int64), weights
 
 
-def _kind_dims(kind, corpus_traces, traces, anchors):
-    """(stats, kind name, per-trace dimension occurrences) of one TF-IDF kind;
-    occurrences outside a gram vocabulary are dropped as unseen."""
-    if kind == "spatial":
-        stats = build_corpus_stats(corpus_traces)
-        return stats, "spatial", [[a for a, _ in t.points] for t in traces]
-    if kind.startswith("sequential"):
-        q = int(kind[-1])
-        corpus = build_sequential_corpus(corpus_traces, q)
-        occurrences = [
-            [d for d in map(corpus.vocab.get, _grams(t, q)) if d is not None] for t in traces
-        ]
-        return corpus.stats, sequential_kind(q), occurrences
-    grid = Grid.fit(anchors, 3)
-    corpus = build_spatiotemporal_corpus(corpus_traces, anchors, grid, 6)
-    occurrences = [
-        list(Counter(_cell_time_counts(t, anchors, grid, 6, 8)).elements()) for t in traces
-    ]
-    return corpus.stats, spatiotemporal_kind(3, 6), occurrences
+_TFIDF_ANCHORS = AnchorSet(np.linspace(0.0, 1.0, 60), np.linspace(0.0, 1.0, 60) ** 2)
+
+# the kinds the property test draws: (corpus without statistics, q or None)
+_TFIDF_KINDS = {
+    "spatial": (kind_corpus("spatial"), None),
+    **{f"sequential{q}": (kind_corpus("sequential", q=q), q) for q in (1, 2, 3)},
+    "spatiotemporal": (
+        kind_corpus("spatiotemporal", anchors=_TFIDF_ANCHORS, g=3, dt_hours=6),
+        None,
+    ),
+}
+
+
+def _oracle_occurrences(kind, corpus_traces, traces, anchors):
+    """Statistics and per-trace dimension occurrences of one TF-IDF kind,
+    object by object in plain Python: grams through a sorted vocabulary
+    (q=1 keeps the anchor id), grid cells through each anchor's
+    coordinates (3 x 3 grid, clamped at the max edge) times 6-hour local
+    intervals. Grams outside the vocabulary are dropped as unseen."""
+    q = _TFIDF_KINDS[kind][1]
+    if kind == "spatiotemporal":
+        lons, lats = anchors.lons.tolist(), anchors.lats.tolist()
+
+        def index(v, lo, hi):
+            return 0 if hi == lo else min(max(int((v - lo) / (hi - lo) * 3), 0), 2)
+
+        def cell(a):
+            return index(lats[a], min(lats), max(lats)) * 3 + index(lons[a], min(lons), max(lons))
+
+        def occurrences(trace):
+            return [cell(a) * 4 + (t + 8 * 3600) % 86400 // (6 * 3600) for a, t in trace.points]
+
+    elif q is None:
+
+        def occurrences(trace):
+            return [a for a, _ in trace.points]
+
+    else:
+
+        def grams(trace):
+            ids = [a for a, _ in trace.points]
+            return [tuple(ids[i : i + q]) for i in range(len(ids) - q + 1)]
+
+        vocab = sorted({g for t in corpus_traces for g in grams(t)})
+        gram_id = {g: g[0] if q == 1 else i for i, g in enumerate(vocab)}
+
+        def occurrences(trace):
+            return [gram_id[g] for g in grams(trace) if g in gram_id]
+
+    usable = [t for t in corpus_traces if t.points]
+    df = Counter(d for t in usable for d in set(occurrences(t)))
+    return CorpusStats(len(usable), dict(df)), [occurrences(t) for t in traces]
 
 
 @st.composite
 def _tfidf_corpora(draw):
-    """Traces over anchors 0..59, the first few of them the corpus. With
-    ``universal`` set every trace visits anchor 0, a corpus-wide dimension;
-    traces outside the corpus bring unseen dimensions."""
+    """Traces over anchors 0..59, the first few of them the corpus; any may
+    be empty or shorter than a gram. With ``universal`` set every non-empty
+    trace visits anchor 0, a corpus-wide dimension; traces outside the
+    corpus bring unseen dimensions. Anchor 59 lies on the grid's max edge."""
     n_traces = draw(st.integers(1, 7))
     n_corpus = draw(st.integers(1, n_traces))
     universal = draw(st.booleans())
     traces = []
     for i in range(n_traces):
-        ids = draw(st.lists(st.integers(0, 59), min_size=1, max_size=90))
-        if universal:
+        ids = draw(st.lists(st.integers(0, 59), max_size=90))
+        if universal and ids:
             ids.append(0)
         hours = draw(st.lists(st.integers(0, 200), min_size=len(ids), max_size=len(ids)))
         t = 1_600_000_000 + 3600 * np.cumsum(hours)
         traces.append(Trace(f"o{i}", list(zip(ids, t.tolist()))))
     return traces[:n_corpus], traces
-
-
-_TFIDF_ANCHORS = AnchorSet(np.linspace(0.0, 1.0, 60), np.linspace(0.0, 1.0, 60) ** 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -417,19 +487,28 @@ _TFIDF_ANCHORS = AnchorSet(np.linspace(0.0, 1.0, 60), np.linspace(0.0, 1.0, 60) 
 )
 def test_tfidf_rows_bit_identical_to_per_object_weights(corpora, kind):
     corpus_traces, traces = corpora
-    stats, kind_name, occurrences = _kind_dims(kind, corpus_traces, traces, _TFIDF_ANCHORS)
+    unfitted = _TFIDF_KINDS[kind][0]
+    if not any(t.points for t in corpus_traces):
+        with pytest.raises(EmptyTraceError):
+            tfidf_signatures(corpus_traces, unfitted)
+        return
+    corpus = tfidf_signatures(corpus_traces, unfitted)[2]
+    stats, occurrences = _oracle_occurrences(kind, corpus_traces, traces, _TFIDF_ANCHORS)
+    assert corpus.stats.n_objects == stats.n_objects
+    assert corpus.stats.doc_freq == stats.doc_freq
+    sigs, excluded, _ = tfidf_signatures(traces, corpus)
     rows = np.repeat(np.arange(len(traces)), [len(o) for o in occurrences])
     dims = np.array([d for o in occurrences for d in o], dtype=np.int64)
-    pair_rows, pair_dims, counts, _ = pair_counts(rows, dims)
-    batched = tfidf_rows(pair_rows, pair_dims, counts, stats, kind_name, len(traces))
+    pair_rows, pair_dims, counts = pair_counts(rows, dims)
+    batched = tfidf_rows(pair_rows, pair_dims, counts, stats, corpus.kind, len(traces))
     assert len(batched) == len(traces)
-    for occ, got in zip(occurrences, batched):
+    for trace, occ, got in zip(traces, occurrences, batched):
         want = _expected_weights(Counter(occ), stats)
         if want is None:
             assert got is None
+            assert trace.object_id in excluded and trace.object_id not in sigs
             continue
-        assert got.kind == kind_name and got.normalized
-        assert np.array_equal(got.dims, want[0])
-        assert got.weights.tobytes() == want[1].tobytes()
-        one = tfidf_signature(Counter(occ), stats, kind_name)
-        assert one.weights.tobytes() == want[1].tobytes()
+        for sig in (got, sigs[trace.object_id]):
+            assert sig.kind == corpus.kind and sig.normalized
+            assert np.array_equal(sig.dims, want[0])
+            assert sig.weights.tobytes() == want[1].tobytes()

@@ -24,7 +24,7 @@ def test_different_seeds_differ():
 def test_zero_locality_radius_pins_each_object_to_one_anchor():
     traces, _ = generate_synthetic(15, 300, 0.0, 50, seed=2)
     for trace in traces:
-        assert len(trace.anchor_ids()) == 1
+        assert len({a for a, _ in trace.points}) == 1
 
 
 def test_invalid_counts_rejected():
@@ -36,6 +36,11 @@ def test_invalid_counts_rejected():
         generate_synthetic(10, 10, 0.1, 0)
     with pytest.raises(ValueError):
         generate_synthetic(10, 10, -0.5, 10)
+
+
+def test_nan_locality_radius_rejected():
+    with pytest.raises(ValueError, match="locality_radius"):
+        generate_synthetic(10, 10, float("nan"), 10)
 
 
 @pytest.mark.parametrize("name", ["personal_mass", "hub_fraction"])
