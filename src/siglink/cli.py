@@ -15,9 +15,11 @@ line and a flag typed on the line wins. Flags and keys are spelled in full.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import time
+from dataclasses import astuple
 from pathlib import Path
 
 from .errors import ConfigError, SiglinkError
@@ -36,6 +38,7 @@ from .linking import (
 from .privacy import signature_closure
 from .reduction import cut_reduce, mbr_of
 from .signatures import (
+    KIND_SPATIAL,
     Corpus,
     build_temporal_histogram,
     check_dt,
@@ -47,7 +50,9 @@ from .signatures import (
 from .synth import generate_synthetic
 from .traces import (
     DEFAULT_UTC_OFFSET_HOURS,
+    SplitResult,
     SplitStrategy,
+    Trace,
     calibrate_trace,
     filter_min_points,
     read_anchor_csv,
@@ -125,6 +130,13 @@ def _capture_config(args: argparse.Namespace) -> None:
     (Path(args.out) / "config.used").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _print_table(headers: list[str], rows: list[list]) -> None:
     cells = [[str(c) for c in row] for row in rows]
     widths = [
@@ -154,8 +166,66 @@ def _require_dt(args: argparse.Namespace) -> None:
         raise ConfigError(f"the {args.kind} kind needs --dt")
 
 
-def _load_signature_map(path: str) -> dict:
-    return dict(read_signatures_jsonl(path))
+def _check_anchor_ids(path: str, tops, args: argparse.Namespace, anchors) -> None:
+    """Refuse an object of ``path`` that names an anchor id beyond
+    ``--anchors``; ``tops`` holds each object's id and largest anchor id."""
+    for oid, top in tops:
+        if top >= len(anchors):
+            raise SiglinkError(
+                f"{path}: object {oid!r} names anchor {top},"
+                f" beyond the {len(anchors)} anchors of {args.anchors}"
+            )
+
+
+def _read_traces(path: str, args: argparse.Namespace, anchors=None) -> list[Trace]:
+    traces = read_trace_csv(path)
+    if anchors is not None:
+        tops = ((t.object_id, max(a for a, _ in t.points)) for t in traces if t.points)
+        _check_anchor_ids(path, tops, args, anchors)
+    return traces
+
+
+def _read_signatures(path: str, args: argparse.Namespace, anchors=None) -> list:
+    entries = read_signatures_jsonl(path)
+    if anchors is not None:
+        tops = ((oid, s.dims.max(initial=-1)) for oid, s in entries if s.kind == KIND_SPATIAL)
+        _check_anchor_ids(path, tops, args, anchors)
+    return entries
+
+
+def _calibrated(args: argparse.Namespace, anchors) -> list[Trace]:
+    raw = read_raw_csv(args.raw)
+    return [calibrate_trace(oid, pts, anchors, metric=args.metric) for oid, pts in raw.items()]
+
+
+def _split_to(out: Path, traces: list[Trace], args: argparse.Namespace) -> SplitResult:
+    halves = split_dataset(traces, _strategy(args), utc_offset_hours=args.utc_offset)
+    write_trace_csv(out / "q.csv", halves.q)
+    write_trace_csv(out / "d.csv", halves.d)
+    return halves
+
+
+def _link_to(out: Path, args, queries, references, anchors, timings, excluded=((), ())):
+    """Link by the link flags and write results.csv, metrics.json and the
+    accuracy table. ``timings`` lead the run's phases; ``excluded`` holds the
+    query and reference ids left without a signature."""
+    run = link_signatures(
+        queries, references, anchors, engine=args.engine, k=args.k, m=args.m,
+        capacity=args.capacity, excluded_queries=excluded[0], excluded_references=excluded[1],
+    )
+    run.timings = {**timings, **run.timings}
+    write_results_csv(out / "results.csv", run)
+    metrics = write_metrics_json(out / "metrics.json", run)
+    _print_table(["k", "acc"], [[kk, f"{acc:.4f}"] for kk, acc in metrics["acc"].items()])
+    return run
+
+
+def _file_run(results: dict, k: int, reference_ids: set[str]) -> LinkingRun:
+    """A run read back from a results file."""
+    return LinkingRun(
+        engine="file", k=k, reduced_m=None, results=results, timings={},
+        excluded_queries=[], excluded_references=[], reference_ids=reference_ids,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +262,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    anchors = read_anchor_csv(args.anchors)
-    raw = read_raw_csv(args.raw)
-    traces = [
-        calibrate_trace(oid, pts, anchors, metric=args.metric)
-        for oid, pts in raw.items()
-    ]
+    traces = _calibrated(args, read_anchor_csv(args.anchors))
     before = len(traces)
     traces = filter_min_points(traces, args.min_points)
     write_trace_csv(out / "calibrated.csv", traces)
@@ -216,9 +281,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_split(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     traces = read_trace_csv(args.traces)
-    result = split_dataset(traces, _strategy(args), utc_offset_hours=args.utc_offset)
-    write_trace_csv(out / "q.csv", result.q)
-    write_trace_csv(out / "d.csv", result.d)
+    result = _split_to(out, traces, args)
     report = {
         "strategy": args.strategy,
         "objects": len(traces),
@@ -248,8 +311,8 @@ def _cmd_signature(args: argparse.Namespace) -> int:
     _require_dt(args)
     if args.kind == "spatiotemporal" and not args.anchors:
         raise ConfigError("spatiotemporal signatures need --anchors")
-    traces = read_trace_csv(args.traces)
     anchors = read_anchor_csv(args.anchors) if args.anchors else None
+    traces = _read_traces(args.traces, args, anchors)
     if args.kind == "temporal":
         records = []
         for t in traces:
@@ -271,7 +334,7 @@ def _cmd_signature(args: argparse.Namespace) -> int:
         return EXIT_OK
     corpus = _kind_corpus(args, anchors)
     if args.corpus:
-        _, _, corpus = tfidf_signatures(read_trace_csv(args.corpus), corpus)
+        _, _, corpus = tfidf_signatures(_read_traces(args.corpus, args, anchors), corpus)
     sigs, excluded, _ = tfidf_signatures(traces, corpus)
     path = out / "signatures.jsonl"
     write_signatures_jsonl(path, sorted(sigs.items()))
@@ -294,7 +357,7 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
     anchors = read_anchor_csv(args.anchors)
     entries = [
         (oid, sig, mbr_of(sig, anchors))
-        for oid, sig in read_signatures_jsonl(args.signatures)
+        for oid, sig in _read_signatures(args.signatures, args, anchors)
     ]
     t0 = time.perf_counter()
     tree = bulk_load(entries, args.capacity)
@@ -310,7 +373,7 @@ def _cmd_index_insert(args: argparse.Namespace) -> int:
     anchors = read_anchor_csv(args.anchors)
     tree = load_index(args.index)
     added = 0
-    for oid, sig in read_signatures_jsonl(args.signatures):
+    for oid, sig in _read_signatures(args.signatures, args, anchors):
         insert(tree, (oid, sig, mbr_of(sig, anchors)))
         added += 1
     path = out / "index.bin"
@@ -334,39 +397,17 @@ def _cmd_link(args: argparse.Namespace) -> int:
     if args.engine != "linear" and not args.anchors:
         raise ConfigError(f"engine {args.engine!r} needs --anchors for bounding boxes")
     out = _out_dir(args)
-    queries = _load_signature_map(args.queries)
-    references = _load_signature_map(args.references)
     anchors = read_anchor_csv(args.anchors) if args.anchors else None
-    run = link_signatures(
-        queries,
-        references,
-        anchors,
-        engine=args.engine,
-        k=args.k,
-        m=args.m,
-        capacity=args.capacity,
-    )
-    write_results_csv(out / "results.csv", run)
-    metrics = write_metrics_json(out / "metrics.json", run)
-    _print_table(
-        ["k", "acc"],
-        [[kk, f"{metrics['acc'][str(kk)]:.4f}"] for kk in range(1, run.k + 1)],
-    )
+    queries = dict(_read_signatures(args.queries, args, anchors))
+    references = dict(_read_signatures(args.references, args, anchors))
+    _link_to(out, args, queries, references, anchors, {})
     return EXIT_OK
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    run = LinkingRun(
-        engine="file",
-        k=args.k,
-        reduced_m=None,
-        results=read_results_csv(args.results),
-        timings={},
-        excluded_queries=[],
-        excluded_references=[],
-        reference_ids=set(_load_signature_map(args.references)),
-    )
+    references = {oid for oid, _ in read_signatures_jsonl(args.references)}
+    run = _file_run(read_results_csv(args.results), args.k, references)
     acc = {str(kk): accuracy_at_k(run, kk) for kk in range(1, args.k + 1)}
     (out / "eval.json").write_text(json.dumps({"acc": acc}, indent=2) + "\n", encoding="utf-8")
     _print_table(["k", "acc"], [[kk, f"{v:.4f}"] for kk, v in acc.items()])
@@ -376,20 +417,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_rerank(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     results = read_results_csv(args.results)
-    run = LinkingRun(
-        engine="file",
-        k=max((len(r) for r in results.values()), default=1),
-        reduced_m=None,
-        results=results,
-        timings={},
-        excluded_queries=[],
-        excluded_references=[],
-        reference_ids={c for res in results.values() for c, _ in res},
+    run = _file_run(
+        results,
+        max((len(r) for r in results.values()), default=1),
+        {c for res in results.values() for c, _ in res},
     )
     reranked = rerank(
         run,
-        _load_signature_map(args.queries_large),
-        _load_signature_map(args.references_large),
+        dict(read_signatures_jsonl(args.queries_large)),
+        dict(read_signatures_jsonl(args.references_large)),
     )
     write_results_csv(out / "results.csv", reranked)
     print(f"reranked {len(results)} result lists -> {out / 'results.csv'}")
@@ -401,14 +437,11 @@ def _cmd_marry(args: argparse.Namespace) -> int:
     qd = read_results_csv(args.results_qd)
     dq = read_results_csv(args.results_dq)
     matching = stable_marriage(qd, dq)
-    with open(out / "matching.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("query_id,candidate_id,phase\n")
-        for q in sorted(matching.stable_pairs):
-            fh.write(f"{q},{matching.stable_pairs[q]},stable\n")
-        for q in sorted(matching.fallback_pairs):
-            fh.write(f"{q},{matching.fallback_pairs[q]},fallback\n")
-        for q in sorted(matching.unmatched):
-            fh.write(f"{q},,unmatched\n")
+    stable, fallback = matching.stable_pairs, matching.fallback_pairs
+    records = [[q, stable[q], "stable"] for q in sorted(stable)]
+    records += [[q, fallback[q], "fallback"] for q in sorted(fallback)]
+    records += [[q, "", "unmatched"] for q in sorted(matching.unmatched)]
+    _write_csv(out / "matching.csv", ["query_id", "candidate_id", "phase"], records)
     summary = {
         "accuracy": matching_accuracy(matching),
         "stable": len(matching.stable_pairs),
@@ -429,8 +462,8 @@ def _cmd_marry(args: argparse.Namespace) -> int:
 
 def _cmd_closure(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    traces = read_trace_csv(args.traces)
     anchors = read_anchor_csv(args.anchors)
+    traces = _read_traces(args.traces, args, anchors)
     modified, report = signature_closure(
         traces,
         anchors,
@@ -444,15 +477,11 @@ def _cmd_closure(args: argparse.Namespace) -> int:
     )
     write_trace_csv(out / "traces.csv", modified)
     report.to_json(out / "closure.json")
-    with open(out / "closure.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("round,acc1,acc_k,data_remain,mbr_overlap,grid_large,grid_small\n")
-        fh.write(f"0,{report.baseline_accuracy[1]!r},{report.baseline_accuracy[args.k]!r},1.0,1.0,1.0,1.0\n")
-        for r in report.rounds:
-            u = r.utility
-            fh.write(
-                f"{r.round_no},{r.accuracy[1]!r},{r.accuracy[args.k]!r},"
-                f"{u.data_remain!r},{u.mbr_overlap!r},{u.grid_coverage_large!r},{u.grid_coverage_small!r}\n"
-            )
+    header = ["round", "acc1", "acc_k", "data_remain", "mbr_overlap", "grid_large", "grid_small"]
+    records = [[0, report.baseline_accuracy[1], report.baseline_accuracy[args.k], *[1.0] * 4]]
+    for r in report.rounds:
+        records.append([r.round_no, r.accuracy[1], r.accuracy[args.k], *astuple(r.utility)])
+    _write_csv(out / "closure.csv", header, records)
     rows = [["0", f"{report.baseline_accuracy[1]:.4f}", "1.000", "1.000"]]
     for r in report.rounds:
         rows.append(
@@ -482,13 +511,9 @@ def _pipeline_traces(args: argparse.Namespace):
         raise ConfigError("pipeline needs --synthetic or --anchors with --raw/--traces")
     anchors = read_anchor_csv(args.anchors)
     if args.raw:
-        raw = read_raw_csv(args.raw)
-        traces = [
-            calibrate_trace(oid, pts, anchors, metric=args.metric)
-            for oid, pts in raw.items()
-        ]
+        traces = _calibrated(args, anchors)
     elif args.traces:
-        traces = read_trace_csv(args.traces)
+        traces = _read_traces(args.traces, args, anchors)
     else:
         raise ConfigError("pipeline needs one of --synthetic, --raw, or --traces")
     return traces, anchors
@@ -514,33 +539,19 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     if args.synthetic:
         write_anchor_csv(out / "anchors.csv", anchors)
 
-    halves = split_dataset(traces, _strategy(args), utc_offset_hours=args.utc_offset)
-    write_trace_csv(out / "q.csv", halves.q)
-    write_trace_csv(out / "d.csv", halves.d)
+    halves = _split_to(out, traces, args)
 
+    t0 = time.perf_counter()
     ref_sigs, excluded_refs, corpus = tfidf_signatures(halves.d, _kind_corpus(args, anchors))
     query_sigs, excluded_queries, _ = tfidf_signatures(halves.q, corpus)
+    sig_s = time.perf_counter() - t0
     write_signatures_jsonl(out / "signatures_d.jsonl", sorted(ref_sigs.items()))
     write_signatures_jsonl(out / "signatures_q.jsonl", sorted(query_sigs.items()))
 
-    run = link_signatures(
-        query_sigs,
-        ref_sigs,
-        anchors if args.kind == "spatial" else None,
-        engine=args.engine,
-        k=args.k,
-        m=args.m,
-        capacity=args.capacity,
-        excluded_queries=excluded_queries,
-        excluded_references=excluded_refs,
-    )
-    write_results_csv(out / "results.csv", run)
-    metrics = write_metrics_json(out / "metrics.json", run)
     print(f"pipeline: engine={args.engine} kind={args.kind} m={args.m} k={args.k}")
-    _print_table(
-        ["k", "acc"],
-        [[kk, f"{metrics['acc'][str(kk)]:.4f}"] for kk in range(1, args.k + 1)],
-    )
+    spatial_anchors = anchors if args.kind == "spatial" else None
+    run = _link_to(out, args, query_sigs, ref_sigs, spatial_anchors, {"signatures": sig_s},
+                   (excluded_queries, excluded_refs))
     _print_table(
         ["phase", "seconds"],
         [[phase, f"{secs:.3f}"] for phase, secs in run.timings.items()],

@@ -17,7 +17,6 @@ from .reduction import Mbr, cut_reduce, mbr_of
 from .signatures import (
     KIND_SPATIAL,
     Corpus,
-    CorpusStats,
     Signature,
     _leaf_sim,
     tfidf_signatures,
@@ -53,35 +52,34 @@ class LinkingRun:
 
 def reference_signatures(
     traces: Sequence[Trace],
-    stats: CorpusStats | None = None,
-) -> tuple[dict[str, Signature], list[str], CorpusStats]:
-    """Spatial signatures of traces, weighted by the statistics of their own
-    non-empty traces or, given ``stats``, projected into that corpus's
+    corpus: Corpus | None = None,
+) -> tuple[dict[str, Signature], list[str], Corpus]:
+    """Spatial signatures of traces, weighted by a corpus fitted to their own
+    non-empty traces or, given a fitted ``corpus``, projected into its
     weight space (the query side of ``link_all``): the spatial case of
     ``tfidf_signatures``. Returns the signatures by id, the ids of traces
-    left without one, and the statistics used."""
-    sigs, excluded, corpus = tfidf_signatures(traces, Corpus(KIND_SPATIAL, stats))
-    return sigs, excluded, corpus.stats
+    left without one, and the corpus used."""
+    return tfidf_signatures(traces, Corpus(KIND_SPATIAL) if corpus is None else corpus)
 
 
-def query_signature(trace: Trace, stats: CorpusStats) -> Signature | None:
-    """One trace's spatial signature in the reference corpus's weight space;
-    ``None`` when nothing usable remains."""
-    return tfidf_signatures([trace], Corpus(KIND_SPATIAL, stats))[0].get(trace.object_id)
+def query_signature(trace: Trace, corpus: Corpus) -> Signature | None:
+    """One trace's spatial signature in the fitted reference corpus's weight
+    space; ``None`` when nothing usable remains."""
+    return tfidf_signatures([trace], corpus)[0].get(trace.object_id)
 
 
-def build_corpus_stats(traces: Sequence[Trace]) -> CorpusStats:
-    """Spatial statistics of the non-empty traces: how many of them visit
-    each anchor."""
-    return tfidf_signatures(traces, Corpus(KIND_SPATIAL))[2].stats
+def build_corpus_stats(traces: Sequence[Trace]) -> Corpus:
+    """The spatial corpus fitted to the non-empty traces: how many of them
+    visit each anchor."""
+    return tfidf_signatures(traces, Corpus(KIND_SPATIAL))[2]
 
 
-def build_spatial_signature(trace: Trace, stats: CorpusStats) -> Signature:
+def build_spatial_signature(trace: Trace, corpus: Corpus) -> Signature:
     """``query_signature`` that raises ``EmptyTraceError`` for an empty
     trace and ``EmptySignatureError`` when no anchor carries weight."""
     if not trace.points:
         raise EmptyTraceError(f"object {trace.object_id!r} has an empty trace")
-    sig = query_signature(trace, stats)
+    sig = query_signature(trace, corpus)
     if sig is None:
         raise EmptySignatureError("signature has no positive-weight dimensions")
     return sig
@@ -184,13 +182,13 @@ def link_all(
     """Run one k-NN linking query per usable query trace against the
     reference corpus, under the chosen engine, at reduction level m.
 
-    Reference IDF statistics come from the reference corpus alone; query
-    traces are projected into that weight space. Each side is weighted in
-    one batch (``reference_signatures``).
+    The corpus is fitted to the references alone; query traces are
+    projected into its weight space. Each side is weighted in one batch
+    (``reference_signatures``).
     """
     t0 = time.perf_counter()
-    ref_sigs, excluded_refs, stats = reference_signatures(references)
-    query_sigs, excluded_queries, _ = reference_signatures(queries, stats)
+    ref_sigs, excluded_refs, corpus = reference_signatures(references)
+    query_sigs, excluded_queries, _ = reference_signatures(queries, corpus)
     sig_time = time.perf_counter() - t0
 
     run = link_signatures(
@@ -397,7 +395,7 @@ def read_results_csv(path: str | Path) -> dict[str, KnnResult]:
     """Result lists by query id; a rank-0 row reads back as an empty list."""
     out: dict[str, KnnResult] = {}
     header = ["query_id", "rank", "candidate_id", "similarity"]
-    for oid, rank_no, cand, sim in _csv_rows(path, header, "results"):
+    for _, (oid, rank_no, cand, sim) in _csv_rows(path, header, "results"):
         result = out.setdefault(oid, [])
         if rank_no != "0":
             result.append((cand, float(sim)))

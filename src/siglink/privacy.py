@@ -13,7 +13,7 @@ import numpy as np
 
 from .linking import accuracy_at_k, link_signatures
 from .reduction import cut_reduce
-from .signatures import KIND_SPATIAL, Signature, column_stats, pair_counts, tfidf_rows
+from .signatures import KIND_SPATIAL, Corpus, Signature, pair_counts, tfidf_rows
 from .traces import (
     DEFAULT_UTC_OFFSET_HOURS,
     METERS_PER_DEGREE,
@@ -227,8 +227,11 @@ def signature_closure(
     day_rows, days, day_of = day_pairs(rows, t, utc_offset_hours)
     pair_alive = np.ones(len(pair_rows), dtype=bool)
 
-    def signatures_by_id(rows, dims, counts, stats) -> dict[str, Signature]:
-        built = tfidf_rows(rows, dims, counts, stats, KIND_SPATIAL, n)
+    def fitted(rows: np.ndarray, dims: np.ndarray) -> Corpus:
+        return Corpus(KIND_SPATIAL).fit(np.count_nonzero(np.diff(rows, prepend=-1)), dims)
+
+    def signatures_by_id(rows, dims, counts, corpus) -> dict[str, Signature]:
+        built = tfidf_rows(rows, dims, counts, corpus, n)
         return {oid: sig for oid, sig in zip(object_ids, built) if sig is not None}
 
     def measure() -> dict[int, float]:
@@ -243,10 +246,10 @@ def signature_closure(
             # suppression wiped one half out entirely: nothing is linkable
             return {kk: 0.0 for kk in range(1, k + 1)}
         q, d = q_counts > 0, d_counts > 0
-        d_rows = pair_rows[d]
-        stats = column_stats(np.count_nonzero(np.diff(d_rows, prepend=-1)), pair_anchors[d])
-        ref_sigs = signatures_by_id(d_rows, pair_anchors[d], d_counts[d], stats)
-        query_sigs = signatures_by_id(pair_rows[q], pair_anchors[q], q_counts[q], stats)
+        d_rows, d_anchors = pair_rows[d], pair_anchors[d]
+        corpus = fitted(d_rows, d_anchors)
+        ref_sigs = signatures_by_id(d_rows, d_anchors, d_counts[d], corpus)
+        query_sigs = signatures_by_id(pair_rows[q], pair_anchors[q], q_counts[q], corpus)
         run = link_signatures(
             query_sigs, ref_sigs, anchors, engine=engine, k=k, m=m, capacity=capacity
         )
@@ -268,9 +271,8 @@ def signature_closure(
         live = np.flatnonzero(pair_alive)
         if not len(live):
             break
-        live_rows = pair_rows[live]
-        stats = column_stats(np.count_nonzero(np.diff(live_rows, prepend=-1)), pair_anchors[live])
-        sigs = tfidf_rows(live_rows, pair_anchors[live], counts[live], stats, KIND_SPATIAL, n)
+        live_rows, live_anchors = pair_rows[live], pair_anchors[live]
+        sigs = tfidf_rows(live_rows, live_anchors, counts[live], fitted(live_rows, live_anchors), n)
         removed: dict[str, list[int]] = {}
         doomed = []
         for i, sig in enumerate(sigs):

@@ -107,59 +107,7 @@ def cosine_similarity(a: Signature, b: Signature) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Corpus statistics and TF-IDF weighting
-
-
-@dataclass
-class CorpusStats:
-    """Per-dimension document frequencies over a set of objects."""
-
-    n_objects: int
-    doc_freq: dict[int, int]
-    _columns: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
-
-    def columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense ``(df, idf)`` arrays indexed by dimension id, computed once,
-        on first use. ``df`` is the document frequency, 0 where the corpus
-        lacks the dimension. ``idf`` is the weight factor: the natural-log
-        IDF ``log(n / df)`` where it is positive, 0 elsewhere. A
-        single-object corpus carries no discriminative statistics; IDF would
-        be the same constant on every dimension and vanish under
-        normalization, so every dimension it has gets factor 1 and is
-        weighted by frequency alone."""
-        if self._columns is None:
-            seen = np.fromiter(self.doc_freq, dtype=np.int64, count=len(self.doc_freq))
-            df = np.zeros(int(seen.max()) + 1 if len(seen) else 1, dtype=np.int64)
-            df[seen] = np.fromiter(self.doc_freq.values(), dtype=np.int64, count=len(seen))
-            self._columns = (df, _idf_of(df, self.n_objects))
-        return self._columns
-
-
-def _idf_of(df: np.ndarray, n: int) -> np.ndarray:
-    idf = np.zeros(len(df))
-    seen = np.flatnonzero(df)
-    if n == 1:
-        idf[seen] = 1.0
-        return idf
-    dfs, which = np.unique(df[seen], return_inverse=True)
-    log_of = np.array([math.log(n / d) for d in dfs.tolist()])
-    idf[seen] = np.maximum(log_of, 0.0)[which]
-    return idf
-
-
-def column_stats(n_objects: int, dims: np.ndarray) -> CorpusStats:
-    """Corpus statistics of ``n_objects`` objects from the dimensions of
-    their distinct (object, dimension) pairs: a dimension's document
-    frequency is the number of nonzeros in its column."""
-    if n_objects < 1:
-        raise ValueError("corpus must contain at least one trace")
-    df = np.bincount(np.asarray(dims, dtype=np.int64), minlength=1)
-    seen = np.flatnonzero(df)
-    stats = CorpusStats(n_objects, dict(zip(seen.tolist(), df[seen].tolist())))
-    stats._columns = (df, _idf_of(df, n_objects))
-    return stats
+# TF-IDF weighting
 
 
 def pair_counts(rows: np.ndarray, dims: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -177,12 +125,11 @@ def tfidf_rows(
     rows: np.ndarray,
     dims: np.ndarray,
     counts: np.ndarray,
-    stats: CorpusStats,
-    kind: str,
+    corpus: Corpus,
     n_rows: int,
 ) -> list[Signature | None]:
-    """TF-IDF signatures of rows ``0 .. n_rows - 1``; natural-log IDF, L2
-    normalized.
+    """TF-IDF signatures of rows ``0 .. n_rows - 1`` in the weight space of
+    the fitted ``corpus``; natural-log IDF, L2 normalized.
 
     Takes COO occurrence counts sorted by (row, dimension), duplicates
     summed (see ``pair_counts``). This is the one weighting step of every
@@ -196,7 +143,7 @@ def tfidf_rows(
     ``np.linalg.norm`` computes it, so a row's weights are bit-identical to
     weighting that object alone.
     """
-    df, idf = stats.columns()
+    df, idf = corpus.df, corpus.idf
     inside = dims < len(df)
     at = np.where(inside, dims, 0)
     seen = inside & (df[at] > 0)
@@ -212,7 +159,7 @@ def tfidf_rows(
     for row, s, e in zip(rows[starts].tolist(), starts.tolist(), ends.tolist()):
         seg = weights[s:e]
         seg /= math.sqrt(seg.dot(seg))
-        out[row] = Signature(dims[s:e], seg, kind, normalized=True)
+        out[row] = Signature(dims[s:e], seg, corpus.kind, normalized=True)
     return out
 
 
@@ -262,24 +209,55 @@ def _gram_keys(rows: np.ndarray, anchor_ids: np.ndarray, q: int):
 @dataclass
 class Corpus:
     """The weight space of one TF-IDF kind: how a trace's points become
-    dimensions, and the statistics of the corpus that weight them.
+    dimensions, and the document frequencies that weight them.
 
     Spatial and sequential q=1 dimensions are anchor ids. A sequential
     q >= 2 dimension is a gram's index in ``grams``, the corpus's sorted
     table of runs of q consecutive points inside one trace. A spatiotemporal
     dimension is ``cell * (24 // dt_hours) + interval``: the grid cell of the
     visited anchor (``cells``, see ``grid_cells``) and the local
-    time-of-day interval of the visit. ``kind_corpus`` makes a corpus
-    without statistics; ``tfidf_signatures`` fits it.
+    time-of-day interval of the visit. A fitted corpus holds its
+    ``n_objects`` and ``df``, the document frequency of each dimension id;
+    ``idf`` is derived from them once, when the corpus is made.
+    ``kind_corpus`` makes a corpus that is not fitted; ``fit`` fits it.
     """
 
     kind: str
-    stats: CorpusStats | None = None
     q: int = 1
     grams: np.ndarray | None = None
     cells: np.ndarray | None = None
     dt_hours: int = 1
     utc_offset_hours: int = DEFAULT_UTC_OFFSET_HOURS
+    n_objects: int = 0
+    df: np.ndarray | None = None
+    idf: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # idf is the natural-log IDF log(n / df) where it is positive, 0
+        # elsewhere. A single-object corpus carries no discriminative
+        # statistics; IDF would be the same constant on every dimension and
+        # vanish under normalization, so every dimension it has gets factor
+        # 1 and is weighted by frequency alone.
+        if self.df is None:
+            return
+        self.idf = np.zeros(len(self.df))
+        seen = np.flatnonzero(self.df)
+        if self.n_objects == 1:
+            self.idf[seen] = 1.0
+            return
+        dfs, which = np.unique(self.df[seen], return_inverse=True)
+        log_of = np.array([math.log(self.n_objects / d) for d in dfs.tolist()])
+        self.idf[seen] = np.maximum(log_of, 0.0)[which]
+
+    def fit(self, n_objects: int, dims: np.ndarray) -> Corpus:
+        """This weight space fitted to ``n_objects`` objects from the
+        dimensions of their distinct (object, dimension) pairs: a
+        dimension's document frequency is the number of nonzeros in its
+        column."""
+        if n_objects < 1:
+            raise ValueError("corpus must contain at least one trace")
+        df = np.bincount(np.asarray(dims, dtype=np.int64), minlength=1)
+        return replace(self, n_objects=n_objects, df=df)
 
     def column(
         self, rows: np.ndarray, anchor_ids: np.ndarray, t: np.ndarray
@@ -307,7 +285,7 @@ def kind_corpus(
     dt_hours: int | None = None,
     utc_offset_hours: int = DEFAULT_UTC_OFFSET_HOURS,
 ) -> Corpus:
-    """A corpus without statistics for the TF-IDF kind named ``spatial``,
+    """A corpus that is not fitted, for the TF-IDF kind named ``spatial``,
     ``sequential`` (grams of length ``q``) or ``spatiotemporal`` (a ``g`` x
     ``g`` grid over ``anchors`` and intervals of ``dt_hours``). Length-1
     grams keep the anchor id itself, so q=1 signatures live in the same
@@ -336,25 +314,24 @@ def tfidf_signatures(
 ) -> tuple[dict[str, Signature], list[str], Corpus]:
     """TF-IDF signatures of ``traces`` in the weight space of ``corpus``.
 
-    A corpus without statistics is first fitted to the non-empty traces
+    A corpus that is not fitted is first fitted to the non-empty traces
     among these: their gram table, for q >= 2, and their document
     frequencies. Returns the signatures by id, the ids of traces left
     without one (empty, or every dimension corpus-wide or unseen) in trace
     order, and the corpus used.
     """
     rows, anchor_ids, t = point_table(traces)
-    fit = corpus.stats is None
+    fit = corpus.df is None
     if fit and not len(rows):
         raise EmptyTraceError("corpus has no non-empty traces")
     if fit and corpus.q > 1:
         corpus = replace(corpus, grams=np.unique(_gram_keys(rows, anchor_ids, corpus.q)[1]))
     pair_rows, dims, counts = pair_counts(*corpus.column(rows, anchor_ids, t))
     if fit:
-        n_objects = np.count_nonzero(np.diff(rows, prepend=-1))
-        corpus = replace(corpus, stats=column_stats(n_objects, dims))
+        corpus = corpus.fit(np.count_nonzero(np.diff(rows, prepend=-1)), dims)
     sigs: dict[str, Signature] = {}
     excluded: list[str] = []
-    built = tfidf_rows(pair_rows, dims, counts, corpus.stats, corpus.kind, len(traces))
+    built = tfidf_rows(pair_rows, dims, counts, corpus, len(traces))
     for trace, sig in zip(traces, built):
         if sig is None:
             excluded.append(trace.object_id)

@@ -83,9 +83,6 @@ class AnchorSet:
     def __len__(self) -> int:
         return len(self.lons)
 
-    def lonlat(self, anchor_id: int) -> tuple[float, float]:
-        return float(self.lons[anchor_id]), float(self.lats[anchor_id])
-
     def planar_tree(self) -> cKDTree:
         if self._planar_tree is None:
             self._planar_tree = cKDTree(np.column_stack([self.lons, self.lats]))
@@ -299,7 +296,8 @@ def _query_dates(
 
 def point_table(traces: Sequence[Trace]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every point of ``traces`` as three flat int64 columns, in trace order:
-    the index of its trace, its anchor id and its timestamp."""
+    the index of its trace, its anchor id and its timestamp. A negative
+    anchor id raises ``ValueError`` naming its object."""
     lengths = np.fromiter(map(len, traces), dtype=np.int64, count=len(traces))
     n = int(lengths.sum())
 
@@ -307,7 +305,13 @@ def point_table(traces: Sequence[Trace]) -> tuple[np.ndarray, np.ndarray, np.nda
         points = chain.from_iterable(t.points for t in traces)
         return np.fromiter(map(itemgetter(i), points), dtype=np.int64, count=n)
 
-    return np.repeat(np.arange(len(traces)), lengths), column(0), column(1)
+    rows, anchor_ids = np.repeat(np.arange(len(traces)), lengths), column(0)
+    if n and anchor_ids.min() < 0:
+        at = int(np.argmax(anchor_ids < 0))
+        raise ValueError(
+            f"object {traces[rows[at]].object_id!r} has negative anchor id {anchor_ids[at]}"
+        )
+    return rows, anchor_ids, column(1)
 
 
 def day_pairs(
@@ -380,10 +384,10 @@ def split_dataset(
 # File formats
 
 
-def _csv_rows(path: str | Path, header: list[str], what: str) -> Iterator[list[str]]:
-    """The non-blank rows after a CSV file's header; a wrong header or a
-    row without one field per header column raises ``ValueError`` naming
-    the file and line."""
+def _csv_rows(path: str | Path, header: list[str], what: str) -> Iterator[tuple[int, list[str]]]:
+    """The non-blank rows after a CSV file's header, each with its line
+    number; a wrong header or a row without one field per header column
+    raises ``ValueError`` naming the file and line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         first = next(reader, None)
@@ -396,14 +400,14 @@ def _csv_rows(path: str | Path, header: list[str], what: str) -> Iterator[list[s
                 raise ValueError(
                     f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
                 )
-            yield row
+            yield reader.line_num, row
 
 
 def read_raw_csv(path: str | Path) -> dict[str, list[RawPoint]]:
     """Read `object_id,lon,lat,timestamp` rows grouped by object."""
     out: dict[str, list[RawPoint]] = {}
     header = ["object_id", "lon", "lat", "timestamp"]
-    for oid, lon, lat, t in _csv_rows(path, header, "raw trace"):
+    for _, (oid, lon, lat, t) in _csv_rows(path, header, "raw trace"):
         out.setdefault(oid, []).append(RawPoint(float(lon), float(lat), int(t)))
     return out
 
@@ -419,7 +423,7 @@ def write_raw_csv(path: str | Path, raw: dict[str, list[RawPoint]]) -> None:
 
 def read_anchor_csv(path: str | Path) -> AnchorSet:
     rows = _csv_rows(path, ["anchor_id", "lon", "lat"], "anchor")
-    return AnchorSet.from_rows([(int(i), float(lon), float(lat)) for i, lon, lat in rows])
+    return AnchorSet.from_rows([(int(i), float(lon), float(lat)) for _, (i, lon, lat) in rows])
 
 
 def write_anchor_csv(path: str | Path, anchors: AnchorSet) -> None:
@@ -431,11 +435,15 @@ def write_anchor_csv(path: str | Path, anchors: AnchorSet) -> None:
 
 
 def read_trace_csv(path: str | Path) -> list[Trace]:
-    """Read calibrated `object_id,anchor_id,timestamp` rows, file order kept."""
+    """Read calibrated `object_id,anchor_id,timestamp` rows, file order kept;
+    a negative anchor id raises ``ValueError`` naming the file and line."""
     points: dict[str, list[tuple[int, int]]] = {}
     header = ["object_id", "anchor_id", "timestamp"]
-    for oid, anchor_id, t in _csv_rows(path, header, "calibrated trace"):
-        points.setdefault(oid, []).append((int(anchor_id), int(t)))
+    for line, (oid, anchor_id, t) in _csv_rows(path, header, "calibrated trace"):
+        point = (int(anchor_id), int(t))
+        if point[0] < 0:
+            raise ValueError(f"{path}:{line}: anchor id {anchor_id} is negative")
+        points.setdefault(oid, []).append(point)
     return [Trace(oid, pts) for oid, pts in points.items()]
 
 

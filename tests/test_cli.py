@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from siglink.cli import main
+from siglink.linking import write_results_csv
 from siglink.synth import generate_synthetic
 from siglink.traces import SplitStrategy, split_dataset
 
@@ -20,7 +22,7 @@ def test_pipeline_smoke_writes_metrics(tmp_path):
     metrics = json.loads((out / "metrics.json").read_text())
     assert set(metrics["acc"]) == {"1", "2", "3", "4", "5"}
     assert metrics["engine"] == "wrtree"
-    assert {"reduce", "index_build", "link"} <= set(metrics["timings"])
+    assert list(metrics["timings"]) == ["signatures", "reduce", "index_build", "link"]
     assert (out / "results.csv").exists()
     assert (out / "config.used").exists()
 
@@ -130,6 +132,39 @@ def test_full_verb_chain(tmp_path):
     assert marry["stable"] > 0
     ev = json.loads((base / "ev/eval.json").read_text())
     assert 0.0 <= ev["acc"]["1"] <= 1.0
+
+
+def test_pipeline_equals_the_single_verbs(tmp_path):
+    # pipeline and the verbs share each stage; this run excludes 71 queries
+    # and 39 references, so the exclusion paths are compared too
+    p = tmp_path / "p"
+    assert run(["pipeline", "--synthetic", "n=150,seed=1,radius=0.01", "--m", "3",
+                "--out", p]) == 0
+    metrics = json.loads((p / "metrics.json").read_text())
+    assert (len(metrics["excluded_queries"]), len(metrics["excluded_references"])) == (71, 39)
+    assert run(["signature", "--traces", p / "d.csv", "--out", tmp_path / "sd"]) == 0
+    assert run(["signature", "--traces", p / "q.csv", "--corpus", p / "d.csv",
+                "--out", tmp_path / "sq"]) == 0
+    assert run(["link", "--queries", tmp_path / "sq/signatures.jsonl",
+                "--references", tmp_path / "sd/signatures.jsonl",
+                "--anchors", p / "anchors.csv", "--m", "3", "--out", tmp_path / "lk"]) == 0
+    for name, verb in (("signatures_d.jsonl", "sd/signatures.jsonl"),
+                       ("signatures_q.jsonl", "sq/signatures.jsonl"),
+                       ("results.csv", "lk/results.csv")):
+        assert (p / name).read_bytes() == (tmp_path / verb).read_bytes()
+    assert json.loads((tmp_path / "lk/metrics.json").read_text())["acc"] == metrics["acc"]
+
+
+def test_marry_quotes_ids_with_commas(tmp_path):
+    results = {"a,1": [("a,1", 0.9), ("b", 0.5)], "b": [("a,1", 0.8)], "c": []}
+    write_results_csv(tmp_path / "qd.csv", results)
+    write_results_csv(tmp_path / "dq.csv", results)
+    assert run(["marry", "--results-qd", tmp_path / "qd.csv", "--results-dq", tmp_path / "dq.csv",
+                "--out", tmp_path / "mm"]) == 0
+    with open(tmp_path / "mm/matching.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["query_id", "candidate_id", "phase"], ["a,1", "a,1", "stable"],
+                    ["b", "a,1", "fallback"], ["c", "", "unmatched"]]
 
 
 def test_eval_agrees_with_metrics_json(tmp_path):
@@ -497,6 +532,72 @@ def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, small_run, what
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert f"{bad}:" in err
+
+
+@pytest.fixture(scope="module")
+def three_anchors(tmp_path_factory):
+    """Three anchors, traces and spatial signatures within them, and an
+    index built from those signatures."""
+    base = tmp_path_factory.mktemp("three")
+    (base / "anchors.csv").write_text("anchor_id,lon,lat\n0,0.0,0.0\n1,1.0,0.0\n2,0.0,1.0\n")
+    rows = [f"{oid},{a},{86400 * day}" for oid in "abc" for day, a in enumerate([0, 1, 2, 1])]
+    (base / "traces.csv").write_text("object_id,anchor_id,timestamp\n" + "\n".join(rows) + "\n")
+    records = [{"object_id": oid, "kind": "spatial", "normalized": True, "reduced_m": None,
+                "sig": [[i, 0.6], [2, 0.8]]} for i, oid in enumerate("ab")]
+    (base / "sigs.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert run(["index", "build", "--signatures", base / "sigs.jsonl",
+                "--anchors", base / "anchors.csv", "--out", base / "idx"]) == 0
+    return base
+
+
+# (case, the file made bad, its record for object 'x', the other flags, the
+# error's start): each command holding both anchors and anchor ids, and the
+# negative id every trace reader refuses
+_NAMED = "{BAD}: object 'x' names anchor 3, beyond the 3 anchors of {A}"
+OUT_OF_RANGE = [
+    ("signature-negative", "traces", "x,-1,5", ["signature", "--traces", "BAD"],
+     "{BAD}:14: anchor id -1 is negative"),
+    ("signature-spatial", "traces", "x,3,5",
+     ["signature", "--traces", "BAD", "--anchors", "A"], _NAMED),
+    ("signature-sequential", "traces", "x,3,5",
+     ["signature", "--kind", "sequential", "--traces", "BAD", "--anchors", "A"], _NAMED),
+    ("signature-spatiotemporal", "traces", "x,3,5",
+     ["signature", "--kind", "spatiotemporal", "--dt", "6", "--traces", "BAD", "--anchors", "A"],
+     _NAMED),
+    ("signature-corpus", "traces", "x,3,5",
+     ["signature", "--traces", "T", "--corpus", "BAD", "--anchors", "A"], _NAMED),
+    ("pipeline", "traces", "x,3,5",
+     ["pipeline", "--traces", "BAD", "--anchors", "A", "--engine", "linear"], _NAMED),
+    ("closure", "traces", "x,3,5", ["closure", "--traces", "BAD", "--anchors", "A"], _NAMED),
+    ("link-wrtree", "signatures", [[1, 0.6], [3, 0.8]],
+     ["link", "--queries", "S", "--references", "BAD", "--anchors", "A"], _NAMED),
+    ("link-linear", "signatures", [[1, 0.6], [3, 0.8]],
+     ["link", "--queries", "BAD", "--references", "S", "--anchors", "A", "--engine", "linear"],
+     _NAMED),
+    ("index-build", "signatures", [[3, 1.0]],
+     ["index", "build", "--signatures", "BAD", "--anchors", "A"], _NAMED),
+    ("index-insert", "signatures", [[3, 1.0]],
+     ["index", "insert", "--index", "I", "--signatures", "BAD", "--anchors", "A"], _NAMED),
+]
+
+
+@pytest.mark.parametrize("what,bad_record,argv,error", [c[1:] for c in OUT_OF_RANGE],
+                         ids=[c[0] for c in OUT_OF_RANGE])
+def test_anchor_id_outside_anchor_set_exits_1(tmp_path, capsys, three_anchors, what, bad_record,
+                                              argv, error):
+    base = three_anchors
+    bad = tmp_path / "bad"
+    if what == "traces":
+        bad.write_text((base / "traces.csv").read_text() + bad_record + "\n")
+    else:
+        record = {"object_id": "x", "kind": "spatial", "normalized": True, "sig": bad_record}
+        bad.write_text((base / "sigs.jsonl").read_text() + json.dumps(record) + "\n")
+    names = {"BAD": str(bad), "A": str(base / "anchors.csv"), "T": base / "traces.csv",
+             "S": base / "sigs.jsonl", "I": base / "idx/index.bin"}
+    capsys.readouterr()
+    assert run([*(names.get(a, a) for a in argv), "--out", tmp_path / "x"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {error.format(**names)}\n"
 
 
 def test_readme_verb_table_matches_parser(capsys):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from siglink.errors import EmptySignatureError, EmptyTraceError
 from siglink.linking import build_corpus_stats, build_spatial_signature, reference_signatures
 from siglink.signatures import (
-    CorpusStats,
+    KIND_SPATIAL,
+    Corpus,
     build_temporal_histogram,
     cosine_similarity,
     grid_cells,
@@ -30,10 +31,17 @@ from testkit import random_signature, sig, trace_of
 # Corpus statistics
 
 
+def _spatial_corpus(n_objects, dims):
+    """A spatial corpus of ``n_objects`` objects fitted from the dimensions
+    of their distinct (object, dimension) pairs."""
+    return Corpus(KIND_SPATIAL).fit(n_objects, np.array(dims, dtype=np.int64))
+
+
 def test_single_object_corpus_all_df_one():
-    stats = build_corpus_stats([trace_of("a", [1, 2, 3])])
-    assert stats.n_objects == 1
-    assert stats.doc_freq == {1: 1, 2: 1, 3: 1}
+    corpus = build_corpus_stats([trace_of("a", [1, 2, 3])])
+    assert corpus.n_objects == 1
+    assert corpus.df.tolist() == [0, 1, 1, 1]
+    assert corpus.idf.tolist() == [0.0, 1.0, 1.0, 1.0]
 
 
 def test_doc_freq_counts_objects_not_visits():
@@ -43,10 +51,11 @@ def test_doc_freq_counts_objects_not_visits():
         trace_of("c", [7]),
         trace_of("d", [9]),
     ]
-    stats = build_corpus_stats(traces)
-    assert stats.doc_freq[5] == 2
-    assert stats.doc_freq[7] == 2
-    assert stats.doc_freq[9] == 1
+    corpus = build_corpus_stats(traces)
+    assert corpus.df[5] == 2
+    assert corpus.df[7] == 2
+    assert corpus.df[9] == 1
+    assert np.flatnonzero(corpus.df).tolist() == [5, 7, 9]
 
 
 def test_empty_corpus_rejected():
@@ -66,7 +75,7 @@ def test_empty_traces_excluded_and_not_counted():
         ("spatiotemporal", {"anchors": anchors, "g": 2, "dt_hours": 6}),
     ):
         sigs, excluded, corpus = tfidf_signatures(traces, kind_corpus(kind, **params))
-        assert corpus.stats.n_objects == 2
+        assert corpus.n_objects == 2
         assert excluded == ["e", "f"]
         assert set(sigs) == {"a", "b"}
 
@@ -78,48 +87,48 @@ def test_empty_traces_excluded_and_not_counted():
 def test_spatial_signature_hand_computed_tfidf():
     # object visits p1 twice and p2 once; p1 appears in 2 of 4 objects,
     # p2 in all 4, so p2's weight vanishes and p1 normalizes to 1
-    stats = CorpusStats(4, {1: 2, 2: 4})
+    corpus = _spatial_corpus(4, [1, 1, 2, 2, 2, 2])
     trace = trace_of("o", [1, 1, 2])
     pre_normalization = (2 / 3) * math.log(4 / 2)
     assert pre_normalization == pytest.approx(0.4621, abs=1e-4)
-    signature = build_spatial_signature(trace, stats)
+    signature = build_spatial_signature(trace, corpus)
     assert signature.as_dict() == {1: 1.0}
     assert signature.normalized
 
 
 def test_anchor_visited_by_every_object_dropped():
     traces = [trace_of("a", [1, 9]), trace_of("b", [2, 9]), trace_of("c", [3, 9])]
-    stats = build_corpus_stats(traces)
-    signature = build_spatial_signature(traces[0], stats)
+    corpus = build_corpus_stats(traces)
+    signature = build_spatial_signature(traces[0], corpus)
     assert 9 not in signature.as_dict()
 
 
 def test_single_object_corpus_single_anchor_normalizes_to_one():
     trace = trace_of("only", [4])
-    stats = build_corpus_stats([trace])
-    signature = build_spatial_signature(trace, stats)
+    corpus = build_corpus_stats([trace])
+    signature = build_spatial_signature(trace, corpus)
     assert signature.as_dict() == {4: 1.0}
 
 
 def test_object_with_only_universal_anchors_yields_empty_signature():
     traces = [trace_of("a", [9]), trace_of("b", [9, 5]), trace_of("c", [9, 6])]
-    stats = build_corpus_stats(traces)
+    corpus = build_corpus_stats(traces)
     with pytest.raises(EmptySignatureError):
-        build_spatial_signature(traces[0], stats)
+        build_spatial_signature(traces[0], corpus)
 
 
 def test_anchor_missing_from_stats_dropped():
     # anchor 2 is unseen by the corpus and is dropped before weighting
-    stats = CorpusStats(3, {1: 1})
-    signature = build_spatial_signature(trace_of("o", [1, 2, 1]), stats)
+    corpus = _spatial_corpus(3, [1])
+    signature = build_spatial_signature(trace_of("o", [1, 2, 1]), corpus)
     assert signature.as_dict() == {1: 1.0}
     with pytest.raises(EmptySignatureError):
-        build_spatial_signature(trace_of("o", [2, 3]), stats)
+        build_spatial_signature(trace_of("o", [2, 3]), corpus)
 
 
 def test_empty_trace_rejected():
     with pytest.raises(EmptyTraceError):
-        build_spatial_signature(Trace("o", []), CorpusStats(2, {1: 1}))
+        build_spatial_signature(Trace("o", []), _spatial_corpus(2, [1]))
 
 
 def test_signature_normalization_invariant():
@@ -389,10 +398,11 @@ def test_signature_jsonl_round_trip(tmp_path):
 # Batched TF-IDF: bit-identical to weighting each object alone
 
 
-def _expected_weights(counts, stats):
+def _expected_weights(counts, n, df):
     """One object's TF-IDF weights by the definition: (c / total) * idf over
-    the dimensions the corpus has seen, then divided by the L2 norm."""
-    n, df = stats.n_objects, stats.doc_freq
+    the dimensions the corpus has seen, then divided by the L2 norm; ``n``
+    and ``df`` are the corpus's object count and dimension -> document
+    frequency map."""
     total = sum(c for d, c in counts.items() if d in df)
     idf = {d: 1.0 if n == 1 else math.log(n / df[d]) for d in counts if d in df}
     dims = sorted(d for d in idf if idf[d] > 0.0)
@@ -406,7 +416,7 @@ def _expected_weights(counts, stats):
 
 _TFIDF_ANCHORS = AnchorSet(np.linspace(0.0, 1.0, 60), np.linspace(0.0, 1.0, 60) ** 2)
 
-# the kinds the property test draws: (corpus without statistics, q or None)
+# the kinds the property test draws: (corpus that is not fitted, q or None)
 _TFIDF_KINDS = {
     "spatial": (kind_corpus("spatial"), None),
     **{f"sequential{q}": (kind_corpus("sequential", q=q), q) for q in (1, 2, 3)},
@@ -418,8 +428,9 @@ _TFIDF_KINDS = {
 
 
 def _oracle_occurrences(kind, corpus_traces, traces, anchors):
-    """Statistics and per-trace dimension occurrences of one TF-IDF kind,
-    object by object in plain Python: grams through a sorted vocabulary
+    """Object count, dimension -> document frequency map and per-trace
+    dimension occurrences of one TF-IDF kind, object by object in plain
+    Python: grams through a sorted vocabulary
     (q=1 keeps the anchor id), grid cells through each anchor's
     coordinates (3 x 3 grid, clamped at the max edge) times 6-hour local
     intervals. Grams outside the vocabulary are dropped as unseen."""
@@ -455,7 +466,7 @@ def _oracle_occurrences(kind, corpus_traces, traces, anchors):
 
     usable = [t for t in corpus_traces if t.points]
     df = Counter(d for t in usable for d in set(occurrences(t)))
-    return CorpusStats(len(usable), dict(df)), [occurrences(t) for t in traces]
+    return len(usable), dict(df), [occurrences(t) for t in traces]
 
 
 @st.composite
@@ -493,17 +504,19 @@ def test_tfidf_rows_bit_identical_to_per_object_weights(corpora, kind):
             tfidf_signatures(corpus_traces, unfitted)
         return
     corpus = tfidf_signatures(corpus_traces, unfitted)[2]
-    stats, occurrences = _oracle_occurrences(kind, corpus_traces, traces, _TFIDF_ANCHORS)
-    assert corpus.stats.n_objects == stats.n_objects
-    assert corpus.stats.doc_freq == stats.doc_freq
+    n, df, occurrences = _oracle_occurrences(kind, corpus_traces, traces, _TFIDF_ANCHORS)
+    assert corpus.n_objects == n
+    seen = np.flatnonzero(corpus.df)
+    assert dict(zip(seen.tolist(), corpus.df[seen].tolist())) == df
+    oracle = unfitted.fit(n, np.repeat(list(df), list(df.values())).astype(np.int64))
     sigs, excluded, _ = tfidf_signatures(traces, corpus)
     rows = np.repeat(np.arange(len(traces)), [len(o) for o in occurrences])
     dims = np.array([d for o in occurrences for d in o], dtype=np.int64)
     pair_rows, pair_dims, counts = pair_counts(rows, dims)
-    batched = tfidf_rows(pair_rows, pair_dims, counts, stats, corpus.kind, len(traces))
+    batched = tfidf_rows(pair_rows, pair_dims, counts, oracle, len(traces))
     assert len(batched) == len(traces)
     for trace, occ, got in zip(traces, occurrences, batched):
-        want = _expected_weights(Counter(occ), stats)
+        want = _expected_weights(Counter(occ), n, df)
         if want is None:
             assert got is None
             assert trace.object_id in excluded and trace.object_id not in sigs

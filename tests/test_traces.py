@@ -1,3 +1,4 @@
+import re
 from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
@@ -17,6 +18,7 @@ from siglink.traces import (
     haversine_m,
     local_date,
     nearest_anchors,
+    point_table,
     read_anchor_csv,
     read_raw_csv,
     read_trace_csv,
@@ -393,6 +395,19 @@ def test_bad_headers_rejected(tmp_path):
     with pytest.raises(ValueError):
         read_anchor_csv(path)
     with pytest.raises(ValueError):
+        read_trace_csv(path)
+
+
+def test_negative_anchor_id_refused(tmp_path):
+    # a negative id would alias another anchor once ids become array indexes
+    traces = [trace_of("a", [1, 2]), Trace("b", [(0, 10), (-1, 20)])]
+    with pytest.raises(ValueError, match="object 'b' has negative anchor id -1"):
+        point_table(traces)
+    with pytest.raises(ValueError, match="'b'"):
+        split_dataset(traces, SplitStrategy.interleaved())
+    path = tmp_path / "traces.csv"
+    path.write_text("object_id,anchor_id,timestamp\na,1,10\n\nb,-1,20\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:4: anchor id -1 is negative")):
         read_trace_csv(path)
 
 
