@@ -137,6 +137,10 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
 def _print_table(headers: list[str], rows: list[list]) -> None:
     cells = [[str(c) for c in row] for row in rows]
     widths = [
@@ -232,7 +236,7 @@ def _file_run(results: dict, k: int, reference_ids: set[str]) -> LinkingRun:
 # Verb handlers
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
+def _cmd_synth(args: argparse.Namespace) -> None:
     out = _out_dir(args)
     traces, anchors = generate_synthetic(
         args.n_objects,
@@ -255,12 +259,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "total_points": sum(len(t) for t in traces),
     }
-    (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+    _write_json(out / "meta.json", meta)
     print(f"wrote {len(traces)} traces over {len(anchors)} anchors to {out}")
-    return EXIT_OK
 
 
-def _cmd_ingest(args: argparse.Namespace) -> int:
+def _cmd_ingest(args: argparse.Namespace) -> None:
     out = _out_dir(args)
     traces = _calibrated(args, read_anchor_csv(args.anchors))
     before = len(traces)
@@ -273,12 +276,11 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         "metric": args.metric,
         "total_points": sum(len(t) for t in traces),
     }
-    (out / "ingest_report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    _write_json(out / "ingest_report.json", report)
     print(f"calibrated {len(traces)}/{before} objects into {out / 'calibrated.csv'}")
-    return EXIT_OK
 
 
-def _cmd_split(args: argparse.Namespace) -> int:
+def _cmd_split(args: argparse.Namespace) -> None:
     out = _out_dir(args)
     traces = read_trace_csv(args.traces)
     result = _split_to(out, traces, args)
@@ -287,12 +289,11 @@ def _cmd_split(args: argparse.Namespace) -> int:
         "objects": len(traces),
         "flagged_empty_half": sorted(result.flagged),
     }
-    (out / "split_report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    _write_json(out / "split_report.json", report)
     print(
         f"split {len(traces)} objects into {out / 'q.csv'} / {out / 'd.csv'}"
         f" ({len(result.flagged)} flagged with an empty half)"
     )
-    return EXIT_OK
 
 
 def _kind_corpus(args: argparse.Namespace, anchors) -> Corpus:
@@ -306,7 +307,7 @@ def _kind_corpus(args: argparse.Namespace, anchors) -> Corpus:
     )
 
 
-def _cmd_signature(args: argparse.Namespace) -> int:
+def _cmd_signature(args: argparse.Namespace) -> None:
     out = _out_dir(args)
     _require_dt(args)
     if args.kind == "spatiotemporal" and not args.anchors:
@@ -331,7 +332,7 @@ def _cmd_signature(args: argparse.Namespace) -> int:
             for rec in records:
                 fh.write(json.dumps(rec) + "\n")
         print(f"wrote {len(records)} temporal histograms to {path}")
-        return EXIT_OK
+        return
     corpus = _kind_corpus(args, anchors)
     if args.corpus:
         _, _, corpus = tfidf_signatures(_read_traces(args.corpus, args, anchors), corpus)
@@ -339,20 +340,18 @@ def _cmd_signature(args: argparse.Namespace) -> int:
     path = out / "signatures.jsonl"
     write_signatures_jsonl(path, sorted(sigs.items()))
     print(f"wrote {len(sigs)} {args.kind} signatures to {path} ({len(excluded)} excluded)")
-    return EXIT_OK
 
 
-def _cmd_reduce(args: argparse.Namespace) -> int:
+def _cmd_reduce(args: argparse.Namespace) -> None:
     out = _out_dir(args)
     entries = read_signatures_jsonl(args.signatures)
     reduced = [(oid, cut_reduce(sig, args.m)) for oid, sig in entries]
     path = out / "signatures.jsonl"
     write_signatures_jsonl(path, reduced)
     print(f"reduced {len(reduced)} signatures to top-{args.m} at {path}")
-    return EXIT_OK
 
 
-def _cmd_index_build(args: argparse.Namespace) -> int:
+def _cmd_index_build(args: argparse.Namespace) -> None:
     out = _out_dir(args)
     anchors = read_anchor_csv(args.anchors)
     entries = [
@@ -365,10 +364,9 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
     path = out / "index.bin"
     save_index(tree, path)
     print(f"built index over {tree.n_objects} objects in {build_s:.3f}s -> {path}")
-    return EXIT_OK
 
 
-def _cmd_index_insert(args: argparse.Namespace) -> int:
+def _cmd_index_insert(args: argparse.Namespace) -> None:
     out = _out_dir(args)
     anchors = read_anchor_csv(args.anchors)
     tree = load_index(args.index)
@@ -379,10 +377,9 @@ def _cmd_index_insert(args: argparse.Namespace) -> int:
     path = out / "index.bin"
     save_index(tree, path)
     print(f"inserted {added} objects; index now holds {tree.n_objects} -> {path}")
-    return EXIT_OK
 
 
-def _cmd_index_validate(args: argparse.Namespace) -> int:
+def _cmd_index_validate(args: argparse.Namespace) -> None:
     tree = load_index(args.index)
     problems = validate(tree)
     if problems:
@@ -390,10 +387,9 @@ def _cmd_index_validate(args: argparse.Namespace) -> int:
             print(f"INVALID: {p}")
         raise SiglinkError(f"index {args.index} failed validation ({len(problems)} problems)")
     print(f"index {args.index} valid: {tree.n_objects} objects, capacity {tree.capacity}")
-    return EXIT_OK
 
 
-def _cmd_link(args: argparse.Namespace) -> int:
+def _cmd_link(args: argparse.Namespace) -> None:
     if args.engine != "linear" and not args.anchors:
         raise ConfigError(f"engine {args.engine!r} needs --anchors for bounding boxes")
     out = _out_dir(args)
@@ -401,20 +397,18 @@ def _cmd_link(args: argparse.Namespace) -> int:
     queries = dict(_read_signatures(args.queries, args, anchors))
     references = dict(_read_signatures(args.references, args, anchors))
     _link_to(out, args, queries, references, anchors, {})
-    return EXIT_OK
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: argparse.Namespace) -> None:
     out = _out_dir(args)
     references = {oid for oid, _ in read_signatures_jsonl(args.references)}
     run = _file_run(read_results_csv(args.results), args.k, references)
     acc = {str(kk): accuracy_at_k(run, kk) for kk in range(1, args.k + 1)}
-    (out / "eval.json").write_text(json.dumps({"acc": acc}, indent=2) + "\n", encoding="utf-8")
+    _write_json(out / "eval.json", {"acc": acc})
     _print_table(["k", "acc"], [[kk, f"{v:.4f}"] for kk, v in acc.items()])
-    return EXIT_OK
 
 
-def _cmd_rerank(args: argparse.Namespace) -> int:
+def _cmd_rerank(args: argparse.Namespace) -> None:
     out = _out_dir(args)
     results = read_results_csv(args.results)
     run = _file_run(
@@ -429,10 +423,9 @@ def _cmd_rerank(args: argparse.Namespace) -> int:
     )
     write_results_csv(out / "results.csv", reranked)
     print(f"reranked {len(results)} result lists -> {out / 'results.csv'}")
-    return EXIT_OK
 
 
-def _cmd_marry(args: argparse.Namespace) -> int:
+def _cmd_marry(args: argparse.Namespace) -> None:
     out = _out_dir(args)
     qd = read_results_csv(args.results_qd)
     dq = read_results_csv(args.results_dq)
@@ -448,19 +441,16 @@ def _cmd_marry(args: argparse.Namespace) -> int:
         "fallback": len(matching.fallback_pairs),
         "unmatched": len(matching.unmatched),
         "proposals": matching.n_proposals,
-        "fallback_collisions": {
-            d: qs for d, qs in matching.fallback_collisions().items()
-        },
+        "fallback_collisions": matching.fallback_collisions(),
     }
-    (out / "marry.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    _write_json(out / "marry.json", summary)
     print(
         f"matched {summary['stable']} stable / {summary['fallback']} fallback"
         f" / {summary['unmatched']} unmatched; accuracy {summary['accuracy']:.4f}"
     )
-    return EXIT_OK
 
 
-def _cmd_closure(args: argparse.Namespace) -> int:
+def _cmd_closure(args: argparse.Namespace) -> None:
     out = _out_dir(args)
     anchors = read_anchor_csv(args.anchors)
     traces = _read_traces(args.traces, args, anchors)
@@ -482,18 +472,11 @@ def _cmd_closure(args: argparse.Namespace) -> int:
     for r in report.rounds:
         records.append([r.round_no, r.accuracy[1], r.accuracy[args.k], *astuple(r.utility)])
     _write_csv(out / "closure.csv", header, records)
-    rows = [["0", f"{report.baseline_accuracy[1]:.4f}", "1.000", "1.000"]]
-    for r in report.rounds:
-        rows.append(
-            [
-                str(r.round_no),
-                f"{r.accuracy[1]:.4f}",
-                f"{r.utility.data_remain:.3f}",
-                f"{r.utility.grid_coverage_small:.3f}",
-            ]
-        )
-    _print_table(["round", "acc@1", "data_remain", "grid_small"], rows)
-    return EXIT_OK
+    _print_table(
+        ["round", "acc@1", "data_remain", "grid_small"],
+        [[no, f"{acc1:.4f}", f"{remain:.3f}", f"{small:.3f}"]
+         for no, acc1, _, remain, _, _, small in records],
+    )
 
 
 def _pipeline_traces(args: argparse.Namespace):
@@ -519,7 +502,7 @@ def _pipeline_traces(args: argparse.Namespace):
     return traces, anchors
 
 
-def _cmd_pipeline(args: argparse.Namespace) -> int:
+def _cmd_pipeline(args: argparse.Namespace) -> None:
     out = _out_dir(args)
     if args.kind == "temporal":
         raise ConfigError(
@@ -556,7 +539,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         ["phase", "seconds"],
         [[phase, f"{secs:.3f}"] for phase, secs in run.timings.items()],
     )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -669,6 +651,16 @@ def _add_kind_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--grid", type=_POSITIVE, default=100, help="grid resolution per axis")
 
 
+def _verb(subparsers, name: str, handler, out: bool = True, **kwargs) -> argparse.ArgumentParser:
+    """The parser of verb ``name``, run by ``handler``. A verb that writes
+    files takes a required ``--out`` as its first flag."""
+    p = subparsers.add_parser(name, **kwargs)
+    if out:
+        p.add_argument("--out", required=True)
+    p.set_defaults(handler=handler)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="siglink",
@@ -678,8 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="verb")
 
-    p = subparsers.add_parser("synth", help="generate a synthetic workload")
-    p.add_argument("--out", required=True)
+    p = _verb(subparsers, "synth", _cmd_synth, help="generate a synthetic workload")
     p.add_argument("--n-objects", type=_POSITIVE, default=500)
     p.add_argument("--n-anchors", type=_POSITIVE, default=2000)
     p.add_argument("--locality-radius", type=_RADIUS, default=0.05)
@@ -689,57 +680,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--personal-mass", type=_fraction, default=0.35)
     p.add_argument("--personal-pool", type=_POSITIVE, default=40)
     p.add_argument("--hub-fraction", type=_fraction, default=0.2)
-    p.set_defaults(handler=_cmd_synth)
 
-    p = subparsers.add_parser("ingest", help="calibrate raw GPS traces to anchors")
-    p.add_argument("--out", required=True)
+    p = _verb(subparsers, "ingest", _cmd_ingest, help="calibrate raw GPS traces to anchors")
     p.add_argument("--raw", required=True)
     p.add_argument("--anchors", required=True)
     p.add_argument("--metric", default="haversine", choices=["haversine", "planar"])
     p.add_argument("--min-points", type=_at_least(0), default=0)
-    p.set_defaults(handler=_cmd_ingest)
 
-    p = subparsers.add_parser("split", help="split calibrated traces into Q and D")
-    p.add_argument("--out", required=True)
+    p = _verb(subparsers, "split", _cmd_split, help="split calibrated traces into Q and D")
     p.add_argument("--traces", required=True)
     _add_split_flags(p)
-    p.set_defaults(handler=_cmd_split)
 
-    p = subparsers.add_parser("signature", help="build signatures from traces")
-    p.add_argument("--out", required=True)
+    p = _verb(subparsers, "signature", _cmd_signature, help="build signatures from traces")
     p.add_argument("--traces", required=True)
     p.add_argument("--anchors", default=None)
     p.add_argument("--corpus", default=None, help="traces CSV to take IDF statistics from")
     p.add_argument("--utc-offset", type=int, default=DEFAULT_UTC_OFFSET_HOURS)
     _add_kind_flags(p)
-    p.set_defaults(handler=_cmd_signature)
 
-    p = subparsers.add_parser("reduce", help="truncate signatures to their top-m dims")
-    p.add_argument("--out", required=True)
+    p = _verb(subparsers, "reduce", _cmd_reduce, help="truncate signatures to their top-m dims")
     p.add_argument("--signatures", required=True)
     p.add_argument("--m", type=_POSITIVE, required=True)
-    p.set_defaults(handler=_cmd_reduce)
 
     p = subparsers.add_parser("index", help="build, extend, or check an index")
     index_sub = p.add_subparsers(dest="index_verb", required=True)
-    b = index_sub.add_parser("build")
-    b.add_argument("--out", required=True)
+    b = _verb(index_sub, "build", _cmd_index_build)
     b.add_argument("--signatures", required=True)
     b.add_argument("--anchors", required=True)
     b.add_argument("--capacity", type=_CAPACITY, default=32)
-    b.set_defaults(handler=_cmd_index_build)
-    i = index_sub.add_parser("insert")
-    i.add_argument("--out", required=True)
+    i = _verb(index_sub, "insert", _cmd_index_insert)
     i.add_argument("--index", required=True)
     i.add_argument("--signatures", required=True)
     i.add_argument("--anchors", required=True)
-    i.set_defaults(handler=_cmd_index_insert)
-    v = index_sub.add_parser("validate")
+    v = _verb(index_sub, "validate", _cmd_index_validate, out=False)
     v.add_argument("--index", required=True)
-    v.set_defaults(handler=_cmd_index_validate)
 
-    p = subparsers.add_parser("link", help="batch k-NN of query signatures against references")
-    p.add_argument("--out", required=True)
+    p = _verb(subparsers, "link", _cmd_link,
+              help="batch k-NN of query signatures against references")
     p.add_argument("--queries", required=True)
     p.add_argument("--references", required=True)
     p.add_argument("--anchors", default=None)
@@ -747,33 +724,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_POSITIVE, default=5)
     p.add_argument("--m", type=_POSITIVE, default=None)
     p.add_argument("--capacity", type=_CAPACITY, default=32)
-    p.set_defaults(handler=_cmd_link)
 
-    p = subparsers.add_parser("eval", help="accuracy table from a results CSV")
-    p.add_argument("--out", required=True)
+    p = _verb(subparsers, "eval", _cmd_eval, help="accuracy table from a results CSV")
     p.add_argument("--results", required=True)
     p.add_argument(
         "--references", required=True,
         help="signature JSONL the run linked against; queries absent from it are not judged",
     )
     p.add_argument("--k", type=_POSITIVE, default=5)
-    p.set_defaults(handler=_cmd_eval)
 
-    p = subparsers.add_parser("rerank", help="re-order results with larger signatures")
-    p.add_argument("--out", required=True)
+    p = _verb(subparsers, "rerank", _cmd_rerank, help="re-order results with larger signatures")
     p.add_argument("--results", required=True)
     p.add_argument("--queries-large", required=True)
     p.add_argument("--references-large", required=True)
-    p.set_defaults(handler=_cmd_rerank)
 
-    p = subparsers.add_parser("marry", help="stable-marriage refinement of two result sets")
-    p.add_argument("--out", required=True)
+    p = _verb(subparsers, "marry", _cmd_marry,
+              help="stable-marriage refinement of two result sets")
     p.add_argument("--results-qd", required=True)
     p.add_argument("--results-dq", required=True)
-    p.set_defaults(handler=_cmd_marry)
 
-    p = subparsers.add_parser("closure", help="iterative signature suppression")
-    p.add_argument("--out", required=True)
+    p = _verb(subparsers, "closure", _cmd_closure, help="iterative signature suppression")
     p.add_argument("--traces", required=True)
     p.add_argument("--anchors", required=True)
     p.add_argument("--m", type=_POSITIVE, default=10)
@@ -782,10 +752,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", default="wrtree", choices=list(ENGINES))
     p.add_argument("--capacity", type=_CAPACITY, default=32)
     _add_split_flags(p)
-    p.set_defaults(handler=_cmd_closure)
 
-    p = subparsers.add_parser("pipeline", help="ingest -> split -> sign -> reduce -> index -> link -> score")
-    p.add_argument("--out", required=True)
+    p = _verb(subparsers, "pipeline", _cmd_pipeline,
+              help="ingest -> split -> sign -> reduce -> index -> link -> score")
     p.add_argument(
         "--synthetic", type=_synthetic, default=None,
         help="n=500[,anchors=2000,radius=0.05,points=200,seed=0]",
@@ -801,7 +770,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--capacity", type=_CAPACITY, default=32)
     _add_split_flags(p)
     _add_kind_flags(p)
-    p.set_defaults(handler=_cmd_pipeline)
 
     return parser
 
@@ -817,11 +785,11 @@ def main(argv: list[str] | None = None) -> int:
         if not hasattr(args, "handler"):
             parser.print_help()
             return EXIT_CONFIG
-        code = args.handler(args)
         # a handler that returns has succeeded; failures raise
+        args.handler(args)
         if getattr(args, "out", None) is not None:
             _capture_config(args)
-        return code
+        return EXIT_OK
     except (ConfigError, FileNotFoundError) as exc:
         # referenced paths must exist at validation time
         print(f"config error: {exc}", file=sys.stderr)

@@ -26,6 +26,7 @@ from .wrtree import (
     IndexEntry,
     KnnResult,
     WrTree,
+    _check_normalized,
     bulk_load,
     knn_search,
     linear_knn,
@@ -86,12 +87,6 @@ def build_spatial_signature(trace: Trace, corpus: Corpus) -> Signature:
 
 
 _NO_MBR = Mbr(0.0, 0.0, 0.0, 0.0)
-
-
-def _check_normalized(object_id: str, sig: Signature) -> None:
-    if not sig.normalized:
-        # cosine scores and the pruning bounds hold only for unit vectors
-        raise ValueError(f"signature of {object_id!r} is not normalized")
 
 
 def _reduce_entry(
@@ -391,14 +386,35 @@ def write_results_csv(path: str | Path, run: LinkingRun | Mapping[str, KnnResult
                 writer.writerow([oid, rank_no, cand, repr(sim)])
 
 
+def _similarity(field: str) -> float | None:
+    """A results CSV column type: a float, or None where a rank-0 row leaves
+    the field empty."""
+    return float(field) if field else None
+
+
+_RESULTS_COLUMNS = {"query_id": str, "rank": int, "candidate_id": str, "similarity": _similarity}
+
+
 def read_results_csv(path: str | Path) -> dict[str, KnnResult]:
-    """Result lists by query id; a rank-0 row reads back as an empty list."""
+    """Result lists by query id. A query's rows rank its candidates 1, 2, ...
+    in file order, each with a similarity, or are one rank-0 row, which reads
+    back as an empty list. Any other row raises ``ValueError`` naming the
+    file and line."""
     out: dict[str, KnnResult] = {}
-    header = ["query_id", "rank", "candidate_id", "similarity"]
-    for _, (oid, rank_no, cand, sim) in _csv_rows(path, header, "results"):
+    empty: set[str] = set()  # queries read from a rank-0 row
+    for line, (oid, rank_no, cand, sim) in _csv_rows(path, _RESULTS_COLUMNS, "results"):
         result = out.setdefault(oid, [])
-        if rank_no != "0":
-            result.append((cand, float(sim)))
+        if rank_no == 0 and not result and oid not in empty:
+            empty.add(oid)
+            continue
+        if oid in empty or rank_no != len(result) + 1:
+            raise ValueError(
+                f"{path}:{line}: rank {rank_no} of query {oid!r} breaks its order;"
+                " ranks run 1, 2, ... or are one rank-0 row"
+            )
+        if sim is None:
+            raise ValueError(f"{path}:{line}: rank {rank_no} of query {oid!r} has no similarity")
+        result.append((cand, sim))
     return out
 
 

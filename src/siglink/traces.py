@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import csv
+import math
 import random
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from itertools import chain, compress
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -384,10 +385,23 @@ def split_dataset(
 # File formats
 
 
-def _csv_rows(path: str | Path, header: list[str], what: str) -> Iterator[tuple[int, list[str]]]:
+def _finite(field: str) -> float:
+    """A CSV column type: a float that is neither nan nor infinite."""
+    value = float(field)
+    if not math.isfinite(value):
+        raise ValueError(f"{field!r} is not finite")
+    return value
+
+
+def _csv_rows(
+    path: str | Path, columns: Mapping[str, Callable[[str], object]], what: str
+) -> Iterator[tuple[int, list]]:
     """The non-blank rows after a CSV file's header, each with its line
-    number; a wrong header or a row without one field per header column
-    raises ``ValueError`` naming the file and line."""
+    number and each field converted by its column's type. The header must
+    list ``columns`` in order; a wrong header, a row without one field per
+    column or a field its column's type refuses raises ``ValueError`` naming
+    the file and line."""
+    header = list(columns)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         first = next(reader, None)
@@ -396,19 +410,28 @@ def _csv_rows(path: str | Path, header: list[str], what: str) -> Iterator[tuple[
         for row in reader:
             if not row:
                 continue
+            line = reader.line_num
             if len(row) != len(header):
-                raise ValueError(
-                    f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
-                )
-            yield reader.line_num, row
+                raise ValueError(f"{path}:{line}: expected {len(header)} fields, got {len(row)}")
+            values = []
+            for (name, convert), field in zip(columns.items(), row):
+                try:
+                    values.append(convert(field))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{line}: {name}: {exc}") from None
+            yield line, values
+
+
+_RAW_COLUMNS = {"object_id": str, "lon": _finite, "lat": _finite, "timestamp": int}
+_ANCHOR_COLUMNS = {"anchor_id": int, "lon": _finite, "lat": _finite}
+_TRACE_COLUMNS = {"object_id": str, "anchor_id": int, "timestamp": int}
 
 
 def read_raw_csv(path: str | Path) -> dict[str, list[RawPoint]]:
     """Read `object_id,lon,lat,timestamp` rows grouped by object."""
     out: dict[str, list[RawPoint]] = {}
-    header = ["object_id", "lon", "lat", "timestamp"]
-    for _, (oid, lon, lat, t) in _csv_rows(path, header, "raw trace"):
-        out.setdefault(oid, []).append(RawPoint(float(lon), float(lat), int(t)))
+    for _, (oid, lon, lat, t) in _csv_rows(path, _RAW_COLUMNS, "raw trace"):
+        out.setdefault(oid, []).append(RawPoint(lon, lat, t))
     return out
 
 
@@ -422,8 +445,7 @@ def write_raw_csv(path: str | Path, raw: dict[str, list[RawPoint]]) -> None:
 
 
 def read_anchor_csv(path: str | Path) -> AnchorSet:
-    rows = _csv_rows(path, ["anchor_id", "lon", "lat"], "anchor")
-    return AnchorSet.from_rows([(int(i), float(lon), float(lat)) for _, (i, lon, lat) in rows])
+    return AnchorSet.from_rows(row for _, row in _csv_rows(path, _ANCHOR_COLUMNS, "anchor"))
 
 
 def write_anchor_csv(path: str | Path, anchors: AnchorSet) -> None:
@@ -438,12 +460,10 @@ def read_trace_csv(path: str | Path) -> list[Trace]:
     """Read calibrated `object_id,anchor_id,timestamp` rows, file order kept;
     a negative anchor id raises ``ValueError`` naming the file and line."""
     points: dict[str, list[tuple[int, int]]] = {}
-    header = ["object_id", "anchor_id", "timestamp"]
-    for line, (oid, anchor_id, t) in _csv_rows(path, header, "calibrated trace"):
-        point = (int(anchor_id), int(t))
-        if point[0] < 0:
+    for line, (oid, anchor_id, t) in _csv_rows(path, _TRACE_COLUMNS, "calibrated trace"):
+        if anchor_id < 0:
             raise ValueError(f"{path}:{line}: anchor id {anchor_id} is negative")
-        points.setdefault(oid, []).append(point)
+        points.setdefault(oid, []).append((anchor_id, t))
     return [Trace(oid, pts) for oid, pts in points.items()]
 
 

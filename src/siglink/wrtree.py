@@ -217,13 +217,23 @@ def _str_level(children: Sequence[WrNode], capacity: int) -> list[WrNode]:
     return out
 
 
+def _check_normalized(object_id: str, sig: Signature) -> None:
+    if not sig.normalized:
+        # cosine scores and the pruning bounds hold only for unit vectors
+        raise ValueError(f"signature of {object_id!r} is not normalized")
+
+
 def bulk_load(objects: Sequence[IndexEntry], capacity: int = DEFAULT_CAPACITY) -> WrTree:
-    """Build a weighted tree bottom-up with STR tiling and greedy packing."""
+    """Build a weighted tree bottom-up with STR tiling and greedy packing.
+    Every signature must be normalized; one that is not raises
+    ``ValueError`` naming its object."""
     if capacity < 2:
         raise ValueError("node capacity must be >= 2")
     ids = [o[0] for o in objects]
     if len(set(ids)) != len(ids):
         raise ValueError("object ids must be unique")
+    for object_id, sig, _ in objects:
+        _check_normalized(object_id, sig)
     if not objects:
         return WrTree(None, capacity, None, 0)
     kind = objects[0][1].kind
@@ -294,10 +304,12 @@ def _replace_child(node: WrNode, index: int, first: WrNode, second: WrNode) -> N
 def insert(tree: WrTree, entry: IndexEntry) -> None:
     """Insert one object, updating aggregates, rectangles and posting lists
     along the path. An overflowing node is split in two by the bulk loader's
-    rule: one STR slab packed greedily by shared dimensions."""
+    rule: one STR slab packed greedily by shared dimensions. The signature
+    must be normalized."""
     object_id, sig, mbr = entry
     if object_id in tree.ids:
         raise ValueError(f"duplicate object id {object_id!r}")
+    _check_normalized(object_id, sig)
     leaf = WrNode.leaf(object_id, sig, mbr)
     if tree.root is None:
         tree.root = WrNode.internal([leaf])
@@ -495,6 +507,8 @@ def validate(tree: WrTree) -> list[str]:
         if node.is_leaf:
             seen_ids.append(node.object_id)
             leaf_depths.add(depth)
+            if not node.signature.normalized:
+                problems.append(f"signature of leaf {node.object_id!r} is not normalized")
             return
         if not (1 <= len(node.children) <= tree.capacity):
             problems.append(f"node at depth {depth} has {len(node.children)} children")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -9,6 +10,7 @@ from siglink.cli import main
 from siglink.linking import write_results_csv
 from siglink.synth import generate_synthetic
 from siglink.traces import SplitStrategy, split_dataset
+from siglink.wrtree import load_index, save_index
 
 
 def run(args):
@@ -495,11 +497,61 @@ def _first_pair(dim=None, weight=None):
                               p[0][1] if weight is None else weight], *p[1:]])
 
 
+def _anchor_lon(value):
+    """The anchors of a run with the longitude of an anchor its traces use
+    set to ``value``."""
+
+    def text(run_dir):
+        used = (run_dir / "d.csv").read_text().splitlines()[1].split(",")[1]
+        header, *rows = (run_dir / "anchors.csv").read_text().splitlines()
+        rows = [f"{used},{value},{row.split(',')[2]}" if row.split(",")[0] == used else row
+                for row in rows]
+        return "\n".join([header, *rows]) + "\n"
+
+    return text
+
+
+def _results(edit):
+    """The results of a run, each row a list of fields, with ``edit``
+    applied; the first query's first two rows are its ranks 1 and 2."""
+
+    def text(run_dir):
+        header, *rows = (run_dir / "results.csv").read_text().splitlines()
+        rows = [row.split(",") for row in rows]
+        assert rows[0][:2] == [rows[1][0], "1"] and rows[1][1] == "2"
+        return "\n".join([header, *(",".join(row) for row in edit(rows))]) + "\n"
+
+    return text
+
+
+_RANKS_SWAPPED = _results(lambda r: [r[1], r[0], *r[2:]])
+
 # (case, input the bad file replaces, its text from a good run's directory)
 MALFORMED = [
     ("trace-row-short", "traces", lambda d: "object_id,anchor_id,timestamp\no1,5\n"),
     ("trace-row-long", "traces", lambda d: "object_id,anchor_id,timestamp\no1,5,6,7\n"),
+    ("trace-anchor-not-int", "traces",
+     lambda d: "object_id,anchor_id,timestamp\na,1,10\nb,x1,20\n"),
+    ("trace-timestamp-not-int", "traces", lambda d: "object_id,anchor_id,timestamp\na,1,1.5\n"),
     ("anchor-row-short", "anchors", lambda d: "anchor_id,lon,lat\n0,1.0\n"),
+    ("anchor-id-not-int", "anchors", lambda d: "anchor_id,lon,lat\nz,1.0,2.0\n"),
+    ("anchor-lon-nan", "anchors", _anchor_lon("nan")),
+    ("anchor-lon-inf", "anchors", _anchor_lon("-inf")),
+    ("anchor-lon-text", "anchors", _anchor_lon("east")),
+    ("index-anchor-lon-nan", "index-anchors", _anchor_lon("nan")),
+    ("raw-lon-nan", "raw", lambda d: "object_id,lon,lat,timestamp\na,1.0,2.0,10\na,nan,2.0,20\n"),
+    ("raw-lat-text", "raw", lambda d: "object_id,lon,lat,timestamp\na,1.0,zz,10\n"),
+    ("raw-timestamp-not-int", "raw", lambda d: "object_id,lon,lat,timestamp\na,1.0,2.0,t\n"),
+    ("results-ranks-swapped", "results", _RANKS_SWAPPED),
+    ("results-rank-skipped", "results", _results(lambda r: [r[0], *r[2:]])),
+    ("results-rank-not-int", "results", _results(lambda r: [[r[0][0], "x", *r[0][2:]], *r[1:]])),
+    ("results-rank-0-then-1", "results", _results(lambda r: [[r[0][0], "0", "", ""], *r])),
+    ("results-rank-1-then-0", "results",
+     _results(lambda r: [r[0], [r[0][0], "0", "", ""], *r[1:]])),
+    ("results-similarity-empty", "results", _results(lambda r: [[*r[0][:3], ""], *r[1:]])),
+    ("results-similarity-text", "results", _results(lambda r: [[*r[0][:3], "high"], *r[1:]])),
+    ("rerank-ranks-swapped", "rerank-results", _RANKS_SWAPPED),
+    ("marry-ranks-swapped", "marry-results", _RANKS_SWAPPED),
     ("record-without-sig", "signatures",
      _edited_record(lambda r: {k: v for k, v in r.items() if k != "sig"})),
     ("record-is-array", "signatures", _edited_record(lambda r: r["sig"])),
@@ -524,14 +576,23 @@ def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, small_run, what
     argv = {
         "traces": ["split", "--traces", bad],
         "anchors": ["closure", "--traces", small_run / "d.csv", "--anchors", bad],
+        "index-anchors": ["index", "build", "--signatures", small_run / "signatures_d.jsonl",
+                          "--anchors", bad],
+        "raw": ["ingest", "--raw", bad, "--anchors", small_run / "anchors.csv"],
         "signatures": ["link", "--queries", small_run / "signatures_q.jsonl",
                        "--references", bad, "--engine", "linear"],
+        "results": ["eval", "--results", bad, "--references", small_run / "signatures_d.jsonl"],
+        "rerank-results": ["rerank", "--results", bad,
+                           "--queries-large", small_run / "signatures_q.jsonl",
+                           "--references-large", small_run / "signatures_d.jsonl"],
+        "marry-results": ["marry", "--results-qd", small_run / "results.csv",
+                          "--results-dq", bad],
     }[what]
     capsys.readouterr()
     assert run([*argv, "--out", tmp_path / "x"]) == 1
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
-    assert f"{bad}:" in err
+    assert re.search(rf"{re.escape(str(bad))}:\d+: ", err)
 
 
 @pytest.fixture(scope="module")
@@ -598,6 +659,30 @@ def test_anchor_id_outside_anchor_set_exits_1(tmp_path, capsys, three_anchors, w
     assert run([*(names.get(a, a) for a in argv), "--out", tmp_path / "x"]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {error.format(**names)}\n"
+
+
+def test_index_refuses_unnormalized_signature_and_validate_reports_one(tmp_path, capsys,
+                                                                      three_anchors):
+    base = three_anchors
+    record = {"object_id": "u", "kind": "spatial", "normalized": False, "reduced_m": None,
+              "sig": [[0, 3.0]]}
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(record) + "\n")
+    for argv in (["index", "build"], ["index", "insert", "--index", base / "idx/index.bin"]):
+        capsys.readouterr()
+        assert run([*argv, "--signatures", bad, "--anchors", base / "anchors.csv",
+                    "--out", tmp_path / "x"]) == 1
+        assert capsys.readouterr().err == "error: signature of 'u' is not normalized\n"
+    # an index file written before bulk load refused such a leaf
+    tree = load_index(base / "idx/index.bin")
+    leaf = tree.root.children[0]
+    leaf._leaf_sig = dataclasses.replace(leaf.signature, normalized=False)
+    save_index(tree, tmp_path / "old.bin")
+    capsys.readouterr()
+    assert run(["index", "validate", "--index", tmp_path / "old.bin"]) == 1
+    out, err = capsys.readouterr()
+    assert out == f"INVALID: signature of leaf {leaf.object_id!r} is not normalized\n"
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
 def test_readme_verb_table_matches_parser(capsys):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siglink.reduction import Mbr, cut_reduce, mbr_of
-from siglink.signatures import cosine_similarity
+from siglink.signatures import Signature, cosine_similarity
 from siglink.synth import generate_synthetic
 from siglink.linking import reference_signatures
 from siglink.wrtree import (
@@ -134,6 +134,29 @@ def test_bulk_load_empty_and_duplicate_ids():
         bulk_load(entries + [entries[0]], capacity=4)
     with pytest.raises(ValueError):
         bulk_load(entries, capacity=1)
+
+
+def test_index_refuses_and_validate_reports_unnormalized_leaf(tmp_path):
+    entries, _ = synthetic_entries(6, seed=8)
+    oid, s, m = entries[0]
+    raw = Signature(s.dims, 3.0 * s.weights, s.kind, normalized=False)
+    refused = f"signature of '{oid}' is not normalized"
+    with pytest.raises(ValueError, match=refused):
+        bulk_load([(oid, raw, m), *entries[1:]], capacity=4)
+    tree = bulk_load(entries[1:], capacity=4)
+    with pytest.raises(ValueError, match=refused):
+        insert(tree, (oid, raw, m))
+    assert tree.n_objects == 5 and validate(tree) == []
+    with pytest.raises(ValueError, match=refused):
+        insert(bulk_load([], capacity=4), (oid, raw, m))
+    # an index saved before bulk load refused such a leaf: its flag turned off
+    tree = bulk_load(entries, capacity=16)
+    leaf = next(c for c in tree.root.children if c.object_id == oid)
+    leaf._leaf_sig = Signature(s.dims, s.weights, s.kind, normalized=False)
+    save_index(tree, tmp_path / "old.bin")
+    reported = [f"signature of leaf '{oid}' is not normalized"]
+    assert validate(tree) == reported
+    assert validate(load_index(tmp_path / "old.bin")) == reported
 
 
 def test_bulk_load_matches_linear_oracle():
