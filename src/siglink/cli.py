@@ -26,7 +26,7 @@ from .errors import ConfigError, SiglinkError
 from .linking import (
     ENGINES,
     LinkingRun,
-    accuracy_at_k,
+    accuracies,
     link_signatures,
     matching_accuracy,
     read_results_csv,
@@ -36,7 +36,7 @@ from .linking import (
     write_results_csv,
 )
 from .privacy import signature_closure
-from .reduction import cut_reduce, mbr_of
+from .reduction import mbrs_of, reduce_signatures
 from .signatures import (
     KIND_SPATIAL,
     Corpus,
@@ -44,6 +44,7 @@ from .signatures import (
     check_dt,
     kind_corpus,
     read_signatures_jsonl,
+    signature_lines,
     tfidf_signatures,
     write_signatures_jsonl,
 )
@@ -190,11 +191,25 @@ def _read_traces(path: str, args: argparse.Namespace, anchors=None) -> list[Trac
 
 
 def _read_signatures(path: str, args: argparse.Namespace, anchors=None) -> list:
-    entries = read_signatures_jsonl(path)
+    """The signatures of ``path`` for linking or indexing. Cosine scores and
+    the pruning bounds hold only for unit vectors, so a record not marked
+    normalized is refused, naming the file and line."""
+    entries = []
+    for line, oid, sig in signature_lines(path):
+        if not sig.normalized:
+            raise SiglinkError(f"{path}:{line}: signature of {oid!r} is not normalized")
+        entries.append((oid, sig))
     if anchors is not None:
         tops = ((oid, s.dims.max(initial=-1)) for oid, s in entries if s.kind == KIND_SPATIAL)
         _check_anchor_ids(path, tops, args, anchors)
     return entries
+
+
+def _read_index_entries(args: argparse.Namespace, anchors) -> list:
+    """The ``--signatures`` to index, each with its bounding box."""
+    signed = _read_signatures(args.signatures, args, anchors)
+    mbrs = mbrs_of([sig for _, sig in signed], anchors)
+    return [(oid, sig, mbr) for (oid, sig), mbr in zip(signed, mbrs)]
 
 
 def _calibrated(args: argparse.Namespace, anchors) -> list[Trace]:
@@ -345,7 +360,8 @@ def _cmd_signature(args: argparse.Namespace) -> None:
 def _cmd_reduce(args: argparse.Namespace) -> None:
     out = _out_dir(args)
     entries = read_signatures_jsonl(args.signatures)
-    reduced = [(oid, cut_reduce(sig, args.m)) for oid, sig in entries]
+    ids, sigs = [oid for oid, _ in entries], [sig for _, sig in entries]
+    reduced = list(zip(ids, reduce_signatures(sigs, args.m)))
     path = out / "signatures.jsonl"
     write_signatures_jsonl(path, reduced)
     print(f"reduced {len(reduced)} signatures to top-{args.m} at {path}")
@@ -353,11 +369,7 @@ def _cmd_reduce(args: argparse.Namespace) -> None:
 
 def _cmd_index_build(args: argparse.Namespace) -> None:
     out = _out_dir(args)
-    anchors = read_anchor_csv(args.anchors)
-    entries = [
-        (oid, sig, mbr_of(sig, anchors))
-        for oid, sig in _read_signatures(args.signatures, args, anchors)
-    ]
+    entries = _read_index_entries(args, read_anchor_csv(args.anchors))
     t0 = time.perf_counter()
     tree = bulk_load(entries, args.capacity)
     build_s = time.perf_counter() - t0
@@ -371,8 +383,8 @@ def _cmd_index_insert(args: argparse.Namespace) -> None:
     anchors = read_anchor_csv(args.anchors)
     tree = load_index(args.index)
     added = 0
-    for oid, sig in _read_signatures(args.signatures, args, anchors):
-        insert(tree, (oid, sig, mbr_of(sig, anchors)))
+    for entry in _read_index_entries(args, anchors):
+        insert(tree, entry)
         added += 1
     path = out / "index.bin"
     save_index(tree, path)
@@ -403,7 +415,7 @@ def _cmd_eval(args: argparse.Namespace) -> None:
     out = _out_dir(args)
     references = {oid for oid, _ in read_signatures_jsonl(args.references)}
     run = _file_run(read_results_csv(args.results), args.k, references)
-    acc = {str(kk): accuracy_at_k(run, kk) for kk in range(1, args.k + 1)}
+    acc = {str(kk): v for kk, v in accuracies(run).items()}
     _write_json(out / "eval.json", {"acc": acc})
     _print_table(["k", "acc"], [[kk, f"{v:.4f}"] for kk, v in acc.items()])
 

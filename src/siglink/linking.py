@@ -9,11 +9,12 @@ import json
 import time
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import EmptySignatureError, EmptyTraceError
-from .reduction import Mbr, cut_reduce, mbr_of
+from .reduction import Mbr, mbrs_of, reduce_signatures
 from .signatures import (
     KIND_SPATIAL,
     Corpus,
@@ -32,6 +33,10 @@ from .wrtree import (
     linear_knn,
     rtree_baseline_knn,
 )
+
+# Names perfbench's tracer wraps in this module. Linking reduces and bounds
+# signatures in batches and calls neither of them.
+from .reduction import cut_reduce, mbr_of  # noqa: F401, E402
 
 ENGINES = ("linear", "rtree", "wrtree")
 
@@ -89,13 +94,16 @@ def build_spatial_signature(trace: Trace, corpus: Corpus) -> Signature:
 _NO_MBR = Mbr(0.0, 0.0, 0.0, 0.0)
 
 
-def _reduce_entry(
-    object_id: str, sig: Signature, anchors: AnchorSet | None, m: int | None
-) -> IndexEntry:
-    _check_normalized(object_id, sig)
-    reduced = cut_reduce(sig, m) if m is not None and m < sig.nnz() else sig
-    mbr = mbr_of(reduced, anchors) if anchors is not None else _NO_MBR
-    return (object_id, reduced, mbr)
+def _index_entries(
+    sigs: Mapping[str, Signature], anchors: AnchorSet | None, m: int | None
+) -> list[IndexEntry]:
+    """Each signature checked, reduced to its top ``m`` dimensions and
+    bounded, in one batched pass over all of them."""
+    for object_id, sig in sigs.items():
+        _check_normalized(object_id, sig)
+    reduced = list(sigs.values()) if m is None else reduce_signatures(list(sigs.values()), m)
+    mbrs = mbrs_of(reduced, anchors) if anchors is not None else [_NO_MBR] * len(reduced)
+    return list(zip(sigs, reduced, mbrs))
 
 
 def link_signatures(
@@ -128,10 +136,8 @@ def link_signatures(
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    entries = [_reduce_entry(oid, sig, anchors, m) for oid, sig in ref_sigs.items()]
-    query_items = [
-        (oid, _reduce_entry(oid, sig, anchors, m)) for oid, sig in query_sigs.items()
-    ]
+    entries = _index_entries(ref_sigs, anchors, m)
+    query_items = _index_entries(query_sigs, anchors, m)
     timings["reduce"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -140,8 +146,8 @@ def link_signatures(
         tree = bulk_load(entries, capacity)
     timings["index_build"] = time.perf_counter() - t0
 
-    def run_query(item: tuple[str, IndexEntry]) -> tuple[str, KnnResult]:
-        oid, (_, sig, mbr) = item
+    def run_query(item: IndexEntry) -> tuple[str, KnnResult]:
+        oid, sig, mbr = item
         if engine == "linear":
             return oid, linear_knn(entries, (sig, mbr), k)
         if engine == "wrtree":
@@ -201,23 +207,33 @@ def link_all(
     return run
 
 
-def accuracy_at_k(run: LinkingRun, k: int) -> float:
-    """Fraction of query objects finding their own id within their top-k.
+def accuracies(run: LinkingRun) -> dict[int, float]:
+    """Accuracy at every k from 1 to ``run.k``: the fraction of query
+    objects finding their own id within their top-k.
 
     Queries whose counterpart is absent from the reference index cannot be
-    judged and are excluded from the denominator.
+    judged and are excluded from the denominator. Each judged query's list
+    is scanned once, for the rank of its own id.
     """
-    if k < 1 or k > run.k:
-        raise ValueError(f"k must be in [1, {run.k}]")
+    # hits[r]: judged queries whose own id sits at 0-based rank r < run.k
+    hits = [0] * (run.k + 1)
     judged = 0
-    hits = 0
     for oid, result in run.results.items():
         if oid not in run.reference_ids:
             continue
         judged += 1
-        if any(cand == oid for cand, _ in result[:k]):
-            hits += 1
-    return hits / judged if judged else 0.0
+        rank = next((r for r, (cand, _) in enumerate(result[: run.k]) if cand == oid), run.k)
+        hits[rank] += 1
+    found = accumulate(hits[: run.k])
+    return {kk: (n / judged if judged else 0.0) for kk, n in enumerate(found, start=1)}
+
+
+def accuracy_at_k(run: LinkingRun, k: int) -> float:
+    """Fraction of query objects finding their own id within their top-k;
+    see ``accuracies``."""
+    if k < 1 or k > run.k:
+        raise ValueError(f"k must be in [1, {run.k}]")
+    return accuracies(run)[k]
 
 
 def rerank(
@@ -424,7 +440,7 @@ def write_metrics_json(path: str | Path, run: LinkingRun) -> dict:
         "k": run.k,
         "m": run.reduced_m,
         "rerank_m": run.rerank_m,
-        "acc": {str(kk): accuracy_at_k(run, kk) for kk in range(1, run.k + 1)},
+        "acc": {str(kk): acc for kk, acc in accuracies(run).items()},
         "timings": run.timings,
         "n_queries": len(run.results),
         "excluded_queries": sorted(run.excluded_queries),

@@ -11,9 +11,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .linking import accuracy_at_k, link_signatures
-from .reduction import cut_reduce
-from .signatures import KIND_SPATIAL, Corpus, Signature, pair_counts, tfidf_rows
+from .linking import accuracies, link_signatures
+from .reduction import top_m
+from .signatures import (
+    KIND_SPATIAL,
+    Corpus,
+    Signature,
+    _row_bounds,
+    pair_counts,
+    tfidf_rows,
+    tfidf_weights,
+)
 from .traces import (
     DEFAULT_UTC_OFFSET_HOURS,
     METERS_PER_DEGREE,
@@ -28,6 +36,7 @@ from .traces import (
 # Names perfbench's tracer wraps in this module. The closure works on the
 # point table and calls none of them.
 from .linking import build_corpus_stats, build_spatial_signature, link_all  # noqa: F401, E402
+from .reduction import cut_reduce  # noqa: F401, E402
 from .traces import split_dataset  # noqa: F401, E402
 
 DEFAULT_LARGE_CELL_M = 423.0
@@ -253,7 +262,7 @@ def signature_closure(
         run = link_signatures(
             query_sigs, ref_sigs, anchors, engine=engine, k=k, m=m, capacity=capacity
         )
-        return {kk: accuracy_at_k(run, kk) for kk in range(1, k + 1)}
+        return accuracies(run)
 
     def summary():
         return grids.summarize(
@@ -272,16 +281,14 @@ def signature_closure(
         if not len(live):
             break
         live_rows, live_anchors = pair_rows[live], pair_anchors[live]
-        sigs = tfidf_rows(live_rows, live_anchors, counts[live], fitted(live_rows, live_anchors), n)
-        removed: dict[str, list[int]] = {}
-        doomed = []
-        for i, sig in enumerate(sigs):
-            if sig is not None:
-                top = cut_reduce(sig, m).dims
-                removed[object_ids[i]] = top.tolist()
-                doomed.append(i * width + top)
-        if doomed:
-            pair_alive[np.searchsorted(keys, np.concatenate(doomed))] = False
+        corpus = fitted(live_rows, live_anchors)
+        w_rows, w_dims, weights = tfidf_weights(live_rows, live_anchors, counts[live], corpus, n)
+        top = top_m(w_rows, weights, m)
+        top_rows, top_dims = w_rows[top], w_dims[top]
+        removed = {
+            object_ids[top_rows[s]]: top_dims[s:e].tolist() for s, e in _row_bounds(top_rows)
+        }
+        pair_alive[np.searchsorted(keys, top_rows * width + top_dims)] = False
         accuracy = measure()
         utility = _utility(original, summary(), last_of)
         report_rounds.append(ClosureRound(round_no, removed, accuracy, utility))

@@ -7,7 +7,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -121,23 +121,25 @@ def pair_counts(rows: np.ndarray, dims: np.ndarray) -> tuple[np.ndarray, np.ndar
     return keys // width, keys % width, counts
 
 
-def tfidf_rows(
+def tfidf_weights(
     rows: np.ndarray,
     dims: np.ndarray,
     counts: np.ndarray,
     corpus: Corpus,
     n_rows: int,
-) -> list[Signature | None]:
-    """TF-IDF signatures of rows ``0 .. n_rows - 1`` in the weight space of
-    the fitted ``corpus``; natural-log IDF, L2 normalized.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """TF-IDF weights of rows ``0 .. n_rows - 1`` in the weight space of
+    the fitted ``corpus``; natural-log IDF, L2 normalized. Returns the COO
+    table of the nonzero weights: rows, dims and weights, sorted by (row,
+    dim).
 
     Takes COO occurrence counts sorted by (row, dimension), duplicates
     summed (see ``pair_counts``). This is the one weighting step of every
     TF-IDF kind. Dimensions the corpus has not seen are dropped before
     weighting: they cannot contribute to any similarity against it, and term
     frequencies are taken over the counts that remain. Dimensions present in
-    every object carry zero weight and are dropped too. A row with nothing
-    left has no discriminative signature and gets ``None``.
+    every object carry zero weight and are dropped too, so a row may be left
+    with no entry.
 
     Each row is scaled by its own norm, ``sqrt(w.dot(w))``, which is how
     ``np.linalg.norm`` computes it, so a row's weights are bit-identical to
@@ -153,13 +155,34 @@ def tfidf_rows(
     keep = factor > 0.0
     rows, dims = rows[keep], dims[keep]
     weights = counts[keep] / total[rows] * factor[keep]
-    out: list[Signature | None] = [None] * n_rows
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    ends = np.append(starts[1:], len(rows))
-    for row, s, e in zip(rows[starts].tolist(), starts.tolist(), ends.tolist()):
+    for s, e in _row_bounds(rows):
         seg = weights[s:e]
         seg /= math.sqrt(seg.dot(seg))
-        out[row] = Signature(dims[s:e], seg, corpus.kind, normalized=True)
+    return rows, dims, weights
+
+
+def _row_bounds(rows: np.ndarray) -> Iterable[tuple[int, int]]:
+    """(start, end) of each run of equal rows in a sorted row column."""
+    if not len(rows):
+        return []
+    cuts = (np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist()
+    return zip([0, *cuts], [*cuts, len(rows)])
+
+
+def tfidf_rows(
+    rows: np.ndarray,
+    dims: np.ndarray,
+    counts: np.ndarray,
+    corpus: Corpus,
+    n_rows: int,
+) -> list[Signature | None]:
+    """The ``tfidf_weights`` of rows ``0 .. n_rows - 1`` as signatures; a
+    row with nothing left has no discriminative signature and gets
+    ``None``."""
+    rows, dims, weights = tfidf_weights(rows, dims, counts, corpus, n_rows)
+    out: list[Signature | None] = [None] * n_rows
+    for s, e in _row_bounds(rows):
+        out[rows[s]] = Signature(dims[s:e], weights[s:e], corpus.kind, normalized=True)
     return out
 
 
@@ -476,16 +499,20 @@ def write_signatures_jsonl(
             fh.write(json.dumps(signature_to_record(object_id, sig)) + "\n")
 
 
-def read_signatures_jsonl(path: str | Path) -> list[tuple[str, Signature]]:
-    """Signatures by id in file order; a line that is not a valid record
-    (see ``signature_from_record``) raises ``ValueError`` naming the file
-    and line."""
-    out: list[tuple[str, Signature]] = []
+def signature_lines(path: str | Path) -> Iterator[tuple[int, str, Signature]]:
+    """Each record of a signatures file with its line number, in file
+    order; a line that is not a valid record (see ``signature_from_record``)
+    raises ``ValueError`` naming the file and line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if line.strip():
                 try:
-                    out.append(signature_from_record(json.loads(line)))
+                    object_id, sig = signature_from_record(json.loads(line))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return out
+                yield lineno, object_id, sig
+
+
+def read_signatures_jsonl(path: str | Path) -> list[tuple[str, Signature]]:
+    """Signatures by id in file order; see ``signature_lines``."""
+    return [(object_id, sig) for _, object_id, sig in signature_lines(path)]

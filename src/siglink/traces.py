@@ -73,14 +73,6 @@ class AnchorSet:
         self._planar_tree: cKDTree | None = None
         self._sphere_tree: cKDTree | None = None
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[tuple[int, float, float]]) -> "AnchorSet":
-        ordered = sorted(rows)
-        ids = [r[0] for r in ordered]
-        if ids != list(range(len(ids))):
-            raise ValueError("anchor ids must be unique and dense in [0, n)")
-        return cls([r[1] for r in ordered], [r[2] for r in ordered])
-
     def __len__(self) -> int:
         return len(self.lons)
 
@@ -339,10 +331,24 @@ def query_days(
     strategy: SplitStrategy,
 ) -> np.ndarray:
     """Whether each distinct (object, day) pair from ``day_pairs`` goes to
-    the query half. Each object's days go through ``_query_dates`` together,
-    so an object's split depends only on the days among the pairs given."""
+    the query half, by ``_query_dates``'s rule: an object's split depends
+    only on the days among the pairs given, which are sorted by (object,
+    day). The calendar rules and ``serial`` are array expressions over the
+    day numbers; ``random`` runs ``_query_dates`` per object, since its
+    generator is keyed on the object."""
+    if strategy.name == "interleaved":
+        # odd day of the month: the 1st is 0 days past its month's start
+        day = days.astype("datetime64[D]")
+        return (day - day.astype("datetime64[M]")).astype(np.int64) % 2 == 0
+    if strategy.name == "weekday_weekend":
+        # 1970-01-01, day 0, was a Thursday (weekday 3)
+        return (days + 3) % 7 >= 5
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    if strategy.name == "serial":
+        sizes = np.diff(np.append(starts, len(rows)))
+        return np.arange(len(rows)) - np.repeat(starts, sizes) < strategy.q_days
     dates = list(map(date.fromordinal, (days + _EPOCH_ORDINAL).tolist()))
-    bounds = np.flatnonzero(np.diff(rows, prepend=-1, append=-1)).tolist()
+    bounds = [*starts.tolist(), len(rows)]
     in_q: list[bool] = []
     for s, e in zip(bounds, bounds[1:]):
         to_q = _query_dates(object_ids[rows[s]], dates[s:e], strategy)
@@ -445,7 +451,20 @@ def write_raw_csv(path: str | Path, raw: dict[str, list[RawPoint]]) -> None:
 
 
 def read_anchor_csv(path: str | Path) -> AnchorSet:
-    return AnchorSet.from_rows(row for _, row in _csv_rows(path, _ANCHOR_COLUMNS, "anchor"))
+    """Read `anchor_id,lon,lat` rows whose ids run 0, 1, 2, ... in file
+    order; a row with any other id (a duplicate, a gap or a row out of
+    order) raises ``ValueError`` naming the file and line."""
+    lons: list[float] = []
+    lats: list[float] = []
+    for line, (anchor_id, lon, lat) in _csv_rows(path, _ANCHOR_COLUMNS, "anchor"):
+        if anchor_id != len(lons):
+            raise ValueError(
+                f"{path}:{line}: anchor id {anchor_id} where {len(lons)} was due;"
+                " ids run 0, 1, 2, ... in file order"
+            )
+        lons.append(lon)
+        lats.append(lat)
+    return AnchorSet(lons, lats)
 
 
 def write_anchor_csv(path: str | Path, anchors: AnchorSet) -> None:

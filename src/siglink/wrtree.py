@@ -162,6 +162,10 @@ def merge_node(bulk: Sequence[WrNode], capacity: int) -> list[WrNode]:
     greedily to share the most dimensions with the node's running aggregate,
     earlier bulk position winning ties. Shared dimensions keep the aggregate
     small, which keeps the similarity bounds tight.
+
+    Each candidate's shared-dimension count is kept as the node grows: a
+    dimension new to the aggregate adds one to every member holding it,
+    found through an inverted list of dim -> bulk positions.
     """
     if capacity < 2:
         raise ValueError("node capacity must be >= 2")
@@ -169,22 +173,29 @@ def merge_node(bulk: Sequence[WrNode], capacity: int) -> list[WrNode]:
     if len(bulk) < capacity:
         return [WrNode.internal(bulk)]
     dim_sets = [b.signature.dim_set() if b.is_leaf else b.weight_map.keys() for b in bulk]
+    holders: dict[int, list[int]] = {}
+    for pos, dims in enumerate(dim_sets):
+        for d in dims:
+            holders.setdefault(d, []).append(pos)
     unassigned = list(range(len(bulk)))
     nodes: list[WrNode] = []
     while unassigned:
-        seed = unassigned.pop(0)
-        members = [bulk[seed]]
-        agg_dims = set(dim_sets[seed])
-        while len(members) < capacity and unassigned:
-            best_pos = 0
-            best_common = -1
-            for pos, j in enumerate(unassigned):
-                common = len(agg_dims & dim_sets[j])
-                if common > best_common:
-                    best_pos, best_common = pos, common
-            j = unassigned.pop(best_pos)
-            members.append(bulk[j])
-            agg_dims |= dim_sets[j]
+        common = [0] * len(bulk)
+        agg_dims: set[int] = set()
+        pick = unassigned.pop(0)
+        members = []
+        while True:
+            members.append(bulk[pick])
+            if len(members) == capacity or not unassigned:
+                break
+            new = dim_sets[pick] - agg_dims
+            agg_dims |= new
+            for d in new:
+                for pos in holders[d]:
+                    common[pos] += 1
+            # max keeps the first of equal counts: the earliest bulk position
+            pick = max(unassigned, key=common.__getitem__)
+            unassigned.remove(pick)
         nodes.append(WrNode.internal(members))
     return nodes
 

@@ -213,7 +213,7 @@ def test_link_rejects_unnormalized_signature(tmp_path, capsys):
                     "--references", edited, "--anchors", out / "anchors.csv",
                     "--engine", engine]) == 1
         err = capsys.readouterr().err
-        assert record["object_id"] in err and len(err.strip().splitlines()) == 1
+        assert err == f"error: {edited}:4: signature of {record['object_id']!r} is not normalized\n"
 
 
 def test_rerank_rejects_unnormalized_signature(tmp_path, capsys):
@@ -661,6 +661,16 @@ def test_anchor_id_outside_anchor_set_exits_1(tmp_path, capsys, three_anchors, w
     assert err == f"error: {error.format(**names)}\n"
 
 
+def test_anchor_file_with_misplaced_id_exits_1(tmp_path, capsys, three_anchors):
+    bad = tmp_path / "anchors.csv"
+    bad.write_text("anchor_id,lon,lat\n0,0.0,0.0\n2,0.0,1.0\n")
+    capsys.readouterr()
+    assert run(["closure", "--traces", three_anchors / "traces.csv", "--anchors", bad,
+                "--out", tmp_path / "x"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}:3: anchor id 2 where 1 was due; ids run 0, 1, 2, ... in file order\n"
+
+
 def test_index_refuses_unnormalized_signature_and_validate_reports_one(tmp_path, capsys,
                                                                       three_anchors):
     base = three_anchors
@@ -672,7 +682,7 @@ def test_index_refuses_unnormalized_signature_and_validate_reports_one(tmp_path,
         capsys.readouterr()
         assert run([*argv, "--signatures", bad, "--anchors", base / "anchors.csv",
                     "--out", tmp_path / "x"]) == 1
-        assert capsys.readouterr().err == "error: signature of 'u' is not normalized\n"
+        assert capsys.readouterr().err == f"error: {bad}:1: signature of 'u' is not normalized\n"
     # an index file written before bulk load refused such a leaf
     tree = load_index(base / "idx/index.bin")
     leaf = tree.root.children[0]

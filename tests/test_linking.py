@@ -6,6 +6,7 @@ import pytest
 from siglink.errors import EmptyTraceError
 from siglink.linking import (
     LinkingRun,
+    accuracies,
     accuracy_at_k,
     link_all,
     matching_accuracy,
@@ -103,6 +104,24 @@ def test_accuracy_monotone_in_k():
     run = link_all(halves.q, halves.d, anchors, engine="wrtree", k=5, m=10)
     accs = [accuracy_at_k(run, kk) for kk in range(1, 6)]
     assert all(b >= a for a, b in zip(accs, accs[1:]))
+
+
+def test_accuracies_equal_a_scan_per_k():
+    # a hit needs the query's own id in its first k candidates; a query
+    # without a counterpart among the references is not judged
+    rng = np.random.default_rng(5)
+    ids = [f"o{i}" for i in range(8)]
+    for _ in range(50):
+        results = {
+            q: [(c, 1.0) for c in rng.choice(ids, size=int(rng.integers(0, 6)), replace=False)]
+            for q in ids[: int(rng.integers(0, 8))]
+        }
+        run = _run(results, reference_ids=set(ids[2:]), k=5)
+        judged = [q for q in results if q in run.reference_ids]
+        for kk, acc in accuracies(run).items():
+            hits = sum(any(c == q for c, _ in results[q][:kk]) for q in judged)
+            assert acc == (hits / len(judged) if judged else 0.0) == accuracy_at_k(run, kk)
+        assert list(accuracies(run)) == [1, 2, 3, 4, 5]
 
 
 def test_accuracy_k_bounds_checked():

@@ -5,8 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siglink.reduction import Mbr, cut_reduce, mbr_of, union_mbrs
-from siglink.signatures import cosine_similarity
+from siglink.reduction import (
+    Mbr,
+    cut_reduce,
+    mbr_of,
+    mbrs_of,
+    reduce_signatures,
+    top_m,
+    union_mbrs,
+)
+from siglink.signatures import Signature, cosine_similarity
 from siglink.traces import AnchorSet
 
 from testkit import random_signature, sig
@@ -66,6 +74,74 @@ def test_cut_containment_and_nesting(seed, n, m1, m2):
     kept_min = min(w for d, w in s.pairs() if d in kept)
     dropped = [w for d, w in s.pairs() if d not in kept]
     assert all(kept_min >= w for w in dropped)
+
+
+def _cut_reduce_loop(s, m):
+    """The one-signature top-m cut the batched selection replaced, kept as
+    the oracle: lexsort by (-weight, dim), keep m, re-sort by dim and divide
+    by ``np.linalg.norm``."""
+    if m >= s.nnz():
+        return s
+    order = np.lexsort((s.dims, -s.weights))[:m]
+    resort = np.argsort(s.dims[order])
+    dims, weights = s.dims[order][resort], s.weights[order][resort]
+    return Signature(dims, weights / np.linalg.norm(weights), s.kind, True, reduced_m=m)
+
+
+def _hex(s):
+    return s.dims.tolist(), [w.hex() for w in s.weights.tolist()], s.reduced_m
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n_sigs=st.integers(min_value=0, max_value=12),
+    m=st.integers(min_value=1, max_value=8),
+    levels=st.integers(min_value=1, max_value=6),
+)
+def test_batched_top_m_equals_cut_reduce_row_by_row(seed, n_sigs, m, levels):
+    # few distinct weight levels make ties at the m-th weight common
+    rng = np.random.default_rng(seed)
+    sigs = []
+    for _ in range(n_sigs):
+        n = int(rng.integers(1, 15))
+        dims = np.sort(rng.choice(50, size=n, replace=False))
+        raw = rng.integers(1, levels + 1, size=n) / levels
+        sigs.append(sig({int(d): float(w) for d, w in zip(dims, raw)}))
+    batched = reduce_signatures(sigs, m)
+    assert len(batched) == len(sigs)
+    for s, b in zip(sigs, batched):
+        assert _hex(b) == _hex(cut_reduce(s, m)) == _hex(_cut_reduce_loop(s, m))
+        if s.nnz() <= m:
+            assert b is s and b.reduced_m is None
+        else:
+            assert b.reduced_m == m and b.normalized
+    # the mask form the closure uses keeps the same dims
+    rows = np.repeat(np.arange(len(sigs)), [s.nnz() for s in sigs])
+    table = [np.concatenate([getattr(s, f) for s in sigs] or [[]]) for f in ("dims", "weights")]
+    keep = top_m(rows, table[1], m)
+    assert table[0][keep].tolist() == [d for b in batched for d in b.dims.tolist()]
+
+
+def test_batched_top_m_ties_and_m_one():
+    tied = sig({1: 0.5, 2: 0.5, 3: 0.5})
+    heavy_last = sig({4: 0.1, 5: 0.2, 6: 0.9})
+    one, two = reduce_signatures([tied, heavy_last], 1)
+    assert one.dims.tolist() == [1] and one.weights.tolist() == [1.0]
+    assert two.dims.tolist() == [6]
+    assert [r.dims.tolist() for r in reduce_signatures([tied, heavy_last], 2)] == [[1, 2], [5, 6]]
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        reduce_signatures([], 0)
+    with pytest.raises(ValueError, match="normalized"):
+        reduce_signatures([tied, sig({1: 2.0}, normalize=False)], 1)
+
+
+def test_mbrs_of_equals_mbr_of_each():
+    anchors = AnchorSet([0.0, 1.0, 5.0, -2.0], [0.0, 2.0, 1.0, 3.0])
+    sigs = [sig({0: 1.0}), sig({1: 0.5, 3: 0.5}), sig({0: 0.4, 1: 0.4, 2: 0.4})]
+    assert mbrs_of(sigs, anchors) == [mbr_of(s, anchors) for s in sigs]
+    assert mbrs_of(sigs, anchors)[1] == Mbr(-2.0, 2.0, 1.0, 3.0)
+    assert mbrs_of([], anchors) == []
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from siglink.traces import (
     read_raw_csv,
     read_trace_csv,
     _query_dates,
+    query_days,
     split_dataset,
     write_anchor_csv,
     write_raw_csv,
@@ -294,6 +295,42 @@ def test_split_completeness_and_disjointness(days, strategy_idx):
     assert not (q_days & d_days)
 
 
+_EPOCH = date(1970, 1, 1).toordinal()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    day_lists=st.lists(
+        st.lists(st.integers(min_value=-40_000, max_value=40_000), max_size=12, unique=True),
+        min_size=1, max_size=5,
+    ),
+    strategy_idx=st.integers(min_value=0, max_value=3),
+    q_days=st.integers(min_value=1, max_value=5),
+    subset_seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_query_days_equals_query_dates(day_lists, strategy_idx, q_days, subset_seed):
+    # day numbers since 1970-01-01, negative ones before it; each object's
+    # days are tried whole and as a random subset
+    strategy = [
+        SplitStrategy.interleaved(),
+        SplitStrategy.serial(q_days),
+        SplitStrategy.random(q_days, seed=subset_seed),
+        SplitStrategy.weekday_weekend(),
+    ][strategy_idx]
+    ids = [f"o{i}" for i in range(len(day_lists))]
+    rows = np.array([i for i, ds in enumerate(day_lists) for _ in ds], dtype=np.int64)
+    days = np.array([d for ds in day_lists for d in sorted(ds)], dtype=np.int64)
+    subset = np.random.default_rng(subset_seed).random(len(days)) < 0.6
+    for keep in (np.ones(len(days), dtype=bool), subset):
+        got = query_days(ids, rows[keep], days[keep], strategy)
+        expect = []
+        for i, oid in enumerate(ids):
+            dates = [date.fromordinal(_EPOCH + d) for d in days[keep][rows[keep] == i].tolist()]
+            to_q = _query_dates(oid, dates, strategy)
+            expect += [d in to_q for d in dates]
+        assert got.dtype == bool and got.tolist() == expect
+
+
 def _reference_split(traces, strategy, utc_offset_hours):
     """split_dataset by its definition: one local_date per point."""
     q, d, flagged = [], [], []
@@ -411,6 +448,13 @@ def test_negative_anchor_id_refused(tmp_path):
         read_trace_csv(path)
 
 
-def test_anchor_ids_must_be_dense():
-    with pytest.raises(ValueError):
-        AnchorSet.from_rows([(0, 0.0, 0.0), (2, 1.0, 1.0)])
+def test_anchor_ids_must_be_dense(tmp_path):
+    # a gap, a duplicate or an id out of file order names the file and line
+    path = tmp_path / "anchors.csv"
+    for ids, line, bad, due in [
+        ((0, 2), 3, 2, 1), ((0, 0), 3, 0, 1), ((1, 0), 2, 1, 0), ((0, 1, 1, 2), 4, 1, 2)
+    ]:
+        path.write_text("anchor_id,lon,lat\n" + "".join(f"{i},0.5,1.5\n" for i in ids))
+        message = f"{path}:{line}: anchor id {bad} where {due} was due"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_anchor_csv(path)

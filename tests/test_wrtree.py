@@ -106,6 +106,55 @@ def test_merge_node_disjoint_signatures_keep_bulk_order():
     assert grouped == [["o0", "o1"], ["o2", "o3"], ["o4", "o5"]]
 
 
+def _merge_node_by_intersection(bulk, capacity):
+    """The packing rule as first written, kept as the oracle: on every pick,
+    intersect the node's aggregate dims with each unassigned member's."""
+    bulk = list(bulk)
+    if len(bulk) < capacity:
+        return [bulk]
+    dim_sets = [b.signature.dim_set() if b.is_leaf else b.weight_map.keys() for b in bulk]
+    unassigned = list(range(len(bulk)))
+    groups = []
+    while unassigned:
+        seed = unassigned.pop(0)
+        members = [bulk[seed]]
+        agg_dims = set(dim_sets[seed])
+        while len(members) < capacity and unassigned:
+            best_pos, best_common = 0, -1
+            for pos, j in enumerate(unassigned):
+                common = len(agg_dims & dim_sets[j])
+                if common > best_common:
+                    best_pos, best_common = pos, common
+            j = unassigned.pop(best_pos)
+            members.append(bulk[j])
+            agg_dims |= dim_sets[j]
+        groups.append(members)
+    return groups
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=1, max_value=40),
+    capacity=st.integers(min_value=2, max_value=8),
+    dim_space=st.integers(min_value=1, max_value=30),
+)
+def test_merge_node_groups_equal_intersection_greedy(seed, n, capacity, dim_space):
+    # a small dim space makes tied shared-dimension counts common
+    rng = np.random.default_rng(seed)
+    leaves = [
+        _leaf(f"o{i}", rng.choice(dim_space, size=int(rng.integers(1, min(dim_space, 6) + 1)),
+                                  replace=False).tolist())
+        for i in range(n)
+    ]
+    nodes = merge_node(leaves, capacity)
+    assert [node.children for node in nodes] == _merge_node_by_intersection(leaves, capacity)
+    # a bulk of internal nodes packs by their aggregates' dims
+    inner = [WrNode.internal(leaves[i : i + 3]) for i in range(0, n, 3)]
+    nodes = merge_node(inner, capacity)
+    assert [node.children for node in nodes] == _merge_node_by_intersection(inner, capacity)
+
+
 # ---------------------------------------------------------------------------
 # Bulk loading
 
