@@ -40,11 +40,11 @@ from .reduction import mbrs_of, reduce_signatures
 from .signatures import (
     KIND_SPATIAL,
     Corpus,
-    build_temporal_histogram,
     check_dt,
     kind_corpus,
     read_signatures_jsonl,
     signature_lines,
+    temporal_histograms,
     tfidf_signatures,
     write_signatures_jsonl,
 )
@@ -330,23 +330,15 @@ def _cmd_signature(args: argparse.Namespace) -> None:
     anchors = read_anchor_csv(args.anchors) if args.anchors else None
     traces = _read_traces(args.traces, args, anchors)
     if args.kind == "temporal":
-        records = []
-        for t in traces:
-            if not t.points:
-                continue
-            hist = build_temporal_histogram(t, args.dt, args.utc_offset)
-            records.append(
-                {
-                    "object_id": t.object_id,
-                    "dt_hours": hist.dt_hours,
-                    "bins": [float(b) for b in hist.bins],
-                }
-            )
+        bins = temporal_histograms(traces, args.dt, args.utc_offset).tolist()
+        lines = [
+            json.dumps({"object_id": t.object_id, "dt_hours": args.dt, "bins": b}) + "\n"
+            for t, b in zip(traces, bins)
+            if t.points
+        ]
         path = out / "histograms.jsonl"
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec) + "\n")
-        print(f"wrote {len(records)} temporal histograms to {path}")
+        path.write_text("".join(lines), encoding="utf-8")
+        print(f"wrote {len(lines)} temporal histograms to {path}")
         return
     corpus = _kind_corpus(args, anchors)
     if args.corpus:

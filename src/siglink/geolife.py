@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .traces import METERS_PER_DEGREE, AnchorSet, RawPoint
+from .traces import AnchorSet, RawPoint, metre_grid
 
 
 def load_geolife(root: str | Path, max_users: int | None = None) -> dict[str, list[RawPoint]]:
@@ -67,17 +67,13 @@ def derive_anchors(
         lons, lats = lons[keep], lats[keep]
     if len(lons) == 0:
         raise ValueError("no fixes available to derive anchors from")
-    mean_lat = float(lats.mean())
-    dlat = cell_m / METERS_PER_DEGREE
-    dlon = cell_m / (METERS_PER_DEGREE * max(np.cos(np.radians(mean_lat)), 1e-9))
-    ix = np.floor((lons - lons.min()) / dlon).astype(np.int64)
-    iy = np.floor((lats - lats.min()) / dlat).astype(np.int64)
-    cells, counts = np.unique(np.column_stack([ix, iy]), axis=0, return_counts=True)
+    xy, (west, south, dlon, dlat) = metre_grid(lons, lats, cell_m)
+    cells, counts = np.unique(xy, axis=0, return_counts=True)
     cells = cells[counts >= min_visits]
     if len(cells) == 0:
         raise ValueError(f"no grid cell reaches {min_visits} visits")
     order = np.lexsort((cells[:, 1], cells[:, 0]))
     cells = cells[order]
-    anchor_lons = lons.min() + (cells[:, 0] + 0.5) * dlon
-    anchor_lats = lats.min() + (cells[:, 1] + 0.5) * dlat
+    anchor_lons = west + (cells[:, 0] + 0.5) * dlon
+    anchor_lats = south + (cells[:, 1] + 0.5) * dlat
     return AnchorSet(anchor_lons, anchor_lats)

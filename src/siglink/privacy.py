@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from itertools import compress
 from pathlib import Path
 from typing import Sequence
 
@@ -16,7 +15,6 @@ from .reduction import top_m
 from .signatures import (
     KIND_SPATIAL,
     Corpus,
-    Signature,
     _row_bounds,
     pair_counts,
     tfidf_rows,
@@ -24,11 +22,12 @@ from .signatures import (
 )
 from .traces import (
     DEFAULT_UTC_OFFSET_HOURS,
-    METERS_PER_DEGREE,
     AnchorSet,
     SplitStrategy,
     Trace,
     day_pairs,
+    masked_traces,
+    metre_grid,
     point_table,
     query_days,
 )
@@ -93,20 +92,11 @@ class _UtilityGrids:
     """
 
     def __init__(self, original_anchor_ids: np.ndarray, anchors: AnchorSet):
-        lons, lats = anchors.lons, anchors.lats
-        mean_lat = float(np.mean(lats[original_anchor_ids]))
-        origin = (
-            float(lons[original_anchor_ids].min()),
-            float(lats[original_anchor_ids].min()),
-        )
         self.anchors = anchors
         self.cells: list[tuple[np.ndarray, int]] = []
         for cell_m in (DEFAULT_LARGE_CELL_M, DEFAULT_SMALL_CELL_M):
-            dlat = cell_m / METERS_PER_DEGREE
-            dlon = cell_m / (METERS_PER_DEGREE * max(np.cos(np.radians(mean_lat)), 1e-9))
-            ix = np.floor((lons - origin[0]) / dlon).astype(np.int64)
-            iy = np.floor((lats - origin[1]) / dlat).astype(np.int64)
-            distinct, cell = np.unique(np.column_stack([ix, iy]), axis=0, return_inverse=True)
+            xy, _ = metre_grid(anchors.lons, anchors.lats, cell_m, original_anchor_ids)
+            distinct, cell = np.unique(xy, axis=0, return_inverse=True)
             self.cells.append((cell, len(distinct)))
 
     def summarize(
@@ -239,10 +229,6 @@ def signature_closure(
     def fitted(rows: np.ndarray, dims: np.ndarray) -> Corpus:
         return Corpus(KIND_SPATIAL).fit(np.count_nonzero(np.diff(rows, prepend=-1)), dims)
 
-    def signatures_by_id(rows, dims, counts, corpus) -> dict[str, Signature]:
-        built = tfidf_rows(rows, dims, counts, corpus, n)
-        return {oid: sig for oid, sig in zip(object_ids, built) if sig is not None}
-
     def measure() -> dict[int, float]:
         alive = pair_alive[pair_of]
         live_days = np.bincount(day_of[alive], minlength=len(days)) > 0
@@ -257,8 +243,8 @@ def signature_closure(
         q, d = q_counts > 0, d_counts > 0
         d_rows, d_anchors = pair_rows[d], pair_anchors[d]
         corpus = fitted(d_rows, d_anchors)
-        ref_sigs = signatures_by_id(d_rows, d_anchors, d_counts[d], corpus)
-        query_sigs = signatures_by_id(pair_rows[q], pair_anchors[q], q_counts[q], corpus)
+        ref_sigs = tfidf_rows(d_rows, d_anchors, d_counts[d], corpus, object_ids)[0]
+        query_sigs = tfidf_rows(pair_rows[q], pair_anchors[q], q_counts[q], corpus, object_ids)[0]
         run = link_signatures(
             query_sigs, ref_sigs, anchors, engine=engine, k=k, m=m, capacity=capacity
         )
@@ -292,11 +278,6 @@ def signature_closure(
         accuracy = measure()
         utility = _utility(original, summary(), last_of)
         report_rounds.append(ClosureRound(round_no, removed, accuracy, utility))
-    keep = pair_alive[pair_of].tolist()
-    current = []
-    end = 0
-    for trace in traces:
-        start, end = end, end + len(trace.points)
-        current.append(Trace(trace.object_id, list(compress(trace.points, keep[start:end]))))
+    current = masked_traces(traces, pair_alive[pair_of])
     emptied = [t.object_id for t in current if not t.points]
     return current, ClosureReport(baseline, report_rounds, emptied)

@@ -138,17 +138,6 @@ def cut_reduce(sig: Signature, m: int) -> Signature:
     return reduce_signatures([sig], m)[0]
 
 
-def mbr_of_ids(anchor_ids, anchors: AnchorSet) -> Mbr:
-    if not isinstance(anchor_ids, np.ndarray):
-        anchor_ids = list(anchor_ids)
-    ids = np.asarray(anchor_ids, dtype=np.int64)
-    if len(ids) == 0:
-        raise ValueError("cannot bound an empty anchor set")
-    lons = anchors.lons[ids]
-    lats = anchors.lats[ids]
-    return Mbr(float(lons.min()), float(lats.min()), float(lons.max()), float(lats.max()))
-
-
 def mbrs_of(sigs: Sequence[Signature], anchors: AnchorSet) -> list[Mbr]:
     """Tight bounding box over the anchor locations of each spatial
     signature, from one pass over all their dimensions."""

@@ -174,16 +174,18 @@ def tfidf_rows(
     dims: np.ndarray,
     counts: np.ndarray,
     corpus: Corpus,
-    n_rows: int,
-) -> list[Signature | None]:
-    """The ``tfidf_weights`` of rows ``0 .. n_rows - 1`` as signatures; a
-    row with nothing left has no discriminative signature and gets
-    ``None``."""
-    rows, dims, weights = tfidf_weights(rows, dims, counts, corpus, n_rows)
-    out: list[Signature | None] = [None] * n_rows
-    for s, e in _row_bounds(rows):
-        out[rows[s]] = Signature(dims[s:e], weights[s:e], corpus.kind, normalized=True)
-    return out
+    object_ids: Sequence[str],
+) -> tuple[dict[str, Signature], list[str]]:
+    """The ``tfidf_weights`` of rows ``0 .. len(object_ids) - 1`` as
+    signatures by object id, the last row's where an id repeats, and the id
+    of each row left with nothing to weigh, in row order."""
+    rows, dims, weights = tfidf_weights(rows, dims, counts, corpus, len(object_ids))
+    sigs = {
+        object_ids[rows[s]]: Signature(dims[s:e], weights[s:e], corpus.kind, normalized=True)
+        for s, e in _row_bounds(rows)
+    }
+    empty = np.setdiff1d(np.arange(len(object_ids)), rows)
+    return sigs, [object_ids[i] for i in empty.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +354,7 @@ def tfidf_signatures(
     pair_rows, dims, counts = pair_counts(*corpus.column(rows, anchor_ids, t))
     if fit:
         corpus = corpus.fit(np.count_nonzero(np.diff(rows, prepend=-1)), dims)
-    sigs: dict[str, Signature] = {}
-    excluded: list[str] = []
-    built = tfidf_rows(pair_rows, dims, counts, corpus, len(traces))
-    for trace, sig in zip(traces, built):
-        if sig is None:
-            excluded.append(trace.object_id)
-        else:
-            sigs[trace.object_id] = sig
+    sigs, excluded = tfidf_rows(pair_rows, dims, counts, corpus, [t.object_id for t in traces])
     return sigs, excluded, corpus
 
 
@@ -382,19 +377,32 @@ class TemporalHistogram:
         return len(self.bins)
 
 
+def temporal_histograms(
+    traces: Sequence[Trace],
+    dt_hours: int,
+    utc_offset_hours: int = DEFAULT_UTC_OFFSET_HOURS,
+) -> np.ndarray:
+    """Every trace's L1-normalized visit-time histogram, one row per trace
+    in trace order over the ``24 // dt_hours`` daily intervals; an empty
+    trace's row is all zeros."""
+    dt = check_dt(dt_hours)
+    d = 24 // dt
+    rows, _, t = point_table(traces)
+    keys = rows * d + time_bin(t, dt, utc_offset_hours)
+    counts = np.bincount(keys, minlength=len(traces) * d).reshape(len(traces), d)
+    return counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
+
+
 def build_temporal_histogram(
     trace: Trace,
     dt_hours: int,
     utc_offset_hours: int = DEFAULT_UTC_OFFSET_HOURS,
 ) -> TemporalHistogram:
+    """One trace's ``temporal_histograms`` row; an empty trace raises ``EmptyTraceError``."""
     dt = check_dt(dt_hours)
     if not trace.points:
         raise EmptyTraceError(f"object {trace.object_id!r} has an empty trace")
-    d = 24 // dt
-    bins = np.zeros(d)
-    for _, t in trace.points:
-        bins[time_bin(t, dt, utc_offset_hours)] += 1
-    return TemporalHistogram(bins / bins.sum(), dt, normalized=True)
+    return TemporalHistogram(temporal_histograms([trace], dt, utc_offset_hours)[0], dt, True)
 
 
 def temporal_cost(i: int, j: int, dt_hours: int) -> float:
@@ -456,21 +464,17 @@ _RECORD_KEYS = ("object_id", "kind", "normalized", "sig")
 def signature_from_record(record: Mapping) -> tuple[str, Signature]:
     """A signature read back from its record, checked for what cosine
     scores and the pruning bounds rely on: dims strictly increasing
-    non-negative ints, weights finite and > 0, and unit norm within
-    ``NORM_TOL`` where the record says ``normalized``. Raises ``ValueError``
-    for a record that breaks any of these."""
+    non-negative ints, weights finite and > 0, unit norm within
+    ``NORM_TOL`` where the record says ``normalized``, and a ``reduced_m``
+    that is null or a positive int the index file's signed 32-bit field
+    holds. Raises ``ValueError`` for a record that breaks any of these."""
     if not isinstance(record, dict) or any(key not in record for key in _RECORD_KEYS):
         raise ValueError(f"a signature record is an object with keys {', '.join(_RECORD_KEYS)}")
     pairs, normalized, reduced_m = record["sig"], record["normalized"], record.get("reduced_m")
-    if not (
-        isinstance(record["kind"], str)
-        and isinstance(normalized, bool)
-        and (reduced_m is None or type(reduced_m) is int)
-    ):
-        raise ValueError(
-            "a signature record needs a string kind, a true/false normalized flag"
-            " and an integer or null reduced_m"
-        )
+    if not (isinstance(record["kind"], str) and isinstance(normalized, bool)):
+        raise ValueError("a signature record needs a string kind and a true/false normalized flag")
+    if not (reduced_m is None or (type(reduced_m) is int and 1 <= reduced_m < 2**31)):
+        raise ValueError(f"reduced_m must be null or an integer in 1 .. {2**31 - 1}")
     if not isinstance(pairs, list) or not all(
         isinstance(p, list) and len(p) == 2 and type(p[0]) is int and type(p[1]) in (int, float)
         for p in pairs

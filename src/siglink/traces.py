@@ -87,6 +87,20 @@ class AnchorSet:
         return self._sphere_tree
 
 
+def metre_grid(lons, lats, cell_m: float, ref=slice(None)):
+    """Square cells ``cell_m`` metres wide, in degrees at the mean latitude
+    of the points ``lons[ref], lats[ref]`` and counted from their south-west
+    corner: each point's (column, row) as an (n, 2) int64 array, and the
+    grid as ``(west, south, dlon, dlat)``."""
+    west, south = float(lons[ref].min()), float(lats[ref].min())
+    mean_lat = float(np.mean(lats[ref]))
+    dlat = cell_m / METERS_PER_DEGREE
+    dlon = cell_m / (METERS_PER_DEGREE * max(np.cos(np.radians(mean_lat)), 1e-9))
+    ix = np.floor((lons - west) / dlon).astype(np.int64)
+    iy = np.floor((lats - south) / dlat).astype(np.int64)
+    return np.column_stack([ix, iy]), (west, south, dlon, dlat)
+
+
 def haversine_m(lon1, lat1, lon2, lat2):
     """Great-circle distance in meters; accepts scalars or numpy arrays."""
     lon1, lat1, lon2, lat2 = (
@@ -307,6 +321,16 @@ def point_table(traces: Sequence[Trace]) -> tuple[np.ndarray, np.ndarray, np.nda
     return rows, anchor_ids, column(1)
 
 
+def masked_traces(traces: Sequence[Trace], keep: np.ndarray) -> list[Trace]:
+    """Each trace with the points that ``keep``, a boolean mask over the
+    rows of ``point_table(traces)``, keeps; points stay in order."""
+    kept = list(compress(chain.from_iterable(t.points for t in traces), keep.tolist()))
+    ends = np.cumsum(np.fromiter(map(len, traces), dtype=np.int64, count=len(traces)))
+    kept_before = np.concatenate([[0], np.cumsum(keep, dtype=np.int64)])
+    at = [0, *kept_before[ends].tolist()]  # where each trace's kept points start
+    return [Trace(t.object_id, kept[s:e]) for t, s, e in zip(traces, at, at[1:])]
+
+
 def day_pairs(
     rows: np.ndarray, t: np.ndarray, utc_offset_hours: int = DEFAULT_UTC_OFFSET_HOURS
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -371,19 +395,8 @@ def split_dataset(
     rows, _, t = point_table(traces)
     day_rows, days, day_of = day_pairs(rows, t, utc_offset_hours)
     in_q = query_days([tr.object_id for tr in traces], day_rows, days, strategy)[day_of]
-    q_half: list[Trace] = []
-    d_half: list[Trace] = []
-    flagged: list[str] = []
-    end = 0
-    for trace in traces:
-        start, end = end, end + len(trace.points)
-        to_q = in_q[start:end]
-        q_points = list(compress(trace.points, to_q.tolist()))
-        d_points = list(compress(trace.points, (~to_q).tolist()))
-        if not q_points or not d_points:
-            flagged.append(trace.object_id)
-        q_half.append(Trace(trace.object_id, q_points))
-        d_half.append(Trace(trace.object_id, d_points))
+    q_half, d_half = masked_traces(traces, in_q), masked_traces(traces, ~in_q)
+    flagged = [q.object_id for q, d in zip(q_half, d_half) if not q.points or not d.points]
     return SplitResult(q_half, d_half, flagged)
 
 
@@ -428,9 +441,18 @@ def _csv_rows(
             yield line, values
 
 
-_RAW_COLUMNS = {"object_id": str, "lon": _finite, "lat": _finite, "timestamp": int}
+def _point_int(field: str) -> int:
+    """A CSV column type for point anchor ids and timestamps: an integer below
+    2**62 in magnitude, which int64 point columns hold with room for offsets."""
+    value = int(field)
+    if not abs(value) < 2**62:
+        raise ValueError(f"{field!r} is not below 2**62 in magnitude")
+    return value
+
+
+_RAW_COLUMNS = {"object_id": str, "lon": _finite, "lat": _finite, "timestamp": _point_int}
 _ANCHOR_COLUMNS = {"anchor_id": int, "lon": _finite, "lat": _finite}
-_TRACE_COLUMNS = {"object_id": str, "anchor_id": int, "timestamp": int}
+_TRACE_COLUMNS = {"object_id": str, "anchor_id": _point_int, "timestamp": _point_int}
 
 
 def read_raw_csv(path: str | Path) -> dict[str, list[RawPoint]]:
@@ -476,13 +498,18 @@ def write_anchor_csv(path: str | Path, anchors: AnchorSet) -> None:
 
 
 def read_trace_csv(path: str | Path) -> list[Trace]:
-    """Read calibrated `object_id,anchor_id,timestamp` rows, file order kept;
-    a negative anchor id raises ``ValueError`` naming the file and line."""
+    """Read calibrated `object_id,anchor_id,timestamp` rows, file order kept.
+    A negative anchor id, or a timestamp earlier than its object's previous
+    row's, raises ``ValueError`` naming the file and line; equal timestamps
+    are allowed."""
     points: dict[str, list[tuple[int, int]]] = {}
     for line, (oid, anchor_id, t) in _csv_rows(path, _TRACE_COLUMNS, "calibrated trace"):
         if anchor_id < 0:
             raise ValueError(f"{path}:{line}: anchor id {anchor_id} is negative")
-        points.setdefault(oid, []).append((anchor_id, t))
+        pts = points.setdefault(oid, [])
+        if pts and t < pts[-1][1]:
+            raise ValueError(f"{path}:{line}: timestamp {t} of {oid!r} precedes its previous row's")
+        pts.append((anchor_id, t))
     return [Trace(oid, pts) for oid, pts in points.items()]
 
 

@@ -17,7 +17,7 @@ import struct
 from bisect import insort
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -504,27 +504,49 @@ def rtree_baseline_knn(tree: WrTree, query: tuple[Signature, Mbr], k: int) -> Kn
 # Validation
 
 
+def _nodes(root: WrNode | None) -> Iterator[tuple[WrNode, int]]:
+    """Every node under ``root`` with its depth, each before its children."""
+    stack = [] if root is None else [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        yield node, depth
+        stack.extend((child, depth + 1) for child in reversed(node.children or ()))
+
+
+def _shape_problems(root: WrNode | None, capacity: int, n_objects: int) -> list[str]:
+    """Violations of the tree's shape: each internal node has 1 ..
+    ``capacity`` children, all leaves or all internal; every leaf sits at
+    one depth; object ids are unique; and there are ``n_objects`` leaves.
+    ``validate`` reports them and ``load_index`` refuses a file with any."""
+    problems: list[str] = []
+    ids: list[str] = []
+    leaf_depths: set[int] = set()
+    for node, depth in _nodes(root):
+        if node.is_leaf:
+            ids.append(node.object_id)
+            leaf_depths.add(depth)
+            continue
+        if len({child.is_leaf for child in node.children}) > 1:
+            problems.append(f"node mixes leaf and internal children at depth {depth}")
+        if not 1 <= len(node.children) <= capacity:
+            problems.append(f"node at depth {depth} has {len(node.children)} children")
+    if len(leaf_depths) > 1:
+        problems.append(f"leaves at unequal depths: {sorted(leaf_depths)}")
+    if len(set(ids)) != len(ids):
+        problems.append("duplicate object ids in tree")
+    if len(ids) != n_objects:
+        problems.append(f"tree holds {len(ids)} objects, expected {n_objects}")
+    return problems
+
+
 def validate(tree: WrTree) -> list[str]:
     """Check structural invariants; returns human-readable violations."""
-    problems: list[str] = []
-    if tree.root is None:
-        if tree.n_objects != 0:
-            problems.append("empty root but n_objects != 0")
-        return problems
-    seen_ids: list[str] = []
-    leaf_depths: set[int] = set()
-
-    def visit(node: WrNode, depth: int) -> None:
+    problems = _shape_problems(tree.root, tree.capacity, tree.n_objects)
+    for node, depth in _nodes(tree.root):
         if node.is_leaf:
-            seen_ids.append(node.object_id)
-            leaf_depths.add(depth)
             if not node.signature.normalized:
                 problems.append(f"signature of leaf {node.object_id!r} is not normalized")
-            return
-        if not (1 <= len(node.children) <= tree.capacity):
-            problems.append(f"node at depth {depth} has {len(node.children)} children")
-        if len({child.is_leaf for child in node.children}) > 1:
-            problems.append(f"node at depth {depth} mixes leaf and internal children")
+            continue
         for child in node.children:
             if not node.mbr.contains(child.mbr):
                 problems.append(f"child mbr escapes parent at depth {depth}")
@@ -537,16 +559,6 @@ def validate(tree: WrTree) -> list[str]:
             and np.array_equal(agg.weights, expect.weights)
         ):
             problems.append(f"aggregate mismatch at depth {depth}")
-        for child in node.children:
-            visit(child, depth + 1)
-
-    visit(tree.root, 0)
-    if len(leaf_depths) > 1:
-        problems.append(f"leaves at unequal depths: {sorted(leaf_depths)}")
-    if len(set(seen_ids)) != len(seen_ids):
-        problems.append("duplicate object ids in tree")
-    if len(seen_ids) != tree.n_objects:
-        problems.append(f"tree holds {len(seen_ids)} objects, expected {tree.n_objects}")
     return problems
 
 
@@ -624,9 +636,10 @@ def load_index(path: str | Path) -> WrTree:
     """Read a tree written by save_index.
 
     A truncated file, an impossible header, a node stream that does not
-    form one tree, or an internal record whose aggregate or rectangle differs
-    from the one its children derive raises ``ValueError("corrupt index:
-    ...")``. Leaf records are taken as stored.
+    form one tree or breaks a rule of ``_shape_problems``, or an internal
+    record whose aggregate or rectangle differs from the one its children
+    derive raises ``ValueError("corrupt index: ...")``. Leaf records are
+    taken as stored.
     """
     raw = Path(path).read_bytes()
     if raw[: len(_INDEX_MAGIC)] != _INDEX_MAGIC:
@@ -657,7 +670,6 @@ def _parse_index(buf: memoryview, off: int) -> WrTree:
 
     stack: list[WrNode] = []
     ids: set[str] = set()
-    n_leaves = 0
     while off < len(buf):
         (tag,) = struct.unpack_from("<B", buf, off)
         off += 1
@@ -670,7 +682,6 @@ def _parse_index(buf: memoryview, off: int) -> WrTree:
             mbr, off = _unpack_mbr(buf, off)
             stack.append(WrNode.leaf(object_id, sig, mbr))
             ids.add(object_id)
-            n_leaves += 1
         elif tag == 1:
             (n_children,) = struct.unpack_from("<I", buf, off)
             off += 4
@@ -681,8 +692,6 @@ def _parse_index(buf: memoryview, off: int) -> WrTree:
                 raise ValueError("corrupt index: node stream underflow")
             children = stack[-n_children:]
             del stack[-n_children:]
-            if len({c.is_leaf for c in children}) > 1:
-                raise ValueError("corrupt index: node mixes leaf and internal children")
             # an internal node is derived from its children, by the rule bulk
             # load and split use; the stored record must match it bit for bit
             node = WrNode.internal(children)
@@ -696,11 +705,10 @@ def _parse_index(buf: memoryview, off: int) -> WrTree:
             raise ValueError(f"corrupt index: unknown node tag {tag}")
     if len(stack) > 1:
         raise ValueError("corrupt index: dangling nodes in stream")
-    if n_leaves != n_objects:
-        raise ValueError(
-            f"corrupt index: header says {n_objects} objects, stream holds {n_leaves}"
-        )
     root = stack[0] if stack else None
     if root is not None and root.is_leaf:
         raise ValueError("corrupt index: node stream ends in a leaf")
+    problems = _shape_problems(root, capacity, n_objects)
+    if problems:
+        raise ValueError(f"corrupt index: {problems[0]}")
     return WrTree(root, capacity, kind, n_objects, ids=ids)

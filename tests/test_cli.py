@@ -524,6 +524,15 @@ def _results(edit):
     return text
 
 
+def _first_rows_swapped(run_dir):
+    """The reference traces of a run with its first object's first two rows
+    swapped, so that its timestamps run backwards."""
+    header, first, second, *rows = (run_dir / "d.csv").read_text().splitlines()
+    (a, _, t1), (b, _, t2) = first.split(","), second.split(",")
+    assert a == b and int(t1) < int(t2)
+    return "\n".join([header, second, first, *rows]) + "\n"
+
+
 _RANKS_SWAPPED = _results(lambda r: [r[1], r[0], *r[2:]])
 
 # (case, input the bad file replaces, its text from a good run's directory)
@@ -533,6 +542,12 @@ MALFORMED = [
     ("trace-anchor-not-int", "traces",
      lambda d: "object_id,anchor_id,timestamp\na,1,10\nb,x1,20\n"),
     ("trace-timestamp-not-int", "traces", lambda d: "object_id,anchor_id,timestamp\na,1,1.5\n"),
+    ("trace-timestamp-beyond-int64", "traces",
+     lambda d: f"object_id,anchor_id,timestamp\na,1,10\na,2,{2**63}\n"),
+    ("trace-timestamp-near-int64-limit", "traces",
+     lambda d: f"object_id,anchor_id,timestamp\na,1,10\na,2,{2**63 - 1000}\n"),
+    ("trace-anchor-beyond-int64", "traces",
+     lambda d: f"object_id,anchor_id,timestamp\na,{2**64},10\n"),
     ("anchor-row-short", "anchors", lambda d: "anchor_id,lon,lat\n0,1.0\n"),
     ("anchor-id-not-int", "anchors", lambda d: "anchor_id,lon,lat\nz,1.0,2.0\n"),
     ("anchor-lon-nan", "anchors", _anchor_lon("nan")),
@@ -542,6 +557,8 @@ MALFORMED = [
     ("raw-lon-nan", "raw", lambda d: "object_id,lon,lat,timestamp\na,1.0,2.0,10\na,nan,2.0,20\n"),
     ("raw-lat-text", "raw", lambda d: "object_id,lon,lat,timestamp\na,1.0,zz,10\n"),
     ("raw-timestamp-not-int", "raw", lambda d: "object_id,lon,lat,timestamp\na,1.0,2.0,t\n"),
+    ("raw-timestamp-beyond-int64", "raw",
+     lambda d: f"object_id,lon,lat,timestamp\na,1.0,2.0,{-(2**63) - 1}\n"),
     ("results-ranks-swapped", "results", _RANKS_SWAPPED),
     ("results-rank-skipped", "results", _results(lambda r: [r[0], *r[2:]])),
     ("results-rank-not-int", "results", _results(lambda r: [[r[0][0], "x", *r[0][2:]], *r[1:]])),
@@ -566,6 +583,10 @@ MALFORMED = [
     ("weight-text", "signatures", _first_pair(weight="1")),
     ("normalized-off-norm", "signatures", _pairs(lambda p: [[d, 3.0 * w] for d, w in p])),
     ("normalized-not-bool", "signatures", _with("normalized", "yes")),
+    ("reduced-m-zero", "signatures", _with("reduced_m", 0)),
+    ("reduced-m-negative", "index-signatures", _with("reduced_m", -4)),
+    ("reduced-m-beyond-int32", "index-signatures", _with("reduced_m", 3_000_000_000)),
+    ("trace-rows-out-of-time-order", "traces", _first_rows_swapped),
 ]
 
 
@@ -578,6 +599,8 @@ def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, small_run, what
         "anchors": ["closure", "--traces", small_run / "d.csv", "--anchors", bad],
         "index-anchors": ["index", "build", "--signatures", small_run / "signatures_d.jsonl",
                           "--anchors", bad],
+        "index-signatures": ["index", "build", "--signatures", bad,
+                             "--anchors", small_run / "anchors.csv"],
         "raw": ["ingest", "--raw", bad, "--anchors", small_run / "anchors.csv"],
         "signatures": ["link", "--queries", small_run / "signatures_q.jsonl",
                        "--references", bad, "--engine", "linear"],

@@ -19,9 +19,11 @@ from siglink.privacy import (
     signature_closure,
     utility_metrics,
 )
-from siglink.reduction import cut_reduce, mbr_of_ids
+from siglink.reduction import cut_reduce
 from siglink.synth import generate_synthetic
 from siglink.traces import METERS_PER_DEGREE, AnchorSet, SplitStrategy, Trace, split_dataset
+
+from testkit import mbr_of_ids
 
 
 def _trace(object_id, anchor_ids):

@@ -18,6 +18,7 @@ from siglink.signatures import (
     pair_counts,
     read_signatures_jsonl,
     tfidf_rows,
+    temporal_histograms,
     tfidf_signatures,
     time_bin,
     write_signatures_jsonl,
@@ -312,6 +313,41 @@ def test_histogram_l1_normalized():
     assert abs(hist.bins.sum() - 1.0) < 1e-9
 
 
+def test_empty_trace_has_no_histogram():
+    with pytest.raises(EmptyTraceError):
+        build_temporal_histogram(Trace("o", []), 6)
+
+
+def _per_point_histogram(trace, dt, utc_offset_hours):
+    """One trace's histogram filled point by point: the oracle of the
+    batched one."""
+    bins = np.zeros(24 // dt)
+    for _, t in trace.points:
+        bins[time_bin(t, dt, utc_offset_hours)] += 1
+    return bins / bins.sum()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    stamps=st.lists(
+        st.lists(st.integers(-(2**40), 2**40), max_size=30), min_size=0, max_size=8
+    ),
+    dt=st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24]),
+    utc_offset_hours=st.integers(-12, 14),
+)
+def test_temporal_histograms_bytes_equal_per_point_loop(stamps, dt, utc_offset_hours):
+    traces = [Trace(f"o{i}", [(0, t) for t in ts]) for i, ts in enumerate(stamps)]
+    got = temporal_histograms(traces, dt, utc_offset_hours)
+    assert got.shape == (len(traces), 24 // dt)
+    for trace, row in zip(traces, got):
+        if not trace.points:
+            assert not row.any()
+            continue
+        assert row.tobytes() == _per_point_histogram(trace, dt, utc_offset_hours).tobytes()
+        one = build_temporal_histogram(trace, dt, utc_offset_hours)
+        assert one.bins.tobytes() == row.tobytes() and one.dt_hours == dt and one.normalized
+
+
 def test_time_bin_uses_local_offset():
     t = 1_600_000_000 - (1_600_000_000 % 86400)  # UTC midnight
     assert time_bin(t, 1, utc_offset_hours=0) == 0
@@ -513,15 +549,29 @@ def test_tfidf_rows_bit_identical_to_per_object_weights(corpora, kind):
     rows = np.repeat(np.arange(len(traces)), [len(o) for o in occurrences])
     dims = np.array([d for o in occurrences for d in o], dtype=np.int64)
     pair_rows, pair_dims, counts = pair_counts(rows, dims)
-    batched = tfidf_rows(pair_rows, pair_dims, counts, oracle, len(traces))
-    assert len(batched) == len(traces)
-    for trace, occ, got in zip(traces, occurrences, batched):
+    ids = [t.object_id for t in traces]
+    batched, batched_excluded = tfidf_rows(pair_rows, pair_dims, counts, oracle, ids)
+    assert batched_excluded == excluded
+    assert list(batched) == [oid for oid in ids if oid not in excluded]
+    for trace, occ in zip(traces, occurrences):
         want = _expected_weights(Counter(occ), n, df)
         if want is None:
-            assert got is None
-            assert trace.object_id in excluded and trace.object_id not in sigs
+            assert trace.object_id in excluded
+            assert trace.object_id not in sigs and trace.object_id not in batched
             continue
-        for sig in (got, sigs[trace.object_id]):
+        for sig in (batched[trace.object_id], sigs[trace.object_id]):
             assert sig.kind == corpus.kind and sig.normalized
             assert np.array_equal(sig.dims, want[0])
             assert sig.weights.tobytes() == want[1].tobytes()
+
+
+def test_tfidf_rows_repeated_id_keeps_last_signature_and_lists_each_empty_row():
+    # rows 0..4 hold ids a, b, a, b, c; rows 1 and 4 have nothing left, and
+    # dim 0 is in every row that has any dimension, so it weighs nothing
+    corpus = _spatial_corpus(3, [0, 1, 0, 2, 0, 3])
+    rows = np.array([0, 0, 1, 2, 2, 3, 3, 4])
+    dims = np.array([0, 1, 0, 0, 2, 0, 3, 0])
+    sigs, excluded = tfidf_rows(rows, dims, np.ones(8), corpus, ["a", "b", "a", "b", "c"])
+    assert excluded == ["b", "c"]
+    assert list(sigs) == ["a", "b"]
+    assert sigs["a"].dims.tolist() == [2] and sigs["b"].dims.tolist() == [3]

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from siglink.linking import reference_signatures
-from siglink.reduction import cut_reduce, mbr_of, mbr_of_ids
+from siglink.reduction import cut_reduce, mbr_of
 from siglink.synth import generate_synthetic
 from siglink.traces import local_date
+
+from testkit import mbr_of_ids
 
 
 def test_same_seed_is_byte_identical():

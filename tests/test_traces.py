@@ -1,5 +1,6 @@
 import re
 from datetime import date, datetime, timedelta, timezone
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from siglink.traces import (
     filter_min_points,
     haversine_m,
     local_date,
+    masked_traces,
     nearest_anchors,
     point_table,
     read_anchor_csv,
@@ -387,6 +389,28 @@ def test_split_matches_per_point_local_date_reference(objects, strategy, utc_off
     assert result.flagged == flagged
 
 
+def _compressed_traces(traces, keep):
+    """Each trace with the points ``keep`` keeps, compressed one trace at a
+    time: the oracle of ``masked_traces``."""
+    keep = keep.tolist()
+    out, end = [], 0
+    for trace in traces:
+        start, end = end, end + len(trace.points)
+        out.append(Trace(trace.object_id, list(compress(trace.points, keep[start:end]))))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(lengths=st.lists(st.integers(0, 6), max_size=8), data=st.data())
+def test_masked_traces_equal_compress_per_trace(lengths, data):
+    traces = [Trace(f"o{i % 3}", [(j, 100 * j) for j in range(n)]) for i, n in enumerate(lengths)]
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=sum(lengths),
+                                       max_size=sum(lengths))), dtype=bool)
+    got = masked_traces(traces, keep)
+    assert got == _compressed_traces(traces, keep)
+    assert [t.object_id for t in got] == [t.object_id for t in traces]
+
+
 def test_split_strategy_validation():
     with pytest.raises(ValueError):
         SplitStrategy("fancy")
@@ -445,6 +469,17 @@ def test_negative_anchor_id_refused(tmp_path):
     path = tmp_path / "traces.csv"
     path.write_text("object_id,anchor_id,timestamp\na,1,10\n\nb,-1,20\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}:4: anchor id -1 is negative")):
+        read_trace_csv(path)
+
+
+def test_trace_rows_must_run_in_time_order_per_object(tmp_path):
+    path = tmp_path / "traces.csv"
+    # objects may interleave, and a timestamp may repeat
+    path.write_text("object_id,anchor_id,timestamp\na,1,10\nb,2,5\na,2,10\nb,1,7\n")
+    assert read_trace_csv(path) == [Trace("a", [(1, 10), (2, 10)]), Trace("b", [(2, 5), (1, 7)])]
+    path.write_text("object_id,anchor_id,timestamp\na,1,10\nb,2,5\na,2,9\n")
+    message = f"{path}:4: timestamp 9 of 'a' precedes its previous row's"
+    with pytest.raises(ValueError, match=re.escape(message)):
         read_trace_csv(path)
 
 

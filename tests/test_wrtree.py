@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from siglink.synth import generate_synthetic
 from siglink.linking import reference_signatures
 from siglink.wrtree import (
     WrNode,
+    WrTree,
     aggregate_signatures,
     bulk_load,
     insert,
@@ -537,6 +540,35 @@ def test_index_with_mixed_children_or_a_leaf_root_rejected(tmp_path):
     save_index(tree, path)
     with pytest.raises(ValueError, match="corrupt index: node stream ends in a leaf"):
         load_index(path)
+
+
+def _hand_tree(shape, capacity):
+    """A tree of hand-placed nodes: a string is a leaf of that id, a list an
+    internal node over its items."""
+    anchors = line_anchors(10)
+    leaves = []
+
+    def node(item):
+        if isinstance(item, str):
+            leaves.append(item)
+            return WrNode.leaf(*entry(item, sig({ord(item) % 10: 1.0}), anchors))
+        return WrNode.internal([node(child) for child in item])
+
+    root = node(shape)
+    return WrTree(root, capacity, "spatial", len(leaves), set(leaves))
+
+
+@pytest.mark.parametrize("shape,capacity,problem", [
+    (["a", "a"], 4, "duplicate object ids in tree"),
+    (list("abcdefghi"), 2, "node at depth 0 has 9 children"),
+    ([["a", "b"], [["c"]]], 4, "leaves at unequal depths: [2, 3]"),
+])
+def test_index_that_breaks_a_shape_rule_is_refused_on_load(tmp_path, shape, capacity, problem):
+    tree = _hand_tree(shape, capacity)
+    assert validate(tree) == [problem]
+    save_index(tree, tmp_path / "index.bin")
+    with pytest.raises(ValueError, match=re.escape(f"corrupt index: {problem}")):
+        load_index(tmp_path / "index.bin")
 
 
 def test_index_bad_magic_rejected(tmp_path):

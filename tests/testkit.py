@@ -1,9 +1,10 @@
 """Helpers shared by the test modules: hand-made signatures, anchors on a
-line, traces from anchor-id lists and index entries."""
+line, traces from anchor-id lists, index entries and the bounding box of a
+set of anchor ids."""
 
 import numpy as np
 
-from siglink.reduction import mbr_of
+from siglink.reduction import Mbr, mbr_of
 from siglink.signatures import make_signature
 from siglink.traces import AnchorSet, Trace
 
@@ -21,6 +22,15 @@ def random_signature(rng, n_dims, dim_space=1000, kind="spatial"):
 def line_anchors(n=100):
     """Anchors at (i, 0) for i in [0, n): dim id == lon coordinate."""
     return AnchorSet(np.arange(n, dtype=float), np.zeros(n))
+
+
+def mbr_of_ids(anchor_ids, anchors):
+    """The bounding box of the anchors with these ids, repeats allowed."""
+    ids = np.asarray(list(anchor_ids), dtype=np.int64)
+    if len(ids) == 0:
+        raise ValueError("cannot bound an empty anchor set")
+    lons, lats = anchors.lons[ids], anchors.lats[ids]
+    return Mbr(float(lons.min()), float(lats.min()), float(lons.max()), float(lats.max()))
 
 
 def trace_of(object_id, anchor_ids, t0=1_600_000_000, step=60):
