@@ -15,7 +15,6 @@ line and a flag typed on the line wins. Flags and keys are spelled in full.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -26,6 +25,7 @@ from .errors import ConfigError, SiglinkError
 from .linking import (
     ENGINES,
     LinkingRun,
+    _index_entries,
     accuracies,
     link_signatures,
     matching_accuracy,
@@ -36,7 +36,7 @@ from .linking import (
     write_results_csv,
 )
 from .privacy import signature_closure
-from .reduction import mbrs_of, reduce_signatures
+from .reduction import reduce_signatures
 from .signatures import (
     KIND_SPATIAL,
     Corpus,
@@ -61,6 +61,7 @@ from .traces import (
     read_trace_csv,
     split_dataset,
     write_anchor_csv,
+    write_csv,
     write_trace_csv,
 )
 from .wrtree import bulk_load, insert, load_index, save_index, validate
@@ -131,13 +132,6 @@ def _capture_config(args: argparse.Namespace) -> None:
     (Path(args.out) / "config.used").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
@@ -191,9 +185,10 @@ def _read_traces(path: str, args: argparse.Namespace, anchors=None) -> list[Trac
 
 
 def _read_signatures(path: str, args: argparse.Namespace, anchors=None) -> list:
-    """The signatures of ``path`` for linking or indexing. Cosine scores and
-    the pruning bounds hold only for unit vectors, so a record not marked
-    normalized is refused, naming the file and line."""
+    """The signatures of ``path`` for reducing, linking, indexing or
+    re-ranking. Top-m reduction, cosine scores and the pruning bounds hold
+    only for unit vectors, so a record not marked normalized is refused,
+    naming the file and line."""
     entries = []
     for line, oid, sig in signature_lines(path):
         if not sig.normalized:
@@ -203,13 +198,6 @@ def _read_signatures(path: str, args: argparse.Namespace, anchors=None) -> list:
         tops = ((oid, s.dims.max(initial=-1)) for oid, s in entries if s.kind == KIND_SPATIAL)
         _check_anchor_ids(path, tops, args, anchors)
     return entries
-
-
-def _read_index_entries(args: argparse.Namespace, anchors) -> list:
-    """The ``--signatures`` to index, each with its bounding box."""
-    signed = _read_signatures(args.signatures, args, anchors)
-    mbrs = mbrs_of([sig for _, sig in signed], anchors)
-    return [(oid, sig, mbr) for (oid, sig), mbr in zip(signed, mbrs)]
 
 
 def _calibrated(args: argparse.Namespace, anchors) -> list[Trace]:
@@ -351,7 +339,7 @@ def _cmd_signature(args: argparse.Namespace) -> None:
 
 def _cmd_reduce(args: argparse.Namespace) -> None:
     out = _out_dir(args)
-    entries = read_signatures_jsonl(args.signatures)
+    entries = _read_signatures(args.signatures, args)
     ids, sigs = [oid for oid, _ in entries], [sig for _, sig in entries]
     reduced = list(zip(ids, reduce_signatures(sigs, args.m)))
     path = out / "signatures.jsonl"
@@ -361,7 +349,8 @@ def _cmd_reduce(args: argparse.Namespace) -> None:
 
 def _cmd_index_build(args: argparse.Namespace) -> None:
     out = _out_dir(args)
-    entries = _read_index_entries(args, read_anchor_csv(args.anchors))
+    anchors = read_anchor_csv(args.anchors)
+    entries = _index_entries(_read_signatures(args.signatures, args, anchors), anchors, None)
     t0 = time.perf_counter()
     tree = bulk_load(entries, args.capacity)
     build_s = time.perf_counter() - t0
@@ -374,13 +363,12 @@ def _cmd_index_insert(args: argparse.Namespace) -> None:
     out = _out_dir(args)
     anchors = read_anchor_csv(args.anchors)
     tree = load_index(args.index)
-    added = 0
-    for entry in _read_index_entries(args, anchors):
+    entries = _index_entries(_read_signatures(args.signatures, args, anchors), anchors, None)
+    for entry in entries:
         insert(tree, entry)
-        added += 1
     path = out / "index.bin"
     save_index(tree, path)
-    print(f"inserted {added} objects; index now holds {tree.n_objects} -> {path}")
+    print(f"inserted {len(entries)} objects; index now holds {tree.n_objects} -> {path}")
 
 
 def _cmd_index_validate(args: argparse.Namespace) -> None:
@@ -394,8 +382,6 @@ def _cmd_index_validate(args: argparse.Namespace) -> None:
 
 
 def _cmd_link(args: argparse.Namespace) -> None:
-    if args.engine != "linear" and not args.anchors:
-        raise ConfigError(f"engine {args.engine!r} needs --anchors for bounding boxes")
     out = _out_dir(args)
     anchors = read_anchor_csv(args.anchors) if args.anchors else None
     queries = dict(_read_signatures(args.queries, args, anchors))
@@ -422,8 +408,8 @@ def _cmd_rerank(args: argparse.Namespace) -> None:
     )
     reranked = rerank(
         run,
-        dict(read_signatures_jsonl(args.queries_large)),
-        dict(read_signatures_jsonl(args.references_large)),
+        dict(_read_signatures(args.queries_large, args)),
+        dict(_read_signatures(args.references_large, args)),
     )
     write_results_csv(out / "results.csv", reranked)
     print(f"reranked {len(results)} result lists -> {out / 'results.csv'}")
@@ -438,7 +424,7 @@ def _cmd_marry(args: argparse.Namespace) -> None:
     records = [[q, stable[q], "stable"] for q in sorted(stable)]
     records += [[q, fallback[q], "fallback"] for q in sorted(fallback)]
     records += [[q, "", "unmatched"] for q in sorted(matching.unmatched)]
-    _write_csv(out / "matching.csv", ["query_id", "candidate_id", "phase"], records)
+    write_csv(out / "matching.csv", ["query_id", "candidate_id", "phase"], records)
     summary = {
         "accuracy": matching_accuracy(matching),
         "stable": len(matching.stable_pairs),
@@ -475,7 +461,7 @@ def _cmd_closure(args: argparse.Namespace) -> None:
     records = [[0, report.baseline_accuracy[1], report.baseline_accuracy[args.k], *[1.0] * 4]]
     for r in report.rounds:
         records.append([r.round_no, r.accuracy[1], r.accuracy[args.k], *astuple(r.utility)])
-    _write_csv(out / "closure.csv", header, records)
+    write_csv(out / "closure.csv", header, records)
     _print_table(
         ["round", "acc@1", "data_remain", "grid_small"],
         [[no, f"{acc1:.4f}", f"{remain:.3f}", f"{small:.3f}"]
@@ -514,11 +500,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> None:
             " use the signature verb to export them"
         )
     _require_dt(args)
-    if args.kind != "spatial" and args.engine in ("wrtree", "rtree"):
-        raise ConfigError(
-            f"{args.kind} signatures have no spatial bounding boxes;"
-            " use --engine linear"
-        )
 
     traces, anchors = _pipeline_traces(args)
     if args.min_points:
@@ -536,8 +517,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> None:
     write_signatures_jsonl(out / "signatures_q.jsonl", sorted(query_sigs.items()))
 
     print(f"pipeline: engine={args.engine} kind={args.kind} m={args.m} k={args.k}")
-    spatial_anchors = anchors if args.kind == "spatial" else None
-    run = _link_to(out, args, query_sigs, ref_sigs, spatial_anchors, {"signatures": sig_s},
+    run = _link_to(out, args, query_sigs, ref_sigs, anchors, {"signatures": sig_s},
                    (excluded_queries, excluded_refs))
     _print_table(
         ["phase", "seconds"],
@@ -568,18 +548,25 @@ def _at_least(low, number=int):
     return parse
 
 
-def _fraction(raw: str) -> float:
-    """An argparse type: a float in [0, 1]."""
-    value = _number(raw, float)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {raw}")
-    return value
+def _between(low, high, number=int):
+    """An argparse type: a `number` in [low, high]."""
+
+    def parse(raw: str):
+        value = _number(raw, number)
+        if not low <= value <= high:  # refuses nan too
+            raise argparse.ArgumentTypeError(f"must be in [{low}, {high}], got {raw}")
+        return value
+
+    return parse
 
 
 _POSITIVE = _at_least(1)
 # bulk_load's rule: a node holds at least two children
 _CAPACITY = _at_least(2)
 _RADIUS = _at_least(0.0, float)
+_FRACTION = _between(0, 1, float)
+# whole hours east of UTC, from the westernmost to the easternmost zone
+_UTC_OFFSET = _between(-12, 14)
 
 
 def _dt(raw: str) -> int:
@@ -641,7 +628,7 @@ def _add_split_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument("--q-days", type=_POSITIVE, default=None)
     sub.add_argument("--split-seed", type=int, default=0)
-    sub.add_argument("--utc-offset", type=int, default=DEFAULT_UTC_OFFSET_HOURS)
+    sub.add_argument("--utc-offset", type=_UTC_OFFSET, default=DEFAULT_UTC_OFFSET_HOURS)
 
 
 def _add_kind_flags(sub: argparse.ArgumentParser) -> None:
@@ -681,9 +668,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=_POSITIVE, default=200)
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--n-days", type=_POSITIVE, default=30)
-    p.add_argument("--personal-mass", type=_fraction, default=0.35)
+    p.add_argument("--personal-mass", type=_FRACTION, default=0.35)
     p.add_argument("--personal-pool", type=_POSITIVE, default=40)
-    p.add_argument("--hub-fraction", type=_fraction, default=0.2)
+    p.add_argument("--hub-fraction", type=_FRACTION, default=0.2)
 
     p = _verb(subparsers, "ingest", _cmd_ingest, help="calibrate raw GPS traces to anchors")
     p.add_argument("--raw", required=True)
@@ -699,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traces", required=True)
     p.add_argument("--anchors", default=None)
     p.add_argument("--corpus", default=None, help="traces CSV to take IDF statistics from")
-    p.add_argument("--utc-offset", type=int, default=DEFAULT_UTC_OFFSET_HOURS)
+    p.add_argument("--utc-offset", type=_UTC_OFFSET, default=DEFAULT_UTC_OFFSET_HOURS)
     _add_kind_flags(p)
 
     p = _verb(subparsers, "reduce", _cmd_reduce, help="truncate signatures to their top-m dims")

@@ -4,14 +4,13 @@ stable-marriage refinement of the top-k lists."""
 
 from __future__ import annotations
 
-import csv
 import json
 import time
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import EmptySignatureError, EmptyTraceError
 from .reduction import Mbr, mbrs_of, reduce_signatures
@@ -22,7 +21,7 @@ from .signatures import (
     _leaf_sim,
     tfidf_signatures,
 )
-from .traces import AnchorSet, Trace, _csv_rows
+from .traces import AnchorSet, Trace, _csv_rows, write_csv
 from .wrtree import (
     IndexEntry,
     KnnResult,
@@ -91,19 +90,26 @@ def build_spatial_signature(trace: Trace, corpus: Corpus) -> Signature:
     return sig
 
 
+# the rectangle of a signature without a box: one point, so STR tiling keeps
+# input order and every rectangle test passes
 _NO_MBR = Mbr(0.0, 0.0, 0.0, 0.0)
 
 
 def _index_entries(
-    sigs: Mapping[str, Signature], anchors: AnchorSet | None, m: int | None
+    pairs: Iterable[tuple[str, Signature]], anchors: AnchorSet | None, m: int | None
 ) -> list[IndexEntry]:
-    """Each signature checked, reduced to its top ``m`` dimensions and
-    bounded, in one batched pass over all of them."""
-    for object_id, sig in sigs.items():
+    """Each ``(id, signature)`` pair checked, reduced to its top ``m``
+    dimensions and given its rectangle, in one batched pass over all of
+    them. Given an anchor set, spatial signatures get their anchors'
+    bounding boxes; any other rectangle is ``_NO_MBR``."""
+    pairs = list(pairs)
+    for object_id, sig in pairs:
         _check_normalized(object_id, sig)
-    reduced = list(sigs.values()) if m is None else reduce_signatures(list(sigs.values()), m)
-    mbrs = mbrs_of(reduced, anchors) if anchors is not None else [_NO_MBR] * len(reduced)
-    return list(zip(sigs, reduced, mbrs))
+    sigs = [sig for _, sig in pairs]
+    reduced = sigs if m is None else reduce_signatures(sigs, m)
+    boxed = anchors is not None and all(s.kind == KIND_SPATIAL for s in reduced)
+    mbrs = mbrs_of(reduced, anchors) if boxed else [_NO_MBR] * len(reduced)
+    return [(oid, sig, mbr) for (oid, _), sig, mbr in zip(pairs, reduced, mbrs)]
 
 
 def link_signatures(
@@ -120,24 +126,22 @@ def link_signatures(
 ) -> LinkingRun:
     """Batch k-NN of prepared query signatures against reference signatures.
 
-    Every engine is exact and returns the same lists: ``linear`` scans every
-    reference (the oracle), ``wrtree`` searches the weighted tree best-first
-    with aggregate-bound pruning, and ``rtree`` range-queries
-    the same tree by rectangle alone (the baseline without the weight bound).
-    The tree engines need an anchor set to derive bounding boxes, so they
-    only work on spatial signatures; ``linear`` accepts any cosine-comparable
-    kind. Every signature must be normalized; an unnormalized one raises
-    ``ValueError`` naming its object.
+    Every engine is exact and returns the same lists, on every kind:
+    ``linear`` scans every reference (the oracle), ``wrtree`` searches the
+    weighted tree best-first with aggregate-bound pruning, and ``rtree``
+    range-queries the same tree by rectangle alone (the baseline without the
+    weight bound). Rectangles follow ``_index_entries``: only spatial
+    signatures with an anchor set have boxes, so without them ``rtree``
+    scores every reference. Every signature must be normalized; an
+    unnormalized one raises ``ValueError`` naming its object.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if engine in ("wrtree", "rtree") and anchors is None:
-        raise ValueError(f"engine {engine!r} needs an anchor set for bounding boxes")
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    entries = _index_entries(ref_sigs, anchors, m)
-    query_items = _index_entries(query_sigs, anchors, m)
+    entries = _index_entries(ref_sigs.items(), anchors, m)
+    query_items = _index_entries(query_sigs.items(), anchors, m)
     timings["reduce"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -392,14 +396,13 @@ def write_results_csv(path: str | Path, run: LinkingRun | Mapping[str, KnnResult
     ``query_id,0,,`` row, so it survives a round trip and is judged as a
     miss rather than dropped."""
     results = _result_map(run)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["query_id", "rank", "candidate_id", "similarity"])
-        for oid in sorted(results):
-            if not results[oid]:
-                writer.writerow([oid, 0, "", ""])
-            for rank_no, (cand, sim) in enumerate(results[oid], start=1):
-                writer.writerow([oid, rank_no, cand, repr(sim)])
+    rows = []
+    for oid in sorted(results):
+        if not results[oid]:
+            rows.append([oid, 0, "", ""])
+        ranked = enumerate(results[oid], start=1)
+        rows += ([oid, rank_no, cand, repr(sim)] for rank_no, (cand, sim) in ranked)
+    write_csv(path, list(_RESULTS_COLUMNS), rows)
 
 
 def _similarity(field: str) -> float | None:

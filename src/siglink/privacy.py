@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .linking import accuracies, link_signatures
-from .reduction import top_m
+from .reduction import anchor_boxes, top_m
 from .signatures import (
     KIND_SPATIAL,
     Corpus,
@@ -110,12 +110,7 @@ class _UtilityGrids:
         box = np.zeros((n_objects, 4))
         starts = np.flatnonzero(np.diff(rows, prepend=-1))
         if len(starts):
-            present = rows[starts]
-            lons, lats = self.anchors.lons[anchor_ids], self.anchors.lats[anchor_ids]
-            box[present, 0] = np.minimum.reduceat(lons, starts)
-            box[present, 1] = np.minimum.reduceat(lats, starts)
-            box[present, 2] = np.maximum.reduceat(lons, starts)
-            box[present, 3] = np.maximum.reduceat(lats, starts)
+            box[rows[starts]] = anchor_boxes(self.anchors, anchor_ids, starts)
         cells = []
         for cell, n_cells in self.cells:
             keys = np.sort(rows * n_cells + cell[anchor_ids])

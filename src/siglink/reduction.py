@@ -138,6 +138,19 @@ def cut_reduce(sig: Signature, m: int) -> Signature:
     return reduce_signatures([sig], m)[0]
 
 
+def anchor_boxes(anchors: AnchorSet, ids: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The bounding box (min lon, min lat, max lon, max lat) of each run of
+    anchor ``ids`` that begins at an index in ``starts``, as one row each.
+    Min and max are exact, so a row equals bounding its run alone."""
+    lons, lats = anchors.lons[ids], anchors.lats[ids]
+    return np.column_stack([
+        np.minimum.reduceat(lons, starts),
+        np.minimum.reduceat(lats, starts),
+        np.maximum.reduceat(lons, starts),
+        np.maximum.reduceat(lats, starts),
+    ])
+
+
 def mbrs_of(sigs: Sequence[Signature], anchors: AnchorSet) -> list[Mbr]:
     """Tight bounding box over the anchor locations of each spatial
     signature, from one pass over all their dimensions."""
@@ -149,18 +162,8 @@ def mbrs_of(sigs: Sequence[Signature], anchors: AnchorSet) -> list[Mbr]:
     if not sigs:
         return []
     nnz = np.array([sig.nnz() for sig in sigs])
-    starts = np.cumsum(nnz) - nnz
     ids = np.concatenate([sig.dims for sig in sigs])
-    lons, lats = anchors.lons[ids], anchors.lats[ids]
-    return [
-        Mbr(*box)
-        for box in zip(
-            np.minimum.reduceat(lons, starts).tolist(),
-            np.minimum.reduceat(lats, starts).tolist(),
-            np.maximum.reduceat(lons, starts).tolist(),
-            np.maximum.reduceat(lats, starts).tolist(),
-        )
-    ]
+    return [Mbr(*box) for box in anchor_boxes(anchors, ids, np.cumsum(nnz) - nnz).tolist()]
 
 
 def mbr_of(sig: Signature, anchors: AnchorSet) -> Mbr:

@@ -463,13 +463,19 @@ def read_raw_csv(path: str | Path) -> dict[str, list[RawPoint]]:
     return out
 
 
-def write_raw_csv(path: str | Path, raw: dict[str, list[RawPoint]]) -> None:
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and then ``rows`` as a UTF-8 CSV file in the csv
+    module's default dialect (lines end in CRLF), as every CSV here is
+    written; ``_csv_rows`` reads them back."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["object_id", "lon", "lat", "timestamp"])
-        for oid in raw:
-            for p in raw[oid]:
-                writer.writerow([oid, repr(p.lon), repr(p.lat), p.t])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_raw_csv(path: str | Path, raw: dict[str, list[RawPoint]]) -> None:
+    rows = ([oid, repr(p.lon), repr(p.lat), p.t] for oid, pts in raw.items() for p in pts)
+    write_csv(path, list(_RAW_COLUMNS), rows)
 
 
 def read_anchor_csv(path: str | Path) -> AnchorSet:
@@ -490,11 +496,8 @@ def read_anchor_csv(path: str | Path) -> AnchorSet:
 
 
 def write_anchor_csv(path: str | Path, anchors: AnchorSet) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["anchor_id", "lon", "lat"])
-        for i in range(len(anchors)):
-            writer.writerow([i, repr(float(anchors.lons[i])), repr(float(anchors.lats[i]))])
+    coords = enumerate(zip(anchors.lons.tolist(), anchors.lats.tolist()))
+    write_csv(path, list(_ANCHOR_COLUMNS), ([i, repr(lon), repr(lat)] for i, (lon, lat) in coords))
 
 
 def read_trace_csv(path: str | Path) -> list[Trace]:
@@ -514,9 +517,5 @@ def read_trace_csv(path: str | Path) -> list[Trace]:
 
 
 def write_trace_csv(path: str | Path, traces: Iterable[Trace]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["object_id", "anchor_id", "timestamp"])
-        for trace in traces:
-            for anchor_id, t in trace.points:
-                writer.writerow([trace.object_id, anchor_id, t])
+    rows = ([trace.object_id, a, t] for trace in traces for a, t in trace.points)
+    write_csv(path, list(_TRACE_COLUMNS), rows)

@@ -29,11 +29,25 @@ def test_pipeline_smoke_writes_metrics(tmp_path):
     assert (out / "config.used").exists()
 
 
+KIND_FLAGS = {
+    "spatial": [],
+    **{f"sequential-q{q}": ["--kind", "sequential", "--q", q] for q in (1, 2, 3)},
+    "spatiotemporal-g40-dt6": ["--kind", "spatiotemporal", "--grid", 40, "--dt", 6],
+    "spatiotemporal-g100-dt1": ["--kind", "spatiotemporal", "--grid", 100, "--dt", 1],
+}
+
+
 def test_pipeline_engine_swap_byte_identical_results(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert run(["pipeline", "--synthetic", "n=100,seed=3", "--engine", "linear", "--out", a]) == 0
-    assert run(["pipeline", "--synthetic", "n=100,seed=3", "--engine", "wrtree", "--out", b]) == 0
-    assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
+    # every engine runs every kind: a signature without a box gets a
+    # one-point rectangle
+    for name, flags in KIND_FLAGS.items():
+        results = set()
+        for engine in ("linear", "rtree", "wrtree"):
+            out = tmp_path / f"{name}-{engine}"
+            assert run(["pipeline", "--synthetic", "n=100,seed=3", *flags,
+                        "--engine", engine, "--out", out]) == 0
+            results.add((out / "results.csv").read_bytes())
+        assert len(results) == 1, name
 
 
 def test_pipeline_invalid_dt_exits_2(tmp_path, capsys):
@@ -41,12 +55,6 @@ def test_pipeline_invalid_dt_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "divide 24" in err
-
-
-def test_pipeline_nonspatial_kind_needs_cosine_engine(tmp_path):
-    code = run(["pipeline", "--synthetic", "n=20", "--kind", "sequential",
-                "--engine", "wrtree", "--out", tmp_path / "x"])
-    assert code == 2
 
 
 def test_pipeline_sequential_kind_with_linear_engine(tmp_path):
@@ -169,6 +177,22 @@ def test_marry_quotes_ids_with_commas(tmp_path):
                     ["b", "a,1", "fallback"], ["c", "", "unmatched"]]
 
 
+def test_every_csv_written_ends_its_lines_alike(tmp_path):
+    p, m, c = tmp_path / "p", tmp_path / "m", tmp_path / "c"
+    assert run(["pipeline", "--synthetic", "n=30,seed=1", "--out", p]) == 0
+    assert run(["marry", "--results-qd", p / "results.csv", "--results-dq", p / "results.csv",
+                "--out", m]) == 0
+    assert run(["closure", "--traces", p / "d.csv", "--anchors", p / "anchors.csv",
+                "--out", c]) == 0
+    written = [path for out in (p, m, c) for path in out.glob("*.csv")]
+    assert sorted(path.name for path in written) == [
+        "anchors.csv", "closure.csv", "d.csv", "matching.csv", "q.csv", "results.csv", "traces.csv"
+    ]
+    for path in written:
+        raw = path.read_bytes()
+        assert raw.count(b"\n") == raw.count(b"\r\n") > 0, path.name
+
+
 def test_eval_agrees_with_metrics_json(tmp_path):
     # a small radius and m=1 leave some references without a signature and
     # some queries without any overlapping candidate
@@ -184,17 +208,52 @@ def test_eval_agrees_with_metrics_json(tmp_path):
     assert ev["acc"] == metrics["acc"]
 
 
-def test_link_tree_engine_without_anchors_exits_2(tmp_path, capsys):
-    # the signature files are garbage: reading them would be a runtime failure
+def test_link_without_anchors_reads_its_inputs_on_every_engine(tmp_path, capsys):
+    # no engine needs --anchors, so each reads the garbage signature files
+    # and fails at run time
     bad = tmp_path / "bad.jsonl"
     bad.write_text("not json\n")
-    for engine in ("wrtree", "rtree"):
+    for engine in ("linear", "rtree", "wrtree"):
         capsys.readouterr()
         assert run(["link", "--out", tmp_path / "x", "--queries", bad, "--references", bad,
-                    "--engine", engine]) == 2
-        assert "--anchors" in capsys.readouterr().err
-    assert run(["link", "--out", tmp_path / "x", "--queries", bad, "--references", bad,
-                "--engine", "linear"]) == 1
+                    "--engine", engine]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}:1: ")
+
+
+@pytest.fixture(scope="module")
+def sequential_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("seq")
+    assert run(["pipeline", "--synthetic", "n=60,seed=4", "--kind", "sequential", "--q", "2",
+                "--out", out]) == 0
+    return out
+
+
+def test_link_sequential_signatures_with_anchors(tmp_path, sequential_run):
+    # with an anchor set only spatial signatures are boxed; every engine, with
+    # or without --anchors, writes the pipeline's own results
+    p = sequential_run
+    for engine in ("linear", "rtree", "wrtree"):
+        for anchors in ([], ["--anchors", p / "anchors.csv"]):
+            out = tmp_path / f"{engine}-{len(anchors)}"
+            assert run(["link", "--queries", p / "signatures_q.jsonl",
+                        "--references", p / "signatures_d.jsonl", *anchors,
+                        "--engine", engine, "--m", "10", "--out", out]) == 0
+            assert (out / "results.csv").read_bytes() == (p / "results.csv").read_bytes()
+
+
+def test_index_sequential_signatures(tmp_path, sequential_run):
+    p = sequential_run
+    lines = (p / "signatures_d.jsonl").read_text().splitlines(keepends=True)
+    (tmp_path / "first.jsonl").write_text("".join(lines[:40]))
+    (tmp_path / "extra.jsonl").write_text("".join(lines[40:]))
+    assert run(["index", "build", "--signatures", tmp_path / "first.jsonl", "--capacity", "4",
+                "--anchors", p / "anchors.csv", "--out", tmp_path / "idx"]) == 0
+    assert run(["index", "insert", "--index", tmp_path / "idx/index.bin",
+                "--signatures", tmp_path / "extra.jsonl", "--anchors", p / "anchors.csv",
+                "--out", tmp_path / "idx2"]) == 0
+    tree = load_index(tmp_path / "idx2/index.bin")
+    assert tree.kind == "sequential:q=2" and tree.n_objects == len(lines)
+    assert run(["index", "validate", "--index", tmp_path / "idx2/index.bin"]) == 0
 
 
 def test_link_rejects_unnormalized_signature(tmp_path, capsys):
@@ -411,6 +470,12 @@ BAD_FLAGS = [
       for flag in ("personal-mass", "hub-fraction") for value in ("1.5", "-0.5", "nan")),
     (["ingest"], "min-points", "-1", ">= 0"),
     (["split"], "q-days", "0", ">= 1"),
+    (["split"], "utc-offset", "10000000000000000", "must be in [-12, 14]"),
+    (["split"], "utc-offset", "15", "must be in [-12, 14]"),
+    (["split"], "utc-offset", "1.5", "expected int"),
+    (["signature"], "utc-offset", "-13", "must be in [-12, 14]"),
+    (["closure"], "utc-offset", "2000000000000000", "must be in [-12, 14]"),
+    (["pipeline"], "utc-offset", "-24", "must be in [-12, 14]"),
     (["signature"], "q", "0", ">= 1"),
     (["signature"], "grid", "0", ">= 1"),
     (["signature"], "dt", "5", "divide 24"),
@@ -587,6 +652,8 @@ MALFORMED = [
     ("reduced-m-negative", "index-signatures", _with("reduced_m", -4)),
     ("reduced-m-beyond-int32", "index-signatures", _with("reduced_m", 3_000_000_000)),
     ("trace-rows-out-of-time-order", "traces", _first_rows_swapped),
+    ("reduce-not-normalized", "reduce-signatures", _with("normalized", False)),
+    ("rerank-not-normalized", "rerank-signatures", _with("normalized", False)),
 ]
 
 
@@ -610,6 +677,10 @@ def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, small_run, what
                            "--references-large", small_run / "signatures_d.jsonl"],
         "marry-results": ["marry", "--results-qd", small_run / "results.csv",
                           "--results-dq", bad],
+        "reduce-signatures": ["reduce", "--signatures", bad, "--m", "3"],
+        "rerank-signatures": ["rerank", "--results", small_run / "results.csv",
+                              "--queries-large", small_run / "signatures_q.jsonl",
+                              "--references-large", bad],
     }[what]
     capsys.readouterr()
     assert run([*argv, "--out", tmp_path / "x"]) == 1

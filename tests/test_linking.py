@@ -2,13 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siglink.errors import EmptyTraceError
 from siglink.linking import (
+    _NO_MBR,
     LinkingRun,
+    _index_entries,
     accuracies,
     accuracy_at_k,
     link_all,
+    link_signatures,
     matching_accuracy,
     read_results_csv,
     rerank,
@@ -17,8 +22,9 @@ from siglink.linking import (
 )
 from siglink.synth import generate_synthetic
 from siglink.traces import SplitStrategy, Trace, split_dataset
+from siglink.wrtree import linear_knn
 
-from testkit import sig
+from testkit import line_anchors, sig
 
 
 def _run(results, reference_ids=None, k=None):
@@ -56,6 +62,55 @@ def test_engine_swap_gives_identical_results():
         for engine in ("linear", "wrtree", "rtree")
     }
     assert runs["linear"].results == runs["wrtree"].results == runs["rtree"].results
+
+
+_WEIGHTS = st.sampled_from([0.25, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def _kind_signature(draw, kind):
+    # two or three of three shared dims plus up to three of its own; few
+    # distinct weights make ties common
+    shared = draw(st.lists(st.sampled_from((0, 1, 2)), min_size=2, max_size=3, unique=True))
+    own = draw(st.lists(st.integers(3, 40), max_size=3, unique=True))
+    return sig({d: draw(_WEIGHTS) for d in shared + own}, kind=kind)
+
+
+@st.composite
+def _kind_corpus(draw):
+    kind = draw(st.sampled_from(["sequential:q=2", "spatiotemporal:g=40,dt=6"]))
+    labels = draw(st.permutations(range(draw(st.integers(1, 40)))))
+    refs = {f"o{label:02d}": draw(_kind_signature(kind)) for label in labels}
+    probes = draw(st.lists(_kind_signature(kind), min_size=1, max_size=3))
+    queries = {oid: refs[oid] for oid in list(refs)[:2]}
+    queries.update((f"p{i}", probe) for i, probe in enumerate(probes))
+    return queries, refs
+
+
+def _hexed(result):
+    return [(oid, s.hex()) for oid, s in result]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    corpus=_kind_corpus(),
+    anchors=st.sampled_from([None, line_anchors(100)]),
+    m=st.sampled_from([None, 3]),
+    capacity=st.sampled_from([2, 3, 8, 32]),
+)
+def test_tree_engines_match_linear_on_nonspatial_kinds(corpus, anchors, m, capacity):
+    # a non-spatial signature has no box, with or without an anchor set, so
+    # both tree engines search one-point rectangles
+    queries, refs = corpus
+    entries = _index_entries(refs.items(), anchors, m)
+    assert all(mbr == _NO_MBR for _, _, mbr in entries)
+    reduced = {oid: s for oid, s, _ in _index_entries(queries.items(), anchors, m)}
+    for k in (1, 5, len(refs) + 1):
+        expect = {oid: _hexed(linear_knn(entries, (s, _NO_MBR), k)) for oid, s in reduced.items()}
+        for engine in ("wrtree", "rtree"):
+            run = link_signatures(queries, refs, anchors, engine=engine, k=k, m=m,
+                                  capacity=capacity)
+            assert {oid: _hexed(r) for oid, r in run.results.items()} == expect
 
 
 def test_empty_query_set():
