@@ -36,14 +36,14 @@ from .linking import (
     write_results_csv,
 )
 from .privacy import signature_closure
-from .reduction import reduce_signatures
+from .reduction import cut_table
 from .signatures import (
     KIND_SPATIAL,
     Corpus,
+    SignatureTable,
     check_dt,
     kind_corpus,
     read_signatures_jsonl,
-    signature_lines,
     temporal_histograms,
     tfidf_signatures,
     write_signatures_jsonl,
@@ -184,20 +184,14 @@ def _read_traces(path: str, args: argparse.Namespace, anchors=None) -> list[Trac
     return traces
 
 
-def _read_signatures(path: str, args: argparse.Namespace, anchors=None) -> list:
-    """The signatures of ``path`` for reducing, linking, indexing or
-    re-ranking. Top-m reduction, cosine scores and the pruning bounds hold
-    only for unit vectors, so a record not marked normalized is refused,
-    naming the file and line."""
-    entries = []
-    for line, oid, sig in signature_lines(path):
-        if not sig.normalized:
-            raise SiglinkError(f"{path}:{line}: signature of {oid!r} is not normalized")
-        entries.append((oid, sig))
-    if anchors is not None:
-        tops = ((oid, s.dims.max(initial=-1)) for oid, s in entries if s.kind == KIND_SPATIAL)
-        _check_anchor_ids(path, tops, args, anchors)
-    return entries
+def _read_signatures(path: str, args: argparse.Namespace, anchors=None) -> SignatureTable:
+    """The signatures of ``path`` (see ``read_signatures_jsonl``); spatial
+    ones are checked against ``anchors`` when given."""
+    sigs = read_signatures_jsonl(path)
+    if anchors is not None and sigs.kind == KIND_SPATIAL:
+        tops = sigs.dims[sigs.indptr[1:] - 1].tolist()  # a row's dims ascend
+        _check_anchor_ids(path, zip(sigs.ids, tops), args, anchors)
+    return sigs
 
 
 def _calibrated(args: argparse.Namespace, anchors) -> list[Trace]:
@@ -333,15 +327,13 @@ def _cmd_signature(args: argparse.Namespace) -> None:
         _, _, corpus = tfidf_signatures(_read_traces(args.corpus, args, anchors), corpus)
     sigs, excluded, _ = tfidf_signatures(traces, corpus)
     path = out / "signatures.jsonl"
-    write_signatures_jsonl(path, sorted(sigs.items()))
+    write_signatures_jsonl(path, sigs)
     print(f"wrote {len(sigs)} {args.kind} signatures to {path} ({len(excluded)} excluded)")
 
 
 def _cmd_reduce(args: argparse.Namespace) -> None:
     out = _out_dir(args)
-    entries = _read_signatures(args.signatures, args)
-    ids, sigs = [oid for oid, _ in entries], [sig for _, sig in entries]
-    reduced = list(zip(ids, reduce_signatures(sigs, args.m)))
+    reduced = cut_table(_read_signatures(args.signatures, args), args.m)
     path = out / "signatures.jsonl"
     write_signatures_jsonl(path, reduced)
     print(f"reduced {len(reduced)} signatures to top-{args.m} at {path}")
@@ -349,7 +341,7 @@ def _cmd_reduce(args: argparse.Namespace) -> None:
 
 def _cmd_index_build(args: argparse.Namespace) -> None:
     out = _out_dir(args)
-    anchors = read_anchor_csv(args.anchors)
+    anchors = read_anchor_csv(args.anchors) if args.anchors else None
     entries = _index_entries(_read_signatures(args.signatures, args, anchors), anchors, None)
     t0 = time.perf_counter()
     tree = bulk_load(entries, args.capacity)
@@ -361,7 +353,7 @@ def _cmd_index_build(args: argparse.Namespace) -> None:
 
 def _cmd_index_insert(args: argparse.Namespace) -> None:
     out = _out_dir(args)
-    anchors = read_anchor_csv(args.anchors)
+    anchors = read_anchor_csv(args.anchors) if args.anchors else None
     tree = load_index(args.index)
     entries = _index_entries(_read_signatures(args.signatures, args, anchors), anchors, None)
     for entry in entries:
@@ -384,14 +376,14 @@ def _cmd_index_validate(args: argparse.Namespace) -> None:
 def _cmd_link(args: argparse.Namespace) -> None:
     out = _out_dir(args)
     anchors = read_anchor_csv(args.anchors) if args.anchors else None
-    queries = dict(_read_signatures(args.queries, args, anchors))
-    references = dict(_read_signatures(args.references, args, anchors))
+    queries = _read_signatures(args.queries, args, anchors)
+    references = _read_signatures(args.references, args, anchors)
     _link_to(out, args, queries, references, anchors, {})
 
 
 def _cmd_eval(args: argparse.Namespace) -> None:
     out = _out_dir(args)
-    references = {oid for oid, _ in read_signatures_jsonl(args.references)}
+    references = set(read_signatures_jsonl(args.references))
     run = _file_run(read_results_csv(args.results), args.k, references)
     acc = {str(kk): v for kk, v in accuracies(run).items()}
     _write_json(out / "eval.json", {"acc": acc})
@@ -408,8 +400,8 @@ def _cmd_rerank(args: argparse.Namespace) -> None:
     )
     reranked = rerank(
         run,
-        dict(_read_signatures(args.queries_large, args)),
-        dict(_read_signatures(args.references_large, args)),
+        _read_signatures(args.queries_large, args),
+        _read_signatures(args.references_large, args),
     )
     write_results_csv(out / "results.csv", reranked)
     print(f"reranked {len(results)} result lists -> {out / 'results.csv'}")
@@ -513,8 +505,8 @@ def _cmd_pipeline(args: argparse.Namespace) -> None:
     ref_sigs, excluded_refs, corpus = tfidf_signatures(halves.d, _kind_corpus(args, anchors))
     query_sigs, excluded_queries, _ = tfidf_signatures(halves.q, corpus)
     sig_s = time.perf_counter() - t0
-    write_signatures_jsonl(out / "signatures_d.jsonl", sorted(ref_sigs.items()))
-    write_signatures_jsonl(out / "signatures_q.jsonl", sorted(query_sigs.items()))
+    write_signatures_jsonl(out / "signatures_d.jsonl", ref_sigs)
+    write_signatures_jsonl(out / "signatures_q.jsonl", query_sigs)
 
     print(f"pipeline: engine={args.engine} kind={args.kind} m={args.m} k={args.k}")
     run = _link_to(out, args, query_sigs, ref_sigs, anchors, {"signatures": sig_s},
@@ -697,12 +689,12 @@ def build_parser() -> argparse.ArgumentParser:
     index_sub = p.add_subparsers(dest="index_verb", required=True)
     b = _verb(index_sub, "build", _cmd_index_build)
     b.add_argument("--signatures", required=True)
-    b.add_argument("--anchors", required=True)
+    b.add_argument("--anchors", default=None)
     b.add_argument("--capacity", type=_CAPACITY, default=32)
     i = _verb(index_sub, "insert", _cmd_index_insert)
     i.add_argument("--index", required=True)
     i.add_argument("--signatures", required=True)
-    i.add_argument("--anchors", required=True)
+    i.add_argument("--anchors", default=None)
     v = _verb(index_sub, "validate", _cmd_index_validate, out=False)
     v.add_argument("--index", required=True)
 

@@ -10,14 +10,15 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import EmptySignatureError, EmptyTraceError
-from .reduction import Mbr, mbrs_of, reduce_signatures
+from .reduction import Mbr, anchor_boxes, cut_table
 from .signatures import (
     KIND_SPATIAL,
     Corpus,
     Signature,
+    SignatureTable,
     _leaf_sim,
     tfidf_signatures,
 )
@@ -26,7 +27,6 @@ from .wrtree import (
     IndexEntry,
     KnnResult,
     WrTree,
-    _check_normalized,
     bulk_load,
     knn_search,
     linear_knn,
@@ -58,7 +58,7 @@ class LinkingRun:
 def reference_signatures(
     traces: Sequence[Trace],
     corpus: Corpus | None = None,
-) -> tuple[dict[str, Signature], list[str], Corpus]:
+) -> tuple[SignatureTable, list[str], Corpus]:
     """Spatial signatures of traces, weighted by a corpus fitted to their own
     non-empty traces or, given a fitted ``corpus``, projected into its
     weight space (the query side of ``link_all``): the spatial case of
@@ -96,20 +96,18 @@ _NO_MBR = Mbr(0.0, 0.0, 0.0, 0.0)
 
 
 def _index_entries(
-    pairs: Iterable[tuple[str, Signature]], anchors: AnchorSet | None, m: int | None
+    sigs: SignatureTable, anchors: AnchorSet | None, m: int | None
 ) -> list[IndexEntry]:
-    """Each ``(id, signature)`` pair checked, reduced to its top ``m``
-    dimensions and given its rectangle, in one batched pass over all of
-    them. Given an anchor set, spatial signatures get their anchors'
-    bounding boxes; any other rectangle is ``_NO_MBR``."""
-    pairs = list(pairs)
-    for object_id, sig in pairs:
-        _check_normalized(object_id, sig)
-    sigs = [sig for _, sig in pairs]
-    reduced = sigs if m is None else reduce_signatures(sigs, m)
-    boxed = anchors is not None and all(s.kind == KIND_SPATIAL for s in reduced)
-    mbrs = mbrs_of(reduced, anchors) if boxed else [_NO_MBR] * len(reduced)
-    return [(oid, sig, mbr) for (oid, _), sig, mbr in zip(pairs, reduced, mbrs)]
+    """Each signature cut to its top ``m`` dimensions and given its
+    rectangle, in one pass over the table. Given an anchor set, spatial
+    signatures get their anchors' bounding boxes; any other rectangle is
+    ``_NO_MBR``."""
+    table = sigs if m is None else cut_table(sigs, m)
+    if anchors is not None and table.kind == KIND_SPATIAL and len(table):
+        mbrs = [Mbr(*b) for b in anchor_boxes(anchors, table.dims, table.indptr[:-1]).tolist()]
+    else:
+        mbrs = [_NO_MBR] * len(table)
+    return [(oid, sig, mbr) for (oid, sig), mbr in zip(table.items(), mbrs)]
 
 
 def link_signatures(
@@ -132,16 +130,20 @@ def link_signatures(
     range-queries the same tree by rectangle alone (the baseline without the
     weight bound). Rectangles follow ``_index_entries``: only spatial
     signatures with an anchor set have boxes, so without them ``rtree``
-    scores every reference. Every signature must be normalized; an
-    unnormalized one raises ``ValueError`` naming its object.
+    scores every reference. Each side is made a ``SignatureTable``
+    (``SignatureTable.of``), which refuses an unnormalized signature, naming
+    its object; both sides must be of one kind.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    queries, refs = SignatureTable.of(query_sigs), SignatureTable.of(ref_sigs)
+    if len(queries) and len(refs) and queries.kind != refs.kind:
+        raise ValueError(f"signature kind mismatch: {queries.kind!r} vs {refs.kind!r}")
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    entries = _index_entries(ref_sigs.items(), anchors, m)
-    query_items = _index_entries(query_sigs.items(), anchors, m)
+    entries = _index_entries(refs, anchors, m)
+    query_items = _index_entries(queries, anchors, m)
     timings["reduce"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -249,9 +251,11 @@ def rerank(
 
     The candidate sets are unchanged as sets; ordering is a stable re-sort by
     the richer similarity, so all-equal similarities keep the original order.
-    Both maps must cover every query and candidate involved, with normalized
-    signatures; an unnormalized one raises ``ValueError`` naming its object.
+    Both maps must cover every query and candidate involved; each is made a
+    ``SignatureTable`` (``SignatureTable.of``), which refuses an unnormalized
+    signature, naming its object.
     """
+    query_sigs, reference_sigs = SignatureTable.of(query_sigs), SignatureTable.of(reference_sigs)
     new_results: dict[str, KnnResult] = {}
     for oid, result in run.results.items():
         if not result:
@@ -260,14 +264,12 @@ def rerank(
         q_sig = query_sigs.get(oid)
         if q_sig is None:
             raise ValueError(f"missing large signature for query {oid!r}")
-        _check_normalized(oid, q_sig)
         q_map = q_sig.as_dict()
         rescored: list[tuple[str, float]] = []
         for cand, _ in result:
             c_sig = reference_sigs.get(cand)
             if c_sig is None:
                 raise ValueError(f"missing large signature for candidate {cand!r}")
-            _check_normalized(cand, c_sig)
             rescored.append((cand, _leaf_sim(q_map, c_sig)))
         rescored.sort(key=lambda pair: -pair[1])
         new_results[oid] = rescored

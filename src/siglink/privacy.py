@@ -12,14 +12,7 @@ import numpy as np
 
 from .linking import accuracies, link_signatures
 from .reduction import anchor_boxes, top_m
-from .signatures import (
-    KIND_SPATIAL,
-    Corpus,
-    _row_bounds,
-    pair_counts,
-    tfidf_rows,
-    tfidf_weights,
-)
+from .signatures import KIND_SPATIAL, Corpus, SignatureTable, pair_counts, tfidf_weights
 from .traces import (
     DEFAULT_UTC_OFFSET_HOURS,
     AnchorSet,
@@ -224,6 +217,10 @@ def signature_closure(
     def fitted(rows: np.ndarray, dims: np.ndarray) -> Corpus:
         return Corpus(KIND_SPATIAL).fit(np.count_nonzero(np.diff(rows, prepend=-1)), dims)
 
+    def signed(corpus: Corpus, keep: np.ndarray, half_counts: np.ndarray) -> SignatureTable:
+        weighted = tfidf_weights(pair_rows[keep], pair_anchors[keep], half_counts[keep], corpus, n)
+        return SignatureTable.from_rows(KIND_SPATIAL, object_ids, *weighted)[0]
+
     def measure() -> dict[int, float]:
         alive = pair_alive[pair_of]
         live_days = np.bincount(day_of[alive], minlength=len(days)) > 0
@@ -236,10 +233,8 @@ def signature_closure(
             # suppression wiped one half out entirely: nothing is linkable
             return {kk: 0.0 for kk in range(1, k + 1)}
         q, d = q_counts > 0, d_counts > 0
-        d_rows, d_anchors = pair_rows[d], pair_anchors[d]
-        corpus = fitted(d_rows, d_anchors)
-        ref_sigs = tfidf_rows(d_rows, d_anchors, d_counts[d], corpus, object_ids)[0]
-        query_sigs = tfidf_rows(pair_rows[q], pair_anchors[q], q_counts[q], corpus, object_ids)[0]
+        corpus = fitted(pair_rows[d], pair_anchors[d])
+        ref_sigs, query_sigs = signed(corpus, d, d_counts), signed(corpus, q, q_counts)
         run = link_signatures(
             query_sigs, ref_sigs, anchors, engine=engine, k=k, m=m, capacity=capacity
         )
@@ -266,9 +261,9 @@ def signature_closure(
         w_rows, w_dims, weights = tfidf_weights(live_rows, live_anchors, counts[live], corpus, n)
         top = top_m(w_rows, weights, m)
         top_rows, top_dims = w_rows[top], w_dims[top]
-        removed = {
-            object_ids[top_rows[s]]: top_dims[s:e].tolist() for s, e in _row_bounds(top_rows)
-        }
+        bounds = [*np.flatnonzero(np.diff(top_rows, prepend=-1)).tolist(), len(top_rows)]
+        removed = {object_ids[top_rows[s]]: top_dims[s:e].tolist()
+                   for s, e in zip(bounds, bounds[1:])}
         pair_alive[np.searchsorted(keys, top_rows * width + top_dims)] = False
         accuracy = measure()
         utility = _utility(original, summary(), last_of)

@@ -1,5 +1,5 @@
 """Signature dimensionality reduction (top-m truncation) and the spatial
-bounding box of a reduced signature."""
+bounding boxes of reduced signatures."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .signatures import KIND_SPATIAL, Signature
+from .signatures import KIND_SPATIAL, Signature, SignatureTable
 from .traces import AnchorSet
 
 
@@ -99,43 +99,33 @@ def top_m(rows: np.ndarray, weights: np.ndarray, m: int) -> np.ndarray:
     return keep
 
 
-def reduce_signatures(sigs: Sequence[Signature], m: int) -> list[Signature]:
-    """``cut_reduce`` of each signature, in one selection over all of them.
-
-    A signature with at most ``m`` dimensions comes back as the same object.
-    Each cut one is re-normalized by its own norm, ``sqrt(w.dot(w))``, which
-    is how ``np.linalg.norm`` computes it, so its weights are bit-identical
-    to reducing it alone.
-    """
+def cut_table(sigs: SignatureTable, m: int) -> SignatureTable:
+    """Each row of ``sigs`` cut to its ``m`` heaviest dimensions (see
+    ``top_m``), in one selection over the table; a row of at most ``m`` is
+    kept as it is. A cut row is divided by its own ``sqrt(w.dot(w))``, as
+    ``np.linalg.norm`` computes it, so it is bit-identical to cutting it
+    alone."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if not all(s.normalized for s in sigs):
-        raise ValueError("cut reduction expects a normalized signature")
-    out = list(sigs)
-    cut = [i for i, s in enumerate(sigs) if s.nnz() > m]
-    if not cut:
-        return out
-    nnz = [sigs[i].nnz() for i in cut]
-    rows = np.repeat(np.arange(len(cut)), nnz)
-    dims = np.concatenate([sigs[i].dims for i in cut])
-    weights = np.concatenate([sigs[i].weights for i in cut])
-    keep = top_m(rows, weights, m)
-    dims, weights = dims[keep], weights[keep]
-    for j, i in enumerate(cut):
-        seg = weights[j * m : (j + 1) * m]
-        out[i] = Signature(
-            dims[j * m : (j + 1) * m], seg / math.sqrt(seg.dot(seg)), sigs[i].kind,
-            normalized=True, reduced_m=m,
-        )
-    return out
+    nnz = np.diff(sigs.indptr)
+    keep = top_m(np.repeat(np.arange(len(nnz)), nnz), sigs.weights, m)
+    indptr = np.concatenate(([0], np.cumsum(np.minimum(nnz, m))))
+    weights = sigs.weights[keep]
+    bounds = indptr.tolist()
+    for i in np.flatnonzero(nnz > m).tolist():
+        seg = weights[bounds[i] : bounds[i + 1]]
+        seg /= math.sqrt(seg.dot(seg))
+    reduced_m = np.where(nnz > m, m, sigs.reduced_m)
+    return SignatureTable(sigs.kind, sigs.ids, indptr, sigs.dims[keep], weights, reduced_m)
 
 
 def cut_reduce(sig: Signature, m: int) -> Signature:
-    """Keep the m heaviest dimensions of a signature, drop the rest and
-    re-normalize: the one-signature case of ``reduce_signatures``. Ties at
-    the m-th weight break toward the lower dimension id.
-    """
-    return reduce_signatures([sig], m)[0]
+    """The one-row case of ``cut_table``; a signature with at most ``m``
+    dimensions comes back as the same object."""
+    if not sig.normalized:
+        raise ValueError("cut reduction expects a normalized signature")
+    cut = cut_table(SignatureTable.of({"": sig}), m)[""]
+    return cut if sig.nnz() > m else sig
 
 
 def anchor_boxes(anchors: AnchorSet, ids: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -151,21 +141,10 @@ def anchor_boxes(anchors: AnchorSet, ids: np.ndarray, starts: np.ndarray) -> np.
     ])
 
 
-def mbrs_of(sigs: Sequence[Signature], anchors: AnchorSet) -> list[Mbr]:
-    """Tight bounding box over the anchor locations of each spatial
-    signature, from one pass over all their dimensions."""
-    for sig in sigs:
-        if sig.kind != KIND_SPATIAL:
-            raise ValueError(f"MBR is defined for spatial signatures, got {sig.kind!r}")
-        if sig.nnz() == 0:
-            raise ValueError("cannot bound an empty signature")
-    if not sigs:
-        return []
-    nnz = np.array([sig.nnz() for sig in sigs])
-    ids = np.concatenate([sig.dims for sig in sigs])
-    return [Mbr(*box) for box in anchor_boxes(anchors, ids, np.cumsum(nnz) - nnz).tolist()]
-
-
 def mbr_of(sig: Signature, anchors: AnchorSet) -> Mbr:
-    """Tight bounding box over the anchor locations in a spatial signature."""
-    return mbrs_of([sig], anchors)[0]
+    """A spatial signature's anchors' bounding box: one ``anchor_boxes`` row."""
+    if sig.kind != KIND_SPATIAL:
+        raise ValueError(f"MBR is defined for spatial signatures, got {sig.kind!r}")
+    if sig.nnz() == 0:
+        raise ValueError("cannot bound an empty signature")
+    return Mbr(*anchor_boxes(anchors, sig.dims, np.zeros(1, dtype=np.int64))[0].tolist())

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -29,7 +29,8 @@ def spatiotemporal_kind(g: int, dt_hours: int) -> str:
 
 @dataclass
 class Signature:
-    """Sparse non-negative vector over a dimension vocabulary.
+    """Sparse non-negative vector over a dimension vocabulary: one row of a
+    ``SignatureTable``, a tree node's aggregate or a hand-made vector.
 
     ``dims`` is strictly increasing and parallel to ``weights``; zero-weight
     dimensions are never stored. A normalized signature has unit L2 norm.
@@ -40,9 +41,7 @@ class Signature:
     kind: str
     normalized: bool
     reduced_m: int | None = None
-    _pairs: list[tuple[int, float]] | None = field(
-        default=None, repr=False, compare=False
-    )
+    _pairs: list[tuple[int, float]] | None = field(default=None, repr=False, compare=False)
     _dim_set: frozenset[int] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -64,9 +63,6 @@ class Signature:
 
     def as_dict(self) -> dict[int, float]:
         return dict(self.pairs())
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.weights))
 
 
 def make_signature(
@@ -107,85 +103,127 @@ def cosine_similarity(a: Signature, b: Signature) -> float:
 
 
 # ---------------------------------------------------------------------------
+# A set of signatures
+
+
+def _indptr(nnz) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(nnz, dtype=np.int64)))
+
+
+@dataclass(eq=False)
+class SignatureTable(Mapping[str, Signature]):
+    """Normalized signatures of one kind as CSR arrays, one row per object:
+    row ``i`` holds ``dims[indptr[i]:indptr[i + 1]]``, the same slice of
+    ``weights``, and the m of its top-m cut in ``reduced_m[i]`` (0: never
+    cut). ``ids`` are unique, in row order; ``kind`` is None only with no
+    rows. As a mapping it gives each row by id as a ``Signature`` view."""
+
+    kind: str | None
+    ids: list[str]
+    indptr: np.ndarray
+    dims: np.ndarray
+    weights: np.ndarray
+    reduced_m: np.ndarray
+
+    def __post_init__(self) -> None:
+        self._row = {oid: i for i, oid in enumerate(self.ids)}
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.ids)
+
+    def __getitem__(self, object_id: str) -> Signature:
+        i = self._row[object_id]
+        at = slice(self.indptr[i], self.indptr[i + 1])
+        return Signature(self.dims[at], self.weights[at], self.kind, True,
+                         int(self.reduced_m[i]) or None)
+
+    @classmethod
+    def of(cls, sigs: Mapping[str, Signature]) -> SignatureTable:
+        """``sigs`` if it is a table, else its signatures as one. Refuses a
+        signature that is not normalized, naming its object, and a mix of
+        kinds."""
+        if isinstance(sigs, SignatureTable):
+            return sigs
+        rows = list(sigs.values())
+        kind = rows[0].kind if rows else None
+        for object_id, sig in sigs.items():
+            if not sig.normalized:
+                raise ValueError(f"signature of {object_id!r} is not normalized")
+            if sig.kind != kind:
+                raise ValueError(f"signature kind mismatch: {sig.kind!r} vs {kind!r}")
+        dims = np.concatenate([np.empty(0, dtype=np.int64), *(sig.dims for sig in rows)])
+        weights = np.concatenate([np.empty(0), *(sig.weights for sig in rows)])
+        reduced_m = np.array([sig.reduced_m or 0 for sig in rows], dtype=np.int64)
+        return cls(kind, list(sigs), _indptr([sig.nnz() for sig in rows]), dims, weights, reduced_m)
+
+    @classmethod
+    def from_rows(
+        cls, kind: str, object_ids: Sequence[str], rows, dims, weights
+    ) -> tuple[SignatureTable, list[str]]:
+        """The table of a COO table sorted by (row, dim) whose row ``i`` is
+        object ``object_ids[i]``, and the id of each row with no entry, in
+        row order. Where an id repeats, its last row with an entry is kept."""
+        nnz = np.bincount(rows, minlength=len(object_ids))
+        kept = np.zeros(len(object_ids), dtype=bool)
+        kept[list({object_ids[i]: i for i in np.flatnonzero(nnz).tolist()}.values())] = True
+        ids = [object_ids[i] for i in np.flatnonzero(kept).tolist()]
+        at, reduced_m = kept[rows], np.zeros(len(ids), dtype=np.int64)
+        table = cls(kind, ids, _indptr(nnz[kept]), dims[at], weights[at], reduced_m)
+        return table, [object_ids[i] for i in np.flatnonzero(nnz == 0).tolist()]
+
+
+# ---------------------------------------------------------------------------
 # TF-IDF weighting
 
 
-def pair_counts(rows: np.ndarray, dims: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Occurrence counts of (row, dimension) pairs, one pair per point.
+def _lookup(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each key's index in a sorted table of distinct values, and whether
+    the table holds it."""
+    at = np.searchsorted(table, keys)
+    seen = at < len(table)
+    seen[seen] = table[at[seen]] == keys[seen]
+    return at, seen
 
-    Returns the distinct pairs' rows, dimensions and counts, sorted by
-    (row, dimension): the COO input of ``tfidf_rows``.
-    """
-    width = int(dims.max()) + 1 if len(dims) else 1
-    keys, counts = np.unique(rows * width + dims, return_counts=True)
-    return keys // width, keys % width, counts
+
+def pair_counts(rows: np.ndarray, dims: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (row, dimension) pairs of one pair per point, sorted,
+    and their counts. A pair's key numbers its dimension by rank, so it
+    stays within int64 for any dimension ids."""
+    vocab, rank = np.unique(dims, return_inverse=True)
+    width = max(len(vocab), 1)
+    keys, counts = np.unique(rows * width + rank, return_counts=True)
+    return keys // width, vocab[keys % width], counts
 
 
 def tfidf_weights(
-    rows: np.ndarray,
-    dims: np.ndarray,
-    counts: np.ndarray,
-    corpus: Corpus,
-    n_rows: int,
+    rows: np.ndarray, dims: np.ndarray, counts: np.ndarray, corpus: Corpus, n_rows: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """TF-IDF weights of rows ``0 .. n_rows - 1`` in the weight space of
-    the fitted ``corpus``; natural-log IDF, L2 normalized. Returns the COO
-    table of the nonzero weights: rows, dims and weights, sorted by (row,
-    dim).
-
-    Takes COO occurrence counts sorted by (row, dimension), duplicates
-    summed (see ``pair_counts``). This is the one weighting step of every
-    TF-IDF kind. Dimensions the corpus has not seen are dropped before
-    weighting: they cannot contribute to any similarity against it, and term
-    frequencies are taken over the counts that remain. Dimensions present in
-    every object carry zero weight and are dropped too, so a row may be left
-    with no entry.
-
-    Each row is scaled by its own norm, ``sqrt(w.dot(w))``, which is how
-    ``np.linalg.norm`` computes it, so a row's weights are bit-identical to
-    weighting that object alone.
+    """TF-IDF weights of rows ``0 .. n_rows - 1`` of COO occurrence counts
+    (see ``pair_counts``) in the weight space of the fitted ``corpus``;
+    natural-log IDF, L2 normalized: the one weighting step of every TF-IDF
+    kind. Returns the nonzero weights as COO rows, dims and weights, sorted
+    by (row, dim). Dimensions the corpus has not seen are dropped before
+    term frequencies are taken; dimensions in every object weigh 0 and are
+    dropped too, so a row may be left with no entry. Each row is divided by
+    its own ``sqrt(w.dot(w))``, as ``np.linalg.norm`` computes it, so it is
+    bit-identical to weighting that object alone.
     """
-    df, idf = corpus.df, corpus.idf
-    inside = dims < len(df)
-    at = np.where(inside, dims, 0)
-    seen = inside & (df[at] > 0)
+    at, seen = _lookup(corpus.vocab, dims)
     counts = np.asarray(counts, dtype=float)
     total = np.bincount(rows[seen], weights=counts[seen], minlength=n_rows)
-    factor = np.where(inside, idf[at], 0.0)
+    factor = np.zeros(len(dims))
+    factor[seen] = corpus.idf[at[seen]]
     keep = factor > 0.0
     rows, dims = rows[keep], dims[keep]
     weights = counts[keep] / total[rows] * factor[keep]
-    for s, e in _row_bounds(rows):
-        seg = weights[s:e]
+    bounds = np.searchsorted(rows, np.arange(n_rows + 1)).tolist()
+    for s, e in zip(bounds, bounds[1:]):
+        seg = weights[s:e]  # empty for a row with no entry
         seg /= math.sqrt(seg.dot(seg))
     return rows, dims, weights
-
-
-def _row_bounds(rows: np.ndarray) -> Iterable[tuple[int, int]]:
-    """(start, end) of each run of equal rows in a sorted row column."""
-    if not len(rows):
-        return []
-    cuts = (np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist()
-    return zip([0, *cuts], [*cuts, len(rows)])
-
-
-def tfidf_rows(
-    rows: np.ndarray,
-    dims: np.ndarray,
-    counts: np.ndarray,
-    corpus: Corpus,
-    object_ids: Sequence[str],
-) -> tuple[dict[str, Signature], list[str]]:
-    """The ``tfidf_weights`` of rows ``0 .. len(object_ids) - 1`` as
-    signatures by object id, the last row's where an id repeats, and the id
-    of each row left with nothing to weigh, in row order."""
-    rows, dims, weights = tfidf_weights(rows, dims, counts, corpus, len(object_ids))
-    sigs = {
-        object_ids[rows[s]]: Signature(dims[s:e], weights[s:e], corpus.kind, normalized=True)
-        for s, e in _row_bounds(rows)
-    }
-    empty = np.setdiff1d(np.arange(len(object_ids)), rows)
-    return sigs, [object_ids[i] for i in empty.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +280,10 @@ class Corpus:
     dimension is ``cell * (24 // dt_hours) + interval``: the grid cell of the
     visited anchor (``cells``, see ``grid_cells``) and the local
     time-of-day interval of the visit. A fitted corpus holds its
-    ``n_objects`` and ``df``, the document frequency of each dimension id;
-    ``idf`` is derived from them once, when the corpus is made.
-    ``kind_corpus`` makes a corpus that is not fitted; ``fit`` fits it.
+    ``n_objects``, its ``vocab`` of distinct dimension ids, sorted, and
+    ``df``, the document frequency of each of them; ``idf`` is derived from
+    them once, when the corpus is made. ``kind_corpus`` makes a corpus that
+    is not fitted; ``fit`` fits it.
     """
 
     kind: str
@@ -254,35 +293,26 @@ class Corpus:
     dt_hours: int = 1
     utc_offset_hours: int = DEFAULT_UTC_OFFSET_HOURS
     n_objects: int = 0
+    vocab: np.ndarray | None = None
     df: np.ndarray | None = None
     idf: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        # idf is the natural-log IDF log(n / df) where it is positive, 0
-        # elsewhere. A single-object corpus carries no discriminative
-        # statistics; IDF would be the same constant on every dimension and
-        # vanish under normalization, so every dimension it has gets factor
-        # 1 and is weighted by frequency alone.
-        if self.df is None:
-            return
-        self.idf = np.zeros(len(self.df))
-        seen = np.flatnonzero(self.df)
-        if self.n_objects == 1:
-            self.idf[seen] = 1.0
-            return
-        dfs, which = np.unique(self.df[seen], return_inverse=True)
-        log_of = np.array([math.log(self.n_objects / d) for d in dfs.tolist()])
-        self.idf[seen] = np.maximum(log_of, 0.0)[which]
+        # idf is log(n / df), floored at 0. In a single-object corpus it
+        # would vanish under normalization, so every dimension gets factor 1
+        # and is weighted by frequency alone.
+        if self.df is not None:
+            dfs, which = np.unique(self.df, return_inverse=True)
+            log_of = np.array([math.log(self.n_objects / d) for d in dfs.tolist()])
+            self.idf = np.maximum(log_of, 0.0)[which] if self.n_objects > 1 else np.ones(len(which))
 
     def fit(self, n_objects: int, dims: np.ndarray) -> Corpus:
-        """This weight space fitted to ``n_objects`` objects from the
-        dimensions of their distinct (object, dimension) pairs: a
-        dimension's document frequency is the number of nonzeros in its
-        column."""
+        """This weight space fitted to ``n_objects`` objects from the dims of
+        their distinct (object, dim) pairs; a dim's count is its df."""
         if n_objects < 1:
             raise ValueError("corpus must contain at least one trace")
-        df = np.bincount(np.asarray(dims, dtype=np.int64), minlength=1)
-        return replace(self, n_objects=n_objects, df=df)
+        vocab, df = np.unique(np.asarray(dims, dtype=np.int64), return_counts=True)
+        return replace(self, n_objects=n_objects, vocab=vocab, df=df)
 
     def column(
         self, rows: np.ndarray, anchor_ids: np.ndarray, t: np.ndarray
@@ -295,9 +325,7 @@ class Corpus:
         if self.q == 1:
             return rows, anchor_ids
         rows, keys = _gram_keys(rows, anchor_ids, self.q)
-        ids = np.searchsorted(self.grams, keys)
-        seen = ids < len(self.grams)
-        seen[seen] = self.grams[ids[seen]] == keys[seen]
+        ids, seen = _lookup(self.grams, keys)
         return rows[seen], ids[seen]
 
 
@@ -336,14 +364,15 @@ def kind_corpus(
 
 def tfidf_signatures(
     traces: Sequence[Trace], corpus: Corpus
-) -> tuple[dict[str, Signature], list[str], Corpus]:
+) -> tuple[SignatureTable, list[str], Corpus]:
     """TF-IDF signatures of ``traces`` in the weight space of ``corpus``.
 
     A corpus that is not fitted is first fitted to the non-empty traces
     among these: their gram table, for q >= 2, and their document
-    frequencies. Returns the signatures by id, the ids of traces left
-    without one (empty, or every dimension corpus-wide or unseen) in trace
-    order, and the corpus used.
+    frequencies. Returns the signatures, the ids of traces left without one
+    (empty, or every dimension corpus-wide or unseen) in trace order, and
+    the corpus used. Where an id repeats, its last trace with a signature
+    gives it.
     """
     rows, anchor_ids, t = point_table(traces)
     fit = corpus.df is None
@@ -354,7 +383,9 @@ def tfidf_signatures(
     pair_rows, dims, counts = pair_counts(*corpus.column(rows, anchor_ids, t))
     if fit:
         corpus = corpus.fit(np.count_nonzero(np.diff(rows, prepend=-1)), dims)
-    sigs, excluded = tfidf_rows(pair_rows, dims, counts, corpus, [t.object_id for t in traces])
+    ids = [t.object_id for t in traces]
+    weighted = tfidf_weights(pair_rows, dims, counts, corpus, len(ids))
+    sigs, excluded = SignatureTable.from_rows(corpus.kind, ids, *weighted)
     return sigs, excluded, corpus
 
 
@@ -448,26 +479,16 @@ def emd_similarity(a: TemporalHistogram, b: TemporalHistogram) -> float:
 # Signature file format (JSON lines)
 
 
-def signature_to_record(object_id: str, sig: Signature) -> dict:
-    return {
-        "object_id": object_id,
-        "kind": sig.kind,
-        "normalized": sig.normalized,
-        "reduced_m": sig.reduced_m,
-        "sig": [[int(d), float(w)] for d, w in sig.pairs()],
-    }
-
-
 _RECORD_KEYS = ("object_id", "kind", "normalized", "sig")
 
 
 def signature_from_record(record: Mapping) -> tuple[str, Signature]:
     """A signature read back from its record, checked for what cosine
     scores and the pruning bounds rely on: dims strictly increasing
-    non-negative ints, weights finite and > 0, unit norm within
-    ``NORM_TOL`` where the record says ``normalized``, and a ``reduced_m``
-    that is null or a positive int the index file's signed 32-bit field
-    holds. Raises ``ValueError`` for a record that breaks any of these."""
+    non-negative ints, weights finite and > 0, marked normalized and of unit
+    norm within ``NORM_TOL``, and a ``reduced_m`` that is null or a positive
+    int the index file's signed 32-bit field holds. Raises ``ValueError``
+    for a record that breaks any of these."""
     if not isinstance(record, dict) or any(key not in record for key in _RECORD_KEYS):
         raise ValueError(f"a signature record is an object with keys {', '.join(_RECORD_KEYS)}")
     pairs, normalized, reduced_m = record["sig"], record["normalized"], record.get("reduced_m")
@@ -489,34 +510,43 @@ def signature_from_record(record: Mapping) -> tuple[str, Signature]:
         raise ValueError("dims must be non-negative and strictly increasing")
     if not np.all(np.isfinite(weights) & (weights > 0.0)):
         raise ValueError("weights must be finite and > 0")
-    sig = Signature(dims, weights, record["kind"], normalized, reduced_m)
-    if normalized and not abs(sig.norm() - 1.0) <= NORM_TOL:
-        raise ValueError(f"marked normalized but its norm is {sig.norm()!r}")
-    return str(record["object_id"]), sig
+    object_id = str(record["object_id"])
+    if not normalized:  # top-m cuts, cosine scores and the bounds need unit vectors
+        raise ValueError(f"signature of {object_id!r} is not normalized")
+    norm = float(np.linalg.norm(weights))
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise ValueError(f"marked normalized but its norm is {norm!r}")
+    return object_id, Signature(dims, weights, record["kind"], True, reduced_m)
 
 
-def write_signatures_jsonl(
-    path: str | Path, entries: Iterable[tuple[str, Signature]]
-) -> None:
+def write_signatures_jsonl(path: str | Path, sigs: Mapping[str, Signature]) -> None:
+    """One record per signature, by ascending id."""
     with open(path, "w", encoding="utf-8") as fh:
-        for object_id, sig in entries:
-            fh.write(json.dumps(signature_to_record(object_id, sig)) + "\n")
+        for object_id in sorted(sigs):
+            sig = sigs[object_id]
+            record = {"object_id": object_id, "kind": sig.kind, "normalized": sig.normalized,
+                      "reduced_m": sig.reduced_m, "sig": sig.pairs()}
+            fh.write(json.dumps(record) + "\n")
 
 
-def signature_lines(path: str | Path) -> Iterator[tuple[int, str, Signature]]:
-    """Each record of a signatures file with its line number, in file
-    order; a line that is not a valid record (see ``signature_from_record``)
+def read_signatures_jsonl(path: str | Path) -> SignatureTable:
+    """The signatures of a file of records, one per non-blank line, in file
+    order. A line that is not a valid record (see ``signature_from_record``),
+    whose kind is not the first record's, or whose id an earlier line holds
     raises ``ValueError`` naming the file and line."""
+    sigs: dict[str, Signature] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    object_id, sig = signature_from_record(json.loads(line))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
-                yield lineno, object_id, sig
-
-
-def read_signatures_jsonl(path: str | Path) -> list[tuple[str, Signature]]:
-    """Signatures by id in file order; see ``signature_lines``."""
-    return [(object_id, sig) for _, object_id, sig in signature_lines(path)]
+            if not line.strip():
+                continue
+            try:
+                object_id, sig = signature_from_record(json.loads(line))
+                kind = next(iter(sigs.values()), sig).kind
+                if sig.kind != kind:
+                    raise ValueError(f"signature kind mismatch: {sig.kind!r} vs {kind!r}")
+                if object_id in sigs:
+                    raise ValueError(f"object id {object_id!r} repeats an earlier record's")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            sigs[object_id] = sig
+    return SignatureTable.of(sigs)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from siglink.cli import main
-from siglink.linking import write_results_csv
+from siglink.linking import ENGINES, write_results_csv
 from siglink.synth import generate_synthetic
 from siglink.traces import SplitStrategy, split_dataset
 from siglink.wrtree import load_index, save_index
@@ -220,6 +220,76 @@ def test_link_without_anchors_reads_its_inputs_on_every_engine(tmp_path, capsys)
         assert capsys.readouterr().err.startswith(f"error: {bad}:1: ")
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+def test_link_refuses_mixed_kinds_on_every_engine(tmp_path, capsys, small_run, engine):
+    # spatial and sequential q=1 dims are both anchor ids, so the pair could
+    # be scored; every engine refuses it instead
+    seq = tmp_path / "seq"
+    assert run(["signature", "--traces", small_run / "d.csv", "--kind", "sequential", "--q", "1",
+                "--out", seq]) == 0
+    capsys.readouterr()
+    assert run(["link", "--queries", small_run / "signatures_q.jsonl",
+                "--references", seq / "signatures.jsonl", "--engine", engine,
+                "--out", tmp_path / "x"]) == 1
+    assert capsys.readouterr().err == (
+        "error: signature kind mismatch: 'spatial' vs 'sequential:q=1'\n"
+    )
+
+
+def test_signature_file_mixing_kinds_is_refused_naming_its_line(tmp_path, capsys, small_run):
+    lines = (small_run / "signatures_d.jsonl").read_text().splitlines()
+    record = json.loads(lines[2])
+    record["kind"] = "sequential:q=1"
+    lines[2] = json.dumps(record)
+    bad = tmp_path / "mixed.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    for argv in (["reduce", "--signatures", bad, "--m", "3"],
+                 ["index", "build", "--signatures", bad],
+                 ["eval", "--results", small_run / "results.csv", "--references", bad],
+                 ["link", "--queries", small_run / "signatures_q.jsonl", "--references", bad,
+                  "--engine", "linear"]):
+        capsys.readouterr()
+        assert run([*argv, "--out", tmp_path / "x"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}:3: signature kind mismatch: 'sequential:q=1' vs 'spatial'\n"
+        )
+
+
+def _write_traces(path, visits):
+    """A trace CSV of (object id, anchor ids) visits, one a minute."""
+    rows = [f"{oid},{a},{1_600_000_000 + 60 * i}"
+            for oid, ids in visits for i, a in enumerate(ids)]
+    path.write_text("object_id,anchor_id,timestamp\n" + "\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("huge,corpus", [(2**62 - 1, False), (2**61, True)],
+                         ids=["largest-id-in-every-object", "overflowing-key-unseen"])
+def test_signature_of_huge_anchor_ids_equals_a_renamed_small_id(tmp_path, capsys, huge, corpus):
+    # the huge id carries no weight: it is in every object of the fitted
+    # corpus, or absent from the --corpus file. Ids that large once sized an
+    # array by the id (array is too big) or wrapped int64 pair keys (q4 and
+    # q5 excluded)
+    visits = [(f"q{i}", [1 + i % 2] * (i + 1) + [huge] + [3 + i % 3] * (6 - i))
+              for i in range(6)]
+    small = [("c0", [1, 1, 3]), ("c1", [2, 3]), ("c2", [3, 4])]
+    outputs = []
+    for name, anchor in (("huge", huge), ("renamed", 7)):
+        traces = tmp_path / f"{name}.csv"
+        _write_traces(traces, [(oid, [anchor if a == huge else a for a in ids])
+                               for oid, ids in visits])
+        extra = []
+        if corpus:
+            _write_traces(tmp_path / "small.csv", small)
+            extra = ["--corpus", tmp_path / "small.csv"]
+        capsys.readouterr()
+        assert run(["signature", "--traces", traces, *extra, "--out", tmp_path / name]) == 0
+        outputs.append(((tmp_path / name / "signatures.jsonl").read_bytes(),
+                        capsys.readouterr().out.replace(str(tmp_path / name), "")))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].endswith("(0 excluded)\n")
+    assert len(outputs[0][0].splitlines()) == 6
+
+
 @pytest.fixture(scope="module")
 def sequential_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("seq")
@@ -254,6 +324,24 @@ def test_index_sequential_signatures(tmp_path, sequential_run):
     tree = load_index(tmp_path / "idx2/index.bin")
     assert tree.kind == "sequential:q=2" and tree.n_objects == len(lines)
     assert run(["index", "validate", "--index", tmp_path / "idx2/index.bin"]) == 0
+
+
+def test_index_build_without_anchors_equals_with_them_on_sequential(tmp_path, sequential_run):
+    # --anchors boxes only spatial signatures; every other kind gets one
+    # point, so the flag is optional and changes nothing here
+    p = sequential_run
+    lines = (p / "signatures_d.jsonl").read_text().splitlines(keepends=True)
+    (tmp_path / "first.jsonl").write_text("".join(lines[:40]))
+    (tmp_path / "extra.jsonl").write_text("".join(lines[40:]))
+    for name, anchors in (("with", ["--anchors", p / "anchors.csv"]), ("without", [])):
+        assert run(["index", "build", "--signatures", tmp_path / "first.jsonl", *anchors,
+                    "--capacity", "4", "--out", tmp_path / name]) == 0
+        assert run(["index", "insert", "--index", tmp_path / name / "index.bin",
+                    "--signatures", tmp_path / "extra.jsonl", *anchors,
+                    "--out", tmp_path / f"{name}-grown"]) == 0
+    for built in ("", "-grown"):
+        assert (tmp_path / f"with{built}/index.bin").read_bytes() == (
+            tmp_path / f"without{built}/index.bin").read_bytes()
 
 
 def test_link_rejects_unnormalized_signature(tmp_path, capsys):
@@ -598,6 +686,13 @@ def _first_rows_swapped(run_dir):
     return "\n".join([header, second, first, *rows]) + "\n"
 
 
+def _first_record_repeated(run_dir):
+    """The reference signatures of a run with its first record appended
+    again."""
+    text = (run_dir / "signatures_d.jsonl").read_text()
+    return text + text.splitlines(keepends=True)[0]
+
+
 _RANKS_SWAPPED = _results(lambda r: [r[1], r[0], *r[2:]])
 
 # (case, input the bad file replaces, its text from a good run's directory)
@@ -652,6 +747,7 @@ MALFORMED = [
     ("reduced-m-negative", "index-signatures", _with("reduced_m", -4)),
     ("reduced-m-beyond-int32", "index-signatures", _with("reduced_m", 3_000_000_000)),
     ("trace-rows-out-of-time-order", "traces", _first_rows_swapped),
+    ("id-repeated", "signatures", _first_record_repeated),
     ("reduce-not-normalized", "reduce-signatures", _with("normalized", False)),
     ("rerank-not-normalized", "rerank-signatures", _with("normalized", False)),
 ]

@@ -20,6 +20,7 @@ from siglink.linking import (
     stable_marriage,
     write_results_csv,
 )
+from siglink.signatures import SignatureTable
 from siglink.synth import generate_synthetic
 from siglink.traces import SplitStrategy, Trace, split_dataset
 from siglink.wrtree import linear_knn
@@ -102,9 +103,9 @@ def test_tree_engines_match_linear_on_nonspatial_kinds(corpus, anchors, m, capac
     # a non-spatial signature has no box, with or without an anchor set, so
     # both tree engines search one-point rectangles
     queries, refs = corpus
-    entries = _index_entries(refs.items(), anchors, m)
+    entries = _index_entries(SignatureTable.of(refs), anchors, m)
     assert all(mbr == _NO_MBR for _, _, mbr in entries)
-    reduced = {oid: s for oid, s, _ in _index_entries(queries.items(), anchors, m)}
+    reduced = {oid: s for oid, s, _ in _index_entries(SignatureTable.of(queries), anchors, m)}
     for k in (1, 5, len(refs) + 1):
         expect = {oid: _hexed(linear_knn(entries, (s, _NO_MBR), k)) for oid, s in reduced.items()}
         for engine in ("wrtree", "rtree"):

@@ -7,17 +7,17 @@ from hypothesis import strategies as st
 
 from siglink.reduction import (
     Mbr,
+    anchor_boxes,
     cut_reduce,
+    cut_table,
     mbr_of,
-    mbrs_of,
-    reduce_signatures,
     top_m,
     union_mbrs,
 )
-from siglink.signatures import Signature, cosine_similarity
+from siglink.signatures import Signature, SignatureTable, cosine_similarity
 from siglink.traces import AnchorSet
 
-from testkit import random_signature, sig
+from testkit import mbr_of_ids, random_signature, sig, top_m_row
 
 
 # ---------------------------------------------------------------------------
@@ -108,40 +108,76 @@ def test_batched_top_m_equals_cut_reduce_row_by_row(seed, n_sigs, m, levels):
         dims = np.sort(rng.choice(50, size=n, replace=False))
         raw = rng.integers(1, levels + 1, size=n) / levels
         sigs.append(sig({int(d): float(w) for d, w in zip(dims, raw)}))
-    batched = reduce_signatures(sigs, m)
-    assert len(batched) == len(sigs)
-    for s, b in zip(sigs, batched):
+    table = SignatureTable.of({f"o{i}": s for i, s in enumerate(sigs)})
+    batched = cut_table(table, m)
+    assert list(batched) == list(table)
+    for oid, s in zip(table, sigs):
+        b = batched[oid]
         assert _hex(b) == _hex(cut_reduce(s, m)) == _hex(_cut_reduce_loop(s, m))
         if s.nnz() <= m:
-            assert b is s and b.reduced_m is None
+            assert b.reduced_m is None and _hex(b) == _hex(s)
         else:
             assert b.reduced_m == m and b.normalized
     # the mask form the closure uses keeps the same dims
     rows = np.repeat(np.arange(len(sigs)), [s.nnz() for s in sigs])
-    table = [np.concatenate([getattr(s, f) for s in sigs] or [[]]) for f in ("dims", "weights")]
-    keep = top_m(rows, table[1], m)
-    assert table[0][keep].tolist() == [d for b in batched for d in b.dims.tolist()]
+    keep = top_m(rows, table.weights, m)
+    assert table.dims[keep].tolist() == batched.dims.tolist()
 
 
 def test_batched_top_m_ties_and_m_one():
-    tied = sig({1: 0.5, 2: 0.5, 3: 0.5})
-    heavy_last = sig({4: 0.1, 5: 0.2, 6: 0.9})
-    one, two = reduce_signatures([tied, heavy_last], 1)
-    assert one.dims.tolist() == [1] and one.weights.tolist() == [1.0]
-    assert two.dims.tolist() == [6]
-    assert [r.dims.tolist() for r in reduce_signatures([tied, heavy_last], 2)] == [[1, 2], [5, 6]]
+    table = SignatureTable.of({"tied": sig({1: 0.5, 2: 0.5, 3: 0.5}),
+                               "heavy_last": sig({4: 0.1, 5: 0.2, 6: 0.9})})
+    one = cut_table(table, 1)
+    assert one["tied"].dims.tolist() == [1] and one["tied"].weights.tolist() == [1.0]
+    assert one["heavy_last"].dims.tolist() == [6]
+    assert [r.dims.tolist() for r in cut_table(table, 2).values()] == [[1, 2], [5, 6]]
     with pytest.raises(ValueError, match="m must be >= 1"):
-        reduce_signatures([], 0)
-    with pytest.raises(ValueError, match="normalized"):
-        reduce_signatures([tied, sig({1: 2.0}, normalize=False)], 1)
+        cut_table(SignatureTable.of({}), 0)
+    with pytest.raises(ValueError, match="signature of 'raw' is not normalized"):
+        SignatureTable.of({"tied": table["tied"], "raw": sig({1: 2.0}, normalize=False)})
 
 
-def test_mbrs_of_equals_mbr_of_each():
+@st.composite
+def _tables(draw):
+    """Spatial signatures over anchors 0..29 by id, a few weight levels
+    apart so that ties at the m-th weight are common, some already cut."""
+    levels = draw(st.integers(1, 5))
+    sigs = {}
+    for i in range(draw(st.integers(0, 10))):
+        dims = draw(st.lists(st.integers(0, 29), min_size=1, max_size=15, unique=True))
+        raw = draw(st.lists(st.integers(1, levels), min_size=len(dims), max_size=len(dims)))
+        s = sig({d: w / levels for d, w in zip(dims, raw)})
+        s.reduced_m = draw(st.sampled_from([None, 40]))
+        sigs[f"o{i}"] = s
+    return SignatureTable.of(sigs)
+
+
+_ORACLE_ANCHORS = AnchorSet(np.cos(np.arange(30.0)), np.sin(np.arange(30.0)) * 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(table=_tables(), m=st.integers(1, 8))
+def test_cut_table_and_its_boxes_equal_the_per_row_oracle(table, m):
+    cut = cut_table(table, m)
+    assert list(cut) == list(table)
+    boxes = anchor_boxes(_ORACLE_ANCHORS, cut.dims, cut.indptr[:-1]).tolist() if len(cut) else []
+    for oid, box in zip(table, boxes):
+        s = table[oid]
+        dims, weights, cut_m = top_m_row(s.dims.tolist(), s.weights.tolist(), m)
+        got = cut[oid]
+        assert got.dims.tolist() == dims
+        assert [w.hex() for w in got.weights.tolist()] == [w.hex() for w in weights.tolist()]
+        assert got.reduced_m == (s.reduced_m if cut_m is None else cut_m)
+        assert Mbr(*box) == mbr_of_ids(dims, _ORACLE_ANCHORS)
+
+
+def test_anchor_boxes_of_a_table_equal_mbr_of_each_row():
     anchors = AnchorSet([0.0, 1.0, 5.0, -2.0], [0.0, 2.0, 1.0, 3.0])
     sigs = [sig({0: 1.0}), sig({1: 0.5, 3: 0.5}), sig({0: 0.4, 1: 0.4, 2: 0.4})]
-    assert mbrs_of(sigs, anchors) == [mbr_of(s, anchors) for s in sigs]
-    assert mbrs_of(sigs, anchors)[1] == Mbr(-2.0, 2.0, 1.0, 3.0)
-    assert mbrs_of([], anchors) == []
+    table = SignatureTable.of(dict(zip("abc", sigs)))
+    boxes = [Mbr(*b) for b in anchor_boxes(anchors, table.dims, table.indptr[:-1]).tolist()]
+    assert boxes == [mbr_of(s, anchors) for s in sigs]
+    assert boxes[1] == Mbr(-2.0, 2.0, 1.0, 3.0)
 
 
 # ---------------------------------------------------------------------------

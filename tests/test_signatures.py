@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from siglink.errors import EmptySignatureError, EmptyTraceError
 from siglink.linking import build_corpus_stats, build_spatial_signature, reference_signatures
+from siglink.reduction import cut_table
 from siglink.signatures import (
     KIND_SPATIAL,
     Corpus,
@@ -15,11 +16,12 @@ from siglink.signatures import (
     cosine_similarity,
     grid_cells,
     kind_corpus,
+    SignatureTable,
     pair_counts,
     read_signatures_jsonl,
-    tfidf_rows,
     temporal_histograms,
     tfidf_signatures,
+    tfidf_weights,
     time_bin,
     write_signatures_jsonl,
 )
@@ -41,8 +43,9 @@ def _spatial_corpus(n_objects, dims):
 def test_single_object_corpus_all_df_one():
     corpus = build_corpus_stats([trace_of("a", [1, 2, 3])])
     assert corpus.n_objects == 1
-    assert corpus.df.tolist() == [0, 1, 1, 1]
-    assert corpus.idf.tolist() == [0.0, 1.0, 1.0, 1.0]
+    assert corpus.vocab.tolist() == [1, 2, 3]
+    assert corpus.df.tolist() == [1, 1, 1]
+    assert corpus.idf.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_doc_freq_counts_objects_not_visits():
@@ -53,10 +56,8 @@ def test_doc_freq_counts_objects_not_visits():
         trace_of("d", [9]),
     ]
     corpus = build_corpus_stats(traces)
-    assert corpus.df[5] == 2
-    assert corpus.df[7] == 2
-    assert corpus.df[9] == 1
-    assert np.flatnonzero(corpus.df).tolist() == [5, 7, 9]
+    assert corpus.vocab.tolist() == [5, 7, 9]
+    assert corpus.df.tolist() == [2, 2, 1]
 
 
 def test_empty_corpus_rejected():
@@ -420,14 +421,32 @@ def test_signature_jsonl_round_trip(tmp_path):
     entries = [(f"o{i}", random_signature(rng, 8)) for i in range(5)]
     entries[0][1].reduced_m = 8
     path = tmp_path / "sigs.jsonl"
-    write_signatures_jsonl(path, entries)
+    write_signatures_jsonl(path, dict(entries))
     back = read_signatures_jsonl(path)
-    assert [oid for oid, _ in back] == [oid for oid, _ in entries]
-    for (_, orig), (_, loaded) in zip(entries, back):
+    assert list(back) == [oid for oid, _ in entries]
+    for (_, orig), loaded in zip(entries, back.values()):
         assert np.array_equal(orig.dims, loaded.dims)
         assert np.array_equal(orig.weights, loaded.weights)  # full-precision floats
         assert orig.kind == loaded.kind
         assert orig.reduced_m == loaded.reduced_m
+
+
+def test_signature_table_jsonl_round_trip_is_byte_identical(tmp_path):
+    traces = [trace_of(f"o{i}", [i % 5, 5 + i % 3, 9, 10 + i]) for i in range(9, -1, -1)]
+    sigs = tfidf_signatures(traces, kind_corpus("spatial"))[0]
+    for name, table in (("full", sigs), ("cut", cut_table(sigs, 2))):
+        first, second = tmp_path / f"{name}1.jsonl", tmp_path / f"{name}2.jsonl"
+        write_signatures_jsonl(first, table)
+        back = read_signatures_jsonl(first)
+        write_signatures_jsonl(second, back)
+        assert second.read_bytes() == first.read_bytes()
+        # the table keeps trace order; the file lists ids in ascending order
+        assert (back.kind, list(back)) == (table.kind, sorted(table))
+        for oid, sig in table.items():
+            assert (back[oid].dims.tobytes(), back[oid].weights.tobytes(), back[oid].reduced_m) \
+                == (sig.dims.tobytes(), sig.weights.tobytes(), sig.reduced_m)
+    assert list(sigs) == [f"o{i}" for i in range(9, -1, -1)]
+    assert read_signatures_jsonl(tmp_path / "cut1.jsonl")["o3"].reduced_m == 2
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +551,7 @@ def _tfidf_corpora(draw):
         ["spatial", "sequential1", "sequential2", "sequential3", "spatiotemporal"]
     ),
 )
-def test_tfidf_rows_bit_identical_to_per_object_weights(corpora, kind):
+def test_table_bit_identical_to_per_object_weights(corpora, kind):
     corpus_traces, traces = corpora
     unfitted = _TFIDF_KINDS[kind][0]
     if not any(t.points for t in corpus_traces):
@@ -542,15 +561,15 @@ def test_tfidf_rows_bit_identical_to_per_object_weights(corpora, kind):
     corpus = tfidf_signatures(corpus_traces, unfitted)[2]
     n, df, occurrences = _oracle_occurrences(kind, corpus_traces, traces, _TFIDF_ANCHORS)
     assert corpus.n_objects == n
-    seen = np.flatnonzero(corpus.df)
-    assert dict(zip(seen.tolist(), corpus.df[seen].tolist())) == df
+    assert dict(zip(corpus.vocab.tolist(), corpus.df.tolist())) == df
     oracle = unfitted.fit(n, np.repeat(list(df), list(df.values())).astype(np.int64))
     sigs, excluded, _ = tfidf_signatures(traces, corpus)
     rows = np.repeat(np.arange(len(traces)), [len(o) for o in occurrences])
     dims = np.array([d for o in occurrences for d in o], dtype=np.int64)
     pair_rows, pair_dims, counts = pair_counts(rows, dims)
     ids = [t.object_id for t in traces]
-    batched, batched_excluded = tfidf_rows(pair_rows, pair_dims, counts, oracle, ids)
+    weighted = tfidf_weights(pair_rows, pair_dims, counts, oracle, len(ids))
+    batched, batched_excluded = SignatureTable.from_rows(oracle.kind, ids, *weighted)
     assert batched_excluded == excluded
     assert list(batched) == [oid for oid in ids if oid not in excluded]
     for trace, occ in zip(traces, occurrences):
@@ -565,13 +584,14 @@ def test_tfidf_rows_bit_identical_to_per_object_weights(corpora, kind):
             assert sig.weights.tobytes() == want[1].tobytes()
 
 
-def test_tfidf_rows_repeated_id_keeps_last_signature_and_lists_each_empty_row():
+def test_table_from_rows_repeated_id_keeps_last_row_and_lists_each_empty_row():
     # rows 0..4 hold ids a, b, a, b, c; rows 1 and 4 have nothing left, and
     # dim 0 is in every row that has any dimension, so it weighs nothing
     corpus = _spatial_corpus(3, [0, 1, 0, 2, 0, 3])
     rows = np.array([0, 0, 1, 2, 2, 3, 3, 4])
     dims = np.array([0, 1, 0, 0, 2, 0, 3, 0])
-    sigs, excluded = tfidf_rows(rows, dims, np.ones(8), corpus, ["a", "b", "a", "b", "c"])
+    weighted = tfidf_weights(rows, dims, np.ones(8), corpus, 5)
+    sigs, excluded = SignatureTable.from_rows(KIND_SPATIAL, ["a", "b", "a", "b", "c"], *weighted)
     assert excluded == ["b", "c"]
     assert list(sigs) == ["a", "b"]
     assert sigs["a"].dims.tolist() == [2] and sigs["b"].dims.tolist() == [3]

@@ -1,6 +1,8 @@
 """Helpers shared by the test modules: hand-made signatures, anchors on a
-line, traces from anchor-id lists, index entries and the bounding box of a
-set of anchor ids."""
+line, traces from anchor-id lists, index entries, the bounding box of a set
+of anchor ids and a per-row top-m oracle."""
+
+import math
 
 import numpy as np
 
@@ -39,3 +41,16 @@ def trace_of(object_id, anchor_ids, t0=1_600_000_000, step=60):
 
 def entry(object_id, signature, anchors):
     return (object_id, signature, mbr_of(signature, anchors))
+
+
+def top_m_row(dims, weights, m):
+    """One row's top-m cut by the definition, in plain Python: a row of at
+    most ``m`` dims is kept as it is, with no cut m. Otherwise sort by
+    (-weight, dim), keep the first ``m``, put them back in dim order and
+    divide by ``math.sqrt(seg.dot(seg))``. Returns the dims, the weights and
+    the cut m, or None."""
+    if len(dims) <= m:
+        return list(dims), np.asarray(weights, dtype=float), None
+    kept = sorted(sorted(zip(dims, weights), key=lambda p: (-p[1], p[0]))[:m])
+    seg = np.array([w for _, w in kept])
+    return [d for d, _ in kept], seg / math.sqrt(seg.dot(seg)), m
