@@ -307,6 +307,8 @@ def _kind_corpus(args: argparse.Namespace, anchors) -> Corpus:
 def _cmd_signature(args: argparse.Namespace) -> None:
     out = _out_dir(args)
     _require_dt(args)
+    if args.kind == "temporal" and args.corpus:
+        raise ConfigError("the temporal kind takes no --corpus")
     if args.kind == "spatiotemporal" and not args.anchors:
         raise ConfigError("spatiotemporal signatures need --anchors")
     anchors = read_anchor_csv(args.anchors) if args.anchors else None

@@ -15,7 +15,8 @@ from .traces import AnchorSet
 
 @dataclass(frozen=True)
 class Mbr:
-    """Axis-aligned bounding rectangle in degrees; degenerate boxes allowed."""
+    """Axis-aligned bounding rectangle in degrees; degenerate boxes allowed,
+    inverted ones and NaN bounds refused."""
 
     min_lon: float
     min_lat: float
@@ -23,8 +24,8 @@ class Mbr:
     max_lat: float
 
     def __post_init__(self) -> None:
-        if self.min_lon > self.max_lon or self.min_lat > self.max_lat:
-            raise ValueError(f"inverted rectangle: {self}")
+        if not (self.min_lon <= self.max_lon and self.min_lat <= self.max_lat):
+            raise ValueError(f"inverted or NaN rectangle: {self}")
 
     def intersects(self, other: "Mbr") -> bool:
         # closed rectangles: touching edges count as overlap, so a shared

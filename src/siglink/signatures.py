@@ -482,20 +482,32 @@ def emd_similarity(a: TemporalHistogram, b: TemporalHistogram) -> float:
 _RECORD_KEYS = ("object_id", "kind", "normalized", "sig")
 
 
+def check_row(dims: np.ndarray, weights: np.ndarray, reduced_m: int | None) -> None:
+    """Refuse, naming the rule, a signature row that breaks what cosine
+    scores and the bounds rely on: dims non-negative and strictly increasing,
+    weights finite and > 0, unit norm within ``NORM_TOL``, and a ``reduced_m``
+    of None or an int in 1 .. 2**31 - 1. Both signature file readers call it."""
+    if not (reduced_m is None or (type(reduced_m) is int and 1 <= reduced_m < 2**31)):
+        raise ValueError(f"reduced_m must be null or an integer in 1 .. {2**31 - 1}")
+    if (dims < 0).any() or (np.diff(dims) <= 0).any():
+        raise ValueError("dims must be non-negative and strictly increasing")
+    if not (np.isfinite(weights) & (weights > 0.0)).all():
+        raise ValueError("weights must be finite and > 0")
+    norm = float(np.linalg.norm(weights))
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise ValueError(f"marked normalized but its norm is {norm!r}")
+
+
 def signature_from_record(record: Mapping) -> tuple[str, Signature]:
-    """A signature read back from its record, checked for what cosine
-    scores and the pruning bounds rely on: dims strictly increasing
-    non-negative ints, weights finite and > 0, marked normalized and of unit
-    norm within ``NORM_TOL``, and a ``reduced_m`` that is null or a positive
-    int the index file's signed 32-bit field holds. Raises ``ValueError``
-    for a record that breaks any of these."""
+    """A signature read back from its record: an object with keys
+    ``_RECORD_KEYS``, a string kind, marked normalized, and a list of [dim,
+    weight] pairs whose row passes ``check_row``. Raises ``ValueError`` for
+    a record that breaks any of these."""
     if not isinstance(record, dict) or any(key not in record for key in _RECORD_KEYS):
         raise ValueError(f"a signature record is an object with keys {', '.join(_RECORD_KEYS)}")
     pairs, normalized, reduced_m = record["sig"], record["normalized"], record.get("reduced_m")
     if not (isinstance(record["kind"], str) and isinstance(normalized, bool)):
         raise ValueError("a signature record needs a string kind and a true/false normalized flag")
-    if not (reduced_m is None or (type(reduced_m) is int and 1 <= reduced_m < 2**31)):
-        raise ValueError(f"reduced_m must be null or an integer in 1 .. {2**31 - 1}")
     if not isinstance(pairs, list) or not all(
         isinstance(p, list) and len(p) == 2 and type(p[0]) is int and type(p[1]) in (int, float)
         for p in pairs
@@ -506,16 +518,10 @@ def signature_from_record(record: Mapping) -> tuple[str, Signature]:
         weights = np.array([p[1] for p in pairs], dtype=float)
     except OverflowError:
         raise ValueError("a dim or weight is out of range") from None
-    if np.any(dims < 0) or np.any(np.diff(dims) <= 0):
-        raise ValueError("dims must be non-negative and strictly increasing")
-    if not np.all(np.isfinite(weights) & (weights > 0.0)):
-        raise ValueError("weights must be finite and > 0")
     object_id = str(record["object_id"])
     if not normalized:  # top-m cuts, cosine scores and the bounds need unit vectors
         raise ValueError(f"signature of {object_id!r} is not normalized")
-    norm = float(np.linalg.norm(weights))
-    if not abs(norm - 1.0) <= NORM_TOL:
-        raise ValueError(f"marked normalized but its norm is {norm!r}")
+    check_row(dims, weights, reduced_m)
     return object_id, Signature(dims, weights, record["kind"], True, reduced_m)
 
 

@@ -14,15 +14,16 @@ from __future__ import annotations
 import heapq
 import math
 import struct
+import zlib
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .reduction import Mbr, union_mbrs
-from .signatures import Signature, _leaf_sim
+from .signatures import Signature, SignatureTable, _indptr, _leaf_sim, check_row
 
 DEFAULT_CAPACITY = 32
 
@@ -32,10 +33,7 @@ IndexEntry = tuple[str, Signature, Mbr]
 KnnResult = list[tuple[str, float]]
 
 _INDEX_MAGIC = b"SIGLINKIDX"
-_INDEX_VERSION = 1
-# the header's weighted byte; format v1 kept it for unweighted trees, which
-# are gone, so it must read 1
-_WEIGHTED = 1
+_INDEX_VERSION = 2
 
 
 def aggregate_signatures(sigs: Sequence[Signature]) -> Signature:
@@ -563,152 +561,141 @@ def validate(tree: WrTree) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Serialization (versioned binary, post-order node stream)
+# Serialization, format v2, little-endian: the magic, the header and the
+# kind; each node's child count in pre-order, 0 marking a leaf; the leaves in
+# that order as one signature table (id lengths, UTF-8 ids, indptr, dims,
+# weights, and reduced_m, -1 where never cut); their rectangles as an n x 4
+# float64 array; a CRC32 of every byte before it. Internal nodes are derived.
 
-
-def _pack_sig(sig: Signature) -> bytes:
-    reduced = -1 if sig.reduced_m is None else int(sig.reduced_m)
-    head = struct.pack("<iBI", reduced, int(sig.normalized), sig.nnz())
-    return head + sig.dims.astype("<i8").tobytes() + sig.weights.astype("<f8").tobytes()
-
-
-def _unpack_sig(buf: memoryview, off: int, kind: str) -> tuple[Signature, int]:
-    reduced, normalized, nnz = struct.unpack_from("<iBI", buf, off)
-    off += struct.calcsize("<iBI")
-    if off + 16 * nnz > len(buf):
-        raise ValueError(f"corrupt index: truncated signature at byte {off}")
-    dims = np.frombuffer(buf, dtype="<i8", count=nnz, offset=off).astype(np.int64)
-    off += 8 * nnz
-    weights = np.frombuffer(buf, dtype="<f8", count=nnz, offset=off).astype(float)
-    off += 8 * nnz
-    sig = Signature(
-        dims, weights, kind, normalized=bool(normalized),
-        reduced_m=None if reduced < 0 else reduced,
-    )
-    return sig, off
-
-
-def _pack_mbr(mbr: Mbr) -> bytes:
-    return struct.pack("<4d", mbr.min_lon, mbr.min_lat, mbr.max_lon, mbr.max_lat)
-
-
-def _unpack_mbr(buf: memoryview, off: int) -> tuple[Mbr, int]:
-    vals = struct.unpack_from("<4d", buf, off)
-    return Mbr(*vals), off + struct.calcsize("<4d")
+# after the magic: version, capacity, n_objects, node count, kind length
+_HEADER = struct.Struct("<HIQQH")
+_NOT_CUT = -1  # a leaf row's reduced_m in the file when the row was never cut
 
 
 def save_index(tree: WrTree, path: str | Path) -> None:
-    kind = tree.kind or ""
-    kind_b = kind.encode("utf-8")
-    parts = [
-        _INDEX_MAGIC,
-        struct.pack(
-            "<HIQBH",
-            _INDEX_VERSION,
-            tree.capacity,
-            tree.n_objects,
-            _WEIGHTED,
-            len(kind_b),
-        ),
-        kind_b,
+    """Write ``tree`` in format v2. A leaf whose signature is not normalized
+    raises ``ValueError`` naming its object."""
+    nodes = [node for node, _ in _nodes(tree.root)]
+    leaves = [node for node in nodes if node.is_leaf]
+    for leaf in leaves:
+        _check_normalized(leaf.object_id, leaf.signature)
+    sigs = [leaf.signature for leaf in leaves]
+    ids = [leaf.object_id.encode("utf-8") for leaf in leaves]
+    kind = (tree.kind or "").encode("utf-8")
+    sections = [
+        np.array([len(node.children or ()) for node in nodes], "<u4"),
+        np.array([len(object_id) for object_id in ids], "<u4"),
+        np.frombuffer(b"".join(ids), np.uint8),
+        _indptr([sig.nnz() for sig in sigs]).astype("<i8"),
+        np.concatenate([np.empty(0, "<i8"), *(sig.dims for sig in sigs)]).astype("<i8"),
+        np.concatenate([np.empty(0, "<f8"), *(sig.weights for sig in sigs)]).astype("<f8"),
+        np.array([_NOT_CUT if sig.reduced_m is None else sig.reduced_m for sig in sigs], "<i8"),
+        np.array([astuple(leaf.mbr) for leaf in leaves], "<f8"),
     ]
-
-    def emit(node: WrNode) -> None:
-        if node.is_leaf:
-            id_b = node.object_id.encode("utf-8")
-            parts.append(struct.pack("<BI", 0, len(id_b)))
-            parts.append(id_b)
-            parts.append(_pack_sig(node.signature))
-            parts.append(_pack_mbr(node.mbr))
-            return
-        for child in node.children:
-            emit(child)
-        parts.append(struct.pack("<BI", 1, len(node.children)))
-        parts.append(_pack_sig(node.signature))
-        parts.append(_pack_mbr(node.mbr))
-
-    if tree.root is not None:
-        emit(tree.root)
-    Path(path).write_bytes(b"".join(parts))
+    head = _HEADER.pack(_INDEX_VERSION, tree.capacity, tree.n_objects, len(nodes), len(kind))
+    body = b"".join([_INDEX_MAGIC, head, kind, *(a.tobytes() for a in sections)])
+    Path(path).write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
 
 
 def load_index(path: str | Path) -> WrTree:
-    """Read a tree written by save_index.
-
-    A truncated file, an impossible header, a node stream that does not
-    form one tree or breaks a rule of ``_shape_problems``, or an internal
-    record whose aggregate or rectangle differs from the one its children
-    derive raises ``ValueError("corrupt index: ...")``. Leaf records are
-    taken as stored.
-    """
+    """Read a tree written by ``save_index``, rebuilding each internal node
+    from its children by ``WrNode.internal``. A file without the magic, or of
+    another version, is refused. A checksum mismatch, a section that runs past
+    the end, child counts that do not form one tree, a repeated id, a leaf
+    row that breaks ``check_row`` or whose rectangle ``Mbr`` refuses, or a
+    shape that breaks a ``_shape_problems`` rule raises
+    ``ValueError("corrupt index: ...")``."""
     raw = Path(path).read_bytes()
-    if raw[: len(_INDEX_MAGIC)] != _INDEX_MAGIC:
+    if not raw.startswith(_INDEX_MAGIC):
         raise ValueError(f"{path} is not a siglink index file")
-    try:
-        return _parse_index(memoryview(raw), len(_INDEX_MAGIC))
-    except struct.error as exc:
-        raise ValueError(f"corrupt index: truncated record ({exc})") from None
-
-
-def _take(buf: memoryview, off: int, n: int) -> bytes:
-    if off + n > len(buf):
-        raise ValueError(f"corrupt index: truncated record at byte {off}")
-    return bytes(buf[off : off + n])
-
-
-def _parse_index(buf: memoryview, off: int) -> WrTree:
-    version, capacity, n_objects, weighted, kind_len = struct.unpack_from("<HIQBH", buf, off)
+    at = len(_INDEX_MAGIC)
+    version = int.from_bytes(raw[at : at + 2], "little")
+    if version < _INDEX_VERSION:  # the formats before v2 carry no checksum
+        raise ValueError(f"unsupported index version {version}")
+    if zlib.crc32(raw[:-4]) != int.from_bytes(raw[-4:], "little"):
+        raise ValueError("corrupt index: checksum mismatch")
     if version != _INDEX_VERSION:
         raise ValueError(f"unsupported index version {version}")
+    try:
+        return _parse_index(memoryview(raw)[at:-4])
+    except UnicodeDecodeError:
+        raise ValueError("corrupt index: the kind or an object id is not UTF-8") from None
+
+
+def _parse_index(buf: memoryview) -> WrTree:
+    off = 0
+
+    def take(count: int, dtype: str, section: str) -> np.ndarray:
+        nonlocal off
+        size = count * np.dtype(dtype).itemsize
+        if off + size > len(buf):
+            raise ValueError(f"corrupt index: the {section} run past the end of the file")
+        off += size
+        return np.frombuffer(buf, dtype, count, off - size)
+
+    _, capacity, n_objects, n_nodes, kind_len = _HEADER.unpack(take(_HEADER.size, "u1", "header"))
     if capacity < 2:
         raise ValueError(f"corrupt index: capacity {capacity} < 2")
-    if weighted != _WEIGHTED:
-        raise ValueError(f"corrupt index: weighted flag {weighted}, expected {_WEIGHTED}")
-    off += struct.calcsize("<HIQBH")
-    kind = _take(buf, off, kind_len).decode("utf-8") or None
-    off += kind_len
+    kind = take(kind_len, "u1", "kind").tobytes().decode("utf-8") or None
+    counts = take(n_nodes, "<u4", "child counts").tolist()
+    n = counts.count(0)
+    if n and kind is None:
+        raise ValueError("corrupt index: the leaves have no signature kind")
+    id_ends = np.cumsum(take(n, "<u4", "id lengths"), dtype=np.int64).tolist()
+    blob = take(id_ends[-1] if n else 0, "u1", "ids").tobytes()
+    ids = [blob[s:e].decode("utf-8") for s, e in zip([0, *id_ends], id_ends)]
+    if len(set(ids)) < n:
+        raise ValueError("corrupt index: duplicate object ids in tree")
+    indptr = take(n + 1, "<i8", "indptr")
+    if indptr[0] != 0 or np.any(np.diff(indptr) < 0):
+        raise ValueError("corrupt index: indptr does not ascend from 0")
+    dims = take(int(indptr[-1]), "<i8", "dims")
+    weights = take(int(indptr[-1]), "<f8", "weights")
+    reduced_m = take(n, "<i8", "reduced_m")
+    boxes = take(4 * n, "<f8", "rectangles").reshape(n, 4)
+    if off != len(buf):
+        raise ValueError("corrupt index: bytes left after the rectangles")
 
-    stack: list[WrNode] = []
-    ids: set[str] = set()
-    while off < len(buf):
-        (tag,) = struct.unpack_from("<B", buf, off)
-        off += 1
-        if tag == 0:
-            (id_len,) = struct.unpack_from("<I", buf, off)
-            off += 4
-            object_id = _take(buf, off, id_len).decode("utf-8")
-            off += id_len
-            sig, off = _unpack_sig(buf, off, kind or "")
-            mbr, off = _unpack_mbr(buf, off)
-            stack.append(WrNode.leaf(object_id, sig, mbr))
-            ids.add(object_id)
-        elif tag == 1:
-            (n_children,) = struct.unpack_from("<I", buf, off)
-            off += 4
-            start = off
-            _, off = _unpack_sig(buf, off, kind or "")
-            _, off = _unpack_mbr(buf, off)
-            if not 1 <= n_children <= len(stack):
-                raise ValueError("corrupt index: node stream underflow")
-            children = stack[-n_children:]
-            del stack[-n_children:]
-            # an internal node is derived from its children, by the rule bulk
-            # load and split use; the stored record must match it bit for bit
-            node = WrNode.internal(children)
-            if bytes(buf[start:off]) != _pack_sig(node.signature) + _pack_mbr(node.mbr):
-                raise ValueError(
-                    f"corrupt index: internal node at byte {start} does not match"
-                    " its children's aggregate and rectangle"
-                )
-            stack.append(node)
-        else:
-            raise ValueError(f"corrupt index: unknown node tag {tag}")
-    if len(stack) > 1:
-        raise ValueError("corrupt index: dangling nodes in stream")
-    root = stack[0] if stack else None
-    if root is not None and root.is_leaf:
-        raise ValueError("corrupt index: node stream ends in a leaf")
+    table = SignatureTable(kind, ids, indptr, dims, weights, np.maximum(reduced_m, 0))
+    leaves = []
+    for (object_id, sig), m, box in zip(table.items(), reduced_m.tolist(), boxes.tolist()):
+        try:
+            check_row(sig.dims, sig.weights, None if m == _NOT_CUT else m)
+            leaves.append(WrNode.leaf(object_id, sig, Mbr(*box)))
+        except ValueError as exc:
+            raise ValueError(f"corrupt index: leaf {object_id!r}: {exc}") from None
+    root = _tree_of(counts, leaves)
     problems = _shape_problems(root, capacity, n_objects)
     if problems:
         raise ValueError(f"corrupt index: {problems[0]}")
-    return WrTree(root, capacity, kind, n_objects, ids=ids)
+    return WrTree(root, capacity, kind, n_objects, ids=set(ids))
+
+
+def _tree_of(counts: list[int], leaves: list[WrNode]) -> WrNode | None:
+    """The tree whose nodes have ``counts`` children in pre-order, each 0
+    taking the next of ``leaves``; an internal node is built once its
+    children are."""
+    next_leaf = iter(leaves).__next__
+    open_nodes: list[tuple[int, list[WrNode]]] = []  # (children due, children so far)
+    root = None
+    for count in counts:
+        if root is not None:
+            raise ValueError("corrupt index: nodes after the end of the tree")
+        if count:
+            open_nodes.append((count, []))
+            continue
+        node = next_leaf()
+        while open_nodes:
+            due, children = open_nodes[-1]
+            children.append(node)
+            if len(children) < due:
+                break
+            open_nodes.pop()
+            node = WrNode.internal(children)
+        else:
+            root = node
+    if open_nodes:
+        raise ValueError("corrupt index: the child counts end inside a node")
+    if root is not None and root.is_leaf:
+        raise ValueError("corrupt index: the root is a leaf")
+    return root

@@ -2,8 +2,10 @@ import csv
 import dataclasses
 import json
 import re
+import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from siglink.cli import main
@@ -11,6 +13,8 @@ from siglink.linking import ENGINES, write_results_csv
 from siglink.synth import generate_synthetic
 from siglink.traces import SplitStrategy, split_dataset
 from siglink.wrtree import load_index, save_index
+
+from testkit import edit_index_leaf
 
 
 def run(args):
@@ -386,7 +390,7 @@ def test_rerank_rejects_unnormalized_signature(tmp_path, capsys):
     assert candidate in err and "normalized" in err and len(err.strip().splitlines()) == 1
 
 
-def test_unweighted_index_fails_validation(tmp_path, capsys):
+def test_hand_edited_index_leaf_fails_validation(tmp_path, capsys):
     base = tmp_path
     assert run(["synth", "--out", base, "--n-objects", "20", "--n-anchors", "300",
                 "--points", "60", "--seed", "4"]) == 0
@@ -394,13 +398,17 @@ def test_unweighted_index_fails_validation(tmp_path, capsys):
     assert run(["index", "build", "--out", base / "idx", "--signatures",
                 base / "s/signatures.jsonl", "--anchors", base / "anchors.csv"]) == 0
     path = base / "idx/index.bin"
-    raw = bytearray(path.read_bytes())
-    raw[24] = 0  # the header's weighted byte, after magic, version, capacity, n_objects
-    path.write_bytes(bytes(raw))
+    oid = json.loads((base / "s/signatures.jsonl").read_text().splitlines()[0])["object_id"]
+    # a leaf weight below 0 under a resealed checksum: the row rules refuse it
+    edit_index_leaf(path, oid, lambda dims, weights, reduced_m, box: weights.__setitem__(0, -0.5))
     capsys.readouterr()
     assert run(["index", "validate", "--index", path]) == 1
-    err = capsys.readouterr().err
-    assert "corrupt index" in err and len(err.strip().splitlines()) == 1
+    assert capsys.readouterr() == (
+        "", f"error: corrupt index: leaf {oid!r}: weights must be finite and > 0\n")
+    # a format v1 header: version, capacity, n_objects, weighted, kind length
+    path.write_bytes(b"SIGLINKIDX" + struct.pack("<HIQBH", 1, 32, 0, 1, 0))
+    assert run(["index", "validate", "--index", path]) == 1
+    assert capsys.readouterr().err == "error: unsupported index version 1\n"
 
 
 def test_index_insert_grows_index(tmp_path):
@@ -544,6 +552,17 @@ def test_kind_without_dt_is_config_error(tmp_path, capsys):
         capsys.readouterr()
         assert run([*argv, "--out", tmp_path / "x"]) == 2
         assert capsys.readouterr().err == f"config error: the {argv[2]} kind needs --dt\n"
+
+
+def test_temporal_kind_with_a_corpus_is_config_error(tmp_path, capsys):
+    # histograms take no IDF, so a corpus would go unused; refused before
+    # the corpus path is read
+    assert run(["synth", "--out", tmp_path, "--n-objects", 10, "--n-anchors", 100,
+                "--points", 30]) == 0
+    capsys.readouterr()
+    assert run(["signature", "--kind", "temporal", "--dt", 4, "--traces", tmp_path / "traces.csv",
+                "--corpus", tmp_path / "missing.csv", "--out", tmp_path / "x"]) == 2
+    assert capsys.readouterr().err == "config error: the temporal kind takes no --corpus\n"
 
 
 # (verb words, flag, bad value, the rule stderr's last line states): every
@@ -873,16 +892,21 @@ def test_index_refuses_unnormalized_signature_and_validate_reports_one(tmp_path,
         assert run([*argv, "--signatures", bad, "--anchors", base / "anchors.csv",
                     "--out", tmp_path / "x"]) == 1
         assert capsys.readouterr().err == f"error: {bad}:1: signature of 'u' is not normalized\n"
-    # an index file written before bulk load refused such a leaf
+    # save refuses such a leaf, and validate refuses a file row of another norm
     tree = load_index(base / "idx/index.bin")
     leaf = tree.root.children[0]
     leaf._leaf_sig = dataclasses.replace(leaf.signature, normalized=False)
-    save_index(tree, tmp_path / "old.bin")
+    with pytest.raises(ValueError, match=f"signature of {leaf.object_id!r} is not normalized"):
+        save_index(tree, tmp_path / "index.bin")
+    (tmp_path / "index.bin").write_bytes((base / "idx/index.bin").read_bytes())
+    edit_index_leaf(tmp_path / "index.bin", leaf.object_id,
+                    lambda dims, weights, reduced_m, box: np.multiply(weights, 3.0, out=weights))
     capsys.readouterr()
-    assert run(["index", "validate", "--index", tmp_path / "old.bin"]) == 1
+    assert run(["index", "validate", "--index", tmp_path / "index.bin"]) == 1
     out, err = capsys.readouterr()
-    assert out == f"INVALID: signature of leaf {leaf.object_id!r} is not normalized\n"
-    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert out == "" and len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    rule = f"error: corrupt index: leaf {leaf.object_id!r}: marked normalized but its norm is "
+    assert err.startswith(rule) and float(err[len(rule):]) == pytest.approx(3.0)
 
 
 def test_readme_verb_table_matches_parser(capsys):

@@ -1,4 +1,5 @@
 import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from siglink.wrtree import (
     validate,
 )
 
-from testkit import entry, line_anchors, random_signature, sig
+from testkit import edit_index_leaf, entry, line_anchors, random_signature, reseal_index, sig
 
 
 def synthetic_entries(n, seed, n_anchors=None, m=10):
@@ -201,14 +202,20 @@ def test_index_refuses_and_validate_reports_unnormalized_leaf(tmp_path):
     assert tree.n_objects == 5 and validate(tree) == []
     with pytest.raises(ValueError, match=refused):
         insert(bulk_load([], capacity=4), (oid, raw, m))
-    # an index saved before bulk load refused such a leaf: its flag turned off
+    # save refuses such a leaf, and load refuses a file row of another norm;
+    # validate still reports one in a tree built in memory
     tree = bulk_load(entries, capacity=16)
     leaf = next(c for c in tree.root.children if c.object_id == oid)
     leaf._leaf_sig = Signature(s.dims, s.weights, s.kind, normalized=False)
-    save_index(tree, tmp_path / "old.bin")
-    reported = [f"signature of leaf '{oid}' is not normalized"]
-    assert validate(tree) == reported
-    assert validate(load_index(tmp_path / "old.bin")) == reported
+    assert validate(tree) == [f"signature of leaf '{oid}' is not normalized"]
+    with pytest.raises(ValueError, match=refused):
+        save_index(tree, tmp_path / "index.bin")
+    save_index(bulk_load(entries, capacity=16), tmp_path / "index.bin")
+    edit_index_leaf(tmp_path / "index.bin", oid, lambda d, w, m, box: np.multiply(w, 3.0, out=w))
+    rule = f"corrupt index: leaf '{oid}': marked normalized but its norm is "
+    with pytest.raises(ValueError, match=re.escape(rule)) as refusal:
+        load_index(tmp_path / "index.bin")
+    assert float(str(refusal.value)[len(rule):]) == pytest.approx(3.0)
 
 
 def test_bulk_load_matches_linear_oracle():
@@ -538,7 +545,7 @@ def test_index_with_mixed_children_or_a_leaf_root_rejected(tmp_path):
     tree = bulk_load(entries[:1], capacity=4)
     tree.root = tree.root.children[0]
     save_index(tree, path)
-    with pytest.raises(ValueError, match="corrupt index: node stream ends in a leaf"):
+    with pytest.raises(ValueError, match="corrupt index: the root is a leaf"):
         load_index(path)
 
 
@@ -594,46 +601,35 @@ def _saved_index_bytes(tmp_path, n=6, capacity=2):
     return path, bytearray(path.read_bytes())
 
 
-# header layout after the 10-byte magic: <H version, I capacity, Q n_objects,
-# B weighted, ...
+# header layout after the 10-byte magic: <H version, I capacity, Q n_objects, ...
 _CAPACITY_AT = 12
 _N_OBJECTS_AT = 16
-_WEIGHTED_AT = 24
 
 
 def test_index_object_count_mismatch_rejected(tmp_path):
     path, raw = _saved_index_bytes(tmp_path)
     raw[_N_OBJECTS_AT : _N_OBJECTS_AT + 8] = (6 + 1).to_bytes(8, "little")
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="corrupt index"):
+    path.write_bytes(reseal_index(raw))
+    with pytest.raises(ValueError, match="corrupt index: tree holds 6 objects, expected 7"):
         load_index(path)
 
 
 def test_index_capacity_below_two_rejected(tmp_path):
     path, raw = _saved_index_bytes(tmp_path)
     raw[_CAPACITY_AT : _CAPACITY_AT + 4] = (1).to_bytes(4, "little")
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="corrupt index"):
+    path.write_bytes(reseal_index(raw))
+    with pytest.raises(ValueError, match="corrupt index: capacity 1 < 2"):
         load_index(path)
 
 
-def test_index_unweighted_flag_rejected(tmp_path):
+def test_index_with_any_byte_flipped_rejected(tmp_path):
     path, raw = _saved_index_bytes(tmp_path)
-    assert raw[_WEIGHTED_AT] == 1
-    raw[_WEIGHTED_AT] = 0
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="corrupt index"):
-        load_index(path)
-
-
-def test_index_with_a_flipped_aggregate_weight_rejected(tmp_path):
-    path, raw = _saved_index_bytes(tmp_path)
-    # the stream ends with the root's aggregate weights, then its 32-byte
-    # rectangle: this flips the low byte of the root's last weight
-    raw[-40] ^= 1
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="corrupt index: internal node"):
-        load_index(path)
+    for at in range(len(raw)):
+        flipped = bytearray(raw)
+        flipped[at] ^= 0xFF
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(ValueError, match="corrupt index|not a siglink index file"):
+            load_index(path)
 
 
 def test_truncated_index_rejected_at_every_offset(tmp_path):
@@ -642,3 +638,82 @@ def test_truncated_index_rejected_at_every_offset(tmp_path):
         path.write_bytes(bytes(raw[:cut]))
         with pytest.raises(ValueError, match="corrupt index"):
             load_index(path)
+
+
+def _set(index, value):
+    return lambda dims, weights, reduced_m, box: weights.__setitem__(index, value)
+
+
+def _swap_dims(dims, weights, reduced_m, box):
+    dims[[0, 1]] = dims[[1, 0]]
+
+
+def _scale(dims, weights, reduced_m, box):
+    np.multiply(weights, 1.0 + 1e-6, out=weights)
+
+
+def _reduced_m(value):
+    return lambda dims, weights, reduced_m, box: reduced_m.__setitem__(0, value)
+
+
+def _box(at, value):
+    return lambda dims, weights, reduced_m, box: box.__setitem__(at, value)
+
+
+@pytest.mark.parametrize("edit,rule", [
+    (_set(0, -0.5), "weights must be finite and > 0"),
+    (_set(1, 0.0), "weights must be finite and > 0"),
+    (_set(0, float("nan")), "weights must be finite and > 0"),
+    (_swap_dims, "dims must be non-negative and strictly increasing"),
+    (_scale, "marked normalized but its norm is 1.00000"),
+    (_reduced_m(0), "reduced_m must be null or an integer in 1 .. 2147483647"),
+    (_reduced_m(2**31), "reduced_m must be null or an integer in 1 .. 2147483647"),
+    (_box(0, float("nan")), "inverted or NaN rectangle"),
+    (_box(3, -1e9), "inverted or NaN rectangle"),
+], ids=["negative", "zero", "nan", "swapped-dims", "norm", "reduced-m-0", "reduced-m-2**31",
+        "nan-box", "inverted-box"])
+def test_hand_edited_leaf_row_refused_on_load(tmp_path, edit, rule):
+    # the edit keeps the checksum whole, so the leaf row rules must catch it
+    entries, _ = synthetic_entries(20, seed=16)
+    oid = next(oid for oid, s, _ in entries if s.reduced_m is not None)
+    path = tmp_path / "index.bin"
+    save_index(bulk_load(entries, capacity=4), path)
+    edit_index_leaf(path, oid, edit)
+    with pytest.raises(ValueError, match=re.escape(f"corrupt index: leaf '{oid}': {rule}")):
+        load_index(path)
+
+
+def _shape_and_leaves(node):
+    """A tree in pre-order: each node's child count, rectangle and
+    aggregate, and each leaf's id, dims, weights by float.hex and reduced_m."""
+    if node.is_leaf:
+        s = node.signature
+        return [(0, astuple(node.mbr), node.object_id, s.dims.tolist(),
+                 [w.hex() for w in s.weights.tolist()], s.reduced_m)]
+    out = [(len(node.children), astuple(node.mbr), node.weight_map)]
+    for child in node.children:
+        out += _shape_and_leaves(child)
+    return out
+
+
+@pytest.mark.parametrize("capacity", [2, 4, 32, "inserted"])
+def test_index_round_trip_keeps_shape_leaves_and_answers(tmp_path, capacity):
+    entries, anchors = synthetic_entries(70, seed=18)
+    if capacity == "inserted":
+        tree = bulk_load([], capacity=3)
+        for e in entries:
+            insert(tree, e)
+    else:
+        tree = bulk_load(entries, capacity=capacity)
+    path = tmp_path / "index.bin"
+    save_index(tree, path)
+    loaded = load_index(path)
+    assert _shape_and_leaves(loaded.root) == _shape_and_leaves(tree.root)
+    assert (loaded.capacity, loaded.kind, loaded.n_objects, loaded.ids) == (
+        tree.capacity, tree.kind, tree.n_objects, tree.ids)
+    assert validate(loaded) == []
+    for _, s, m in entries[::7]:
+        for k in (1, 5):
+            expect = linear_knn(entries, (s, m), k)
+            assert knn_search(loaded, (s, m), k) == expect
+            assert rtree_baseline_knn(loaded, (s, m), k) == expect
