@@ -179,7 +179,7 @@ def _check_anchor_ids(path: str, tops, args: argparse.Namespace, anchors) -> Non
 def _read_traces(path: str, args: argparse.Namespace, anchors=None) -> list[Trace]:
     traces = read_trace_csv(path)
     if anchors is not None:
-        tops = ((t.object_id, max(a for a, _ in t.points)) for t in traces if t.points)
+        tops = ((t.object_id, int(t.anchor_ids.max())) for t in traces if len(t))
         _check_anchor_ids(path, tops, args, anchors)
     return traces
 
@@ -318,7 +318,7 @@ def _cmd_signature(args: argparse.Namespace) -> None:
         lines = [
             json.dumps({"object_id": t.object_id, "dt_hours": args.dt, "bins": b}) + "\n"
             for t, b in zip(traces, bins)
-            if t.points
+            if len(t)
         ]
         path = out / "histograms.jsonl"
         path.write_text("".join(lines), encoding="utf-8")

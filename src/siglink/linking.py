@@ -82,7 +82,7 @@ def build_corpus_stats(traces: Sequence[Trace]) -> Corpus:
 def build_spatial_signature(trace: Trace, corpus: Corpus) -> Signature:
     """``query_signature`` that raises ``EmptyTraceError`` for an empty
     trace and ``EmptySignatureError`` when no anchor carries weight."""
-    if not trace.points:
+    if not len(trace):
         raise EmptyTraceError(f"object {trace.object_id!r} has an empty trace")
     sig = query_signature(trace, corpus)
     if sig is None:

@@ -269,5 +269,5 @@ def signature_closure(
         utility = _utility(original, summary(), last_of)
         report_rounds.append(ClosureRound(round_no, removed, accuracy, utility))
     current = masked_traces(traces, pair_alive[pair_of])
-    emptied = [t.object_id for t in current if not t.points]
+    emptied = [t.object_id for t in current if not len(t)]
     return current, ClosureReport(baseline, report_rounds, emptied)

@@ -190,12 +190,18 @@ def _lookup(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def pair_counts(rows: np.ndarray, dims: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct (row, dimension) pairs of one pair per point, sorted,
-    and their counts. A pair's key numbers its dimension by rank, so it
-    stays within int64 for any dimension ids."""
+    and their counts. A pair is keyed ``row * width + dim`` over
+    non-negative rows and dims when every key fits in int64; otherwise its
+    dimension is numbered by rank first, which fits for any dimension ids."""
+    if not len(dims):
+        return rows[:0], dims[:0], np.zeros(0, dtype=np.int64)
+    width = int(dims.max()) + 1
+    if dims.min() >= 0 and (int(rows.max()) + 1) * width < 2**63:
+        keys, counts = np.unique(rows * width + dims, return_counts=True)
+        return keys // width, (keys % width).astype(dims.dtype, copy=False), counts
     vocab, rank = np.unique(dims, return_inverse=True)
-    width = max(len(vocab), 1)
-    keys, counts = np.unique(rows * width + rank, return_counts=True)
-    return keys // width, vocab[keys % width], counts
+    keys, counts = np.unique(rows * len(vocab) + rank, return_counts=True)
+    return keys // len(vocab), vocab[keys % len(vocab)], counts
 
 
 def tfidf_weights(
@@ -431,7 +437,7 @@ def build_temporal_histogram(
 ) -> TemporalHistogram:
     """One trace's ``temporal_histograms`` row; an empty trace raises ``EmptyTraceError``."""
     dt = check_dt(dt_hours)
-    if not trace.points:
+    if not len(trace):
         raise EmptyTraceError(f"object {trace.object_id!r} has an empty trace")
     return TemporalHistogram(temporal_histograms([trace], dt, utc_offset_hours)[0], dt, True)
 

@@ -74,7 +74,7 @@ def generate_synthetic(
         )
         seq = _sample_no_consecutive_repeat(rng, pool_ids, probs, points_per_object)
         times = _sample_times(rng, len(seq), n_days, start_t)
-        traces.append(Trace(f"o{i:05d}", list(zip(seq.tolist(), times.tolist()))))
+        traces.append(Trace.of(f"o{i:05d}", seq, times))
     return traces, anchors
 
 

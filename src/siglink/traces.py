@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 import random
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
-from itertools import chain, compress
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -45,15 +45,54 @@ class RawPoint:
     t: int
 
 
-@dataclass
 class Trace:
-    """A calibrated trace: chronological (anchor_id, timestamp) pairs."""
+    """A calibrated trace: chronological visits held as two parallel 1-d
+    int64 columns, ``anchor_ids`` and their timestamps ``t``.
 
-    object_id: str
-    points: list[tuple[int, int]]
+    ``Trace(object_id, points)`` takes ``(anchor_id, timestamp)`` pairs;
+    ``Trace.of`` takes the two columns as they are. ``points`` is a list of
+    pairs built on each read, for the CSV code and tests; assigning it
+    replaces both columns. Traces are equal when their ids and columns are.
+    """
+
+    __slots__ = ("object_id", "anchor_ids", "t")
+    __hash__ = None  # mutable, and equal by value
+
+    def __init__(self, object_id: str, points: Iterable[tuple[int, int]]):
+        self.object_id = object_id
+        self.points = points
+
+    @classmethod
+    def of(cls, object_id: str, anchor_ids: np.ndarray, t: np.ndarray) -> Trace:
+        """The trace of two parallel int64 columns, which it holds without
+        copying."""
+        trace = cls.__new__(cls)
+        trace.object_id, trace.anchor_ids, trace.t = object_id, anchor_ids, t
+        return trace
+
+    @property
+    def points(self) -> list[tuple[int, int]]:
+        return list(zip(self.anchor_ids.tolist(), self.t.tolist()))
+
+    @points.setter
+    def points(self, points: Iterable[tuple[int, int]]) -> None:
+        pairs = np.array(list(points), dtype=np.int64).reshape(-1, 2)
+        self.anchor_ids, self.t = pairs.T.copy()
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.t)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (
+            self.object_id == other.object_id
+            and np.array_equal(self.anchor_ids, other.anchor_ids)
+            and np.array_equal(self.t, other.t)
+        )
+
+    def __repr__(self) -> str:
+        return f"Trace(object_id={self.object_id!r}, points={self.points!r})"
 
 
 class AnchorSet:
@@ -218,17 +257,15 @@ def calibrate_trace(
     if not raw:
         raise EmptyTraceError(f"no raw points for object {object_id!r}")
     n = len(raw)
-    stamps = list(map(attrgetter("t"), raw))
-    order = np.argsort(np.array(stamps, dtype=np.int64), kind="stable")
+    stamps = np.array(list(map(attrgetter("t"), raw)), dtype=np.int64)
+    order = np.argsort(stamps, kind="stable")
     lons = np.fromiter(map(attrgetter("lon"), raw), dtype=float, count=n)[order]
     lats = np.fromiter(map(attrgetter("lat"), raw), dtype=float, count=n)[order]
     ids = nearest_anchors(anchors, lons, lats, metric=metric)
     keep = np.empty(n, dtype=bool)
     keep[0] = True
     np.not_equal(ids[1:], ids[:-1], out=keep[1:])
-    # int() hands back the caller's own timestamp objects rather than copies
-    kept_stamps = map(int, map(stamps.__getitem__, order[keep].tolist()))
-    return Trace(object_id, list(zip(ids[keep].tolist(), kept_stamps)))
+    return Trace.of(object_id, ids[keep], stamps[order[keep]])
 
 
 def filter_min_points(traces: Iterable[Trace], min_points: int) -> list[Trace]:
@@ -306,29 +343,38 @@ def point_table(traces: Sequence[Trace]) -> tuple[np.ndarray, np.ndarray, np.nda
     the index of its trace, its anchor id and its timestamp. A negative
     anchor id raises ``ValueError`` naming its object."""
     lengths = np.fromiter(map(len, traces), dtype=np.int64, count=len(traces))
-    n = int(lengths.sum())
-
-    def column(i: int) -> np.ndarray:
-        points = chain.from_iterable(t.points for t in traces)
-        return np.fromiter(map(itemgetter(i), points), dtype=np.int64, count=n)
-
-    rows, anchor_ids = np.repeat(np.arange(len(traces)), lengths), column(0)
-    if n and anchor_ids.min() < 0:
+    rows = np.repeat(np.arange(len(traces)), lengths)
+    anchor_ids, t = _columns(traces)
+    if len(anchor_ids) and anchor_ids.min() < 0:
         at = int(np.argmax(anchor_ids < 0))
         raise ValueError(
             f"object {traces[rows[at]].object_id!r} has negative anchor id {anchor_ids[at]}"
         )
-    return rows, anchor_ids, column(1)
+    return rows, anchor_ids, t
+
+
+def _columns(traces: Sequence[Trace]) -> tuple[np.ndarray, np.ndarray]:
+    """The anchor ids and the timestamps of every trace, each as one array
+    in trace order."""
+    empty = np.empty(0, dtype=np.int64)
+    return (
+        np.concatenate([empty, *(trace.anchor_ids for trace in traces)]),
+        np.concatenate([empty, *(trace.t for trace in traces)]),
+    )
 
 
 def masked_traces(traces: Sequence[Trace], keep: np.ndarray) -> list[Trace]:
     """Each trace with the points that ``keep``, a boolean mask over the
-    rows of ``point_table(traces)``, keeps; points stay in order."""
-    kept = list(compress(chain.from_iterable(t.points for t in traces), keep.tolist()))
+    rows of ``point_table(traces)``, keeps; points stay in order. The kept
+    traces share two arrays of the kept points."""
+    anchor_ids, t = (column[keep] for column in _columns(traces))
     ends = np.cumsum(np.fromiter(map(len, traces), dtype=np.int64, count=len(traces)))
     kept_before = np.concatenate([[0], np.cumsum(keep, dtype=np.int64)])
-    at = [0, *kept_before[ends].tolist()]  # where each trace's kept points start
-    return [Trace(t.object_id, kept[s:e]) for t, s, e in zip(traces, at, at[1:])]
+    cuts = kept_before[ends[:-1]]  # where each trace's kept points start, after the first
+    return [
+        Trace.of(trace.object_id, a, s)
+        for trace, a, s in zip(traces, np.split(anchor_ids, cuts), np.split(t, cuts))
+    ]
 
 
 def day_pairs(
@@ -396,7 +442,7 @@ def split_dataset(
     day_rows, days, day_of = day_pairs(rows, t, utc_offset_hours)
     in_q = query_days([tr.object_id for tr in traces], day_rows, days, strategy)[day_of]
     q_half, d_half = masked_traces(traces, in_q), masked_traces(traces, ~in_q)
-    flagged = [q.object_id for q, d in zip(q_half, d_half) if not q.points or not d.points]
+    flagged = [q.object_id for q, d in zip(q_half, d_half) if not len(q) or not len(d)]
     return SplitResult(q_half, d_half, flagged)
 
 
@@ -417,28 +463,49 @@ def _csv_rows(
 ) -> Iterator[tuple[int, list]]:
     """The non-blank rows after a CSV file's header, each with its line
     number and each field converted by its column's type. The header must
-    list ``columns`` in order; a wrong header, a row without one field per
-    column or a field its column's type refuses raises ``ValueError`` naming
-    the file and line."""
+    list ``columns`` in order; bytes that are not UTF-8, a wrong header, a
+    row without one field per column, a field its column's type refuses or
+    a last row without a line break (a truncated file) raise ``ValueError``
+    naming the file and line."""
     header = list(columns)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first != header:
-            raise ValueError(f"bad {what} header in {path}: {first}")
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{line}: expected {len(header)} fields, got {len(row)}")
-            values = []
-            for (name, convert), field in zip(columns.items(), row):
-                try:
-                    values.append(convert(field))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{line}: {name}: {exc}") from None
-            yield line, values
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = raw[: exc.start].decode("utf-8")
+        line = before.count("\n") + before.count("\r") - before.count("\r\n") + 1
+        raise ValueError(f"{path}:{line}: not UTF-8") from None
+    # newline="" reads lines as open(..., newline="") would, as csv wants
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows = _parsed(reader, path)
+    first = next(rows, None)
+    if first != header:
+        raise ValueError(f"{path}:{max(reader.line_num, 1)}: bad {what} header: {first}")
+    line = 0
+    for row in rows:
+        if not row:
+            continue
+        line = reader.line_num
+        if len(row) != len(header):
+            raise ValueError(f"{path}:{line}: expected {len(header)} fields, got {len(row)}")
+        values = []
+        for (name, convert), field in zip(columns.items(), row):
+            try:
+                values.append(convert(field))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line}: {name}: {exc}") from None
+        yield line, values
+    if line and not text.endswith(("\n", "\r")):
+        raise ValueError(f"{path}:{line}: the last row has no line break; is the file truncated?")
+
+
+def _parsed(reader, path: str | Path) -> Iterator[list[str]]:
+    """The rows of a ``csv.reader``, with its own errors (a field over the
+    size limit) raised as ``ValueError`` naming the file and line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _point_int(field: str) -> int:
@@ -505,17 +572,25 @@ def read_trace_csv(path: str | Path) -> list[Trace]:
     A negative anchor id, or a timestamp earlier than its object's previous
     row's, raises ``ValueError`` naming the file and line; equal timestamps
     are allowed."""
-    points: dict[str, list[tuple[int, int]]] = {}
+    columns: dict[str, tuple[list[int], list[int]]] = {}
     for line, (oid, anchor_id, t) in _csv_rows(path, _TRACE_COLUMNS, "calibrated trace"):
         if anchor_id < 0:
             raise ValueError(f"{path}:{line}: anchor id {anchor_id} is negative")
-        pts = points.setdefault(oid, [])
-        if pts and t < pts[-1][1]:
+        ids, stamps = columns.setdefault(oid, ([], []))
+        if stamps and t < stamps[-1]:
             raise ValueError(f"{path}:{line}: timestamp {t} of {oid!r} precedes its previous row's")
-        pts.append((anchor_id, t))
-    return [Trace(oid, pts) for oid, pts in points.items()]
+        ids.append(anchor_id)
+        stamps.append(t)
+    return [
+        Trace.of(oid, np.array(ids, dtype=np.int64), np.array(stamps, dtype=np.int64))
+        for oid, (ids, stamps) in columns.items()
+    ]
 
 
 def write_trace_csv(path: str | Path, traces: Iterable[Trace]) -> None:
-    rows = ([trace.object_id, a, t] for trace in traces for a, t in trace.points)
+    rows = (
+        [trace.object_id, a, t]
+        for trace in traces
+        for a, t in zip(trace.anchor_ids.tolist(), trace.t.tolist())
+    )
     write_csv(path, list(_TRACE_COLUMNS), rows)

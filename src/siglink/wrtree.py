@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .reduction import Mbr, union_mbrs
-from .signatures import Signature, SignatureTable, _indptr, _leaf_sim, check_row
+from .signatures import NORM_TOL, Signature, SignatureTable, _indptr, _leaf_sim, check_row
 
 DEFAULT_CAPACITY = 32
 
@@ -657,10 +657,14 @@ def _parse_index(buf: memoryview) -> WrTree:
         raise ValueError("corrupt index: bytes left after the rectangles")
 
     table = SignatureTable(kind, ids, indptr, dims, weights, np.maximum(reduced_m, 0))
+    suspect = _suspect_rows(table, reduced_m).tolist()
     leaves = []
-    for (object_id, sig), m, box in zip(table.items(), reduced_m.tolist(), boxes.tolist()):
+    for (object_id, sig), m, box, check in zip(
+        table.items(), reduced_m.tolist(), boxes.tolist(), suspect
+    ):
         try:
-            check_row(sig.dims, sig.weights, None if m == _NOT_CUT else m)
+            if check:
+                check_row(sig.dims, sig.weights, None if m == _NOT_CUT else m)
             leaves.append(WrNode.leaf(object_id, sig, Mbr(*box)))
         except ValueError as exc:
             raise ValueError(f"corrupt index: leaf {object_id!r}: {exc}") from None
@@ -669,6 +673,23 @@ def _parse_index(buf: memoryview) -> WrTree:
     if problems:
         raise ValueError(f"corrupt index: {problems[0]}")
     return WrTree(root, capacity, kind, n_objects, ids=set(ids))
+
+
+def _suspect_rows(table: SignatureTable, reduced_m: np.ndarray) -> np.ndarray:
+    """Which rows of a loaded leaf table ``check_row`` might refuse, found by
+    its rules run once over the table's arrays; ``reduced_m`` is as stored.
+    Every row ``check_row`` would refuse is flagged. The norms here are
+    summed in another order than ``check_row``'s, so a row whose norm is off
+    by more than half of ``NORM_TOL`` is flagged, and ``check_row`` decides
+    every row near the limit."""
+    n, dims, weights = len(table), table.dims, table.weights
+    row = np.repeat(np.arange(n), np.diff(table.indptr))
+    bad = (dims < 0) | ~(np.isfinite(weights) & (weights > 0.0))
+    bad[1:] |= (dims[1:] <= dims[:-1]) & (row[1:] == row[:-1])
+    with np.errstate(over="ignore"):  # an overflowing weight is flagged through its norm
+        norm = np.sqrt(np.bincount(row, weights=weights * weights, minlength=n))
+    cut_ok = (reduced_m == _NOT_CUT) | ((reduced_m >= 1) & (reduced_m < 2**31))
+    return (np.bincount(row[bad], minlength=n) > 0) | ~(abs(norm - 1.0) <= NORM_TOL / 2) | ~cut_ok
 
 
 def _tree_of(counts: list[int], leaves: list[WrNode]) -> WrNode | None:

@@ -11,7 +11,7 @@ import pytest
 from siglink.cli import main
 from siglink.linking import ENGINES, write_results_csv
 from siglink.synth import generate_synthetic
-from siglink.traces import SplitStrategy, split_dataset
+from siglink.traces import SplitStrategy, Trace, read_trace_csv, split_dataset, write_trace_csv
 from siglink.wrtree import load_index, save_index
 
 from testkit import edit_index_leaf
@@ -727,7 +727,9 @@ MALFORMED = [
      lambda d: f"object_id,anchor_id,timestamp\na,1,10\na,2,{2**63 - 1000}\n"),
     ("trace-anchor-beyond-int64", "traces",
      lambda d: f"object_id,anchor_id,timestamp\na,{2**64},10\n"),
+    ("trace-last-row-cut", "traces", lambda d: "object_id,anchor_id,timestamp\na,1,10\nb,2,16"),
     ("anchor-row-short", "anchors", lambda d: "anchor_id,lon,lat\n0,1.0\n"),
+    ("anchor-last-row-cut", "anchors", lambda d: "anchor_id,lon,lat\n0,1.0,2.0\n1,1.0,2"),
     ("anchor-id-not-int", "anchors", lambda d: "anchor_id,lon,lat\nz,1.0,2.0\n"),
     ("anchor-lon-nan", "anchors", _anchor_lon("nan")),
     ("anchor-lon-inf", "anchors", _anchor_lon("-inf")),
@@ -735,6 +737,7 @@ MALFORMED = [
     ("index-anchor-lon-nan", "index-anchors", _anchor_lon("nan")),
     ("raw-lon-nan", "raw", lambda d: "object_id,lon,lat,timestamp\na,1.0,2.0,10\na,nan,2.0,20\n"),
     ("raw-lat-text", "raw", lambda d: "object_id,lon,lat,timestamp\na,1.0,zz,10\n"),
+    ("raw-last-row-cut", "raw", lambda d: "object_id,lon,lat,timestamp\na,1.0,2.0,1"),
     ("raw-timestamp-not-int", "raw", lambda d: "object_id,lon,lat,timestamp\na,1.0,2.0,t\n"),
     ("raw-timestamp-beyond-int64", "raw",
      lambda d: f"object_id,lon,lat,timestamp\na,1.0,2.0,{-(2**63) - 1}\n"),
@@ -802,6 +805,38 @@ def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, small_run, what
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert re.search(rf"{re.escape(str(bad))}:\d+: ", err)
+
+
+def test_cut_or_byte_flipped_trace_csv_fails_on_a_named_line_or_reads_a_prefix(tmp_path,
+                                                                              capsys):
+    # every truncation and every byte flipped: either the reader and the CLI
+    # refuse the file naming file:line, or it reads as a prefix of its rows
+    good = tmp_path / "traces.csv"
+    write_trace_csv(good, [Trace("a", [(1, 1_600_000_000), (12, 1_600_000_060)]),
+                           Trace("b", [(3, 1_600_000_000), (0, 1_600_086_400)])])
+    raw = good.read_bytes()
+    rows = [(t.object_id, *p) for t in read_trace_csv(good) for p in t.points]
+    bad = tmp_path / "bad.csv"
+    cases = [raw[:cut] for cut in range(len(raw) + 1)]
+    cases += [raw[:at] + bytes([raw[at] ^ 0xFF]) + raw[at + 1:] for at in range(len(raw))]
+    read = 0
+    for case in cases:
+        bad.write_bytes(case)
+        try:
+            got = [(t.object_id, *p) for t in read_trace_csv(bad) for p in t.points]
+        except ValueError as exc:
+            assert str(exc).startswith(f"{bad}:"), str(exc)
+            assert re.match(r"\d+: ", str(exc)[len(f"{bad}:"):]), str(exc)
+            capsys.readouterr()
+            assert run(["split", "--traces", bad, "--out", tmp_path / "x"]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: {exc}\n"
+        else:
+            assert got == rows[: len(got)], case
+            read += 1
+    # what reads: the header before, inside and after its CRLF, and each
+    # row up to its CR or its LF
+    assert read == 3 + 2 * len(rows)
 
 
 @pytest.fixture(scope="module")

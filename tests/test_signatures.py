@@ -595,3 +595,29 @@ def test_table_from_rows_repeated_id_keeps_last_row_and_lists_each_empty_row():
     assert excluded == ["b", "c"]
     assert list(sigs) == ["a", "b"]
     assert sigs["a"].dims.tolist() == [2] and sigs["b"].dims.tolist() == [3]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    points=st.lists(st.tuples(st.integers(0, 6), st.integers(-2, 40)), max_size=60),
+    huge=st.sampled_from([None, 2**62 - 1, 2**63 - 1]),
+)
+def test_pair_counts_keyed_directly_or_by_rank_count_every_pair(points, huge):
+    # dim 40 becomes ``huge``; a negative dim, or a huge one over more than
+    # one row, overflows the direct key and takes the ranked one
+    points = [(r, huge if d == 40 and huge is not None else d) for r, d in points]
+    rows = np.array([r for r, _ in points], dtype=np.int64)
+    dims = np.array([d for _, d in points], dtype=np.int64)
+    got_rows, got_dims, counts = pair_counts(rows, dims)
+    assert got_rows.dtype == got_dims.dtype == np.int64
+    got = list(zip(got_rows.tolist(), got_dims.tolist(), counts.tolist()))
+    assert got == [(r, d, c) for (r, d), c in sorted(Counter(points).items())]
+
+
+def test_pair_counts_direct_and_ranked_keys_agree_on_the_largest_anchor_id():
+    huge = 2**62 - 1
+    one_row = pair_counts(np.array([0, 0, 0]), np.array([huge, 3, huge]))  # direct
+    two_rows = pair_counts(np.array([0, 0, 0, 1]), np.array([huge, 3, huge, 5]))  # ranked
+    for got, want in [(one_row, [(0, 3, 1), (0, huge, 2)]),
+                      (two_rows, [(0, 3, 1), (0, huge, 2), (1, 5, 1)])]:
+        assert list(zip(*(a.tolist() for a in got))) == want

@@ -1,3 +1,4 @@
+import math
 import re
 from datetime import date, datetime, timedelta, timezone
 from itertools import compress
@@ -178,6 +179,44 @@ def test_nearest_anchor_screen_matches_bruteforce_oracle(seed, n, metric):
     assert got.tolist() == _oracle_nearest(anchors, probe_lons, probe_lats, metric)
 
 
+def _reference_nearest(anchors, lon, lat, metric):
+    """Plain-Python nearest anchor: exact distance to every anchor, lowest
+    id within the tie tolerance of ``nearest_anchors``."""
+    dists = []
+    for a_lon, a_lat in zip(anchors.lons.tolist(), anchors.lats.tolist()):
+        if metric == "planar":
+            dists.append(math.hypot(a_lon - lon, a_lat - lat))
+        else:
+            p1, p2 = math.radians(lat), math.radians(a_lat)
+            h = (math.sin((p2 - p1) / 2) ** 2
+                 + math.cos(p1) * math.cos(p2) * math.sin(math.radians(a_lon - lon) / 2) ** 2)
+            dists.append(6_371_000.0 * 2 * math.asin(math.sqrt(min(max(h, 0.0), 1.0))))
+    dmin = min(dists)
+    return next(i for i, d in enumerate(dists) if d <= dmin + 1e-9 * max(dmin, 1.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    cells=st.lists(st.tuples(_GRID, _GRID), min_size=1, max_size=8),
+    fixes=st.lists(st.tuples(_GRID, _GRID, st.integers(0, 4)), min_size=1, max_size=25),
+    metric=st.sampled_from(["planar", "haversine"]),
+)
+def test_calibrate_trace_matches_plain_python_reference(cells, fixes, metric):
+    # grid points give exact ties between anchors, and five distinct
+    # timestamps make equal ones common
+    anchors = AnchorSet([c[0] for c in cells], [c[1] - 76.0 for c in cells])
+    raw = [RawPoint(lon, lat - 76.0, 1_600_000_000 + 60 * t) for lon, lat, t in fixes]
+    expect = []
+    for p in sorted(raw, key=lambda p: p.t):  # sorted() is stable
+        nearest = _reference_nearest(anchors, p.lon, p.lat, metric)
+        if not expect or expect[-1][0] != nearest:
+            expect.append((nearest, p.t))
+    trace = calibrate_trace("o", raw, anchors, metric=metric)
+    assert trace == Trace("o", expect)
+    assert trace.points == expect
+    assert trace.anchor_ids.dtype == trace.t.dtype == np.int64
+
+
 def test_stable_time_sort_keeps_input_order_of_equal_timestamps(anchors100):
     raw = [RawPoint(5.0, 0.0, 20), RawPoint(3.0, 0.0, 10), RawPoint(4.0, 0.0, 10)]
     trace = calibrate_trace("o", raw, anchors100)
@@ -219,6 +258,57 @@ def test_filter_min_points_boundary_inclusive():
 def test_filter_min_points_negative_rejected():
     with pytest.raises(ValueError):
         filter_min_points([], -1)
+
+
+# ---------------------------------------------------------------------------
+# The trace type
+
+
+def test_trace_of_pairs_equals_trace_of_columns():
+    pairs = [(3, 10), (1, 20), (3, 20)]
+    ids, t = np.array([3, 1, 3], dtype=np.int64), np.array([10, 20, 20], dtype=np.int64)
+    trace = Trace.of("o", ids, t)
+    assert trace.anchor_ids is ids and trace.t is t  # held, not copied
+    assert Trace("o", pairs) == trace and Trace("o", iter(pairs)) == trace
+    assert len(trace) == 3 and trace.points == pairs
+    assert Trace("o", pairs).anchor_ids.dtype == Trace("o", pairs).t.dtype == np.int64
+    assert trace != Trace("p", pairs)
+    assert trace != Trace("o", pairs[:2])
+    assert trace != Trace("o", [(3, 10), (1, 20), (3, 21)])
+    assert trace != Trace("o", [(3, 10), (2, 20), (3, 20)])
+    assert trace != pairs and trace != "o"
+    assert repr(trace) == "Trace(object_id='o', points=[(3, 10), (1, 20), (3, 20)])"
+
+
+def test_trace_points_round_trip_and_assignment():
+    trace = trace_of("o", [4, 2, 4])
+    assert Trace("o", trace.points) == trace
+    assert all(type(a) is int and type(t) is int for a, t in trace.points)
+    trace.points = [p for p in trace.points if p[0] != 2]
+    assert trace.anchor_ids.tolist() == [4, 4] and trace.t.tolist() == [1_600_000_000, 1_600_000_120]
+    trace.points = []
+    assert len(trace) == 0 and trace == Trace("o", [])
+
+
+def test_empty_trace():
+    empty = Trace("e", [])
+    assert len(empty) == 0 and empty.points == []
+    assert empty.anchor_ids.shape == empty.t.shape == (0,)
+    assert empty.anchor_ids.dtype == empty.t.dtype == np.int64
+    assert empty == Trace.of("e", np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    rows, anchor_ids, t = point_table([empty, trace_of("a", [1]), empty])
+    assert rows.tolist() == [1] and anchor_ids.tolist() == [1] and len(t) == 1
+    assert split_dataset([empty], SplitStrategy.interleaved()).flagged == ["e"]
+
+
+def test_lists_of_traces_compare_by_value():
+    traces = [trace_of("a", [1, 2]), Trace("e", []), trace_of("b", [5])]
+    copies = [Trace(t.object_id, t.points) for t in traces]
+    assert traces == copies and not traces != copies
+    assert (traces, 1) == (copies, 1)
+    assert traces != copies[::-1] and traces != copies[:2]
+    with pytest.raises(TypeError):
+        hash(traces[0])
 
 
 # ---------------------------------------------------------------------------
@@ -493,3 +583,26 @@ def test_anchor_ids_must_be_dense(tmp_path):
         message = f"{path}:{line}: anchor id {bad} where {due} was due"
         with pytest.raises(ValueError, match=re.escape(message)):
             read_anchor_csv(path)
+
+
+def test_csv_reader_names_the_line_of_bad_bytes_a_cut_last_row_and_a_huge_field(tmp_path):
+    path = tmp_path / "traces.csv"
+    head = b"object_id,anchor_id,timestamp\r\n"
+    for body, line, problem in [
+        (b"a,1,10\r\na,2,2\xff0\r\n", 3, "not UTF-8"),
+        (b"a,1,10\ra,2,20\r\n\xe9", 4, "not UTF-8"),
+        (b"a,1,10\r\na,2,20", 3, "the last row has no line break; is the file truncated?"),
+        (b"a,1,10\r\n\"b\n\",2,20", 4, "the last row has no line break; is the file truncated?"),
+        (b"a,1,10\r\n" + b"b" * 200_000 + b",2,20\r\n", 3, "field larger than field limit"),
+    ]:
+        path.write_bytes(head + body)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: {problem}")):
+            read_trace_csv(path)
+    path.write_bytes(b"object_id,anchor")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: bad calibrated trace header: ")):
+        read_trace_csv(path)
+    # a header alone, with or without its line break, and a last row ending
+    # in a bare carriage return all read
+    for text in (head, head[:-2], head + b"a,1,10\r"):
+        path.write_bytes(text)
+        assert read_trace_csv(path) == ([Trace("a", [(1, 10)])] if text.endswith(b"10\r") else [])

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siglink.reduction import Mbr, cut_reduce, mbr_of
-from siglink.signatures import Signature, cosine_similarity
+from siglink.signatures import Signature, SignatureTable, _indptr, check_row, cosine_similarity
 from siglink.synth import generate_synthetic
 from siglink.linking import reference_signatures
 from siglink.wrtree import (
     WrNode,
     WrTree,
+    _suspect_rows,
     aggregate_signatures,
     bulk_load,
     insert,
@@ -717,3 +718,65 @@ def test_index_round_trip_keeps_shape_leaves_and_answers(tmp_path, capacity):
             expect = linear_knn(entries, (s, m), k)
             assert knn_search(loaded, (s, m), k) == expect
             assert rtree_baseline_knn(loaded, (s, m), k) == expect
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.lists(st.integers(0, 9), unique=True, max_size=5).map(sorted),
+            st.sampled_from(["", "", "negative", "swapped", "repeated"]),
+            st.lists(st.sampled_from([0.6, 0.8, 1.0, 0.5, -0.5, 0.0, float("nan"),
+                                      float("inf"), 1e300]), min_size=5, max_size=5),
+            st.sampled_from([-2, -1, -1, 0, 1, 5, 2**31 - 1, 2**31]),
+            st.sampled_from([1.0, 1.0 + 4e-10, 1.0 + 6e-10, 1.0 + 1e-9, 1.0 + 2e-9]),
+        ),
+        min_size=1, max_size=8,
+    )
+)
+def test_leaf_screen_flags_every_row_check_row_refuses(rows):
+    # hand-made rows: most in dim order, some just inside or outside the
+    # norm tolerance, some breaking a rule; the one-pass screen must flag
+    # each row check_row refuses
+    dims, weights, reduced_m = [], [], []
+    for row_dims, dim_edit, row_weights, m, scale in rows:
+        if dim_edit == "negative" and row_dims:
+            row_dims[0] = -1 - row_dims[0]
+        elif dim_edit == "repeated" and len(row_dims) > 1:
+            row_dims[1] = row_dims[0]
+        elif dim_edit == "swapped" and len(row_dims) > 1:
+            row_dims[:2] = row_dims[1::-1]
+        w = np.array(row_weights[: len(row_dims)])
+        with np.errstate(all="ignore"):
+            norm = np.linalg.norm(w)
+            w = w / norm * scale if len(w) and norm > 0 else w
+        dims.append(np.array(row_dims, dtype=np.int64))
+        weights.append(w)
+        reduced_m.append(m)
+    table = SignatureTable(
+        "spatial", [f"o{i}" for i in range(len(rows))], _indptr([len(d) for d in dims]),
+        np.concatenate([np.empty(0, np.int64), *dims]), np.concatenate([np.empty(0), *weights]),
+        np.maximum(np.array(reduced_m), 0),
+    )
+    suspect = _suspect_rows(table, np.array(reduced_m, dtype=np.int64))
+    for i, (d, w, m) in enumerate(zip(dims, weights, reduced_m)):
+        try:
+            with np.errstate(all="ignore"):
+                check_row(d, w, None if m == -1 else m)
+        except ValueError:
+            assert suspect[i], (d, w, m)
+
+
+@pytest.mark.parametrize("scale,refused", [(1.0 + 6e-10, False), (1.0 + 2e-9, True)])
+def test_leaf_near_the_norm_tolerance_is_left_to_check_row(tmp_path, scale, refused):
+    entries, _ = synthetic_entries(20, seed=16)
+    oid = entries[3][0]
+    path = tmp_path / "index.bin"
+    save_index(bulk_load(entries, capacity=4), path)
+    edit_index_leaf(path, oid, lambda d, w, m, box: np.multiply(w, scale, out=w))
+    if refused:
+        rule = f"corrupt index: leaf '{oid}': marked normalized but its norm is 1.00000000"
+        with pytest.raises(ValueError, match=re.escape(rule)):
+            load_index(path)
+    else:
+        assert load_index(path).n_objects == 20
