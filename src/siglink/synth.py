@@ -10,9 +10,11 @@ document frequencies a realistic common floor.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .traces import AnchorSet, Trace
+
+# rng.choice's tolerance on the sum of its probabilities
+_PROB_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 def generate_synthetic(
@@ -42,6 +44,10 @@ def generate_synthetic(
         raise ValueError("all synthetic workload counts must be >= 1")
     if not locality_radius >= 0:
         raise ValueError("locality_radius must be >= 0")
+    if personal_pool < 1:
+        raise ValueError(f"personal_pool must be >= 1, got {personal_pool}")
+    if not hub_radius_mult >= 0:
+        raise ValueError(f"hub_radius_mult must be >= 0, got {hub_radius_mult}")
     for name, share in (("personal_mass", personal_mass), ("hub_fraction", hub_fraction)):
         if not 0.0 <= share <= 1.0:
             raise ValueError(f"{name} must be in [0, 1], got {share}")
@@ -51,23 +57,21 @@ def generate_synthetic(
     lons = rng.uniform(min_lon, max_lon, n_anchors)
     lats = rng.uniform(min_lat, max_lat, n_anchors)
     anchors = AnchorSet(lons, lats)
-    coords = np.column_stack([lons, lats])
-    tree = cKDTree(coords)
+    everywhere = _Discs(np.arange(n_anchors, dtype=np.int64), lons, lats)
 
     n_hubs = max(1, int(n_anchors * hub_fraction))
     hub_ids = np.sort(rng.permutation(n_anchors)[:n_hubs])
-    hub_tree = cKDTree(coords[hub_ids])
+    hubs = _Discs(hub_ids, lons[hub_ids], lats[hub_ids])
+    hub_radius = hub_radius_mult * locality_radius
 
     traces: list[Trace] = []
     for i in range(n_objects):
-        home = np.array(
-            [rng.uniform(min_lon, max_lon), rng.uniform(min_lat, max_lat)]
-        )
-        personal = _ranked_ball(tree, coords, home, locality_radius, personal_pool)
-        hub_local = hub_ids[
-            sorted(hub_tree.query_ball_point(home, hub_radius_mult * locality_radius))
-        ]
-        hub_local = _rank_by_distance(coords, hub_local, home)
+        x = rng.uniform(min_lon, max_lon)
+        y = rng.uniform(min_lat, max_lat)
+        personal = everywhere.ranked(x, y, locality_radius)[:personal_pool]
+        if len(personal) == 0:
+            personal = everywhere.nearest(x, y)
+        hub_local = hubs.ranked(x, y, hub_radius)
 
         pool_ids, probs = _visit_distribution(
             personal, hub_local, personal_mass, zipf_exponent, hub_exponent
@@ -78,24 +82,41 @@ def generate_synthetic(
     return traces, anchors
 
 
-def _ranked_ball(
-    tree: cKDTree, coords: np.ndarray, home: np.ndarray, radius: float, cap: int
-) -> np.ndarray:
-    """Anchor ids within radius of home, closest first, capped; falls back to
-    the single nearest anchor when the disc is empty."""
-    ids = np.array(sorted(tree.query_ball_point(home, radius)), dtype=np.int64)
-    if len(ids) == 0:
-        _, nearest = tree.query(home)
-        return np.array([int(nearest)], dtype=np.int64)
-    return _rank_by_distance(coords, ids, home)[:cap]
+class _Discs:
+    """Anchors within a radius of a point, read from one longitude slab.
 
+    The anchors are sorted by longitude once. A disc takes the slab of
+    anchors whose longitude lies within the radius, padded so that rounding
+    cannot leave out an anchor the exact test keeps, and keeps those with
+    ``dx*dx + dy*dy <= r*r``: the inclusion rule of a p=2 KD-tree ball query.
+    """
 
-def _rank_by_distance(coords: np.ndarray, ids: np.ndarray, home: np.ndarray) -> np.ndarray:
-    ids = np.asarray(ids, dtype=np.int64)
-    if len(ids) == 0:
-        return ids
-    dist = np.hypot(coords[ids, 0] - home[0], coords[ids, 1] - home[1])
-    return ids[np.lexsort((ids, dist))]
+    def __init__(self, ids: np.ndarray, lons: np.ndarray, lats: np.ndarray):
+        order = np.argsort(lons, kind="stable")
+        self.ids = ids[order]
+        self.lons = lons[order]
+        self.lats = lats[order]
+
+    def ranked(self, x: float, y: float, r: float) -> np.ndarray:
+        """Ids within r of (x, y), closest first, ties by ascending id."""
+        rr = r * r
+        # the absolute term covers radii whose square underflows; a square
+        # that overflows, or a NaN radius, reads every anchor
+        reach = r + r * 1e-9 + 1e-150 if rr < np.inf else np.inf
+        lo = self.lons.searchsorted(x - reach, side="left")
+        hi = self.lons.searchsorted(x + reach, side="right")
+        dx = self.lons[lo:hi] - x
+        dy = self.lats[lo:hi] - y
+        inside = dx * dx + dy * dy <= rr
+        ids = self.ids[lo:hi][inside]
+        return ids[np.lexsort((ids, np.hypot(dx[inside], dy[inside])))]
+
+    def nearest(self, x: float, y: float) -> np.ndarray:
+        """The one anchor nearest (x, y), the lowest id winning a tie."""
+        dx = self.lons - x
+        dy = self.lats - y
+        d2 = dx * dx + dy * dy
+        return self.ids[d2 == d2.min()].min(keepdims=True)
 
 
 def _visit_distribution(
@@ -107,7 +128,7 @@ def _visit_distribution(
 ) -> tuple[np.ndarray, np.ndarray]:
     p_weights = 1.0 / np.arange(1, len(personal) + 1) ** zipf_exponent
     # hubs the object also holds in its personal pool stay personal
-    hubs = hubs[~np.isin(hubs, personal)]
+    hubs = hubs[~(hubs[:, None] == personal).any(axis=1)]
     if len(hubs) == 0:
         return personal, p_weights / p_weights.sum()
     h_weights = 1.0 / np.arange(1, len(hubs) + 1) ** hub_exponent
@@ -121,15 +142,27 @@ def _visit_distribution(
 def _sample_no_consecutive_repeat(
     rng: np.random.Generator, pool: np.ndarray, probs: np.ndarray, n: int
 ) -> np.ndarray:
-    seq = rng.choice(pool, size=n, p=probs)
+    """Visits drawn as ``rng.choice(pool, size, p=probs)`` draws them: one
+    uniform per visit, looked up in the normalised cumulative distribution.
+    A visit repeating its predecessor is redrawn, up to 32 times."""
+    if not (probs >= 0).all() or not abs(probs.sum() - 1.0) <= _PROB_ATOL:
+        raise ValueError(
+            "visit probabilities are not a finite distribution;"
+            " check zipf_exponent and hub_exponent"
+        )
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    seq = pool[cdf.searchsorted(rng.random(n), side="right")]
     if len(pool) > 1:
         for _ in range(32):
             repeat = np.flatnonzero(seq[1:] == seq[:-1]) + 1
             if len(repeat) == 0:
                 break
-            seq[repeat] = rng.choice(pool, size=len(repeat), p=probs)
+            seq[repeat] = pool[cdf.searchsorted(rng.random(len(repeat)), side="right")]
     # single-anchor pools (or a stubborn tail) collapse like calibration does
-    keep = np.r_[True, seq[1:] != seq[:-1]]
+    keep = np.empty(len(seq), dtype=bool)
+    keep[0] = True
+    np.not_equal(seq[1:], seq[:-1], out=keep[1:])
     return seq[keep]
 
 

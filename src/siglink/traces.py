@@ -10,12 +10,14 @@ from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import EmptyTraceError
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 EARTH_RADIUS_M = 6_371_000.0
 METERS_PER_DEGREE = EARTH_RADIUS_M * np.pi / 180.0
@@ -98,8 +100,10 @@ class Trace:
 class AnchorSet:
     """Immutable anchor vocabulary; ids are dense in [0, len).
 
-    The coordinate arrays are never modified; the lookup trees are built
-    lazily on first use and cached on the instance.
+    The coordinate arrays are never modified and must be finite. The lookup
+    trees are built on first use and cached on the instance; scipy's KD-tree
+    module is imported only then, so a process that never calibrates raw
+    fixes never loads it.
     """
 
     def __init__(self, lons: Sequence[float], lats: Sequence[float]):
@@ -109,6 +113,11 @@ class AnchorSet:
             raise ValueError("lons and lats must be parallel 1-d sequences")
         if len(self.lons) == 0:
             raise ValueError("anchor set must contain at least one anchor")
+        bad = np.flatnonzero(~(np.isfinite(self.lons) & np.isfinite(self.lats)))
+        if len(bad):
+            i = int(bad[0])
+            lon, lat = float(self.lons[i]), float(self.lats[i])
+            raise ValueError(f"anchor {i} has a non-finite coordinate: lon {lon}, lat {lat}")
         self._planar_tree: cKDTree | None = None
         self._sphere_tree: cKDTree | None = None
 
@@ -117,11 +126,15 @@ class AnchorSet:
 
     def planar_tree(self) -> cKDTree:
         if self._planar_tree is None:
+            from scipy.spatial import cKDTree
+
             self._planar_tree = cKDTree(np.column_stack([self.lons, self.lats]))
         return self._planar_tree
 
     def sphere_tree(self) -> cKDTree:
         if self._sphere_tree is None:
+            from scipy.spatial import cKDTree
+
             self._sphere_tree = cKDTree(_unit_sphere(self.lons, self.lats))
         return self._sphere_tree
 

@@ -1,13 +1,18 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from datetime import date, datetime, timedelta, timezone
 from itertools import compress
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import siglink
 from siglink.errors import EmptyTraceError
 from siglink.traces import (
     _NEAREST_POOL,
@@ -583,6 +588,34 @@ def test_anchor_ids_must_be_dense(tmp_path):
         message = f"{path}:{line}: anchor id {bad} where {due} was due"
         with pytest.raises(ValueError, match=re.escape(message)):
             read_anchor_csv(path)
+
+
+@pytest.mark.parametrize(
+    "lons, lats, index",
+    [
+        ([0.0, math.nan], [0.0, 0.0], 1),
+        ([0.0, 1.0, 2.0], [0.0, 0.0, -math.inf], 2),
+        ([math.inf, math.nan], [math.nan, 0.0], 0),
+    ],
+)
+def test_anchor_set_refuses_non_finite_coordinates_naming_the_first(lons, lats, index):
+    with pytest.raises(ValueError, match=f"^anchor {index} has a non-finite coordinate"):
+        AnchorSet(lons, lats)
+
+
+def test_scipy_spatial_loads_only_on_first_calibration():
+    # a fresh interpreter: this one may have loaded scipy.spatial already
+    probe = Path(__file__).with_name("scipy_spatial_probe.py")
+    src = str(Path(siglink.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, str(probe)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_csv_reader_names_the_line_of_bad_bytes_a_cut_last_row_and_a_huge_field(tmp_path):
