@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptySignatureError, EmptyTraceError
-from .traces import DEFAULT_UTC_OFFSET_HOURS, AnchorSet, Trace, point_table
+from .traces import DEFAULT_UTC_OFFSET_HOURS, AnchorSet, Trace, _utf8_text, point_table
 
 NORM_TOL = 1e-9
 
@@ -545,20 +545,26 @@ def read_signatures_jsonl(path: str | Path) -> SignatureTable:
     """The signatures of a file of records, one per non-blank line, in file
     order. A line that is not a valid record (see ``signature_from_record``),
     whose kind is not the first record's, or whose id an earlier line holds
-    raises ``ValueError`` naming the file and line."""
+    raises ``ValueError`` naming the file and line, as do bytes that are not
+    UTF-8."""
     sigs: dict[str, Signature] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                object_id, sig = signature_from_record(json.loads(line))
-                kind = next(iter(sigs.values()), sig).kind
-                if sig.kind != kind:
-                    raise ValueError(f"signature kind mismatch: {sig.kind!r} vs {kind!r}")
-                if object_id in sigs:
-                    raise ValueError(f"object id {object_id!r} repeats an earlier record's")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            sigs[object_id] = sig
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                # json raises RecursionError on a line nested past its depth
+                try:
+                    object_id, sig = signature_from_record(json.loads(line))
+                    kind = next(iter(sigs.values()), sig).kind
+                    if sig.kind != kind:
+                        raise ValueError(f"signature kind mismatch: {sig.kind!r} vs {kind!r}")
+                    if object_id in sigs:
+                        raise ValueError(f"object id {object_id!r} repeats an earlier record's")
+                except (ValueError, RecursionError) as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                sigs[object_id] = sig
+    except UnicodeDecodeError:
+        _utf8_text(path)  # raises the ValueError naming the line
+        raise
     return SignatureTable.of(sigs)

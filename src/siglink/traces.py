@@ -8,9 +8,8 @@ import math
 import random
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
-from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,9 +37,9 @@ _CLEAR_GAP = 1e-6
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 
-@dataclass(frozen=True)
-class RawPoint:
-    """One GPS fix: WGS84 degrees plus an epoch-seconds timestamp."""
+class RawPoint(NamedTuple):
+    """One GPS fix: WGS84 degrees plus an epoch-seconds timestamp. A plain
+    tuple: it equals, hashes and unpacks as ``(lon, lat, t)``."""
 
     lon: float
     lat: float
@@ -168,9 +167,8 @@ def haversine_m(lon1, lat1, lon2, lat2):
 def _unit_sphere(lons, lats) -> np.ndarray:
     lon_r = np.radians(np.asarray(lons, dtype=float))
     lat_r = np.radians(np.asarray(lats, dtype=float))
-    return np.column_stack(
-        [np.cos(lat_r) * np.cos(lon_r), np.cos(lat_r) * np.sin(lon_r), np.sin(lat_r)]
-    )
+    cos_lat = np.cos(lat_r)
+    return np.column_stack([cos_lat * np.cos(lon_r), cos_lat * np.sin(lon_r), np.sin(lat_r)])
 
 
 def nearest_anchors(anchors: AnchorSet, lons, lats, metric: str = "haversine") -> np.ndarray:
@@ -269,13 +267,13 @@ def calibrate_trace(
     """
     if not raw:
         raise EmptyTraceError(f"no raw points for object {object_id!r}")
-    n = len(raw)
-    stamps = np.array(list(map(attrgetter("t"), raw)), dtype=np.int64)
+    lons, lats, stamps = zip(*raw)
+    stamps = np.array(stamps, dtype=np.int64)
     order = np.argsort(stamps, kind="stable")
-    lons = np.fromiter(map(attrgetter("lon"), raw), dtype=float, count=n)[order]
-    lats = np.fromiter(map(attrgetter("lat"), raw), dtype=float, count=n)[order]
+    lons = np.array(lons, dtype=float)[order]
+    lats = np.array(lats, dtype=float)[order]
     ids = nearest_anchors(anchors, lons, lats, metric=metric)
-    keep = np.empty(n, dtype=bool)
+    keep = np.empty(len(raw), dtype=bool)
     keep[0] = True
     np.not_equal(ids[1:], ids[:-1], out=keep[1:])
     return Trace.of(object_id, ids[keep], stamps[order[keep]])
@@ -481,13 +479,7 @@ def _csv_rows(
     a last row without a line break (a truncated file) raise ``ValueError``
     naming the file and line."""
     header = list(columns)
-    raw = Path(path).read_bytes()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        before = raw[: exc.start].decode("utf-8")
-        line = before.count("\n") + before.count("\r") - before.count("\r\n") + 1
-        raise ValueError(f"{path}:{line}: not UTF-8") from None
+    text = _utf8_text(path)
     # newline="" reads lines as open(..., newline="") would, as csv wants
     reader = csv.reader(io.StringIO(text, newline=""))
     rows = _parsed(reader, path)
@@ -510,6 +502,19 @@ def _csv_rows(
         yield line, values
     if line and not text.endswith(("\n", "\r")):
         raise ValueError(f"{path}:{line}: the last row has no line break; is the file truncated?")
+
+
+def _utf8_text(path: str | Path) -> str:
+    """A file's text; bytes that are not UTF-8 raise ``ValueError`` naming
+    the file and the line they are on, counting a CR, an LF or a CRLF as
+    one line break."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = raw[: exc.start].decode("utf-8")
+        line = before.count("\n") + before.count("\r") - before.count("\r\n") + 1
+        raise ValueError(f"{path}:{line}: not UTF-8") from None
 
 
 def _parsed(reader, path: str | Path) -> Iterator[list[str]]:

@@ -10,6 +10,7 @@ import pytest
 
 from siglink.cli import main
 from siglink.linking import ENGINES, write_results_csv
+from siglink.signatures import check_row, read_signatures_jsonl
 from siglink.synth import generate_synthetic
 from siglink.traces import SplitStrategy, Trace, read_trace_csv, split_dataset, write_trace_csv
 from siglink.wrtree import load_index, save_index
@@ -837,6 +838,69 @@ def test_cut_or_byte_flipped_trace_csv_fails_on_a_named_line_or_reads_a_prefix(t
     # what reads: the header before, inside and after its CRLF, and each
     # row up to its CR or its LF
     assert read == 3 + 2 * len(rows)
+
+
+def test_cut_or_byte_flipped_signature_jsonl_fails_on_a_named_line_or_reads_valid_rows(
+        tmp_path, capsys):
+    # every truncation, and every byte flipped to non-UTF-8 (^ 0xFF) or to a
+    # neighbouring ASCII character (^ 0x01: digits, quotes, brackets, commas,
+    # line breaks): either the reader and the three commands that read
+    # signature files refuse it naming file:line, or every row it reads is
+    # one the readers' row rules accept. An uncaught exception fails the test.
+    good = tmp_path / "sigs.jsonl"
+    records = [
+        {"object_id": "a", "kind": "spatial", "normalized": True, "reduced_m": None,
+         "sig": [[0, 0.6], [2, 0.8]]},
+        {"object_id": "b", "kind": "spatial", "normalized": True, "reduced_m": 2,
+         "sig": [[1, 0.8], [3, 0.6]]},
+    ]
+    good.write_text("".join(json.dumps(r) + "\n" for r in records))
+    raw = good.read_bytes()
+    bad = tmp_path / "bad.jsonl"
+    commands = [
+        ["link", "--queries", good, "--references", bad, "--engine", "linear"],
+        ["reduce", "--signatures", bad, "--m", "1"],
+        ["index", "build", "--signatures", bad],
+    ]
+    cases = [raw[:cut] for cut in range(len(raw) + 1)]
+    cases += [raw[:at] + bytes([raw[at] ^ mask]) + raw[at + 1:]
+              for mask in (0x01, 0xFF) for at in range(len(raw))]
+    refused = 0
+    for case in cases:
+        bad.write_bytes(case)
+        try:
+            table = read_signatures_jsonl(bad)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{bad}:"), str(exc)
+            assert re.match(r"\d+: ", str(exc)[len(f"{bad}:"):]), str(exc)
+            for argv in commands:
+                capsys.readouterr()
+                assert run([*argv, "--out", tmp_path / "x"]) == 1, (case, argv)
+                assert capsys.readouterr().err == f"error: {exc}\n", (case, argv)
+            refused += 1
+            continue
+        for oid in table:
+            row = table[oid]
+            check_row(row.dims, row.weights, row.reduced_m)
+        for argv in commands:
+            capsys.readouterr()
+            code = run([*argv, "--out", tmp_path / "x"])
+            err = capsys.readouterr().err
+            assert code == 0 and not err or code == 1 and err.count("\n") == 1, (case, argv, err)
+    # every non-UTF-8 flip is refused, and so is every cut inside a record
+    assert refused >= len(raw) + len(raw) - 2 * len(records)
+
+
+def test_signature_line_nested_past_the_json_parser_depth_fails_on_its_line(tmp_path, capsys):
+    # json.loads raises RecursionError, not ValueError, on deep nesting
+    bad = tmp_path / "deep.jsonl"
+    bad.write_text("\n" + "[" * 100_000 + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(bad))}:2: maximum recursion depth"):
+        read_signatures_jsonl(bad)
+    capsys.readouterr()
+    assert run(["reduce", "--signatures", bad, "--m", "1", "--out", tmp_path / "x"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:2: ") and err.count("\n") == 1
 
 
 @pytest.fixture(scope="module")

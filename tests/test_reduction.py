@@ -137,6 +137,38 @@ def test_batched_top_m_ties_and_m_one():
         SignatureTable.of({"tied": table["tied"], "raw": sig({1: 2.0}, normalize=False)})
 
 
+def _cut_weights_row_by_row(table, m):
+    """``cut_table``'s weights as a Python loop normalises them: each cut
+    row divided in place by ``math.sqrt(seg.dot(seg))``."""
+    nnz = np.diff(table.indptr)
+    weights = table.weights[top_m(np.repeat(np.arange(len(nnz)), nnz), table.weights, m)]
+    bounds = np.concatenate(([0], np.cumsum(np.minimum(nnz, m)))).tolist()
+    for i in np.flatnonzero(nnz > m).tolist():
+        seg = weights[bounds[i] : bounds[i + 1]]
+        seg /= math.sqrt(seg.dot(seg))
+    return weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n_sigs=st.integers(min_value=0, max_value=12),
+    m=st.sampled_from([1, 2, 10, 16, 40]),
+)
+def test_cut_table_normalises_each_cut_row_bit_for_bit_as_a_row_loop(seed, n_sigs, m):
+    # distinct weights over many magnitudes, rows both shorter and longer than m
+    rng = np.random.default_rng(seed)
+    sigs = {}
+    for i in range(n_sigs):
+        n = int(rng.integers(1, 2 * m + 3))
+        weights = rng.uniform(0.05, 1.0, n) * 10.0 ** rng.integers(-3, 4, n)
+        sigs[f"o{i}"] = sig(dict(zip(rng.choice(200, n, replace=False).tolist(),
+                                     weights.tolist())))
+    table = SignatureTable.of(sigs)
+    got = cut_table(table, m).weights.tolist()
+    assert [w.hex() for w in got] == [w.hex() for w in _cut_weights_row_by_row(table, m).tolist()]
+
+
 @st.composite
 def _tables(draw):
     """Spatial signatures over anchors 0..29 by id, a few weight levels

@@ -222,6 +222,18 @@ def test_calibrate_trace_matches_plain_python_reference(cells, fixes, metric):
     assert trace.anchor_ids.dtype == trace.t.dtype == np.int64
 
 
+def test_raw_point_is_its_plain_tuple():
+    p = RawPoint(116.25, 39.5, 1_600_000_000)
+    assert p == (116.25, 39.5, 1_600_000_000) and hash(p) == hash((116.25, 39.5, 1_600_000_000))
+    assert {p, (116.25, 39.5, 1_600_000_000)} == {p}
+    lon, lat, t = p
+    assert (lon, lat, t) == (p.lon, p.lat, p.t) == (116.25, 39.5, 1_600_000_000)
+    assert repr(p) == "RawPoint(lon=116.25, lat=39.5, t=1600000000)"
+    assert p != RawPoint(116.25, 39.5, 1_600_000_001)
+    with pytest.raises(AttributeError):
+        p.t = 0
+
+
 def test_stable_time_sort_keeps_input_order_of_equal_timestamps(anchors100):
     raw = [RawPoint(5.0, 0.0, 20), RawPoint(3.0, 0.0, 10), RawPoint(4.0, 0.0, 10)]
     trace = calibrate_trace("o", raw, anchors100)
