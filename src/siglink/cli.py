@@ -54,6 +54,7 @@ from .traces import (
     SplitResult,
     SplitStrategy,
     Trace,
+    _utf8_text,
     calibrate_trace,
     filter_min_points,
     read_anchor_csv,
@@ -64,7 +65,7 @@ from .traces import (
     write_csv,
     write_trace_csv,
 )
-from .wrtree import bulk_load, insert, load_index, save_index, validate
+from .wrtree import bulk_load, load_index, save_index, validate
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -81,11 +82,14 @@ _CAPTURED_KEYS = {"verb", "index-verb"}
 
 def _config_flags(path: str) -> list[str]:
     """The `key = value` lines of a config file as `--key=value` flags."""
-    p = Path(path)
-    if not p.exists():
+    if not Path(path).exists():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = _utf8_text(path)
+    except ValueError as exc:  # names the file and line
+        raise ConfigError(str(exc)) from None
     flags = []
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -351,18 +355,6 @@ def _cmd_index_build(args: argparse.Namespace) -> None:
     path = out / "index.bin"
     save_index(tree, path)
     print(f"built index over {tree.n_objects} objects in {build_s:.3f}s -> {path}")
-
-
-def _cmd_index_insert(args: argparse.Namespace) -> None:
-    out = _out_dir(args)
-    anchors = read_anchor_csv(args.anchors) if args.anchors else None
-    tree = load_index(args.index)
-    entries = _index_entries(_read_signatures(args.signatures, args, anchors), anchors, None)
-    for entry in entries:
-        insert(tree, entry)
-    path = out / "index.bin"
-    save_index(tree, path)
-    print(f"inserted {len(entries)} objects; index now holds {tree.n_objects} -> {path}")
 
 
 def _cmd_index_validate(args: argparse.Namespace) -> None:
@@ -687,16 +679,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signatures", required=True)
     p.add_argument("--m", type=_POSITIVE, required=True)
 
-    p = subparsers.add_parser("index", help="build, extend, or check an index")
+    p = subparsers.add_parser("index", help="build or check an index")
     index_sub = p.add_subparsers(dest="index_verb", required=True)
     b = _verb(index_sub, "build", _cmd_index_build)
     b.add_argument("--signatures", required=True)
     b.add_argument("--anchors", default=None)
     b.add_argument("--capacity", type=_CAPACITY, default=32)
-    i = _verb(index_sub, "insert", _cmd_index_insert)
-    i.add_argument("--index", required=True)
-    i.add_argument("--signatures", required=True)
-    i.add_argument("--anchors", default=None)
     v = _verb(index_sub, "validate", _cmd_index_validate, out=False)
     v.add_argument("--index", required=True)
 

@@ -52,7 +52,6 @@ class LinkingRun:
     excluded_queries: list[str]
     excluded_references: list[str]
     reference_ids: set[str]
-    rerank_m: int | None = None
 
 
 def reference_signatures(
@@ -273,7 +272,6 @@ def rerank(
             rescored.append((cand, _leaf_sim(q_map, c_sig)))
         rescored.sort(key=lambda pair: -pair[1])
         new_results[oid] = rescored
-    rerank_m = next(iter(reference_sigs.values())).reduced_m if reference_sigs else None
     return LinkingRun(
         engine=run.engine,
         k=run.k,
@@ -283,7 +281,6 @@ def rerank(
         excluded_queries=list(run.excluded_queries),
         excluded_references=list(run.excluded_references),
         reference_ids=set(run.reference_ids),
-        rerank_m=rerank_m,
     )
 
 
@@ -444,7 +441,6 @@ def write_metrics_json(path: str | Path, run: LinkingRun) -> dict:
         "engine": run.engine,
         "k": run.k,
         "m": run.reduced_m,
-        "rerank_m": run.rerank_m,
         "acc": {str(kk): acc for kk, acc in accuracies(run).items()},
         "timings": run.timings,
         "n_queries": len(run.results),

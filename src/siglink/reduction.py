@@ -105,7 +105,8 @@ def cut_table(sigs: SignatureTable, m: int) -> SignatureTable:
     kept as it is. A cut row is divided by its own ``sqrt(w.dot(w))``, as
     ``np.linalg.norm`` computes it, so it is bit-identical to cutting it
     alone; ``np.vecdot`` runs that same dot routine on each row of the
-    ``(n_cut, m)`` block."""
+    ``(n_cut, m)`` block. The result is a plain table: no row records the m
+    it was cut to, which a linking run keeps once (``LinkingRun.reduced_m``)."""
     if m < 1:
         raise ValueError("m must be >= 1")
     nnz = np.diff(sigs.indptr)
@@ -115,8 +116,7 @@ def cut_table(sigs: SignatureTable, m: int) -> SignatureTable:
     at = indptr[:-1][nnz > m, None] + np.arange(m)
     block = weights[at]
     weights[at] = block / np.sqrt(np.vecdot(block, block))[:, None]
-    reduced_m = np.where(nnz > m, m, sigs.reduced_m)
-    return SignatureTable(sigs.kind, sigs.ids, indptr, sigs.dims[keep], weights, reduced_m)
+    return SignatureTable(sigs.kind, sigs.ids, indptr, sigs.dims[keep], weights)
 
 
 def cut_reduce(sig: Signature, m: int) -> Signature:

@@ -40,7 +40,6 @@ class Signature:
     weights: np.ndarray
     kind: str
     normalized: bool
-    reduced_m: int | None = None
     _pairs: list[tuple[int, float]] | None = field(default=None, repr=False, compare=False)
     _dim_set: frozenset[int] | None = field(default=None, repr=False, compare=False)
 
@@ -113,17 +112,15 @@ def _indptr(nnz) -> np.ndarray:
 @dataclass(eq=False)
 class SignatureTable(Mapping[str, Signature]):
     """Normalized signatures of one kind as CSR arrays, one row per object:
-    row ``i`` holds ``dims[indptr[i]:indptr[i + 1]]``, the same slice of
-    ``weights``, and the m of its top-m cut in ``reduced_m[i]`` (0: never
-    cut). ``ids`` are unique, in row order; ``kind`` is None only with no
-    rows. As a mapping it gives each row by id as a ``Signature`` view."""
+    row ``i`` holds ``dims[indptr[i]:indptr[i + 1]]`` and the same slice of
+    ``weights``. ``ids`` are unique, in row order; ``kind`` is None only with
+    no rows. As a mapping it gives each row by id as a ``Signature`` view."""
 
     kind: str | None
     ids: list[str]
     indptr: np.ndarray
     dims: np.ndarray
     weights: np.ndarray
-    reduced_m: np.ndarray
 
     def __post_init__(self) -> None:
         self._row = {oid: i for i, oid in enumerate(self.ids)}
@@ -137,8 +134,7 @@ class SignatureTable(Mapping[str, Signature]):
     def __getitem__(self, object_id: str) -> Signature:
         i = self._row[object_id]
         at = slice(self.indptr[i], self.indptr[i + 1])
-        return Signature(self.dims[at], self.weights[at], self.kind, True,
-                         int(self.reduced_m[i]) or None)
+        return Signature(self.dims[at], self.weights[at], self.kind, True)
 
     @classmethod
     def of(cls, sigs: Mapping[str, Signature]) -> SignatureTable:
@@ -156,8 +152,7 @@ class SignatureTable(Mapping[str, Signature]):
                 raise ValueError(f"signature kind mismatch: {sig.kind!r} vs {kind!r}")
         dims = np.concatenate([np.empty(0, dtype=np.int64), *(sig.dims for sig in rows)])
         weights = np.concatenate([np.empty(0), *(sig.weights for sig in rows)])
-        reduced_m = np.array([sig.reduced_m or 0 for sig in rows], dtype=np.int64)
-        return cls(kind, list(sigs), _indptr([sig.nnz() for sig in rows]), dims, weights, reduced_m)
+        return cls(kind, list(sigs), _indptr([sig.nnz() for sig in rows]), dims, weights)
 
     @classmethod
     def from_rows(
@@ -170,8 +165,8 @@ class SignatureTable(Mapping[str, Signature]):
         kept = np.zeros(len(object_ids), dtype=bool)
         kept[list({object_ids[i]: i for i in np.flatnonzero(nnz).tolist()}.values())] = True
         ids = [object_ids[i] for i in np.flatnonzero(kept).tolist()]
-        at, reduced_m = kept[rows], np.zeros(len(ids), dtype=np.int64)
-        table = cls(kind, ids, _indptr(nnz[kept]), dims[at], weights[at], reduced_m)
+        at = kept[rows]
+        table = cls(kind, ids, _indptr(nnz[kept]), dims[at], weights[at])
         return table, [object_ids[i] for i in np.flatnonzero(nnz == 0).tolist()]
 
 
@@ -488,13 +483,11 @@ def emd_similarity(a: TemporalHistogram, b: TemporalHistogram) -> float:
 _RECORD_KEYS = ("object_id", "kind", "normalized", "sig")
 
 
-def check_row(dims: np.ndarray, weights: np.ndarray, reduced_m: int | None) -> None:
+def check_row(dims: np.ndarray, weights: np.ndarray) -> None:
     """Refuse, naming the rule, a signature row that breaks what cosine
     scores and the bounds rely on: dims non-negative and strictly increasing,
-    weights finite and > 0, unit norm within ``NORM_TOL``, and a ``reduced_m``
-    of None or an int in 1 .. 2**31 - 1. Both signature file readers call it."""
-    if not (reduced_m is None or (type(reduced_m) is int and 1 <= reduced_m < 2**31)):
-        raise ValueError(f"reduced_m must be null or an integer in 1 .. {2**31 - 1}")
+    weights finite and > 0, and unit norm within ``NORM_TOL``. Both signature
+    file readers call it."""
     if (dims < 0).any() or (np.diff(dims) <= 0).any():
         raise ValueError("dims must be non-negative and strictly increasing")
     if not (np.isfinite(weights) & (weights > 0.0)).all():
@@ -507,11 +500,12 @@ def check_row(dims: np.ndarray, weights: np.ndarray, reduced_m: int | None) -> N
 def signature_from_record(record: Mapping) -> tuple[str, Signature]:
     """A signature read back from its record: an object with keys
     ``_RECORD_KEYS``, a string kind, marked normalized, and a list of [dim,
-    weight] pairs whose row passes ``check_row``. Raises ``ValueError`` for
-    a record that breaks any of these."""
+    weight] pairs whose row passes ``check_row``. Other keys, such as the
+    per-row cut m that older files carry, are ignored. Raises ``ValueError``
+    for a record that breaks any of these."""
     if not isinstance(record, dict) or any(key not in record for key in _RECORD_KEYS):
         raise ValueError(f"a signature record is an object with keys {', '.join(_RECORD_KEYS)}")
-    pairs, normalized, reduced_m = record["sig"], record["normalized"], record.get("reduced_m")
+    pairs, normalized = record["sig"], record["normalized"]
     if not (isinstance(record["kind"], str) and isinstance(normalized, bool)):
         raise ValueError("a signature record needs a string kind and a true/false normalized flag")
     if not isinstance(pairs, list) or not all(
@@ -527,8 +521,8 @@ def signature_from_record(record: Mapping) -> tuple[str, Signature]:
     object_id = str(record["object_id"])
     if not normalized:  # top-m cuts, cosine scores and the bounds need unit vectors
         raise ValueError(f"signature of {object_id!r} is not normalized")
-    check_row(dims, weights, reduced_m)
-    return object_id, Signature(dims, weights, record["kind"], True, reduced_m)
+    check_row(dims, weights)
+    return object_id, Signature(dims, weights, record["kind"], True)
 
 
 def write_signatures_jsonl(path: str | Path, sigs: Mapping[str, Signature]) -> None:
@@ -537,7 +531,7 @@ def write_signatures_jsonl(path: str | Path, sigs: Mapping[str, Signature]) -> N
         for object_id in sorted(sigs):
             sig = sigs[object_id]
             record = {"object_id": object_id, "kind": sig.kind, "normalized": sig.normalized,
-                      "reduced_m": sig.reduced_m, "sig": sig.pairs()}
+                      "sig": sig.pairs()}
             fh.write(json.dumps(record) + "\n")
 
 
@@ -546,8 +540,9 @@ def read_signatures_jsonl(path: str | Path) -> SignatureTable:
     order. A line that is not a valid record (see ``signature_from_record``),
     whose kind is not the first record's, or whose id an earlier line holds
     raises ``ValueError`` naming the file and line, as do bytes that are not
-    UTF-8."""
+    UTF-8 and a file with no record, at its last line."""
     sigs: dict[str, Signature] = {}
+    lineno = 1
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -567,4 +562,6 @@ def read_signatures_jsonl(path: str | Path) -> SignatureTable:
     except UnicodeDecodeError:
         _utf8_text(path)  # raises the ValueError naming the line
         raise
+    if not sigs:
+        raise ValueError(f"{path}:{lineno}: no signature record")
     return SignatureTable.of(sigs)

@@ -33,7 +33,7 @@ IndexEntry = tuple[str, Signature, Mbr]
 KnnResult = list[tuple[str, float]]
 
 _INDEX_MAGIC = b"SIGLINKIDX"
-_INDEX_VERSION = 2
+_INDEX_VERSION = 3
 
 
 def aggregate_signatures(sigs: Sequence[Signature]) -> Signature:
@@ -234,18 +234,20 @@ def _check_normalized(object_id: str, sig: Signature) -> None:
 
 def bulk_load(objects: Sequence[IndexEntry], capacity: int = DEFAULT_CAPACITY) -> WrTree:
     """Build a weighted tree bottom-up with STR tiling and greedy packing.
-    Every signature must be normalized; one that is not raises
-    ``ValueError`` naming its object."""
+    Every signature must be normalized, or ``ValueError`` names its object,
+    and all must be of one kind, as ``insert`` requires."""
     if capacity < 2:
         raise ValueError("node capacity must be >= 2")
     ids = [o[0] for o in objects]
     if len(set(ids)) != len(ids):
         raise ValueError("object ids must be unique")
-    for object_id, sig, _ in objects:
-        _check_normalized(object_id, sig)
     if not objects:
         return WrTree(None, capacity, None, 0)
     kind = objects[0][1].kind
+    for object_id, sig, _ in objects:
+        _check_normalized(object_id, sig)
+        if sig.kind != kind:
+            raise ValueError(f"signature kind mismatch: {sig.kind!r} vs {kind!r}")
     nodes: list[WrNode] = [WrNode.leaf(i, s, m) for i, s, m in objects]
     while True:
         nodes = _str_level(nodes, capacity)
@@ -561,19 +563,19 @@ def validate(tree: WrTree) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Serialization, format v2, little-endian: the magic, the header and the
+# Serialization, format v3, little-endian: the magic, the header and the
 # kind; each node's child count in pre-order, 0 marking a leaf; the leaves in
-# that order as one signature table (id lengths, UTF-8 ids, indptr, dims,
-# weights, and reduced_m, -1 where never cut); their rectangles as an n x 4
-# float64 array; a CRC32 of every byte before it. Internal nodes are derived.
+# that order as one signature table (id lengths, UTF-8 ids, indptr, dims and
+# weights); their rectangles as an n x 4 float64 array; a CRC32 of every byte
+# before it. Internal nodes are derived. v2 held a per-leaf cut m after the
+# weights; v1 had no checksum. Both are refused.
 
 # after the magic: version, capacity, n_objects, node count, kind length
 _HEADER = struct.Struct("<HIQQH")
-_NOT_CUT = -1  # a leaf row's reduced_m in the file when the row was never cut
 
 
 def save_index(tree: WrTree, path: str | Path) -> None:
-    """Write ``tree`` in format v2. A leaf whose signature is not normalized
+    """Write ``tree`` in format v3. A leaf whose signature is not normalized
     raises ``ValueError`` naming its object."""
     nodes = [node for node, _ in _nodes(tree.root)]
     leaves = [node for node in nodes if node.is_leaf]
@@ -589,7 +591,6 @@ def save_index(tree: WrTree, path: str | Path) -> None:
         _indptr([sig.nnz() for sig in sigs]).astype("<i8"),
         np.concatenate([np.empty(0, "<i8"), *(sig.dims for sig in sigs)]).astype("<i8"),
         np.concatenate([np.empty(0, "<f8"), *(sig.weights for sig in sigs)]).astype("<f8"),
-        np.array([_NOT_CUT if sig.reduced_m is None else sig.reduced_m for sig in sigs], "<i8"),
         np.array([astuple(leaf.mbr) for leaf in leaves], "<f8"),
     ]
     head = _HEADER.pack(_INDEX_VERSION, tree.capacity, tree.n_objects, len(nodes), len(kind))
@@ -600,17 +601,17 @@ def save_index(tree: WrTree, path: str | Path) -> None:
 def load_index(path: str | Path) -> WrTree:
     """Read a tree written by ``save_index``, rebuilding each internal node
     from its children by ``WrNode.internal``. A file without the magic, or of
-    another version, is refused. A checksum mismatch, a section that runs past
-    the end, child counts that do not form one tree, a repeated id, a leaf
-    row that breaks ``check_row`` or whose rectangle ``Mbr`` refuses, or a
-    shape that breaks a ``_shape_problems`` rule raises
-    ``ValueError("corrupt index: ...")``."""
+    a version other than v3 (v1 and v2 included), is refused. A checksum
+    mismatch, a section that runs past the end, child counts that do not form
+    one tree, a repeated id, a leaf row that breaks ``check_row`` or whose
+    rectangle ``Mbr`` refuses, or a shape that breaks a ``_shape_problems``
+    rule raises ``ValueError("corrupt index: ...")``."""
     raw = Path(path).read_bytes()
     if not raw.startswith(_INDEX_MAGIC):
         raise ValueError(f"{path} is not a siglink index file")
     at = len(_INDEX_MAGIC)
     version = int.from_bytes(raw[at : at + 2], "little")
-    if version < _INDEX_VERSION:  # the formats before v2 carry no checksum
+    if version < _INDEX_VERSION:  # refused before the checksum, which v1 lacks
         raise ValueError(f"unsupported index version {version}")
     if zlib.crc32(raw[:-4]) != int.from_bytes(raw[-4:], "little"):
         raise ValueError("corrupt index: checksum mismatch")
@@ -651,20 +652,17 @@ def _parse_index(buf: memoryview) -> WrTree:
         raise ValueError("corrupt index: indptr does not ascend from 0")
     dims = take(int(indptr[-1]), "<i8", "dims")
     weights = take(int(indptr[-1]), "<f8", "weights")
-    reduced_m = take(n, "<i8", "reduced_m")
     boxes = take(4 * n, "<f8", "rectangles").reshape(n, 4)
     if off != len(buf):
         raise ValueError("corrupt index: bytes left after the rectangles")
 
-    table = SignatureTable(kind, ids, indptr, dims, weights, np.maximum(reduced_m, 0))
-    suspect = _suspect_rows(table, reduced_m).tolist()
+    table = SignatureTable(kind, ids, indptr, dims, weights)
+    suspect = _suspect_rows(table).tolist()
     leaves = []
-    for (object_id, sig), m, box, check in zip(
-        table.items(), reduced_m.tolist(), boxes.tolist(), suspect
-    ):
+    for (object_id, sig), box, check in zip(table.items(), boxes.tolist(), suspect):
         try:
             if check:
-                check_row(sig.dims, sig.weights, None if m == _NOT_CUT else m)
+                check_row(sig.dims, sig.weights)
             leaves.append(WrNode.leaf(object_id, sig, Mbr(*box)))
         except ValueError as exc:
             raise ValueError(f"corrupt index: leaf {object_id!r}: {exc}") from None
@@ -675,21 +673,20 @@ def _parse_index(buf: memoryview) -> WrTree:
     return WrTree(root, capacity, kind, n_objects, ids=set(ids))
 
 
-def _suspect_rows(table: SignatureTable, reduced_m: np.ndarray) -> np.ndarray:
+def _suspect_rows(table: SignatureTable) -> np.ndarray:
     """Which rows of a loaded leaf table ``check_row`` might refuse, found by
-    its rules run once over the table's arrays; ``reduced_m`` is as stored.
-    Every row ``check_row`` would refuse is flagged. The norms here are
-    summed in another order than ``check_row``'s, so a row whose norm is off
-    by more than half of ``NORM_TOL`` is flagged, and ``check_row`` decides
-    every row near the limit."""
+    its rules run once over the table's arrays. Every row ``check_row`` would
+    refuse is flagged. The norms here are summed in another order than
+    ``check_row``'s, so a row whose norm is off by more than half of
+    ``NORM_TOL`` is flagged, and ``check_row`` decides every row near the
+    limit."""
     n, dims, weights = len(table), table.dims, table.weights
     row = np.repeat(np.arange(n), np.diff(table.indptr))
     bad = (dims < 0) | ~(np.isfinite(weights) & (weights > 0.0))
     bad[1:] |= (dims[1:] <= dims[:-1]) & (row[1:] == row[:-1])
     with np.errstate(over="ignore"):  # an overflowing weight is flagged through its norm
         norm = np.sqrt(np.bincount(row, weights=weights * weights, minlength=n))
-    cut_ok = (reduced_m == _NOT_CUT) | ((reduced_m >= 1) & (reduced_m < 2**31))
-    return (np.bincount(row[bad], minlength=n) > 0) | ~(abs(norm - 1.0) <= NORM_TOL / 2) | ~cut_ok
+    return (np.bincount(row[bad], minlength=n) > 0) | ~(abs(norm - 1.0) <= NORM_TOL / 2)
 
 
 def _tree_of(counts: list[int], leaves: list[WrNode]) -> WrNode | None:

@@ -15,7 +15,7 @@ from siglink.synth import generate_synthetic
 from siglink.traces import SplitStrategy, Trace, read_trace_csv, split_dataset, write_trace_csv
 from siglink.wrtree import load_index, save_index
 
-from testkit import edit_index_leaf
+from testkit import edit_index_leaf, reseal_index
 
 
 def run(args):
@@ -124,8 +124,7 @@ def test_full_verb_chain(tmp_path):
     assert run(["reduce", "--out", base / "rd", "--signatures", base / "sd/signatures.jsonl",
                 "--m", "10"]) == 0
     reduced = (base / "rd/signatures.jsonl").read_text().splitlines()
-    assert all(json.loads(line)["reduced_m"] == 10 or len(json.loads(line)["sig"]) <= 10
-               for line in reduced)
+    assert all(len(json.loads(line)["sig"]) <= 10 for line in reduced)
     assert run(["index", "build", "--out", base / "idx",
                 "--signatures", base / "rd/signatures.jsonl",
                 "--anchors", base / "anchors.csv"]) == 0
@@ -318,35 +317,23 @@ def test_link_sequential_signatures_with_anchors(tmp_path, sequential_run):
 
 def test_index_sequential_signatures(tmp_path, sequential_run):
     p = sequential_run
-    lines = (p / "signatures_d.jsonl").read_text().splitlines(keepends=True)
-    (tmp_path / "first.jsonl").write_text("".join(lines[:40]))
-    (tmp_path / "extra.jsonl").write_text("".join(lines[40:]))
-    assert run(["index", "build", "--signatures", tmp_path / "first.jsonl", "--capacity", "4",
+    lines = (p / "signatures_d.jsonl").read_text().splitlines()
+    assert run(["index", "build", "--signatures", p / "signatures_d.jsonl", "--capacity", "4",
                 "--anchors", p / "anchors.csv", "--out", tmp_path / "idx"]) == 0
-    assert run(["index", "insert", "--index", tmp_path / "idx/index.bin",
-                "--signatures", tmp_path / "extra.jsonl", "--anchors", p / "anchors.csv",
-                "--out", tmp_path / "idx2"]) == 0
-    tree = load_index(tmp_path / "idx2/index.bin")
+    tree = load_index(tmp_path / "idx/index.bin")
     assert tree.kind == "sequential:q=2" and tree.n_objects == len(lines)
-    assert run(["index", "validate", "--index", tmp_path / "idx2/index.bin"]) == 0
+    assert run(["index", "validate", "--index", tmp_path / "idx/index.bin"]) == 0
 
 
 def test_index_build_without_anchors_equals_with_them_on_sequential(tmp_path, sequential_run):
     # --anchors boxes only spatial signatures; every other kind gets one
     # point, so the flag is optional and changes nothing here
     p = sequential_run
-    lines = (p / "signatures_d.jsonl").read_text().splitlines(keepends=True)
-    (tmp_path / "first.jsonl").write_text("".join(lines[:40]))
-    (tmp_path / "extra.jsonl").write_text("".join(lines[40:]))
     for name, anchors in (("with", ["--anchors", p / "anchors.csv"]), ("without", [])):
-        assert run(["index", "build", "--signatures", tmp_path / "first.jsonl", *anchors,
+        assert run(["index", "build", "--signatures", p / "signatures_d.jsonl", *anchors,
                     "--capacity", "4", "--out", tmp_path / name]) == 0
-        assert run(["index", "insert", "--index", tmp_path / name / "index.bin",
-                    "--signatures", tmp_path / "extra.jsonl", *anchors,
-                    "--out", tmp_path / f"{name}-grown"]) == 0
-    for built in ("", "-grown"):
-        assert (tmp_path / f"with{built}/index.bin").read_bytes() == (
-            tmp_path / f"without{built}/index.bin").read_bytes()
+    assert (tmp_path / "with/index.bin").read_bytes() == (
+        tmp_path / "without/index.bin").read_bytes()
 
 
 def test_link_rejects_unnormalized_signature(tmp_path, capsys):
@@ -399,9 +386,10 @@ def test_hand_edited_index_leaf_fails_validation(tmp_path, capsys):
     assert run(["index", "build", "--out", base / "idx", "--signatures",
                 base / "s/signatures.jsonl", "--anchors", base / "anchors.csv"]) == 0
     path = base / "idx/index.bin"
+    built = path.read_bytes()
     oid = json.loads((base / "s/signatures.jsonl").read_text().splitlines()[0])["object_id"]
     # a leaf weight below 0 under a resealed checksum: the row rules refuse it
-    edit_index_leaf(path, oid, lambda dims, weights, reduced_m, box: weights.__setitem__(0, -0.5))
+    edit_index_leaf(path, oid, lambda dims, weights, box: weights.__setitem__(0, -0.5))
     capsys.readouterr()
     assert run(["index", "validate", "--index", path]) == 1
     assert capsys.readouterr() == (
@@ -410,21 +398,15 @@ def test_hand_edited_index_leaf_fails_validation(tmp_path, capsys):
     path.write_bytes(b"SIGLINKIDX" + struct.pack("<HIQBH", 1, 32, 0, 1, 0))
     assert run(["index", "validate", "--index", path]) == 1
     assert capsys.readouterr().err == "error: unsupported index version 1\n"
-
-
-def test_index_insert_grows_index(tmp_path):
-    base = tmp_path
-    assert run(["synth", "--out", base, "--n-objects", "40", "--n-anchors", "300",
-                "--points", "60", "--seed", "4"]) == 0
-    assert run(["signature", "--out", base / "s", "--traces", base / "traces.csv"]) == 0
-    sigs = (base / "s/signatures.jsonl").read_text().splitlines()
-    (base / "first.jsonl").write_text("\n".join(sigs[:30]) + "\n")
-    (base / "extra.jsonl").write_text("\n".join(sigs[30:]) + "\n")
-    assert run(["index", "build", "--out", base / "idx", "--signatures", base / "first.jsonl",
-                "--anchors", base / "anchors.csv"]) == 0
-    assert run(["index", "insert", "--out", base / "idx2", "--index", base / "idx/index.bin",
-                "--signatures", base / "extra.jsonl", "--anchors", base / "anchors.csv"]) == 0
-    assert run(["index", "validate", "--index", base / "idx2/index.bin"]) == 0
+    # a format v2 file: the same tree with a per-leaf cut m (-1: never cut)
+    # before the n rectangles, under a whole checksum
+    n = len((base / "s/signatures.jsonl").read_text().splitlines())
+    at = len(built) - 4 - n * 32
+    v2 = bytearray(built[:at] + np.full(n, -1, "<i8").tobytes() + built[at:])
+    v2[10:12] = (2).to_bytes(2, "little")
+    path.write_bytes(reseal_index(v2))
+    assert run(["index", "validate", "--index", path]) == 1
+    assert capsys.readouterr() == ("", "error: unsupported index version 2\n")
 
 
 def test_closure_verb(tmp_path):
@@ -506,13 +488,8 @@ def test_captured_config_reloads(tmp_path):
     reloads("sig-st", ["signature"], "--traces", halves / "q.csv", "--kind", "spatiotemporal",
             "--dt", 8, "--grid", 20, "--anchors", syn / "anchors.csv", "--utc-offset", -5)
     rd = reloads("reduce", ["reduce"], "--signatures", sd / "signatures.jsonl", "--m", 10)
-    lines = (rd / "signatures.jsonl").read_text().splitlines(keepends=True)
-    (tmp_path / "first.jsonl").write_text("".join(lines[:20]))
-    (tmp_path / "extra.jsonl").write_text("".join(lines[20:]))
-    built = reloads("built", ["index", "build"], "--signatures", tmp_path / "first.jsonl",
-                    "--anchors", syn / "anchors.csv")
-    reloads("insert", ["index", "insert"], "--index", built / "index.bin",
-            "--signatures", tmp_path / "extra.jsonl", "--anchors", syn / "anchors.csv")
+    reloads("built", ["index", "build"], "--signatures", rd / "signatures.jsonl",
+            "--anchors", syn / "anchors.csv")
     qd = reloads("link-qd", ["link"], "--queries", sq / "signatures.jsonl",
                  "--references", sd / "signatures.jsonl", "--anchors", syn / "anchors.csv",
                  "--m", 10, "--k", 3, "--capacity", 5)
@@ -533,6 +510,23 @@ def test_bad_config_value_exits_2(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("m = lots\n")
     assert run(["--config", cfg, "pipeline", "--synthetic", "n=20", "--out", tmp_path / "x"]) == 2
+
+
+# (case, config file bytes, the error after "config error: FILE:")
+BAD_CONFIGS = [
+    ("not-key-value", b"synthetic = n=20\nengine linear\n", "2: expected 'key = value'"),
+    ("not-utf8", b"synthetic = n=20\r\nengine = lin\xffear\n", "2: not UTF-8"),
+]
+
+
+@pytest.mark.parametrize("text,error", [c[1:] for c in BAD_CONFIGS],
+                         ids=[c[0] for c in BAD_CONFIGS])
+def test_bad_config_file_exits_2_naming_file_and_line(tmp_path, capsys, text, error):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(text)
+    capsys.readouterr()
+    assert run(["--config", cfg, "pipeline", "--out", tmp_path / "x"]) == 2
+    assert capsys.readouterr().err == f"config error: {cfg}:{error}\n"
 
 
 def test_no_verb_prints_help(capsys):
@@ -766,9 +760,9 @@ MALFORMED = [
     ("weight-text", "signatures", _first_pair(weight="1")),
     ("normalized-off-norm", "signatures", _pairs(lambda p: [[d, 3.0 * w] for d, w in p])),
     ("normalized-not-bool", "signatures", _with("normalized", "yes")),
-    ("reduced-m-zero", "signatures", _with("reduced_m", 0)),
-    ("reduced-m-negative", "index-signatures", _with("reduced_m", -4)),
-    ("reduced-m-beyond-int32", "index-signatures", _with("reduced_m", 3_000_000_000)),
+    ("no-record", "signatures", lambda d: ""),
+    ("blank-lines-only", "reduce-signatures", lambda d: "\n \n"),
+    ("index-no-record", "index-signatures", lambda d: ""),
     ("trace-rows-out-of-time-order", "traces", _first_rows_swapped),
     ("id-repeated", "signatures", _first_record_repeated),
     ("reduce-not-normalized", "reduce-signatures", _with("normalized", False)),
@@ -848,6 +842,7 @@ def test_cut_or_byte_flipped_signature_jsonl_fails_on_a_named_line_or_reads_vali
     # signature files refuse it naming file:line, or every row it reads is
     # one the readers' row rules accept. An uncaught exception fails the test.
     good = tmp_path / "sigs.jsonl"
+    # records as older files hold them, with a reduced_m key the reader ignores
     records = [
         {"object_id": "a", "kind": "spatial", "normalized": True, "reduced_m": None,
          "sig": [[0, 0.6], [2, 0.8]]},
@@ -881,7 +876,7 @@ def test_cut_or_byte_flipped_signature_jsonl_fails_on_a_named_line_or_reads_vali
             continue
         for oid in table:
             row = table[oid]
-            check_row(row.dims, row.weights, row.reduced_m)
+            check_row(row.dims, row.weights)
         for argv in commands:
             capsys.readouterr()
             code = run([*argv, "--out", tmp_path / "x"])
@@ -911,7 +906,7 @@ def three_anchors(tmp_path_factory):
     (base / "anchors.csv").write_text("anchor_id,lon,lat\n0,0.0,0.0\n1,1.0,0.0\n2,0.0,1.0\n")
     rows = [f"{oid},{a},{86400 * day}" for oid in "abc" for day, a in enumerate([0, 1, 2, 1])]
     (base / "traces.csv").write_text("object_id,anchor_id,timestamp\n" + "\n".join(rows) + "\n")
-    records = [{"object_id": oid, "kind": "spatial", "normalized": True, "reduced_m": None,
+    records = [{"object_id": oid, "kind": "spatial", "normalized": True,
                 "sig": [[i, 0.6], [2, 0.8]]} for i, oid in enumerate("ab")]
     (base / "sigs.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
     assert run(["index", "build", "--signatures", base / "sigs.jsonl",
@@ -945,8 +940,6 @@ OUT_OF_RANGE = [
      _NAMED),
     ("index-build", "signatures", [[3, 1.0]],
      ["index", "build", "--signatures", "BAD", "--anchors", "A"], _NAMED),
-    ("index-insert", "signatures", [[3, 1.0]],
-     ["index", "insert", "--index", "I", "--signatures", "BAD", "--anchors", "A"], _NAMED),
 ]
 
 
@@ -962,7 +955,7 @@ def test_anchor_id_outside_anchor_set_exits_1(tmp_path, capsys, three_anchors, w
         record = {"object_id": "x", "kind": "spatial", "normalized": True, "sig": bad_record}
         bad.write_text((base / "sigs.jsonl").read_text() + json.dumps(record) + "\n")
     names = {"BAD": str(bad), "A": str(base / "anchors.csv"), "T": base / "traces.csv",
-             "S": base / "sigs.jsonl", "I": base / "idx/index.bin"}
+             "S": base / "sigs.jsonl"}
     capsys.readouterr()
     assert run([*(names.get(a, a) for a in argv), "--out", tmp_path / "x"]) == 1
     err = capsys.readouterr().err
@@ -982,15 +975,13 @@ def test_anchor_file_with_misplaced_id_exits_1(tmp_path, capsys, three_anchors):
 def test_index_refuses_unnormalized_signature_and_validate_reports_one(tmp_path, capsys,
                                                                       three_anchors):
     base = three_anchors
-    record = {"object_id": "u", "kind": "spatial", "normalized": False, "reduced_m": None,
-              "sig": [[0, 3.0]]}
+    record = {"object_id": "u", "kind": "spatial", "normalized": False, "sig": [[0, 3.0]]}
     bad = tmp_path / "bad.jsonl"
     bad.write_text(json.dumps(record) + "\n")
-    for argv in (["index", "build"], ["index", "insert", "--index", base / "idx/index.bin"]):
-        capsys.readouterr()
-        assert run([*argv, "--signatures", bad, "--anchors", base / "anchors.csv",
-                    "--out", tmp_path / "x"]) == 1
-        assert capsys.readouterr().err == f"error: {bad}:1: signature of 'u' is not normalized\n"
+    capsys.readouterr()
+    assert run(["index", "build", "--signatures", bad, "--anchors", base / "anchors.csv",
+                "--out", tmp_path / "x"]) == 1
+    assert capsys.readouterr().err == f"error: {bad}:1: signature of 'u' is not normalized\n"
     # save refuses such a leaf, and validate refuses a file row of another norm
     tree = load_index(base / "idx/index.bin")
     leaf = tree.root.children[0]
@@ -999,7 +990,7 @@ def test_index_refuses_unnormalized_signature_and_validate_reports_one(tmp_path,
         save_index(tree, tmp_path / "index.bin")
     (tmp_path / "index.bin").write_bytes((base / "idx/index.bin").read_bytes())
     edit_index_leaf(tmp_path / "index.bin", leaf.object_id,
-                    lambda dims, weights, reduced_m, box: np.multiply(weights, 3.0, out=weights))
+                    lambda dims, weights, box: np.multiply(weights, 3.0, out=weights))
     capsys.readouterr()
     assert run(["index", "validate", "--index", tmp_path / "index.bin"]) == 1
     out, err = capsys.readouterr()

@@ -37,7 +37,6 @@ def test_cut_hand_computed_renormalization():
     norm = math.sqrt(0.81 + 0.25)
     assert reduced.weights.tolist() == pytest.approx([0.9 / norm, 0.5 / norm], abs=1e-12)
     assert reduced.weights.tolist() == pytest.approx([0.874, 0.486], abs=1e-3)
-    assert reduced.reduced_m == 2
     assert reduced.normalized
 
 
@@ -85,11 +84,11 @@ def _cut_reduce_loop(s, m):
     order = np.lexsort((s.dims, -s.weights))[:m]
     resort = np.argsort(s.dims[order])
     dims, weights = s.dims[order][resort], s.weights[order][resort]
-    return Signature(dims, weights / np.linalg.norm(weights), s.kind, True, reduced_m=m)
+    return Signature(dims, weights / np.linalg.norm(weights), s.kind, True)
 
 
 def _hex(s):
-    return s.dims.tolist(), [w.hex() for w in s.weights.tolist()], s.reduced_m
+    return s.dims.tolist(), [w.hex() for w in s.weights.tolist()]
 
 
 @settings(max_examples=80, deadline=None)
@@ -115,9 +114,9 @@ def test_batched_top_m_equals_cut_reduce_row_by_row(seed, n_sigs, m, levels):
         b = batched[oid]
         assert _hex(b) == _hex(cut_reduce(s, m)) == _hex(_cut_reduce_loop(s, m))
         if s.nnz() <= m:
-            assert b.reduced_m is None and _hex(b) == _hex(s)
+            assert _hex(b) == _hex(s)
         else:
-            assert b.reduced_m == m and b.normalized
+            assert b.normalized
     # the mask form the closure uses keeps the same dims
     rows = np.repeat(np.arange(len(sigs)), [s.nnz() for s in sigs])
     keep = top_m(rows, table.weights, m)
@@ -172,15 +171,13 @@ def test_cut_table_normalises_each_cut_row_bit_for_bit_as_a_row_loop(seed, n_sig
 @st.composite
 def _tables(draw):
     """Spatial signatures over anchors 0..29 by id, a few weight levels
-    apart so that ties at the m-th weight are common, some already cut."""
+    apart so that ties at the m-th weight are common."""
     levels = draw(st.integers(1, 5))
     sigs = {}
     for i in range(draw(st.integers(0, 10))):
         dims = draw(st.lists(st.integers(0, 29), min_size=1, max_size=15, unique=True))
         raw = draw(st.lists(st.integers(1, levels), min_size=len(dims), max_size=len(dims)))
-        s = sig({d: w / levels for d, w in zip(dims, raw)})
-        s.reduced_m = draw(st.sampled_from([None, 40]))
-        sigs[f"o{i}"] = s
+        sigs[f"o{i}"] = sig({d: w / levels for d, w in zip(dims, raw)})
     return SignatureTable.of(sigs)
 
 
@@ -195,11 +192,10 @@ def test_cut_table_and_its_boxes_equal_the_per_row_oracle(table, m):
     boxes = anchor_boxes(_ORACLE_ANCHORS, cut.dims, cut.indptr[:-1]).tolist() if len(cut) else []
     for oid, box in zip(table, boxes):
         s = table[oid]
-        dims, weights, cut_m = top_m_row(s.dims.tolist(), s.weights.tolist(), m)
+        dims, weights = top_m_row(s.dims.tolist(), s.weights.tolist(), m)
         got = cut[oid]
         assert got.dims.tolist() == dims
         assert [w.hex() for w in got.weights.tolist()] == [w.hex() for w in weights.tolist()]
-        assert got.reduced_m == (s.reduced_m if cut_m is None else cut_m)
         assert Mbr(*box) == mbr_of_ids(dims, _ORACLE_ANCHORS)
 
 

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -419,7 +421,6 @@ def test_spatiotemporal_dims_are_cell_times_interval():
 def test_signature_jsonl_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     entries = [(f"o{i}", random_signature(rng, 8)) for i in range(5)]
-    entries[0][1].reduced_m = 8
     path = tmp_path / "sigs.jsonl"
     write_signatures_jsonl(path, dict(entries))
     back = read_signatures_jsonl(path)
@@ -428,7 +429,6 @@ def test_signature_jsonl_round_trip(tmp_path):
         assert np.array_equal(orig.dims, loaded.dims)
         assert np.array_equal(orig.weights, loaded.weights)  # full-precision floats
         assert orig.kind == loaded.kind
-        assert orig.reduced_m == loaded.reduced_m
 
 
 def test_signature_table_jsonl_round_trip_is_byte_identical(tmp_path):
@@ -443,10 +443,34 @@ def test_signature_table_jsonl_round_trip_is_byte_identical(tmp_path):
         # the table keeps trace order; the file lists ids in ascending order
         assert (back.kind, list(back)) == (table.kind, sorted(table))
         for oid, sig in table.items():
-            assert (back[oid].dims.tobytes(), back[oid].weights.tobytes(), back[oid].reduced_m) \
-                == (sig.dims.tobytes(), sig.weights.tobytes(), sig.reduced_m)
+            assert (back[oid].dims.tobytes(), back[oid].weights.tobytes()) \
+                == (sig.dims.tobytes(), sig.weights.tobytes())
+        for line in first.read_text().splitlines():
+            assert list(json.loads(line)) == ["object_id", "kind", "normalized", "sig"]
     assert list(sigs) == [f"o{i}" for i in range(9, -1, -1)]
-    assert read_signatures_jsonl(tmp_path / "cut1.jsonl")["o3"].reduced_m == 2
+
+
+def test_records_with_the_older_reduced_m_key_read_the_same(tmp_path):
+    # older files carry the key on every record, just before its sig
+    traces = [trace_of(f"o{i}", [i % 5, 5 + i % 3, 9, 10 + i]) for i in range(6)]
+    table = cut_table(tfidf_signatures(traces, kind_corpus("spatial"))[0], 2)
+    new, old = tmp_path / "new.jsonl", tmp_path / "old.jsonl"
+    write_signatures_jsonl(new, table)
+    records = [json.loads(line) for line in new.read_text().splitlines()]
+    old.write_text("".join(
+        json.dumps({**r, "reduced_m": [None, 2, 7][i % 3], "sig": r["sig"]}) + "\n"
+        for i, r in enumerate(records)))
+    a, b = read_signatures_jsonl(new), read_signatures_jsonl(old)
+    assert (a.kind, a.ids, a.indptr.tobytes(), a.dims.tobytes(), a.weights.tobytes()) == (
+        b.kind, b.ids, b.indptr.tobytes(), b.dims.tobytes(), b.weights.tobytes())
+
+
+@pytest.mark.parametrize("text,line", [("", 1), ("\n", 1), ("\n  \n\n", 3)])
+def test_signature_file_with_no_record_is_refused_at_its_last_line(tmp_path, text, line):
+    path = tmp_path / "empty.jsonl"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: no signature record$"):
+        read_signatures_jsonl(path)
 
 
 # ---------------------------------------------------------------------------

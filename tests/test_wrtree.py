@@ -190,6 +190,19 @@ def test_bulk_load_empty_and_duplicate_ids():
         bulk_load(entries, capacity=1)
 
 
+def test_bulk_load_refuses_mixed_kinds_as_insert_does():
+    anchors = line_anchors(4)
+    spatial = entry("s", sig({0: 0.6, 1: 0.8}), anchors)
+    sequential = ("q", sig({0: 0.6, 1: 0.8}, kind="sequential:q=2"), Mbr(0, 0, 0, 0))
+    for objects, rule in (([spatial, sequential], "'sequential:q=2' vs 'spatial'"),
+                          ([sequential, spatial], "'spatial' vs 'sequential:q=2'")):
+        with pytest.raises(ValueError, match=f"^signature kind mismatch: {rule}$"):
+            bulk_load(objects, capacity=4)
+    tree = bulk_load([spatial], capacity=4)
+    with pytest.raises(ValueError, match="^signature kind mismatch: 'sequential:q=2' vs index"):
+        insert(tree, sequential)
+
+
 def test_index_refuses_and_validate_reports_unnormalized_leaf(tmp_path):
     entries, _ = synthetic_entries(6, seed=8)
     oid, s, m = entries[0]
@@ -212,7 +225,7 @@ def test_index_refuses_and_validate_reports_unnormalized_leaf(tmp_path):
     with pytest.raises(ValueError, match=refused):
         save_index(tree, tmp_path / "index.bin")
     save_index(bulk_load(entries, capacity=16), tmp_path / "index.bin")
-    edit_index_leaf(tmp_path / "index.bin", oid, lambda d, w, m, box: np.multiply(w, 3.0, out=w))
+    edit_index_leaf(tmp_path / "index.bin", oid, lambda d, w, box: np.multiply(w, 3.0, out=w))
     rule = f"corrupt index: leaf '{oid}': marked normalized but its norm is "
     with pytest.raises(ValueError, match=re.escape(rule)) as refusal:
         load_index(tmp_path / "index.bin")
@@ -642,23 +655,19 @@ def test_truncated_index_rejected_at_every_offset(tmp_path):
 
 
 def _set(index, value):
-    return lambda dims, weights, reduced_m, box: weights.__setitem__(index, value)
+    return lambda dims, weights, box: weights.__setitem__(index, value)
 
 
-def _swap_dims(dims, weights, reduced_m, box):
+def _swap_dims(dims, weights, box):
     dims[[0, 1]] = dims[[1, 0]]
 
 
-def _scale(dims, weights, reduced_m, box):
+def _scale(dims, weights, box):
     np.multiply(weights, 1.0 + 1e-6, out=weights)
 
 
-def _reduced_m(value):
-    return lambda dims, weights, reduced_m, box: reduced_m.__setitem__(0, value)
-
-
 def _box(at, value):
-    return lambda dims, weights, reduced_m, box: box.__setitem__(at, value)
+    return lambda dims, weights, box: box.__setitem__(at, value)
 
 
 @pytest.mark.parametrize("edit,rule", [
@@ -667,16 +676,13 @@ def _box(at, value):
     (_set(0, float("nan")), "weights must be finite and > 0"),
     (_swap_dims, "dims must be non-negative and strictly increasing"),
     (_scale, "marked normalized but its norm is 1.00000"),
-    (_reduced_m(0), "reduced_m must be null or an integer in 1 .. 2147483647"),
-    (_reduced_m(2**31), "reduced_m must be null or an integer in 1 .. 2147483647"),
     (_box(0, float("nan")), "inverted or NaN rectangle"),
     (_box(3, -1e9), "inverted or NaN rectangle"),
-], ids=["negative", "zero", "nan", "swapped-dims", "norm", "reduced-m-0", "reduced-m-2**31",
-        "nan-box", "inverted-box"])
+], ids=["negative", "zero", "nan", "swapped-dims", "norm", "nan-box", "inverted-box"])
 def test_hand_edited_leaf_row_refused_on_load(tmp_path, edit, rule):
     # the edit keeps the checksum whole, so the leaf row rules must catch it
     entries, _ = synthetic_entries(20, seed=16)
-    oid = next(oid for oid, s, _ in entries if s.reduced_m is not None)
+    oid = next(oid for oid, s, _ in entries if s.nnz() > 1)
     path = tmp_path / "index.bin"
     save_index(bulk_load(entries, capacity=4), path)
     edit_index_leaf(path, oid, edit)
@@ -686,11 +692,11 @@ def test_hand_edited_leaf_row_refused_on_load(tmp_path, edit, rule):
 
 def _shape_and_leaves(node):
     """A tree in pre-order: each node's child count, rectangle and
-    aggregate, and each leaf's id, dims, weights by float.hex and reduced_m."""
+    aggregate, and each leaf's id, dims and weights by float.hex."""
     if node.is_leaf:
         s = node.signature
         return [(0, astuple(node.mbr), node.object_id, s.dims.tolist(),
-                 [w.hex() for w in s.weights.tolist()], s.reduced_m)]
+                 [w.hex() for w in s.weights.tolist()])]
     out = [(len(node.children), astuple(node.mbr), node.weight_map)]
     for child in node.children:
         out += _shape_and_leaves(child)
@@ -728,7 +734,6 @@ def test_index_round_trip_keeps_shape_leaves_and_answers(tmp_path, capacity):
             st.sampled_from(["", "", "negative", "swapped", "repeated"]),
             st.lists(st.sampled_from([0.6, 0.8, 1.0, 0.5, -0.5, 0.0, float("nan"),
                                       float("inf"), 1e300]), min_size=5, max_size=5),
-            st.sampled_from([-2, -1, -1, 0, 1, 5, 2**31 - 1, 2**31]),
             st.sampled_from([1.0, 1.0 + 4e-10, 1.0 + 6e-10, 1.0 + 1e-9, 1.0 + 2e-9]),
         ),
         min_size=1, max_size=8,
@@ -738,8 +743,8 @@ def test_leaf_screen_flags_every_row_check_row_refuses(rows):
     # hand-made rows: most in dim order, some just inside or outside the
     # norm tolerance, some breaking a rule; the one-pass screen must flag
     # each row check_row refuses
-    dims, weights, reduced_m = [], [], []
-    for row_dims, dim_edit, row_weights, m, scale in rows:
+    dims, weights = [], []
+    for row_dims, dim_edit, row_weights, scale in rows:
         if dim_edit == "negative" and row_dims:
             row_dims[0] = -1 - row_dims[0]
         elif dim_edit == "repeated" and len(row_dims) > 1:
@@ -752,19 +757,17 @@ def test_leaf_screen_flags_every_row_check_row_refuses(rows):
             w = w / norm * scale if len(w) and norm > 0 else w
         dims.append(np.array(row_dims, dtype=np.int64))
         weights.append(w)
-        reduced_m.append(m)
     table = SignatureTable(
         "spatial", [f"o{i}" for i in range(len(rows))], _indptr([len(d) for d in dims]),
         np.concatenate([np.empty(0, np.int64), *dims]), np.concatenate([np.empty(0), *weights]),
-        np.maximum(np.array(reduced_m), 0),
     )
-    suspect = _suspect_rows(table, np.array(reduced_m, dtype=np.int64))
-    for i, (d, w, m) in enumerate(zip(dims, weights, reduced_m)):
+    suspect = _suspect_rows(table)
+    for i, (d, w) in enumerate(zip(dims, weights)):
         try:
             with np.errstate(all="ignore"):
-                check_row(d, w, None if m == -1 else m)
+                check_row(d, w)
         except ValueError:
-            assert suspect[i], (d, w, m)
+            assert suspect[i], (d, w)
 
 
 @pytest.mark.parametrize("scale,refused", [(1.0 + 6e-10, False), (1.0 + 2e-9, True)])
@@ -773,7 +776,7 @@ def test_leaf_near_the_norm_tolerance_is_left_to_check_row(tmp_path, scale, refu
     oid = entries[3][0]
     path = tmp_path / "index.bin"
     save_index(bulk_load(entries, capacity=4), path)
-    edit_index_leaf(path, oid, lambda d, w, m, box: np.multiply(w, scale, out=w))
+    edit_index_leaf(path, oid, lambda d, w, box: np.multiply(w, scale, out=w))
     if refused:
         rule = f"corrupt index: leaf '{oid}': marked normalized but its norm is 1.00000000"
         with pytest.raises(ValueError, match=re.escape(rule)):

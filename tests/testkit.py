@@ -47,18 +47,17 @@ def entry(object_id, signature, anchors):
 
 def top_m_row(dims, weights, m):
     """One row's top-m cut by the definition, in plain Python: a row of at
-    most ``m`` dims is kept as it is, with no cut m. Otherwise sort by
-    (-weight, dim), keep the first ``m``, put them back in dim order and
-    divide by ``math.sqrt(seg.dot(seg))``. Returns the dims, the weights and
-    the cut m, or None."""
+    most ``m`` dims is kept as it is. Otherwise sort by (-weight, dim), keep
+    the first ``m``, put them back in dim order and divide by
+    ``math.sqrt(seg.dot(seg))``. Returns the dims and the weights."""
     if len(dims) <= m:
-        return list(dims), np.asarray(weights, dtype=float), None
+        return list(dims), np.asarray(weights, dtype=float)
     kept = sorted(sorted(zip(dims, weights), key=lambda p: (-p[1], p[0]))[:m])
     seg = np.array([w for _, w in kept])
-    return [d for d, _ in kept], seg / math.sqrt(seg.dot(seg)), m
+    return [d for d, _ in kept], seg / math.sqrt(seg.dot(seg))
 
 
-# an index file's magic and header in format v2: version, capacity,
+# an index file's magic and header in format v3: version, capacity,
 # n_objects, node count, kind length
 _INDEX_HEAD = struct.Struct("<10sHIQQH")
 
@@ -71,11 +70,10 @@ def reseal_index(raw):
 
 
 def edit_index_leaf(path, object_id, edit):
-    """Rewrite the index file at ``path`` with ``edit(dims, weights,
-    reduced_m, box)`` applied to leaf ``object_id``'s row, then reseal it.
-    The arguments are writable views into the file's sections, read by the
-    format v2 layout; ``reduced_m`` is a 1-array, -1 where never cut, and
-    ``box`` the leaf's rectangle (min lon, min lat, max lon, max lat)."""
+    """Rewrite the index file at ``path`` with ``edit(dims, weights, box)``
+    applied to leaf ``object_id``'s row, then reseal it. The arguments are
+    writable views into the file's sections, read by the format v3 layout;
+    ``box`` is the leaf's rectangle (min lon, min lat, max lon, max lat)."""
     raw = bytearray(path.read_bytes())
     _, _, _, _, n_nodes, kind_len = _INDEX_HEAD.unpack_from(raw)
     off = _INDEX_HEAD.size + kind_len
@@ -92,8 +90,8 @@ def edit_index_leaf(path, object_id, edit):
     ids = [blob[s:e].decode("utf-8") for s, e in zip([0, *ends], ends)]
     indptr = take(n + 1, "<i8")
     dims, weights = take(int(indptr[-1]), "<i8"), take(int(indptr[-1]), "<f8")
-    reduced_m, boxes = take(n, "<i8"), take(4 * n, "<f8").reshape(n, 4)
+    boxes = take(4 * n, "<f8").reshape(n, 4)
     i = ids.index(object_id)
     row = slice(int(indptr[i]), int(indptr[i + 1]))
-    edit(dims[row], weights[row], reduced_m[i : i + 1], boxes[i])
+    edit(dims[row], weights[row], boxes[i])
     path.write_bytes(reseal_index(raw))
