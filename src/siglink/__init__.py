@@ -33,10 +33,8 @@ from .wrtree import (
     insert,
     knn_search,
     linear_knn,
-    load_index,
     merge_node,
     rtree_baseline_knn,
-    save_index,
     validate,
 )
 from .linking import (
@@ -91,13 +89,11 @@ __all__ = [
     "knn_search",
     "linear_knn",
     "link_all",
-    "load_index",
     "matching_accuracy",
     "mbr_of",
     "merge_node",
     "rerank",
     "rtree_baseline_knn",
-    "save_index",
     "signature_closure",
     "split_dataset",
     "stable_marriage",

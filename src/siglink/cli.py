@@ -8,7 +8,7 @@ console table.
 Each flag's rule lives in the parser: a ranged flag carries its range as its
 argparse type. `--config FILE` names a flat `key = value` document ('#'
 starts a comment) whose keys are read as long flags (`_` read as `-`) placed
-right after the verb words, so a file meets the same checks as the command
+right after the verb, so a file meets the same checks as the command
 line and a flag typed on the line wins. Flags and keys are spelled in full.
 """
 
@@ -25,7 +25,6 @@ from .errors import ConfigError, SiglinkError
 from .linking import (
     ENGINES,
     LinkingRun,
-    _index_entries,
     accuracies,
     link_signatures,
     matching_accuracy,
@@ -65,7 +64,6 @@ from .traces import (
     write_csv,
     write_trace_csv,
 )
-from .wrtree import bulk_load, load_index, save_index, validate
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -77,7 +75,7 @@ EXIT_CONFIG = 2
 
 
 # keys config.used records besides the verb's own flags, spelled as flags
-_CAPTURED_KEYS = {"verb", "index-verb"}
+_CAPTURED_KEYS = {"verb"}
 
 
 def _config_flags(path: str) -> list[str]:
@@ -104,7 +102,7 @@ def _config_flags(path: str) -> list[str]:
 
 def _with_config(argv: list[str]) -> list[str]:
     """argv with `--config FILE` taken out and the file's flags put in right
-    after the verb words, where a flag typed later on the line wins."""
+    after the verb, where a flag typed later on the line wins."""
     for i, token in enumerate(argv):
         if token == "--config" and i + 1 < len(argv):
             path, rest = argv[i + 1], argv[:i] + argv[i + 2:]
@@ -124,8 +122,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _capture_config(args: argparse.Namespace) -> None:
-    verb = " ".join(v for v in (args.verb, getattr(args, "index_verb", None)) if v)
-    lines = [f"verb = {verb}"]
+    lines = [f"verb = {args.verb}"]
     for key in sorted(vars(args)):
         if key in ("handler", "verb"):
             continue
@@ -345,28 +342,6 @@ def _cmd_reduce(args: argparse.Namespace) -> None:
     print(f"reduced {len(reduced)} signatures to top-{args.m} at {path}")
 
 
-def _cmd_index_build(args: argparse.Namespace) -> None:
-    out = _out_dir(args)
-    anchors = read_anchor_csv(args.anchors) if args.anchors else None
-    entries = _index_entries(_read_signatures(args.signatures, args, anchors), anchors, None)
-    t0 = time.perf_counter()
-    tree = bulk_load(entries, args.capacity)
-    build_s = time.perf_counter() - t0
-    path = out / "index.bin"
-    save_index(tree, path)
-    print(f"built index over {tree.n_objects} objects in {build_s:.3f}s -> {path}")
-
-
-def _cmd_index_validate(args: argparse.Namespace) -> None:
-    tree = load_index(args.index)
-    problems = validate(tree)
-    if problems:
-        for p in problems:
-            print(f"INVALID: {p}")
-        raise SiglinkError(f"index {args.index} failed validation ({len(problems)} problems)")
-    print(f"index {args.index} valid: {tree.n_objects} objects, capacity {tree.capacity}")
-
-
 def _cmd_link(args: argparse.Namespace) -> None:
     out = _out_dir(args)
     anchors = read_anchor_csv(args.anchors) if args.anchors else None
@@ -499,6 +474,12 @@ def _cmd_pipeline(args: argparse.Namespace) -> None:
     ref_sigs, excluded_refs, corpus = tfidf_signatures(halves.d, _kind_corpus(args, anchors))
     query_sigs, excluded_queries, _ = tfidf_signatures(halves.q, corpus)
     sig_s = time.perf_counter() - t0
+    # `link` refuses a signature file with no record, so none is written
+    for side, half, sigs in (("reference", "d", ref_sigs), ("query", "q", query_sigs)):
+        if not len(sigs):
+            raise SiglinkError(
+                f"no {side} signature: every object of {out / half}.csv is excluded"
+            )
     write_signatures_jsonl(out / "signatures_d.jsonl", ref_sigs)
     write_signatures_jsonl(out / "signatures_q.jsonl", query_sigs)
 
@@ -628,12 +609,11 @@ def _add_kind_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--grid", type=_POSITIVE, default=100, help="grid resolution per axis")
 
 
-def _verb(subparsers, name: str, handler, out: bool = True, **kwargs) -> argparse.ArgumentParser:
-    """The parser of verb ``name``, run by ``handler``. A verb that writes
-    files takes a required ``--out`` as its first flag."""
+def _verb(subparsers, name: str, handler, **kwargs) -> argparse.ArgumentParser:
+    """The parser of verb ``name``, run by ``handler``. Every verb writes
+    files and takes a required ``--out`` as its first flag."""
     p = subparsers.add_parser(name, **kwargs)
-    if out:
-        p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True)
     p.set_defaults(handler=handler)
     return p
 
@@ -678,15 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = _verb(subparsers, "reduce", _cmd_reduce, help="truncate signatures to their top-m dims")
     p.add_argument("--signatures", required=True)
     p.add_argument("--m", type=_POSITIVE, required=True)
-
-    p = subparsers.add_parser("index", help="build or check an index")
-    index_sub = p.add_subparsers(dest="index_verb", required=True)
-    b = _verb(index_sub, "build", _cmd_index_build)
-    b.add_argument("--signatures", required=True)
-    b.add_argument("--anchors", default=None)
-    b.add_argument("--capacity", type=_CAPACITY, default=32)
-    v = _verb(index_sub, "validate", _cmd_index_validate, out=False)
-    v.add_argument("--index", required=True)
 
     p = _verb(subparsers, "link", _cmd_link,
               help="batch k-NN of query signatures against references")
@@ -760,8 +731,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_CONFIG
         # a handler that returns has succeeded; failures raise
         args.handler(args)
-        if getattr(args, "out", None) is not None:
-            _capture_config(args)
+        _capture_config(args)
         return EXIT_OK
     except (ConfigError, FileNotFoundError) as exc:
         # referenced paths must exist at validation time

@@ -98,9 +98,10 @@ def _index_entries(
     sigs: SignatureTable, anchors: AnchorSet | None, m: int | None
 ) -> list[IndexEntry]:
     """Each signature cut to its top ``m`` dimensions and given its
-    rectangle, in one pass over the table. Given an anchor set, spatial
-    signatures get their anchors' bounding boxes; any other rectangle is
-    ``_NO_MBR``."""
+    rectangle, in one pass over the table: ``link_signatures`` makes the
+    tree's leaves, the scan's entries and the queries with it. Given an
+    anchor set, spatial signatures get their anchors' bounding boxes; any
+    other rectangle is ``_NO_MBR``."""
     table = sigs if m is None else cut_table(sigs, m)
     if anchors is not None and table.kind == KIND_SPATIAL and len(table):
         mbrs = [Mbr(*b) for b in anchor_boxes(anchors, table.dims, table.indptr[:-1]).tolist()]

@@ -486,8 +486,8 @@ _RECORD_KEYS = ("object_id", "kind", "normalized", "sig")
 def check_row(dims: np.ndarray, weights: np.ndarray) -> None:
     """Refuse, naming the rule, a signature row that breaks what cosine
     scores and the bounds rely on: dims non-negative and strictly increasing,
-    weights finite and > 0, and unit norm within ``NORM_TOL``. Both signature
-    file readers call it."""
+    weights finite and > 0, and unit norm within ``NORM_TOL``. The signature
+    JSONL reader calls it on every record."""
     if (dims < 0).any() or (np.diff(dims) <= 0).any():
         raise ValueError("dims must be non-negative and strictly increasing")
     if not (np.isfinite(weights) & (weights > 0.0)).all():

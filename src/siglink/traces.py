@@ -566,7 +566,8 @@ def write_raw_csv(path: str | Path, raw: dict[str, list[RawPoint]]) -> None:
 def read_anchor_csv(path: str | Path) -> AnchorSet:
     """Read `anchor_id,lon,lat` rows whose ids run 0, 1, 2, ... in file
     order; a row with any other id (a duplicate, a gap or a row out of
-    order) raises ``ValueError`` naming the file and line."""
+    order), or a file with no row, raises ``ValueError`` naming the file and
+    line."""
     lons: list[float] = []
     lats: list[float] = []
     for line, (anchor_id, lon, lat) in _csv_rows(path, _ANCHOR_COLUMNS, "anchor"):
@@ -577,6 +578,8 @@ def read_anchor_csv(path: str | Path) -> AnchorSet:
             )
         lons.append(lon)
         lats.append(lat)
+    if not lons:
+        raise ValueError(f"{path}:1: no anchor row after the header")
     return AnchorSet(lons, lats)
 
 

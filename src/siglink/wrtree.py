@@ -13,17 +13,14 @@ from __future__ import annotations
 
 import heapq
 import math
-import struct
-import zlib
 from bisect import insort
-from dataclasses import astuple, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .reduction import Mbr, union_mbrs
-from .signatures import NORM_TOL, Signature, SignatureTable, _indptr, _leaf_sim, check_row
+from .signatures import Signature, _leaf_sim
 
 DEFAULT_CAPACITY = 32
 
@@ -31,9 +28,6 @@ DEFAULT_CAPACITY = 32
 IndexEntry = tuple[str, Signature, Mbr]
 # (object_id, similarity), non-increasing similarity, ties by ascending id
 KnnResult = list[tuple[str, float]]
-
-_INDEX_MAGIC = b"SIGLINKIDX"
-_INDEX_VERSION = 3
 
 
 def aggregate_signatures(sigs: Sequence[Signature]) -> Signature:
@@ -65,7 +59,7 @@ class WrNode:
     A leaf holds its object's signature. An internal node holds its subtree's
     aggregate only as a dim -> max weight map: inserts merge into it in
     O(signature nnz). ``signature`` builds the sorted array form of that map
-    on demand, for validation and serialization.
+    on demand, for validation.
 
     An internal node also holds ``postings``, an inverted file over its
     children: dim -> {child index: weight}, the weight being a leaf child's
@@ -513,40 +507,26 @@ def _nodes(root: WrNode | None) -> Iterator[tuple[WrNode, int]]:
         stack.extend((child, depth + 1) for child in reversed(node.children or ()))
 
 
-def _shape_problems(root: WrNode | None, capacity: int, n_objects: int) -> list[str]:
-    """Violations of the tree's shape: each internal node has 1 ..
-    ``capacity`` children, all leaves or all internal; every leaf sits at
-    one depth; object ids are unique; and there are ``n_objects`` leaves.
-    ``validate`` reports them and ``load_index`` refuses a file with any."""
+def validate(tree: WrTree) -> list[str]:
+    """Check the tree's invariants; returns human-readable violations. Each
+    internal node has 1 .. ``capacity`` children, all leaves or all
+    internal, a rectangle holding theirs, a current posting list and the
+    maximum of their aggregates; every leaf is normalized and sits at one
+    depth; object ids are unique; and there are ``n_objects`` leaves."""
     problems: list[str] = []
     ids: list[str] = []
     leaf_depths: set[int] = set()
-    for node, depth in _nodes(root):
+    for node, depth in _nodes(tree.root):
         if node.is_leaf:
             ids.append(node.object_id)
             leaf_depths.add(depth)
-            continue
-        if len({child.is_leaf for child in node.children}) > 1:
-            problems.append(f"node mixes leaf and internal children at depth {depth}")
-        if not 1 <= len(node.children) <= capacity:
-            problems.append(f"node at depth {depth} has {len(node.children)} children")
-    if len(leaf_depths) > 1:
-        problems.append(f"leaves at unequal depths: {sorted(leaf_depths)}")
-    if len(set(ids)) != len(ids):
-        problems.append("duplicate object ids in tree")
-    if len(ids) != n_objects:
-        problems.append(f"tree holds {len(ids)} objects, expected {n_objects}")
-    return problems
-
-
-def validate(tree: WrTree) -> list[str]:
-    """Check structural invariants; returns human-readable violations."""
-    problems = _shape_problems(tree.root, tree.capacity, tree.n_objects)
-    for node, depth in _nodes(tree.root):
-        if node.is_leaf:
             if not node.signature.normalized:
                 problems.append(f"signature of leaf {node.object_id!r} is not normalized")
             continue
+        if len({child.is_leaf for child in node.children}) > 1:
+            problems.append(f"node mixes leaf and internal children at depth {depth}")
+        if not 1 <= len(node.children) <= tree.capacity:
+            problems.append(f"node at depth {depth} has {len(node.children)} children")
         for child in node.children:
             if not node.mbr.contains(child.mbr):
                 problems.append(f"child mbr escapes parent at depth {depth}")
@@ -559,161 +539,10 @@ def validate(tree: WrTree) -> list[str]:
             and np.array_equal(agg.weights, expect.weights)
         ):
             problems.append(f"aggregate mismatch at depth {depth}")
+    if len(leaf_depths) > 1:
+        problems.append(f"leaves at unequal depths: {sorted(leaf_depths)}")
+    if len(set(ids)) != len(ids):
+        problems.append("duplicate object ids in tree")
+    if len(ids) != tree.n_objects:
+        problems.append(f"tree holds {len(ids)} objects, expected {tree.n_objects}")
     return problems
-
-
-# ---------------------------------------------------------------------------
-# Serialization, format v3, little-endian: the magic, the header and the
-# kind; each node's child count in pre-order, 0 marking a leaf; the leaves in
-# that order as one signature table (id lengths, UTF-8 ids, indptr, dims and
-# weights); their rectangles as an n x 4 float64 array; a CRC32 of every byte
-# before it. Internal nodes are derived. v2 held a per-leaf cut m after the
-# weights; v1 had no checksum. Both are refused.
-
-# after the magic: version, capacity, n_objects, node count, kind length
-_HEADER = struct.Struct("<HIQQH")
-
-
-def save_index(tree: WrTree, path: str | Path) -> None:
-    """Write ``tree`` in format v3. A leaf whose signature is not normalized
-    raises ``ValueError`` naming its object."""
-    nodes = [node for node, _ in _nodes(tree.root)]
-    leaves = [node for node in nodes if node.is_leaf]
-    for leaf in leaves:
-        _check_normalized(leaf.object_id, leaf.signature)
-    sigs = [leaf.signature for leaf in leaves]
-    ids = [leaf.object_id.encode("utf-8") for leaf in leaves]
-    kind = (tree.kind or "").encode("utf-8")
-    sections = [
-        np.array([len(node.children or ()) for node in nodes], "<u4"),
-        np.array([len(object_id) for object_id in ids], "<u4"),
-        np.frombuffer(b"".join(ids), np.uint8),
-        _indptr([sig.nnz() for sig in sigs]).astype("<i8"),
-        np.concatenate([np.empty(0, "<i8"), *(sig.dims for sig in sigs)]).astype("<i8"),
-        np.concatenate([np.empty(0, "<f8"), *(sig.weights for sig in sigs)]).astype("<f8"),
-        np.array([astuple(leaf.mbr) for leaf in leaves], "<f8"),
-    ]
-    head = _HEADER.pack(_INDEX_VERSION, tree.capacity, tree.n_objects, len(nodes), len(kind))
-    body = b"".join([_INDEX_MAGIC, head, kind, *(a.tobytes() for a in sections)])
-    Path(path).write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
-
-
-def load_index(path: str | Path) -> WrTree:
-    """Read a tree written by ``save_index``, rebuilding each internal node
-    from its children by ``WrNode.internal``. A file without the magic, or of
-    a version other than v3 (v1 and v2 included), is refused. A checksum
-    mismatch, a section that runs past the end, child counts that do not form
-    one tree, a repeated id, a leaf row that breaks ``check_row`` or whose
-    rectangle ``Mbr`` refuses, or a shape that breaks a ``_shape_problems``
-    rule raises ``ValueError("corrupt index: ...")``."""
-    raw = Path(path).read_bytes()
-    if not raw.startswith(_INDEX_MAGIC):
-        raise ValueError(f"{path} is not a siglink index file")
-    at = len(_INDEX_MAGIC)
-    version = int.from_bytes(raw[at : at + 2], "little")
-    if version < _INDEX_VERSION:  # refused before the checksum, which v1 lacks
-        raise ValueError(f"unsupported index version {version}")
-    if zlib.crc32(raw[:-4]) != int.from_bytes(raw[-4:], "little"):
-        raise ValueError("corrupt index: checksum mismatch")
-    if version != _INDEX_VERSION:
-        raise ValueError(f"unsupported index version {version}")
-    try:
-        return _parse_index(memoryview(raw)[at:-4])
-    except UnicodeDecodeError:
-        raise ValueError("corrupt index: the kind or an object id is not UTF-8") from None
-
-
-def _parse_index(buf: memoryview) -> WrTree:
-    off = 0
-
-    def take(count: int, dtype: str, section: str) -> np.ndarray:
-        nonlocal off
-        size = count * np.dtype(dtype).itemsize
-        if off + size > len(buf):
-            raise ValueError(f"corrupt index: the {section} run past the end of the file")
-        off += size
-        return np.frombuffer(buf, dtype, count, off - size)
-
-    _, capacity, n_objects, n_nodes, kind_len = _HEADER.unpack(take(_HEADER.size, "u1", "header"))
-    if capacity < 2:
-        raise ValueError(f"corrupt index: capacity {capacity} < 2")
-    kind = take(kind_len, "u1", "kind").tobytes().decode("utf-8") or None
-    counts = take(n_nodes, "<u4", "child counts").tolist()
-    n = counts.count(0)
-    if n and kind is None:
-        raise ValueError("corrupt index: the leaves have no signature kind")
-    id_ends = np.cumsum(take(n, "<u4", "id lengths"), dtype=np.int64).tolist()
-    blob = take(id_ends[-1] if n else 0, "u1", "ids").tobytes()
-    ids = [blob[s:e].decode("utf-8") for s, e in zip([0, *id_ends], id_ends)]
-    if len(set(ids)) < n:
-        raise ValueError("corrupt index: duplicate object ids in tree")
-    indptr = take(n + 1, "<i8", "indptr")
-    if indptr[0] != 0 or np.any(np.diff(indptr) < 0):
-        raise ValueError("corrupt index: indptr does not ascend from 0")
-    dims = take(int(indptr[-1]), "<i8", "dims")
-    weights = take(int(indptr[-1]), "<f8", "weights")
-    boxes = take(4 * n, "<f8", "rectangles").reshape(n, 4)
-    if off != len(buf):
-        raise ValueError("corrupt index: bytes left after the rectangles")
-
-    table = SignatureTable(kind, ids, indptr, dims, weights)
-    suspect = _suspect_rows(table).tolist()
-    leaves = []
-    for (object_id, sig), box, check in zip(table.items(), boxes.tolist(), suspect):
-        try:
-            if check:
-                check_row(sig.dims, sig.weights)
-            leaves.append(WrNode.leaf(object_id, sig, Mbr(*box)))
-        except ValueError as exc:
-            raise ValueError(f"corrupt index: leaf {object_id!r}: {exc}") from None
-    root = _tree_of(counts, leaves)
-    problems = _shape_problems(root, capacity, n_objects)
-    if problems:
-        raise ValueError(f"corrupt index: {problems[0]}")
-    return WrTree(root, capacity, kind, n_objects, ids=set(ids))
-
-
-def _suspect_rows(table: SignatureTable) -> np.ndarray:
-    """Which rows of a loaded leaf table ``check_row`` might refuse, found by
-    its rules run once over the table's arrays. Every row ``check_row`` would
-    refuse is flagged. The norms here are summed in another order than
-    ``check_row``'s, so a row whose norm is off by more than half of
-    ``NORM_TOL`` is flagged, and ``check_row`` decides every row near the
-    limit."""
-    n, dims, weights = len(table), table.dims, table.weights
-    row = np.repeat(np.arange(n), np.diff(table.indptr))
-    bad = (dims < 0) | ~(np.isfinite(weights) & (weights > 0.0))
-    bad[1:] |= (dims[1:] <= dims[:-1]) & (row[1:] == row[:-1])
-    with np.errstate(over="ignore"):  # an overflowing weight is flagged through its norm
-        norm = np.sqrt(np.bincount(row, weights=weights * weights, minlength=n))
-    return (np.bincount(row[bad], minlength=n) > 0) | ~(abs(norm - 1.0) <= NORM_TOL / 2)
-
-
-def _tree_of(counts: list[int], leaves: list[WrNode]) -> WrNode | None:
-    """The tree whose nodes have ``counts`` children in pre-order, each 0
-    taking the next of ``leaves``; an internal node is built once its
-    children are."""
-    next_leaf = iter(leaves).__next__
-    open_nodes: list[tuple[int, list[WrNode]]] = []  # (children due, children so far)
-    root = None
-    for count in counts:
-        if root is not None:
-            raise ValueError("corrupt index: nodes after the end of the tree")
-        if count:
-            open_nodes.append((count, []))
-            continue
-        node = next_leaf()
-        while open_nodes:
-            due, children = open_nodes[-1]
-            children.append(node)
-            if len(children) < due:
-                break
-            open_nodes.pop()
-            node = WrNode.internal(children)
-        else:
-            root = node
-    if open_nodes:
-        raise ValueError("corrupt index: the child counts end inside a node")
-    if root is not None and root.is_leaf:
-        raise ValueError("corrupt index: the root is a leaf")
-    return root

@@ -1,21 +1,27 @@
 import csv
-import dataclasses
 import json
 import re
-import struct
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from siglink.cli import main
-from siglink.linking import ENGINES, write_results_csv
+from siglink.linking import ENGINES, read_results_csv, write_results_csv
 from siglink.signatures import check_row, read_signatures_jsonl
 from siglink.synth import generate_synthetic
-from siglink.traces import SplitStrategy, Trace, read_trace_csv, split_dataset, write_trace_csv
-from siglink.wrtree import load_index, save_index
-
-from testkit import edit_index_leaf, reseal_index
+from siglink.traces import (
+    AnchorSet,
+    RawPoint,
+    SplitStrategy,
+    Trace,
+    read_anchor_csv,
+    read_raw_csv,
+    read_trace_csv,
+    split_dataset,
+    write_anchor_csv,
+    write_raw_csv,
+    write_trace_csv,
+)
 
 
 def run(args):
@@ -125,10 +131,6 @@ def test_full_verb_chain(tmp_path):
                 "--m", "10"]) == 0
     reduced = (base / "rd/signatures.jsonl").read_text().splitlines()
     assert all(len(json.loads(line)["sig"]) <= 10 for line in reduced)
-    assert run(["index", "build", "--out", base / "idx",
-                "--signatures", base / "rd/signatures.jsonl",
-                "--anchors", base / "anchors.csv"]) == 0
-    assert run(["index", "validate", "--index", base / "idx/index.bin"]) == 0
     assert run(["link", "--out", base / "lk", "--queries", base / "sq/signatures.jsonl",
                 "--references", base / "sd/signatures.jsonl",
                 "--anchors", base / "anchors.csv", "--m", "10", "--k", "5"]) == 0
@@ -248,7 +250,6 @@ def test_signature_file_mixing_kinds_is_refused_naming_its_line(tmp_path, capsys
     bad = tmp_path / "mixed.jsonl"
     bad.write_text("\n".join(lines) + "\n")
     for argv in (["reduce", "--signatures", bad, "--m", "3"],
-                 ["index", "build", "--signatures", bad],
                  ["eval", "--results", small_run / "results.csv", "--references", bad],
                  ["link", "--queries", small_run / "signatures_q.jsonl", "--references", bad,
                   "--engine", "linear"]):
@@ -315,27 +316,6 @@ def test_link_sequential_signatures_with_anchors(tmp_path, sequential_run):
             assert (out / "results.csv").read_bytes() == (p / "results.csv").read_bytes()
 
 
-def test_index_sequential_signatures(tmp_path, sequential_run):
-    p = sequential_run
-    lines = (p / "signatures_d.jsonl").read_text().splitlines()
-    assert run(["index", "build", "--signatures", p / "signatures_d.jsonl", "--capacity", "4",
-                "--anchors", p / "anchors.csv", "--out", tmp_path / "idx"]) == 0
-    tree = load_index(tmp_path / "idx/index.bin")
-    assert tree.kind == "sequential:q=2" and tree.n_objects == len(lines)
-    assert run(["index", "validate", "--index", tmp_path / "idx/index.bin"]) == 0
-
-
-def test_index_build_without_anchors_equals_with_them_on_sequential(tmp_path, sequential_run):
-    # --anchors boxes only spatial signatures; every other kind gets one
-    # point, so the flag is optional and changes nothing here
-    p = sequential_run
-    for name, anchors in (("with", ["--anchors", p / "anchors.csv"]), ("without", [])):
-        assert run(["index", "build", "--signatures", p / "signatures_d.jsonl", *anchors,
-                    "--capacity", "4", "--out", tmp_path / name]) == 0
-    assert (tmp_path / "with/index.bin").read_bytes() == (
-        tmp_path / "without/index.bin").read_bytes()
-
-
 def test_link_rejects_unnormalized_signature(tmp_path, capsys):
     out = tmp_path / "run"
     assert run(["pipeline", "--synthetic", "n=40,seed=2", "--engine", "linear",
@@ -376,37 +356,6 @@ def test_rerank_rejects_unnormalized_signature(tmp_path, capsys):
                 "--references-large", edited]) == 1
     err = capsys.readouterr().err
     assert candidate in err and "normalized" in err and len(err.strip().splitlines()) == 1
-
-
-def test_hand_edited_index_leaf_fails_validation(tmp_path, capsys):
-    base = tmp_path
-    assert run(["synth", "--out", base, "--n-objects", "20", "--n-anchors", "300",
-                "--points", "60", "--seed", "4"]) == 0
-    assert run(["signature", "--out", base / "s", "--traces", base / "traces.csv"]) == 0
-    assert run(["index", "build", "--out", base / "idx", "--signatures",
-                base / "s/signatures.jsonl", "--anchors", base / "anchors.csv"]) == 0
-    path = base / "idx/index.bin"
-    built = path.read_bytes()
-    oid = json.loads((base / "s/signatures.jsonl").read_text().splitlines()[0])["object_id"]
-    # a leaf weight below 0 under a resealed checksum: the row rules refuse it
-    edit_index_leaf(path, oid, lambda dims, weights, box: weights.__setitem__(0, -0.5))
-    capsys.readouterr()
-    assert run(["index", "validate", "--index", path]) == 1
-    assert capsys.readouterr() == (
-        "", f"error: corrupt index: leaf {oid!r}: weights must be finite and > 0\n")
-    # a format v1 header: version, capacity, n_objects, weighted, kind length
-    path.write_bytes(b"SIGLINKIDX" + struct.pack("<HIQBH", 1, 32, 0, 1, 0))
-    assert run(["index", "validate", "--index", path]) == 1
-    assert capsys.readouterr().err == "error: unsupported index version 1\n"
-    # a format v2 file: the same tree with a per-leaf cut m (-1: never cut)
-    # before the n rectangles, under a whole checksum
-    n = len((base / "s/signatures.jsonl").read_text().splitlines())
-    at = len(built) - 4 - n * 32
-    v2 = bytearray(built[:at] + np.full(n, -1, "<i8").tobytes() + built[at:])
-    v2[10:12] = (2).to_bytes(2, "little")
-    path.write_bytes(reseal_index(v2))
-    assert run(["index", "validate", "--index", path]) == 1
-    assert capsys.readouterr() == ("", "error: unsupported index version 2\n")
 
 
 def test_closure_verb(tmp_path):
@@ -464,13 +413,7 @@ def test_captured_config_reloads(tmp_path):
             assert a == b, path.name
         return first
 
-    pipe = reloads("pipeline", ["pipeline"], "--synthetic", "n=40,seed=2", "--engine", "linear")
-    idx = reloads("index", ["index", "build"], "--capacity", "4",
-                  "--signatures", pipe / "signatures_d.jsonl", "--anchors", pipe / "anchors.csv")
-    # the sub-verb's parser takes the config: capacity applies, a stray key fails
-    used = idx / "config.used"
-    used.write_text(used.read_text() + "engine = linear\n")
-    assert run(["--config", used, "index", "build", "--out", tmp_path / "i3"]) == 2
+    reloads("pipeline", ["pipeline"], "--synthetic", "n=40,seed=2", "--engine", "linear")
 
     syn = reloads("synth", ["synth"], "--n-objects", 30, "--n-anchors", 300, "--points", 60,
                   "--seed", 4, "--personal-pool", 20)
@@ -487,9 +430,7 @@ def test_captured_config_reloads(tmp_path):
     sq = reloads("sig-q", ["signature"], "--traces", halves / "q.csv", "--corpus", halves / "d.csv")
     reloads("sig-st", ["signature"], "--traces", halves / "q.csv", "--kind", "spatiotemporal",
             "--dt", 8, "--grid", 20, "--anchors", syn / "anchors.csv", "--utc-offset", -5)
-    rd = reloads("reduce", ["reduce"], "--signatures", sd / "signatures.jsonl", "--m", 10)
-    reloads("built", ["index", "build"], "--signatures", rd / "signatures.jsonl",
-            "--anchors", syn / "anchors.csv")
+    reloads("reduce", ["reduce"], "--signatures", sd / "signatures.jsonl", "--m", 10)
     qd = reloads("link-qd", ["link"], "--queries", sq / "signatures.jsonl",
                  "--references", sd / "signatures.jsonl", "--anchors", syn / "anchors.csv",
                  "--m", 10, "--k", 3, "--capacity", 5)
@@ -582,7 +523,6 @@ BAD_FLAGS = [
     (["signature"], "grid", "0", ">= 1"),
     (["signature"], "dt", "5", "divide 24"),
     (["reduce"], "m", "0", ">= 1"),
-    (["index", "build"], "capacity", "1", ">= 2"),
     (["link"], "k", "0", ">= 1"),
     (["link"], "m", "0", ">= 1"),
     (["link"], "capacity", "1", ">= 2"),
@@ -729,7 +669,7 @@ MALFORMED = [
     ("anchor-lon-nan", "anchors", _anchor_lon("nan")),
     ("anchor-lon-inf", "anchors", _anchor_lon("-inf")),
     ("anchor-lon-text", "anchors", _anchor_lon("east")),
-    ("index-anchor-lon-nan", "index-anchors", _anchor_lon("nan")),
+    ("link-anchor-lon-nan", "link-anchors", _anchor_lon("nan")),
     ("raw-lon-nan", "raw", lambda d: "object_id,lon,lat,timestamp\na,1.0,2.0,10\na,nan,2.0,20\n"),
     ("raw-lat-text", "raw", lambda d: "object_id,lon,lat,timestamp\na,1.0,zz,10\n"),
     ("raw-last-row-cut", "raw", lambda d: "object_id,lon,lat,timestamp\na,1.0,2.0,1"),
@@ -762,7 +702,6 @@ MALFORMED = [
     ("normalized-not-bool", "signatures", _with("normalized", "yes")),
     ("no-record", "signatures", lambda d: ""),
     ("blank-lines-only", "reduce-signatures", lambda d: "\n \n"),
-    ("index-no-record", "index-signatures", lambda d: ""),
     ("trace-rows-out-of-time-order", "traces", _first_rows_swapped),
     ("id-repeated", "signatures", _first_record_repeated),
     ("reduce-not-normalized", "reduce-signatures", _with("normalized", False)),
@@ -777,10 +716,8 @@ def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, small_run, what
     argv = {
         "traces": ["split", "--traces", bad],
         "anchors": ["closure", "--traces", small_run / "d.csv", "--anchors", bad],
-        "index-anchors": ["index", "build", "--signatures", small_run / "signatures_d.jsonl",
-                          "--anchors", bad],
-        "index-signatures": ["index", "build", "--signatures", bad,
-                             "--anchors", small_run / "anchors.csv"],
+        "link-anchors": ["link", "--queries", small_run / "signatures_q.jsonl",
+                         "--references", small_run / "signatures_d.jsonl", "--anchors", bad],
         "raw": ["ingest", "--raw", bad, "--anchors", small_run / "anchors.csv"],
         "signatures": ["link", "--queries", small_run / "signatures_q.jsonl",
                        "--references", bad, "--engine", "linear"],
@@ -802,43 +739,91 @@ def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, small_run, what
     assert re.search(rf"{re.escape(str(bad))}:\d+: ", err)
 
 
-def test_cut_or_byte_flipped_trace_csv_fails_on_a_named_line_or_reads_a_prefix(tmp_path,
-                                                                              capsys):
-    # every truncation and every byte flipped: either the reader and the CLI
-    # refuse the file naming file:line, or it reads as a prefix of its rows
-    good = tmp_path / "traces.csv"
-    write_trace_csv(good, [Trace("a", [(1, 1_600_000_000), (12, 1_600_000_060)]),
-                           Trace("b", [(3, 1_600_000_000), (0, 1_600_086_400)])])
+def _fuzz_inputs(base):
+    """Good files for the commands below to read besides the fuzzed one,
+    by the names the commands give them: three anchors, traces within them
+    and one signature."""
+    write_anchor_csv(base / "anchors.csv", AnchorSet([0.0, 1.0, 0.0], [0.0, 0.0, 1.0]))
+    write_trace_csv(base / "traces.csv", [Trace("a", [(1, 1_600_000_000), (2, 1_600_086_400)])])
+    (base / "sigs.jsonl").write_text(json.dumps(
+        {"object_id": "a", "kind": "spatial", "normalized": True, "sig": [[1, 1.0]]}) + "\n")
+    return {"A": base / "anchors.csv", "T": base / "traces.csv", "S": base / "sigs.jsonl"}
+
+
+def _anchor_rows(path):
+    anchors = read_anchor_csv(path)
+    return list(zip(anchors.lons.tolist(), anchors.lats.tolist()))
+
+
+# (reader, writer of the good file, the file read back as rows in file order,
+# the command that reads BAD, whether a file of its header alone reads)
+CSV_READERS = {
+    "trace": (
+        lambda p: write_trace_csv(p, [Trace("a", [(1, 1_600_000_000), (12, 1_600_000_060)]),
+                                      Trace("b", [(3, 1_600_000_000), (0, 1_600_086_400)])]),
+        lambda p: [(t.object_id, *pt) for t in read_trace_csv(p) for pt in t.points],
+        ["split", "--traces", "BAD"], True,
+    ),
+    "results": (
+        lambda p: write_results_csv(p, {"a": [("a", 0.9), ("b", 0.5)], "b": [("a", 0.8)],
+                                        "c": []}),
+        lambda p: [(q, *r) for q, res in read_results_csv(p).items() for r in res or [()]],
+        ["eval", "--results", "BAD", "--references", "S"], True,
+    ),
+    "raw": (
+        lambda p: write_raw_csv(p, {"a": [RawPoint(0.1, 0.2, 1_600_000_000),
+                                          RawPoint(0.9, 0.1, 1_600_000_600)],
+                                    "b": [RawPoint(0.2, 0.8, 1_600_086_400)]}),
+        lambda p: [(oid, *pt) for oid, pts in read_raw_csv(p).items() for pt in pts],
+        ["ingest", "--raw", "BAD", "--anchors", "A"], True,
+    ),
+    "anchor": (
+        lambda p: write_anchor_csv(p, AnchorSet([0.0, 1.0, 0.0], [0.0, 0.0, 1.5])),
+        _anchor_rows, ["closure", "--traces", "T", "--anchors", "BAD"], False,
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", CSV_READERS)
+def test_cut_or_byte_flipped_csv_fails_on_a_named_line_or_reads_a_prefix(tmp_path, capsys,
+                                                                         reader):
+    # every truncation and every byte flipped: either the reader and the
+    # command refuse the file naming file:line, or it reads as a prefix of
+    # its rows
+    write, read_rows, argv, header_reads = CSV_READERS[reader]
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    names = {**_fuzz_inputs(tmp_path), "BAD": bad}
+    argv = [names.get(word, word) for word in argv]
+    write(good)
     raw = good.read_bytes()
-    rows = [(t.object_id, *p) for t in read_trace_csv(good) for p in t.points]
-    bad = tmp_path / "bad.csv"
+    rows = read_rows(good)
     cases = [raw[:cut] for cut in range(len(raw) + 1)]
     cases += [raw[:at] + bytes([raw[at] ^ 0xFF]) + raw[at + 1:] for at in range(len(raw))]
     read = 0
     for case in cases:
         bad.write_bytes(case)
         try:
-            got = [(t.object_id, *p) for t in read_trace_csv(bad) for p in t.points]
+            got = read_rows(bad)
         except ValueError as exc:
             assert str(exc).startswith(f"{bad}:"), str(exc)
             assert re.match(r"\d+: ", str(exc)[len(f"{bad}:"):]), str(exc)
             capsys.readouterr()
-            assert run(["split", "--traces", bad, "--out", tmp_path / "x"]) == 1
+            assert run([*argv, "--out", tmp_path / "x"]) == 1
             err = capsys.readouterr().err
             assert err == f"error: {exc}\n"
         else:
             assert got == rows[: len(got)], case
             read += 1
-    # what reads: the header before, inside and after its CRLF, and each
-    # row up to its CR or its LF
-    assert read == 3 + 2 * len(rows)
+    # what reads: the header before, inside and after its CRLF where the
+    # reader takes a file without rows, and each row up to its CR or its LF
+    assert read == 3 * header_reads + 2 * len(rows)
 
 
 def test_cut_or_byte_flipped_signature_jsonl_fails_on_a_named_line_or_reads_valid_rows(
         tmp_path, capsys):
     # every truncation, and every byte flipped to non-UTF-8 (^ 0xFF) or to a
     # neighbouring ASCII character (^ 0x01: digits, quotes, brackets, commas,
-    # line breaks): either the reader and the three commands that read
+    # line breaks): either the reader and three commands that read
     # signature files refuse it naming file:line, or every row it reads is
     # one the readers' row rules accept. An uncaught exception fails the test.
     good = tmp_path / "sigs.jsonl"
@@ -852,10 +837,12 @@ def test_cut_or_byte_flipped_signature_jsonl_fails_on_a_named_line_or_reads_vali
     good.write_text("".join(json.dumps(r) + "\n" for r in records))
     raw = good.read_bytes()
     bad = tmp_path / "bad.jsonl"
+    results = tmp_path / "results.csv"
+    write_results_csv(results, {"a": [("a", 1.0), ("b", 0.48)], "b": [("b", 1.0)]})
     commands = [
         ["link", "--queries", good, "--references", bad, "--engine", "linear"],
         ["reduce", "--signatures", bad, "--m", "1"],
-        ["index", "build", "--signatures", bad],
+        ["eval", "--results", results, "--references", bad],
     ]
     cases = [raw[:cut] for cut in range(len(raw) + 1)]
     cases += [raw[:at] + bytes([raw[at] ^ mask]) + raw[at + 1:]
@@ -900,8 +887,7 @@ def test_signature_line_nested_past_the_json_parser_depth_fails_on_its_line(tmp_
 
 @pytest.fixture(scope="module")
 def three_anchors(tmp_path_factory):
-    """Three anchors, traces and spatial signatures within them, and an
-    index built from those signatures."""
+    """Three anchors, and traces and spatial signatures within them."""
     base = tmp_path_factory.mktemp("three")
     (base / "anchors.csv").write_text("anchor_id,lon,lat\n0,0.0,0.0\n1,1.0,0.0\n2,0.0,1.0\n")
     rows = [f"{oid},{a},{86400 * day}" for oid in "abc" for day, a in enumerate([0, 1, 2, 1])]
@@ -909,8 +895,6 @@ def three_anchors(tmp_path_factory):
     records = [{"object_id": oid, "kind": "spatial", "normalized": True,
                 "sig": [[i, 0.6], [2, 0.8]]} for i, oid in enumerate("ab")]
     (base / "sigs.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
-    assert run(["index", "build", "--signatures", base / "sigs.jsonl",
-                "--anchors", base / "anchors.csv", "--out", base / "idx"]) == 0
     return base
 
 
@@ -938,8 +922,6 @@ OUT_OF_RANGE = [
     ("link-linear", "signatures", [[1, 0.6], [3, 0.8]],
      ["link", "--queries", "BAD", "--references", "S", "--anchors", "A", "--engine", "linear"],
      _NAMED),
-    ("index-build", "signatures", [[3, 1.0]],
-     ["index", "build", "--signatures", "BAD", "--anchors", "A"], _NAMED),
 ]
 
 
@@ -972,51 +954,45 @@ def test_anchor_file_with_misplaced_id_exits_1(tmp_path, capsys, three_anchors):
     assert err == f"error: {bad}:3: anchor id 2 where 1 was due; ids run 0, 1, 2, ... in file order\n"
 
 
-def test_index_refuses_unnormalized_signature_and_validate_reports_one(tmp_path, capsys,
-                                                                      three_anchors):
-    base = three_anchors
-    record = {"object_id": "u", "kind": "spatial", "normalized": False, "sig": [[0, 3.0]]}
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text(json.dumps(record) + "\n")
+# per side left without a signature: each object's anchors on 1 January
+# (the query half, an odd day of the month) and on 2 January (the reference
+# half)
+EMPTY_SIDES = {
+    "reference": ("d", [[0, 1, 2]] * 3, [[0, 1, 2]] * 3),
+    "query": ("q", [[0]] * 3, [[0, 1], [0, 2], [0, 1]]),
+}
+
+
+@pytest.mark.parametrize("side", EMPTY_SIDES)
+def test_pipeline_refuses_a_side_without_signatures(tmp_path, capsys, three_anchors, side):
+    # an anchor every reference object visits weighs 0, so a side whose
+    # objects visit only such anchors has no signature; no signature file
+    # is written, since link would refuse it
+    half, first, second = EMPTY_SIDES[side]
+    rows = [f"{oid},{a},{86400 * day + 60 * i}"
+            for oid, *days in zip("abc", first, second)
+            for day, anchors in enumerate(days) for i, a in enumerate(anchors)]
+    traces = tmp_path / "t.csv"
+    traces.write_text("object_id,anchor_id,timestamp\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "p"
     capsys.readouterr()
-    assert run(["index", "build", "--signatures", bad, "--anchors", base / "anchors.csv",
-                "--out", tmp_path / "x"]) == 1
-    assert capsys.readouterr().err == f"error: {bad}:1: signature of 'u' is not normalized\n"
-    # save refuses such a leaf, and validate refuses a file row of another norm
-    tree = load_index(base / "idx/index.bin")
-    leaf = tree.root.children[0]
-    leaf._leaf_sig = dataclasses.replace(leaf.signature, normalized=False)
-    with pytest.raises(ValueError, match=f"signature of {leaf.object_id!r} is not normalized"):
-        save_index(tree, tmp_path / "index.bin")
-    (tmp_path / "index.bin").write_bytes((base / "idx/index.bin").read_bytes())
-    edit_index_leaf(tmp_path / "index.bin", leaf.object_id,
-                    lambda dims, weights, box: np.multiply(weights, 3.0, out=weights))
-    capsys.readouterr()
-    assert run(["index", "validate", "--index", tmp_path / "index.bin"]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and len(err.strip().splitlines()) == 1 and "Traceback" not in err
-    rule = f"error: corrupt index: leaf {leaf.object_id!r}: marked normalized but its norm is "
-    assert err.startswith(rule) and float(err[len(rule):]) == pytest.approx(3.0)
+    assert run(["pipeline", "--traces", traces, "--anchors", three_anchors / "anchors.csv",
+                "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: no {side} signature: every object of {out / half}.csv is excluded\n")
+    assert not list(out.glob("signatures_*"))
 
 
 def test_readme_verb_table_matches_parser(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    listed = set()
-    for cell in re.findall(r"^\| `([a-z /]+)` \|", readme, re.M):
-        verb, _, subs = cell.partition(" ")
-        listed |= {f"{verb} {sub}" for sub in subs.split("/")} if subs else {verb}
+    listed = set(re.findall(r"^\| `([a-z]+)` \|", readme, re.M))
 
     def help_text(words):
         capsys.readouterr()
         assert main([*words, "--help"]) == 0
         return capsys.readouterr().out
 
-    def choices(words):
-        return re.search(r"\{([a-z,]+)\}", help_text(words)).group(1).split(",")
-
-    registered = set()
-    for verb in choices([]):
-        registered |= {f"{verb} {sub}" for sub in choices([verb])} if verb == "index" else {verb}
+    registered = set(re.search(r"\{([a-z,]+)\}", help_text([])).group(1).split(","))
     assert listed == registered
     for verb in registered:
-        help_text(verb.split())
+        help_text([verb])

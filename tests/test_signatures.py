@@ -473,6 +473,22 @@ def test_signature_file_with_no_record_is_refused_at_its_last_line(tmp_path, tex
         read_signatures_jsonl(path)
 
 
+@pytest.mark.parametrize("scale,refused", [(1.0 + 6e-10, False), (1.0 + 2e-9, True)])
+def test_signature_record_near_the_norm_tolerance(tmp_path, scale, refused):
+    # a norm off by less than NORM_TOL reads as written; one off by more is
+    # refused, naming the line
+    weights = [0.6 * scale, 0.8 * scale]
+    path = tmp_path / "sigs.jsonl"
+    path.write_text(json.dumps({"object_id": "a", "kind": "spatial", "normalized": True,
+                                "sig": [[0, weights[0]], [2, weights[1]]]}) + "\n")
+    if refused:
+        rule = f"{path}:1: marked normalized but its norm is 1.00000000"
+        with pytest.raises(ValueError, match=f"^{re.escape(rule)}"):
+            read_signatures_jsonl(path)
+    else:
+        assert read_signatures_jsonl(path)["a"].weights.tolist() == weights
+
+
 # ---------------------------------------------------------------------------
 # Batched TF-IDF: bit-identical to weighting each object alone
 

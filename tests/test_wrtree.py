@@ -1,32 +1,26 @@
-import re
-from dataclasses import astuple
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siglink.reduction import Mbr, cut_reduce, mbr_of
-from siglink.signatures import Signature, SignatureTable, _indptr, check_row, cosine_similarity
+from siglink.signatures import Signature, cosine_similarity
 from siglink.synth import generate_synthetic
 from siglink.linking import reference_signatures
 from siglink.wrtree import (
     WrNode,
     WrTree,
-    _suspect_rows,
     aggregate_signatures,
     bulk_load,
     insert,
     knn_search,
     linear_knn,
-    load_index,
     merge_node,
     rtree_baseline_knn,
-    save_index,
     validate,
 )
 
-from testkit import edit_index_leaf, entry, line_anchors, random_signature, reseal_index, sig
+from testkit import entry, line_anchors, random_signature, sig
 
 
 def synthetic_entries(n, seed, n_anchors=None, m=10):
@@ -203,7 +197,7 @@ def test_bulk_load_refuses_mixed_kinds_as_insert_does():
         insert(tree, sequential)
 
 
-def test_index_refuses_and_validate_reports_unnormalized_leaf(tmp_path):
+def test_index_refuses_and_validate_reports_unnormalized_leaf():
     entries, _ = synthetic_entries(6, seed=8)
     oid, s, m = entries[0]
     raw = Signature(s.dims, 3.0 * s.weights, s.kind, normalized=False)
@@ -216,20 +210,11 @@ def test_index_refuses_and_validate_reports_unnormalized_leaf(tmp_path):
     assert tree.n_objects == 5 and validate(tree) == []
     with pytest.raises(ValueError, match=refused):
         insert(bulk_load([], capacity=4), (oid, raw, m))
-    # save refuses such a leaf, and load refuses a file row of another norm;
     # validate still reports one in a tree built in memory
     tree = bulk_load(entries, capacity=16)
     leaf = next(c for c in tree.root.children if c.object_id == oid)
     leaf._leaf_sig = Signature(s.dims, s.weights, s.kind, normalized=False)
     assert validate(tree) == [f"signature of leaf '{oid}' is not normalized"]
-    with pytest.raises(ValueError, match=refused):
-        save_index(tree, tmp_path / "index.bin")
-    save_index(bulk_load(entries, capacity=16), tmp_path / "index.bin")
-    edit_index_leaf(tmp_path / "index.bin", oid, lambda d, w, box: np.multiply(w, 3.0, out=w))
-    rule = f"corrupt index: leaf '{oid}': marked normalized but its norm is "
-    with pytest.raises(ValueError, match=re.escape(rule)) as refusal:
-        load_index(tmp_path / "index.bin")
-    assert float(str(refusal.value)[len(rule):]) == pytest.approx(3.0)
 
 
 def test_bulk_load_matches_linear_oracle():
@@ -306,7 +291,7 @@ def _height(tree):
     return height
 
 
-def test_postings_stay_current_between_searches(tmp_path):
+def test_postings_stay_current_between_searches():
     # capacity 3 splits the root several times; every insert is followed by
     # searches that must agree with the oracle over the objects present
     entries, _ = synthetic_entries(90, seed=17)
@@ -330,10 +315,6 @@ def test_postings_stay_current_between_searches(tmp_path):
         heights.add(_height(tree))
         check(tree)
     assert len(heights) >= 3
-    path = tmp_path / "index.bin"
-    save_index(tree, path)
-    tree = load_index(path)
-    check(tree)
     for e in entries[60:]:
         insert(tree, e)
         present.append(e)
@@ -491,7 +472,7 @@ def test_rtree_baseline_matches_wrtree_on_overlap_complete_queries():
 
 
 # ---------------------------------------------------------------------------
-# Validation and serialization
+# Validation
 
 
 def test_validator_flags_corrupted_aggregate():
@@ -530,39 +511,6 @@ def test_validator_flags_escaped_mbr():
     assert any("mbr" in p.lower() for p in validate(tree))
 
 
-def test_index_round_trip(tmp_path):
-    entries, _ = synthetic_entries(80, seed=15)
-    tree = bulk_load(entries, capacity=8)
-    path = tmp_path / "index.bin"
-    save_index(tree, path)
-    loaded = load_index(path)
-    assert loaded.capacity == tree.capacity
-    assert loaded.n_objects == tree.n_objects
-    assert loaded.kind == tree.kind
-    assert validate(loaded) == []
-    for oid, s, m in entries[::9]:
-        assert knn_search(loaded, (s, m), 5) == knn_search(tree, (s, m), 5)
-    insert(loaded, ("brand-new", entries[0][1], entries[0][2]))
-    assert loaded.n_objects == tree.n_objects + 1
-
-
-def test_index_with_mixed_children_or_a_leaf_root_rejected(tmp_path):
-    entries, _ = synthetic_entries(30, seed=13)
-    path = tmp_path / "index.bin"
-    tree = bulk_load(entries, capacity=4)
-    oid, s, m = entries[0]
-    tree.root.children[0].children.append(WrNode.leaf("extra", s, m))
-    tree.n_objects += 1
-    save_index(tree, path)
-    with pytest.raises(ValueError, match="corrupt index: node mixes"):
-        load_index(path)
-    tree = bulk_load(entries[:1], capacity=4)
-    tree.root = tree.root.children[0]
-    save_index(tree, path)
-    with pytest.raises(ValueError, match="corrupt index: the root is a leaf"):
-        load_index(path)
-
-
 def _hand_tree(shape, capacity):
     """A tree of hand-placed nodes: a string is a leaf of that id, a list an
     internal node over its items."""
@@ -579,207 +527,13 @@ def _hand_tree(shape, capacity):
     return WrTree(root, capacity, "spatial", len(leaves), set(leaves))
 
 
-@pytest.mark.parametrize("shape,capacity,problem", [
-    (["a", "a"], 4, "duplicate object ids in tree"),
-    (list("abcdefghi"), 2, "node at depth 0 has 9 children"),
-    ([["a", "b"], [["c"]]], 4, "leaves at unequal depths: [2, 3]"),
-])
-def test_index_that_breaks_a_shape_rule_is_refused_on_load(tmp_path, shape, capacity, problem):
+@pytest.mark.parametrize("shape,capacity,missing,problem", [
+    (["a", "a"], 4, 0, "duplicate object ids in tree"),
+    (list("abcdefghi"), 2, 0, "node at depth 0 has 9 children"),
+    ([["a", "b"], [["c"]]], 4, 0, "leaves at unequal depths: [2, 3]"),
+    (list("abcdef"), 8, 1, "tree holds 6 objects, expected 7"),
+], ids=["duplicate-ids", "over-capacity", "unequal-depths", "object-count"])
+def test_validate_reports_each_shape_rule(shape, capacity, missing, problem):
     tree = _hand_tree(shape, capacity)
+    tree.n_objects += missing
     assert validate(tree) == [problem]
-    save_index(tree, tmp_path / "index.bin")
-    with pytest.raises(ValueError, match=re.escape(f"corrupt index: {problem}")):
-        load_index(tmp_path / "index.bin")
-
-
-def test_index_bad_magic_rejected(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"not an index")
-    with pytest.raises(ValueError):
-        load_index(path)
-
-
-def test_empty_tree_round_trip(tmp_path):
-    tree = bulk_load([], capacity=4)
-    path = tmp_path / "empty.bin"
-    save_index(tree, path)
-    loaded = load_index(path)
-    assert loaded.root is None
-    assert loaded.n_objects == 0
-
-
-def _saved_index_bytes(tmp_path, n=6, capacity=2):
-    entries, _ = synthetic_entries(n, seed=16)
-    path = tmp_path / "index.bin"
-    save_index(bulk_load(entries, capacity=capacity), path)
-    return path, bytearray(path.read_bytes())
-
-
-# header layout after the 10-byte magic: <H version, I capacity, Q n_objects, ...
-_CAPACITY_AT = 12
-_N_OBJECTS_AT = 16
-
-
-def test_index_object_count_mismatch_rejected(tmp_path):
-    path, raw = _saved_index_bytes(tmp_path)
-    raw[_N_OBJECTS_AT : _N_OBJECTS_AT + 8] = (6 + 1).to_bytes(8, "little")
-    path.write_bytes(reseal_index(raw))
-    with pytest.raises(ValueError, match="corrupt index: tree holds 6 objects, expected 7"):
-        load_index(path)
-
-
-def test_index_capacity_below_two_rejected(tmp_path):
-    path, raw = _saved_index_bytes(tmp_path)
-    raw[_CAPACITY_AT : _CAPACITY_AT + 4] = (1).to_bytes(4, "little")
-    path.write_bytes(reseal_index(raw))
-    with pytest.raises(ValueError, match="corrupt index: capacity 1 < 2"):
-        load_index(path)
-
-
-def test_index_with_any_byte_flipped_rejected(tmp_path):
-    path, raw = _saved_index_bytes(tmp_path)
-    for at in range(len(raw)):
-        flipped = bytearray(raw)
-        flipped[at] ^= 0xFF
-        path.write_bytes(bytes(flipped))
-        with pytest.raises(ValueError, match="corrupt index|not a siglink index file"):
-            load_index(path)
-
-
-def test_truncated_index_rejected_at_every_offset(tmp_path):
-    path, raw = _saved_index_bytes(tmp_path)
-    for cut in range(len(b"SIGLINKIDX") + 1, len(raw)):
-        path.write_bytes(bytes(raw[:cut]))
-        with pytest.raises(ValueError, match="corrupt index"):
-            load_index(path)
-
-
-def _set(index, value):
-    return lambda dims, weights, box: weights.__setitem__(index, value)
-
-
-def _swap_dims(dims, weights, box):
-    dims[[0, 1]] = dims[[1, 0]]
-
-
-def _scale(dims, weights, box):
-    np.multiply(weights, 1.0 + 1e-6, out=weights)
-
-
-def _box(at, value):
-    return lambda dims, weights, box: box.__setitem__(at, value)
-
-
-@pytest.mark.parametrize("edit,rule", [
-    (_set(0, -0.5), "weights must be finite and > 0"),
-    (_set(1, 0.0), "weights must be finite and > 0"),
-    (_set(0, float("nan")), "weights must be finite and > 0"),
-    (_swap_dims, "dims must be non-negative and strictly increasing"),
-    (_scale, "marked normalized but its norm is 1.00000"),
-    (_box(0, float("nan")), "inverted or NaN rectangle"),
-    (_box(3, -1e9), "inverted or NaN rectangle"),
-], ids=["negative", "zero", "nan", "swapped-dims", "norm", "nan-box", "inverted-box"])
-def test_hand_edited_leaf_row_refused_on_load(tmp_path, edit, rule):
-    # the edit keeps the checksum whole, so the leaf row rules must catch it
-    entries, _ = synthetic_entries(20, seed=16)
-    oid = next(oid for oid, s, _ in entries if s.nnz() > 1)
-    path = tmp_path / "index.bin"
-    save_index(bulk_load(entries, capacity=4), path)
-    edit_index_leaf(path, oid, edit)
-    with pytest.raises(ValueError, match=re.escape(f"corrupt index: leaf '{oid}': {rule}")):
-        load_index(path)
-
-
-def _shape_and_leaves(node):
-    """A tree in pre-order: each node's child count, rectangle and
-    aggregate, and each leaf's id, dims and weights by float.hex."""
-    if node.is_leaf:
-        s = node.signature
-        return [(0, astuple(node.mbr), node.object_id, s.dims.tolist(),
-                 [w.hex() for w in s.weights.tolist()])]
-    out = [(len(node.children), astuple(node.mbr), node.weight_map)]
-    for child in node.children:
-        out += _shape_and_leaves(child)
-    return out
-
-
-@pytest.mark.parametrize("capacity", [2, 4, 32, "inserted"])
-def test_index_round_trip_keeps_shape_leaves_and_answers(tmp_path, capacity):
-    entries, anchors = synthetic_entries(70, seed=18)
-    if capacity == "inserted":
-        tree = bulk_load([], capacity=3)
-        for e in entries:
-            insert(tree, e)
-    else:
-        tree = bulk_load(entries, capacity=capacity)
-    path = tmp_path / "index.bin"
-    save_index(tree, path)
-    loaded = load_index(path)
-    assert _shape_and_leaves(loaded.root) == _shape_and_leaves(tree.root)
-    assert (loaded.capacity, loaded.kind, loaded.n_objects, loaded.ids) == (
-        tree.capacity, tree.kind, tree.n_objects, tree.ids)
-    assert validate(loaded) == []
-    for _, s, m in entries[::7]:
-        for k in (1, 5):
-            expect = linear_knn(entries, (s, m), k)
-            assert knn_search(loaded, (s, m), k) == expect
-            assert rtree_baseline_knn(loaded, (s, m), k) == expect
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    rows=st.lists(
-        st.tuples(
-            st.lists(st.integers(0, 9), unique=True, max_size=5).map(sorted),
-            st.sampled_from(["", "", "negative", "swapped", "repeated"]),
-            st.lists(st.sampled_from([0.6, 0.8, 1.0, 0.5, -0.5, 0.0, float("nan"),
-                                      float("inf"), 1e300]), min_size=5, max_size=5),
-            st.sampled_from([1.0, 1.0 + 4e-10, 1.0 + 6e-10, 1.0 + 1e-9, 1.0 + 2e-9]),
-        ),
-        min_size=1, max_size=8,
-    )
-)
-def test_leaf_screen_flags_every_row_check_row_refuses(rows):
-    # hand-made rows: most in dim order, some just inside or outside the
-    # norm tolerance, some breaking a rule; the one-pass screen must flag
-    # each row check_row refuses
-    dims, weights = [], []
-    for row_dims, dim_edit, row_weights, scale in rows:
-        if dim_edit == "negative" and row_dims:
-            row_dims[0] = -1 - row_dims[0]
-        elif dim_edit == "repeated" and len(row_dims) > 1:
-            row_dims[1] = row_dims[0]
-        elif dim_edit == "swapped" and len(row_dims) > 1:
-            row_dims[:2] = row_dims[1::-1]
-        w = np.array(row_weights[: len(row_dims)])
-        with np.errstate(all="ignore"):
-            norm = np.linalg.norm(w)
-            w = w / norm * scale if len(w) and norm > 0 else w
-        dims.append(np.array(row_dims, dtype=np.int64))
-        weights.append(w)
-    table = SignatureTable(
-        "spatial", [f"o{i}" for i in range(len(rows))], _indptr([len(d) for d in dims]),
-        np.concatenate([np.empty(0, np.int64), *dims]), np.concatenate([np.empty(0), *weights]),
-    )
-    suspect = _suspect_rows(table)
-    for i, (d, w) in enumerate(zip(dims, weights)):
-        try:
-            with np.errstate(all="ignore"):
-                check_row(d, w)
-        except ValueError:
-            assert suspect[i], (d, w)
-
-
-@pytest.mark.parametrize("scale,refused", [(1.0 + 6e-10, False), (1.0 + 2e-9, True)])
-def test_leaf_near_the_norm_tolerance_is_left_to_check_row(tmp_path, scale, refused):
-    entries, _ = synthetic_entries(20, seed=16)
-    oid = entries[3][0]
-    path = tmp_path / "index.bin"
-    save_index(bulk_load(entries, capacity=4), path)
-    edit_index_leaf(path, oid, lambda d, w, box: np.multiply(w, scale, out=w))
-    if refused:
-        rule = f"corrupt index: leaf '{oid}': marked normalized but its norm is 1.00000000"
-        with pytest.raises(ValueError, match=re.escape(rule)):
-            load_index(path)
-    else:
-        assert load_index(path).n_objects == 20
