@@ -197,7 +197,7 @@ def _read_signatures(path: str, args: argparse.Namespace, anchors=None) -> Signa
 
 def _calibrated(args: argparse.Namespace, anchors) -> list[Trace]:
     raw = read_raw_csv(args.raw)
-    return [calibrate_trace(oid, pts, anchors, metric=args.metric) for oid, pts in raw.items()]
+    return [calibrate_trace(oid, pts, anchors) for oid, pts in raw.items()]
 
 
 def _split_to(out: Path, traces: list[Trace], args: argparse.Namespace) -> SplitResult:
@@ -271,7 +271,6 @@ def _cmd_ingest(args: argparse.Namespace) -> None:
         "objects_in": before,
         "objects_kept": len(traces),
         "min_points": args.min_points,
-        "metric": args.metric,
         "total_points": sum(len(t) for t in traces),
     }
     _write_json(out / "ingest_report.json", report)
@@ -641,7 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = _verb(subparsers, "ingest", _cmd_ingest, help="calibrate raw GPS traces to anchors")
     p.add_argument("--raw", required=True)
     p.add_argument("--anchors", required=True)
-    p.add_argument("--metric", default="haversine", choices=["haversine", "planar"])
     p.add_argument("--min-points", type=_at_least(0), default=0)
 
     p = _verb(subparsers, "split", _cmd_split, help="split calibrated traces into Q and D")
@@ -706,7 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw", default=None)
     p.add_argument("--traces", default=None)
     p.add_argument("--anchors", default=None)
-    p.add_argument("--metric", default="haversine", choices=["haversine", "planar"])
     p.add_argument("--min-points", type=_at_least(0), default=0)
     p.add_argument("--engine", default="wrtree", choices=list(ENGINES))
     p.add_argument("--m", type=_POSITIVE, default=10)

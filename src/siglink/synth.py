@@ -36,9 +36,10 @@ def generate_synthetic(
 ) -> tuple[list[Trace], AnchorSet]:
     """Generate calibrated traces plus their anchor set, reproducibly.
 
-    The box is (min_lon, min_lat, max_lon, max_lat) in planar degrees;
-    locality_radius is in the same units. Traces span n_days so day-based
-    splits are non-trivial, and consecutive points never repeat an anchor.
+    The box is (min_lon, min_lat, max_lon, max_lat) in WGS84 degrees;
+    locality_radius is a distance in degrees on the (lon, lat) plane. Traces
+    span n_days so day-based splits are non-trivial, and consecutive points
+    never repeat an anchor.
     """
     if n_objects < 1 or n_anchors < 1 or points_per_object < 1 or n_days < 1:
         raise ValueError("all synthetic workload counts must be >= 1")

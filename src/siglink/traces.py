@@ -8,6 +8,7 @@ import math
 import random
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -30,8 +31,8 @@ DEFAULT_UTC_OFFSET_HOURS = 8
 _NEAREST_POOL = 8
 
 # A point whose second KD-tree neighbour is farther than the first by more
-# than this relative-plus-absolute gap (metres, or degrees when planar) has a
-# unique nearest anchor; see nearest_anchors for why the gap is sound.
+# than this relative-plus-absolute gap in metres has a unique nearest anchor;
+# see nearest_anchors for why the gap is sound.
 _CLEAR_GAP = 1e-6
 
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
@@ -99,10 +100,10 @@ class Trace:
 class AnchorSet:
     """Immutable anchor vocabulary; ids are dense in [0, len).
 
-    The coordinate arrays are never modified and must be finite. The lookup
-    trees are built on first use and cached on the instance; scipy's KD-tree
-    module is imported only then, so a process that never calibrates raw
-    fixes never loads it.
+    The coordinate arrays are never modified and must be WGS84 degrees. The
+    lookup tree of unit vectors is built on first use and cached on the
+    instance; scipy's KD-tree module is imported only then, so a process
+    that never calibrates raw fixes never loads it.
     """
 
     def __init__(self, lons: Sequence[float], lats: Sequence[float]):
@@ -112,23 +113,13 @@ class AnchorSet:
             raise ValueError("lons and lats must be parallel 1-d sequences")
         if len(self.lons) == 0:
             raise ValueError("anchor set must contain at least one anchor")
-        bad = np.flatnonzero(~(np.isfinite(self.lons) & np.isfinite(self.lats)))
-        if len(bad):
-            i = int(bad[0])
-            lon, lat = float(self.lons[i]), float(self.lats[i])
-            raise ValueError(f"anchor {i} has a non-finite coordinate: lon {lon}, lat {lat}")
-        self._planar_tree: cKDTree | None = None
+        problem = _outside_wgs84(self.lons, self.lats)
+        if problem:
+            raise ValueError(f"anchor {problem}")
         self._sphere_tree: cKDTree | None = None
 
     def __len__(self) -> int:
         return len(self.lons)
-
-    def planar_tree(self) -> cKDTree:
-        if self._planar_tree is None:
-            from scipy.spatial import cKDTree
-
-            self._planar_tree = cKDTree(np.column_stack([self.lons, self.lats]))
-        return self._planar_tree
 
     def sphere_tree(self) -> cKDTree:
         if self._sphere_tree is None:
@@ -164,6 +155,19 @@ def haversine_m(lon1, lat1, lon2, lat2):
     return EARTH_RADIUS_M * 2.0 * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
 
 
+def _outside_wgs84(lons: np.ndarray, lats: np.ndarray) -> str | None:
+    """The index of the first (lon, lat) outside [-180, 180] x [-90, 90] or
+    not finite, and what it has; None if there is none. Passing costs one
+    test of each column's largest magnitude, which nan fails."""
+    if np.abs(lons).max() <= 180.0 and np.abs(lats).max() <= 90.0:
+        return None
+    i = int(np.argmin((np.abs(lons) <= 180.0) & (np.abs(lats) <= 90.0)))
+    lon, lat = float(lons[i]), float(lats[i])
+    finite = math.isfinite(lon) and math.isfinite(lat)
+    what = "a coordinate outside WGS84" if finite else "a non-finite coordinate"
+    return f"{i} has {what}: lon {lon}, lat {lat}"
+
+
 def _unit_sphere(lons, lats) -> np.ndarray:
     lon_r = np.radians(np.asarray(lons, dtype=float))
     lat_r = np.radians(np.asarray(lats, dtype=float))
@@ -171,28 +175,25 @@ def _unit_sphere(lons, lats) -> np.ndarray:
     return np.column_stack([cos_lat * np.cos(lon_r), cos_lat * np.sin(lon_r), np.sin(lat_r)])
 
 
-def nearest_anchors(anchors: AnchorSet, lons, lats, metric: str = "haversine") -> np.ndarray:
+def nearest_anchors(anchors: AnchorSet, lons, lats) -> np.ndarray:
     """Nearest anchor id for each (lon, lat); exact ties go to the lowest id.
 
-    "Ties" are anchors within ``1e-9 * max(dmin, 1)`` of the nearest exact
-    distance ``dmin`` (metres for haversine, degrees for planar). The
-    KD-tree screens every point with its two nearest anchors; a point whose
-    second neighbour is farther than the first by more than the clear gap
-    ``d1 * 1e-6 + 1e-6`` takes the first directly. Only the remaining
-    near-ties are re-ranked: the tree's nearest ``_NEAREST_POOL`` anchors
-    are scored with the exact metric and the lowest id within the tie
-    tolerance wins. A point whose farthest pooled anchor still ties is
-    re-ranked again over a pool twice as large, until the farthest one no
-    longer ties or the pool holds every anchor.
+    "Ties" are anchors within ``1e-9 * max(dmin, 1)`` metres of the nearest
+    haversine distance ``dmin``. The KD-tree of unit vectors screens every
+    point with its two nearest anchors; a point whose second neighbour is
+    farther than the first by more than the clear gap ``d1 * 1e-6 + 1e-6``
+    takes the first directly. Only the remaining near-ties are re-ranked:
+    the tree's nearest ``_NEAREST_POOL`` anchors are scored by haversine
+    and the lowest id within the tie tolerance wins. A point whose farthest
+    pooled anchor still ties is re-ranked again over a pool twice as large,
+    until the farthest one no longer ties or the pool holds every anchor.
 
-    Why the screen returns what the re-ranking would: planar tree distances
-    are the exact metric up to rounding. For haversine the tree holds unit
-    vectors, and the screen scales chord lengths ``c`` by the earth radius
-    R. The great-circle distance ``R * 2 * asin(c / 2)`` is at least
-    ``R * c``, and since ``asin`` has slope >= 1 the arc gap between two
-    anchors is at least ``R`` times their chord gap. Either way every other
-    anchor lies more than ``1e-6 * (d1 + 1)`` beyond the first neighbour in
-    the exact metric, and the first neighbour's exact distance is at most
+    Why the screen returns what the re-ranking would: the screen scales
+    chord lengths ``c`` by the earth radius R. The great-circle distance
+    ``R * 2 * asin(c / 2)`` is at least ``R * c``, and since ``asin`` has
+    slope >= 1 the arc gap between two anchors is at least ``R`` times their
+    chord gap. So every other anchor lies more than ``1e-6 * (d1 + 1)``
+    beyond the first neighbour, whose haversine distance is at most
     ``pi / 2`` times ``d1``. That gap exceeds the tie tolerance by a factor
     of over 600, and the rounding of either distance (about ``1e-8`` m
     absolute plus a few ulps relative) by over 100, so no other anchor can
@@ -200,38 +201,30 @@ def nearest_anchors(anchors: AnchorSet, lons, lats, metric: str = "haversine") -
     """
     lons = np.atleast_1d(np.asarray(lons, dtype=float))
     lats = np.atleast_1d(np.asarray(lats, dtype=float))
-    if metric == "planar":
-        tree, scale = anchors.planar_tree(), 1.0
-        points = np.column_stack([lons, lats])
-    elif metric == "haversine":
-        tree, scale = anchors.sphere_tree(), EARTH_RADIUS_M
-        points = _unit_sphere(lons, lats)
-    else:
-        raise ValueError(f"unknown calibration metric: {metric!r}")
+    tree, points = anchors.sphere_tree(), _unit_sphere(lons, lats)
     # with one anchor the missing second neighbour comes back at infinity,
     # which always clears the gap
     dist, idx = tree.query(points, k=2)
-    d1 = dist[:, 0] * scale
-    d2 = dist[:, 1] * scale
+    d1 = dist[:, 0] * EARTH_RADIUS_M
+    d2 = dist[:, 1] * EARTH_RADIUS_M
     nearest = idx[:, 0]
     near_tie = ~(d2 > d1 * (1.0 + _CLEAR_GAP) + _CLEAR_GAP)
     if near_tie.any():
         nearest[near_tie] = _nearest_in_pool(
-            anchors, tree, points[near_tie], lons[near_tie], lats[near_tie], metric
+            anchors, tree, points[near_tie], lons[near_tie], lats[near_tie]
         )
     return nearest
 
 
 def _nearest_in_pool(
-    anchors: AnchorSet, tree: cKDTree, points: np.ndarray, lons, lats, metric: str
+    anchors: AnchorSet, tree: cKDTree, points: np.ndarray, lons, lats
 ) -> np.ndarray:
-    """Exact re-ranking of the KD-tree's nearest anchors, widening the pool
-    while its farthest anchor still ties.
+    """Haversine re-ranking of the KD-tree's nearest anchors, widening the
+    pool while its farthest anchor still ties.
 
     Chord distance on the unit sphere is monotone in great-circle distance, so
-    the candidates are retrieved in 3-d and re-ranked with the exact metric
-    before tie-breaking; anchors outside a pool are no nearer than its
-    farthest one.
+    the candidates are retrieved in 3-d and re-ranked by haversine before
+    tie-breaking; anchors outside a pool are no nearer than its farthest one.
     """
     nearest = np.empty(len(lons), dtype=np.intp)
     rows = np.arange(len(lons))
@@ -240,10 +233,7 @@ def _nearest_in_pool(
         _, idx = tree.query(points[rows], k=k)
         idx = idx.reshape(len(rows), k)
         row_lons, row_lats = lons[rows, None], lats[rows, None]
-        if metric == "planar":
-            exact = np.hypot(anchors.lons[idx] - row_lons, anchors.lats[idx] - row_lats)
-        else:
-            exact = haversine_m(row_lons, row_lats, anchors.lons[idx], anchors.lats[idx])
+        exact = haversine_m(row_lons, row_lats, anchors.lons[idx], anchors.lats[idx])
         dmin = exact.min(axis=1, keepdims=True)
         tied = exact <= dmin + 1e-9 * np.maximum(dmin, 1.0)
         nearest[rows] = np.where(tied, idx, len(anchors)).min(axis=1)
@@ -253,26 +243,24 @@ def _nearest_in_pool(
         k = min(2 * k, len(anchors))
 
 
-def calibrate_trace(
-    object_id: str,
-    raw: Sequence[RawPoint],
-    anchors: AnchorSet,
-    metric: str = "haversine",
-) -> Trace:
+def calibrate_trace(object_id: str, raw: Sequence[RawPoint], anchors: AnchorSet) -> Trace:
     """Snap raw fixes to their nearest anchors and collapse consecutive repeats.
 
     Input is sorted by timestamp first (stably, so fixes sharing a timestamp
     keep their input order); a run of points snapping to the same anchor
-    keeps only its earliest timestamp.
+    keeps only its earliest timestamp. A fix that is not a WGS84 coordinate
+    raises ``ValueError`` naming the object and the fix's index in ``raw``.
     """
     if not raw:
         raise EmptyTraceError(f"no raw points for object {object_id!r}")
     lons, lats, stamps = zip(*raw)
+    lons, lats = np.array(lons, dtype=float), np.array(lats, dtype=float)
+    problem = _outside_wgs84(lons, lats)
+    if problem:
+        raise ValueError(f"object {object_id!r}: fix {problem}")
     stamps = np.array(stamps, dtype=np.int64)
     order = np.argsort(stamps, kind="stable")
-    lons = np.array(lons, dtype=float)[order]
-    lats = np.array(lats, dtype=float)[order]
-    ids = nearest_anchors(anchors, lons, lats, metric=metric)
+    ids = nearest_anchors(anchors, lons[order], lats[order])
     keep = np.empty(len(raw), dtype=bool)
     keep[0] = True
     np.not_equal(ids[1:], ids[:-1], out=keep[1:])
@@ -461,11 +449,11 @@ def split_dataset(
 # File formats
 
 
-def _finite(field: str) -> float:
-    """A CSV column type: a float that is neither nan nor infinite."""
+def _degrees(field: str, limit: int) -> float:
+    """A CSV column type, with ``limit`` bound: a float in [-limit, limit]."""
     value = float(field)
-    if not math.isfinite(value):
-        raise ValueError(f"{field!r} is not finite")
+    if not abs(value) <= limit:  # nan fails too
+        raise ValueError(f"{field!r} is not a finite number in [-{limit}, {limit}]")
     return value
 
 
@@ -535,8 +523,9 @@ def _point_int(field: str) -> int:
     return value
 
 
-_RAW_COLUMNS = {"object_id": str, "lon": _finite, "lat": _finite, "timestamp": _point_int}
-_ANCHOR_COLUMNS = {"anchor_id": int, "lon": _finite, "lat": _finite}
+_LON, _LAT = partial(_degrees, limit=180), partial(_degrees, limit=90)
+_RAW_COLUMNS = {"object_id": str, "lon": _LON, "lat": _LAT, "timestamp": _point_int}
+_ANCHOR_COLUMNS = {"anchor_id": int, "lon": _LON, "lat": _LAT}
 _TRACE_COLUMNS = {"object_id": str, "anchor_id": _point_int, "timestamp": _point_int}
 
 

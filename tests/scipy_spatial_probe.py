@@ -25,7 +25,7 @@ def main() -> int:
         print("scipy.spatial was loaded before any calibration", file=sys.stderr)
         return 1
     raw = [siglink.RawPoint(0.5, 0.5, 0), siglink.RawPoint(0.2, 0.7, 60)]
-    siglink.calibrate_trace("o", raw, anchors, metric="planar")
+    siglink.calibrate_trace("o", raw, anchors)
     if "scipy.spatial" not in sys.modules:
         print("calibrate_trace did not load scipy.spatial", file=sys.stderr)
         return 1

@@ -388,7 +388,7 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg.write_text("synthetic = n=20\nengin = linear\n")
     assert run(["--config", cfg, "pipeline", "--out", tmp_path / "x"]) == 2
     assert "engin" in capsys.readouterr().err
-    for key in ("threads = 2", "lsh_planes = 64"):
+    for key in ("threads = 2", "lsh_planes = 64", "metric = haversine"):
         cfg.write_text(f"synthetic = n=20\n{key}\n")
         assert run(["--config", cfg, "pipeline", "--out", tmp_path / "x"]) == 2
     cfg.write_text("seed = 3\n")
@@ -423,7 +423,7 @@ def test_captured_config_reloads(tmp_path):
         for o in range(3) for j in range(4 + o)
     ))
     reloads("ingest", ["ingest"], "--raw", raw, "--anchors", syn / "anchors.csv",
-            "--metric", "planar", "--min-points", 5)
+            "--min-points", 5)
     halves = reloads("split", ["split"], "--traces", syn / "traces.csv",
                      "--strategy", "random", "--q-days", 10, "--split-seed", 3)
     sd = reloads("sig-d", ["signature"], "--traces", halves / "d.csv")
@@ -669,6 +669,7 @@ MALFORMED = [
     ("anchor-lon-nan", "anchors", _anchor_lon("nan")),
     ("anchor-lon-inf", "anchors", _anchor_lon("-inf")),
     ("anchor-lon-text", "anchors", _anchor_lon("east")),
+    ("anchor-lon-outside-wgs84", "anchors", _anchor_lon("181.0")),
     ("link-anchor-lon-nan", "link-anchors", _anchor_lon("nan")),
     ("raw-lon-nan", "raw", lambda d: "object_id,lon,lat,timestamp\na,1.0,2.0,10\na,nan,2.0,20\n"),
     ("raw-lat-text", "raw", lambda d: "object_id,lon,lat,timestamp\na,1.0,zz,10\n"),
@@ -737,6 +738,27 @@ def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, small_run, what
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert re.search(rf"{re.escape(str(bad))}:\d+: ", err)
+
+
+@pytest.mark.parametrize(
+    "anchor_lat, fix_lat, where",
+    [("95.00", "39.902", "anchors.csv:5: lat: "), ("40.00", "219.902", "raw.csv:3: lat: ")],
+)
+def test_ingest_refuses_a_coordinate_outside_wgs84(tmp_path, capsys, anchor_lat, fix_lat, where):
+    (tmp_path / "anchors.csv").write_text(
+        "anchor_id,lon,lat\n0,116.30,39.90\n1,116.40,39.90\n2,116.30,40.00\n"
+        f"3,116.40,{anchor_lat}\n"
+    )
+    (tmp_path / "raw.csv").write_text(
+        "object_id,lon,lat,timestamp\na,116.301,39.901,1600000000\n"
+        f"a,116.399,{fix_lat},1600000600\n"
+    )
+    capsys.readouterr()
+    assert run(["ingest", "--raw", tmp_path / "raw.csv", "--anchors", tmp_path / "anchors.csv",
+                "--out", tmp_path / "r"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and where in err
+    assert not (tmp_path / "r" / "calibrated.csv").exists()
 
 
 def _fuzz_inputs(base):

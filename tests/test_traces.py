@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from datetime import date, datetime, timedelta, timezone
 from itertools import compress
 from pathlib import Path
@@ -68,21 +69,9 @@ def test_alternating_anchors_preserved(anchors100):
     assert [a for a, _ in trace.points] == [7, 9, 7, 9]
 
 
-def test_equidistant_point_snaps_to_lower_id_planar():
-    # anchors 3 and 5 straddle the query; planar distances are exactly equal
-    anchors = AnchorSet([0.0, 1.0, 2.0, 10.0, 3.0, 14.0], [5.0] * 6)
-    d3 = abs(10.0 - 12.0)
-    d5 = abs(14.0 - 12.0)
-    assert d3 == d5
-    ids = nearest_anchors(anchors, [12.0], [5.0], metric="planar")
-    assert ids[0] == 3
-
-
 def test_coincident_anchors_tie_breaks_to_lower_id(anchors100):
     anchors = AnchorSet([4.0, 4.0], [1.0, 1.0])
-    for metric in ("planar", "haversine"):
-        ids = nearest_anchors(anchors, [4.0], [1.0], metric=metric)
-        assert ids[0] == 0
+    assert nearest_anchors(anchors, [4.0], [1.0])[0] == 0
 
 
 def test_unsorted_raw_points_are_sorted_first(anchors100):
@@ -96,9 +85,32 @@ def test_empty_raw_raises(anchors100):
         calibrate_trace("o", [], anchors100)
 
 
-def test_unknown_metric_rejected(anchors100):
-    with pytest.raises(ValueError):
-        nearest_anchors(anchors100, [1.0], [0.0], metric="manhattan")
+@pytest.mark.parametrize(
+    "fixes, index, problem",
+    [
+        ([(math.nan, 0.0, 1), (0.1, 0.0, 2)], 0, "non-finite coordinate: lon nan, lat 0.0"),
+        ([(0.1, 0.0, 1), (math.inf, 0.0, 2)], 1, "non-finite coordinate: lon inf, lat 0.0"),
+        ([(0.1, 0.0, 1), (0.2, -math.inf, 2)], 1, "non-finite coordinate: lon 0.2, lat -inf"),
+        # the index is the fix's place in the input, before the time sort
+        ([(0.1, 0.0, 9), (116.399, 219.902, 5), (-180.5, 0.0, 1)], 1,
+         "coordinate outside WGS84: lon 116.399, lat 219.902"),
+        ([(0.1, 0.0, 1), (-180.5, 0.0, 2)], 1, "coordinate outside WGS84: lon -180.5, lat 0.0"),
+    ],
+)
+def test_calibrate_trace_refuses_a_fix_outside_wgs84_naming_object_and_fix(
+    anchors100, fixes, index, problem
+):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any numpy warning
+        with pytest.raises(ValueError, match=re.escape(f"object 'o': fix {index} has a {problem}")):
+            calibrate_trace("o", fixes, anchors100)
+
+
+def test_calibrate_trace_takes_the_wgs84_edges():
+    anchors = AnchorSet([-180.0, 180.0, 0.0, 0.0], [0.0, 0.0, -90.0, 90.0])
+    raw = [(-180.0, 0.0, 1), (0.0, -90.0, 2), (0.0, 90.0, 3), (180.0, 0.1, 4)]
+    # 180 and -180 are one meridian: the fix at 180 snaps to anchor 0, the lower id
+    assert calibrate_trace("o", raw, anchors).points == [(0, 1), (2, 2), (3, 3), (0, 4)]
 
 
 def test_nearest_anchor_matches_bruteforce_oracle():
@@ -106,20 +118,17 @@ def test_nearest_anchor_matches_bruteforce_oracle():
     anchors = AnchorSet(rng.uniform(116, 117, 300), rng.uniform(39.5, 40.5, 300))
     lons = rng.uniform(116, 117, 200)
     lats = rng.uniform(39.5, 40.5, 200)
-    got = nearest_anchors(anchors, lons, lats, metric="haversine")
+    got = nearest_anchors(anchors, lons, lats)
     for i in range(len(lons)):
         dists = haversine_m(lons[i], lats[i], anchors.lons, anchors.lats)
         assert got[i] == int(np.argmin(dists))
 
 
-def _oracle_nearest(anchors, lons, lats, metric):
-    """Exact distance to every anchor; lowest id within the tie tolerance."""
+def _oracle_nearest(anchors, lons, lats):
+    """Haversine distance to every anchor; lowest id within the tie tolerance."""
     out = []
     for lon, lat in zip(lons, lats):
-        if metric == "planar":
-            dists = np.hypot(anchors.lons - lon, anchors.lats - lat)
-        else:
-            dists = haversine_m(lon, lat, anchors.lons, anchors.lats)
+        dists = haversine_m(lon, lat, anchors.lons, anchors.lats)
         dmin = dists.min()
         out.append(int(np.flatnonzero(dists <= dmin + 1e-9 * max(dmin, 1.0))[0]))
     return out
@@ -137,7 +146,7 @@ def _probe_points(anchors, extra_lons, extra_lats):
 
 
 # Grid values in degrees: coarse enough that midpoints and coincident anchors
-# give exact planar ties.
+# give exact ties.
 _GRID = st.integers(min_value=-4, max_value=4).map(lambda v: 116.0 + 0.25 * v)
 
 
@@ -147,27 +156,25 @@ _GRID = st.integers(min_value=-4, max_value=4).map(lambda v: 116.0 + 0.25 * v)
     stack=st.tuples(_GRID, _GRID),
     copies=st.integers(min_value=0, max_value=5 * _NEAREST_POOL),
     extra=st.lists(st.tuples(_GRID, _GRID), max_size=5),
-    metric=st.sampled_from(["planar", "haversine"]),
     data=st.data(),
 )
-def test_nearest_anchor_ties_match_bruteforce_oracle(cells, stack, copies, extra, metric, data):
+def test_nearest_anchor_ties_match_bruteforce_oracle(cells, stack, copies, extra, data):
     # up to 5x the first re-ranking pool of coincident anchors, at shuffled
     # ids, so a point on the stack is tied with more anchors than the pool
     # holds; lists may also repeat a cell and may hold a single anchor
     cells = data.draw(st.permutations(cells + [stack] * copies))
     anchors = AnchorSet([c[0] for c in cells], [c[1] - 76.0 for c in cells])
     lons, lats = _probe_points(anchors, [e[0] for e in extra], [e[1] - 76.0 for e in extra])
-    got = nearest_anchors(anchors, lons, lats, metric=metric)
-    assert got.tolist() == _oracle_nearest(anchors, lons, lats, metric)
+    got = nearest_anchors(anchors, lons, lats)
+    assert got.tolist() == _oracle_nearest(anchors, lons, lats)
 
 
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     n=st.integers(min_value=1, max_value=120),
-    metric=st.sampled_from(["planar", "haversine"]),
 )
-def test_nearest_anchor_screen_matches_bruteforce_oracle(seed, n, metric):
+def test_nearest_anchor_screen_matches_bruteforce_oracle(seed, n):
     # many anchors, so most points take the two-neighbour screen; a few
     # anchors are duplicated to put coincident pairs next to the screen
     rng = np.random.default_rng(seed)
@@ -180,22 +187,19 @@ def test_nearest_anchor_screen_matches_bruteforce_oracle(seed, n, metric):
     probe_lons, probe_lats = _probe_points(
         sub, rng.uniform(116.0, 116.2, 40), rng.uniform(39.9, 40.1, 40)
     )
-    got = nearest_anchors(anchors, probe_lons, probe_lats, metric=metric)
-    assert got.tolist() == _oracle_nearest(anchors, probe_lons, probe_lats, metric)
+    got = nearest_anchors(anchors, probe_lons, probe_lats)
+    assert got.tolist() == _oracle_nearest(anchors, probe_lons, probe_lats)
 
 
-def _reference_nearest(anchors, lon, lat, metric):
-    """Plain-Python nearest anchor: exact distance to every anchor, lowest
-    id within the tie tolerance of ``nearest_anchors``."""
+def _reference_nearest(anchors, lon, lat):
+    """Plain-Python nearest anchor: haversine distance to every anchor,
+    lowest id within the tie tolerance of ``nearest_anchors``."""
     dists = []
     for a_lon, a_lat in zip(anchors.lons.tolist(), anchors.lats.tolist()):
-        if metric == "planar":
-            dists.append(math.hypot(a_lon - lon, a_lat - lat))
-        else:
-            p1, p2 = math.radians(lat), math.radians(a_lat)
-            h = (math.sin((p2 - p1) / 2) ** 2
-                 + math.cos(p1) * math.cos(p2) * math.sin(math.radians(a_lon - lon) / 2) ** 2)
-            dists.append(6_371_000.0 * 2 * math.asin(math.sqrt(min(max(h, 0.0), 1.0))))
+        p1, p2 = math.radians(lat), math.radians(a_lat)
+        h = (math.sin((p2 - p1) / 2) ** 2
+             + math.cos(p1) * math.cos(p2) * math.sin(math.radians(a_lon - lon) / 2) ** 2)
+        dists.append(6_371_000.0 * 2 * math.asin(math.sqrt(min(max(h, 0.0), 1.0))))
     dmin = min(dists)
     return next(i for i, d in enumerate(dists) if d <= dmin + 1e-9 * max(dmin, 1.0))
 
@@ -204,19 +208,18 @@ def _reference_nearest(anchors, lon, lat, metric):
 @given(
     cells=st.lists(st.tuples(_GRID, _GRID), min_size=1, max_size=8),
     fixes=st.lists(st.tuples(_GRID, _GRID, st.integers(0, 4)), min_size=1, max_size=25),
-    metric=st.sampled_from(["planar", "haversine"]),
 )
-def test_calibrate_trace_matches_plain_python_reference(cells, fixes, metric):
+def test_calibrate_trace_matches_plain_python_reference(cells, fixes):
     # grid points give exact ties between anchors, and five distinct
     # timestamps make equal ones common
     anchors = AnchorSet([c[0] for c in cells], [c[1] - 76.0 for c in cells])
     raw = [RawPoint(lon, lat - 76.0, 1_600_000_000 + 60 * t) for lon, lat, t in fixes]
     expect = []
     for p in sorted(raw, key=lambda p: p.t):  # sorted() is stable
-        nearest = _reference_nearest(anchors, p.lon, p.lat, metric)
+        nearest = _reference_nearest(anchors, p.lon, p.lat)
         if not expect or expect[-1][0] != nearest:
             expect.append((nearest, p.t))
-    trace = calibrate_trace("o", raw, anchors, metric=metric)
+    trace = calibrate_trace("o", raw, anchors)
     assert trace == Trace("o", expect)
     assert trace.points == expect
     assert trace.anchor_ids.dtype == trace.t.dtype == np.int64
@@ -613,6 +616,47 @@ def test_anchor_ids_must_be_dense(tmp_path):
 def test_anchor_set_refuses_non_finite_coordinates_naming_the_first(lons, lats, index):
     with pytest.raises(ValueError, match=f"^anchor {index} has a non-finite coordinate"):
         AnchorSet(lons, lats)
+
+
+@pytest.mark.parametrize(
+    "lons, lats, index",
+    [
+        ([116.3, 116.4, 116.3, 116.4], [39.9, 39.9, 40.0, 95.0], 3),
+        ([0.0, -180.5], [0.0, 0.0], 1),
+        ([0.0, 1.0, 180.0 + 1e-9], [-90.0 - 1e-9, 0.0, 0.0], 0),
+        ([0.0, 200.0, 0.0], [0.0, 0.0, math.nan], 1),
+    ],
+)
+def test_anchor_set_refuses_coordinates_outside_wgs84_naming_the_first(lons, lats, index):
+    with pytest.raises(ValueError, match=f"^anchor {index} has a coordinate outside WGS84"):
+        AnchorSet(lons, lats)
+
+
+@pytest.mark.parametrize(
+    "reader, text, where",
+    [
+        pytest.param(
+            read_anchor_csv,
+            "anchor_id,lon,lat\n0,116.30,39.90\n1,116.40,39.90\n2,116.30,40.00\n3,116.40,95.00\n",
+            "5: lat: '95.00' is not a finite number in [-90, 90]", id="anchor-lat"),
+        pytest.param(
+            read_anchor_csv, "anchor_id,lon,lat\n0,-180.5,0\n",
+            "2: lon: '-180.5' is not a finite number in [-180, 180]", id="anchor-lon"),
+        pytest.param(
+            read_raw_csv,
+            "object_id,lon,lat,timestamp\na,116.301,39.901,1600000000\n"
+            "a,116.399,219.902,1600000600\n",
+            "3: lat: '219.902' is not a finite number in [-90, 90]", id="raw-lat"),
+        pytest.param(
+            read_raw_csv, "object_id,lon,lat,timestamp\na,180.001,0,10\n",
+            "2: lon: '180.001' is not a finite number in [-180, 180]", id="raw-lon"),
+    ],
+)
+def test_csv_readers_refuse_coordinates_outside_wgs84(tmp_path, reader, text, where):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{where}")):
+        reader(path)
 
 
 def test_scipy_spatial_loads_only_on_first_calibration():
