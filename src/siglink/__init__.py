@@ -16,8 +16,6 @@ from .synth import generate_synthetic
 from .signatures import (
     Corpus,
     Signature,
-    TemporalHistogram,
-    build_temporal_histogram,
     cosine_similarity,
     emd,
     emd_similarity,
@@ -67,7 +65,6 @@ __all__ = [
     "SiglinkError",
     "SplitResult",
     "SplitStrategy",
-    "TemporalHistogram",
     "Trace",
     "UtilityMetrics",
     "WrTree",
@@ -75,7 +72,6 @@ __all__ = [
     "aggregate_signatures",
     "build_corpus_stats",
     "build_spatial_signature",
-    "build_temporal_histogram",
     "bulk_load",
     "calibrate_trace",
     "cosine_similarity",

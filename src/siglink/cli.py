@@ -30,8 +30,8 @@ from .linking import (
     matching_accuracy,
     read_results_csv,
     rerank,
+    run_metrics,
     stable_marriage,
-    write_metrics_json,
     write_results_csv,
 )
 from .privacy import signature_closure
@@ -62,6 +62,7 @@ from .traces import (
     split_dataset,
     write_anchor_csv,
     write_csv,
+    write_json,
     write_trace_csv,
 )
 
@@ -131,10 +132,6 @@ def _capture_config(args: argparse.Namespace) -> None:
             continue
         lines.append(f"{key} = {value}")
     (Path(args.out) / "config.used").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def _print_table(headers: list[str], rows: list[list]) -> None:
@@ -217,7 +214,8 @@ def _link_to(out: Path, args, queries, references, anchors, timings, excluded=((
     )
     run.timings = {**timings, **run.timings}
     write_results_csv(out / "results.csv", run)
-    metrics = write_metrics_json(out / "metrics.json", run)
+    metrics = run_metrics(run)
+    write_json(out / "metrics.json", metrics)
     _print_table(["k", "acc"], [[kk, f"{acc:.4f}"] for kk, acc in metrics["acc"].items()])
     return run
 
@@ -257,7 +255,7 @@ def _cmd_synth(args: argparse.Namespace) -> None:
         "seed": args.seed,
         "total_points": sum(len(t) for t in traces),
     }
-    _write_json(out / "meta.json", meta)
+    write_json(out / "meta.json", meta)
     print(f"wrote {len(traces)} traces over {len(anchors)} anchors to {out}")
 
 
@@ -273,7 +271,7 @@ def _cmd_ingest(args: argparse.Namespace) -> None:
         "min_points": args.min_points,
         "total_points": sum(len(t) for t in traces),
     }
-    _write_json(out / "ingest_report.json", report)
+    write_json(out / "ingest_report.json", report)
     print(f"calibrated {len(traces)}/{before} objects into {out / 'calibrated.csv'}")
 
 
@@ -286,7 +284,7 @@ def _cmd_split(args: argparse.Namespace) -> None:
         "objects": len(traces),
         "flagged_empty_half": sorted(result.flagged),
     }
-    _write_json(out / "split_report.json", report)
+    write_json(out / "split_report.json", report)
     print(
         f"split {len(traces)} objects into {out / 'q.csv'} / {out / 'd.csv'}"
         f" ({len(result.flagged)} flagged with an empty half)"
@@ -354,7 +352,7 @@ def _cmd_eval(args: argparse.Namespace) -> None:
     references = set(read_signatures_jsonl(args.references))
     run = _file_run(read_results_csv(args.results), args.k, references)
     acc = {str(kk): v for kk, v in accuracies(run).items()}
-    _write_json(out / "eval.json", {"acc": acc})
+    write_json(out / "eval.json", {"acc": acc})
     _print_table(["k", "acc"], [[kk, f"{v:.4f}"] for kk, v in acc.items()])
 
 
@@ -393,7 +391,7 @@ def _cmd_marry(args: argparse.Namespace) -> None:
         "proposals": matching.n_proposals,
         "fallback_collisions": matching.fallback_collisions(),
     }
-    _write_json(out / "marry.json", summary)
+    write_json(out / "marry.json", summary)
     print(
         f"matched {summary['stable']} stable / {summary['fallback']} fallback"
         f" / {summary['unmatched']} unmatched; accuracy {summary['accuracy']:.4f}"
@@ -416,7 +414,7 @@ def _cmd_closure(args: argparse.Namespace) -> None:
         utc_offset_hours=args.utc_offset,
     )
     write_trace_csv(out / "traces.csv", modified)
-    report.to_json(out / "closure.json")
+    write_json(out / "closure.json", report.summary())
     header = ["round", "acc1", "acc_k", "data_remain", "mbr_overlap", "grid_large", "grid_small"]
     records = [[0, report.baseline_accuracy[1], report.baseline_accuracy[args.k], *[1.0] * 4]]
     for r in report.rounds:

@@ -4,7 +4,6 @@ stable-marriage refinement of the top-k lists."""
 
 from __future__ import annotations
 
-import json
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -437,8 +436,9 @@ def read_results_csv(path: str | Path) -> dict[str, KnnResult]:
     return out
 
 
-def write_metrics_json(path: str | Path, run: LinkingRun) -> dict:
-    metrics = {
+def run_metrics(run: LinkingRun) -> dict:
+    """What ``metrics.json`` holds for a run."""
+    return {
         "engine": run.engine,
         "k": run.k,
         "m": run.reduced_m,
@@ -448,5 +448,3 @@ def write_metrics_json(path: str | Path, run: LinkingRun) -> dict:
         "excluded_queries": sorted(run.excluded_queries),
         "excluded_references": sorted(run.excluded_references),
     }
-    Path(path).write_text(json.dumps(metrics, indent=2) + "\n", encoding="utf-8")
-    return metrics

@@ -3,9 +3,7 @@ utility metrics quantifying how little data the suppression costs."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -57,8 +55,10 @@ class ClosureReport:
     rounds: list[ClosureRound]
     emptied: list[str]  # objects whose trace ran out of points
 
-    def to_json(self, path: str | Path) -> None:
-        payload = {
+    def summary(self) -> dict:
+        """What ``closure.json`` holds: accuracies, utility and removal
+        counts per round, and the emptied objects."""
+        return {
             "baseline_accuracy": {str(k): v for k, v in self.baseline_accuracy.items()},
             "rounds": [
                 {
@@ -71,7 +71,6 @@ class ClosureReport:
             ],
             "emptied": sorted(self.emptied),
         }
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 class _UtilityGrids:

@@ -40,8 +40,10 @@ class Signature:
     weights: np.ndarray
     kind: str
     normalized: bool
-    _pairs: list[tuple[int, float]] | None = field(default=None, repr=False, compare=False)
-    _dim_set: frozenset[int] | None = field(default=None, repr=False, compare=False)
+    _pairs: list[tuple[int, float]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _dim_set: frozenset[int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.dims = np.asarray(self.dims, dtype=np.int64)
@@ -394,21 +396,6 @@ def tfidf_signatures(
 # Temporal histograms and earth mover's distance
 
 
-@dataclass
-class TemporalHistogram:
-    """L1-normalized histogram of visit times over the daily cycle."""
-
-    bins: np.ndarray
-    dt_hours: int
-    normalized: bool
-
-    def __post_init__(self) -> None:
-        self.bins = np.asarray(self.bins, dtype=float)
-
-    def d(self) -> int:
-        return len(self.bins)
-
-
 def temporal_histograms(
     traces: Sequence[Trace],
     dt_hours: int,
@@ -425,18 +412,6 @@ def temporal_histograms(
     return counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
 
 
-def build_temporal_histogram(
-    trace: Trace,
-    dt_hours: int,
-    utc_offset_hours: int = DEFAULT_UTC_OFFSET_HOURS,
-) -> TemporalHistogram:
-    """One trace's ``temporal_histograms`` row; an empty trace raises ``EmptyTraceError``."""
-    dt = check_dt(dt_hours)
-    if not len(trace):
-        raise EmptyTraceError(f"object {trace.object_id!r} has an empty trace")
-    return TemporalHistogram(temporal_histograms([trace], dt, utc_offset_hours)[0], dt, True)
-
-
 def temporal_cost(i: int, j: int, dt_hours: int) -> float:
     """Unit transport cost between two daily intervals: the circular gap in
     hours over 12, so the antipodal half-day costs exactly 1."""
@@ -448,32 +423,35 @@ def temporal_cost(i: int, j: int, dt_hours: int) -> float:
     return gap / 12.0 if gap <= 12 else (24 - gap) / 12.0
 
 
-def _check_histogram_pair(a: TemporalHistogram, b: TemporalHistogram) -> None:
-    if a.d() != b.d() or a.dt_hours != b.dt_hours:
-        raise ValueError(
-            f"histogram layout mismatch: {a.d()}x{a.dt_hours}h vs {b.d()}x{b.dt_hours}h"
-        )
-    if not (a.normalized and b.normalized):
-        raise ValueError("EMD needs both histograms L1-normalized")
-
-
-def emd(a: TemporalHistogram, b: TemporalHistogram) -> float:
-    """Exact earth mover's distance under the circular daily cost.
+def emd(a: np.ndarray, b: np.ndarray, dt_hours: int) -> float:
+    """Exact earth mover's distance under the circular daily cost between
+    two rows of ``temporal_histograms`` made with ``dt_hours``.
 
     For a one-dimensional circular histogram with arc-length ground cost the
-    optimal transport has a closed form: shift the cumulative difference by
-    its median and sum the absolute values. One bin step costs dt/12, so the
-    result lands in [0, 1].
+    optimal transport has a closed form (Rabin, Delon and Gousseau, 2011):
+    shift the cumulative difference by its median and sum the absolute
+    values. One bin step costs dt/12, so the result lands in [0, 1]. Rows
+    that do not hold ``24 // dt_hours`` bins raise ``ValueError``, as do
+    rows that are not distributions: finite, non-negative bins summing to 1
+    within ``NORM_TOL`` (an empty trace's all-zero row is not one).
     """
-    _check_histogram_pair(a, b)
-    cum = np.cumsum(a.bins - b.bins)
+    dt = check_dt(dt_hours)
+    d = 24 // dt
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != (d,) or b.shape != (d,):
+        raise ValueError(f"histogram layout mismatch: {a.shape} vs {b.shape} for {d} bins of {dt}h")
+    for row in (a, b):
+        # a nan bin fails the first test, an infinite one the second
+        if not ((row >= 0.0).all() and abs(row.sum() - 1.0) <= NORM_TOL):
+            raise ValueError("EMD needs both histograms L1-normalized")
+    cum = np.cumsum(a - b)
     shift = np.median(cum)
     arc_steps = float(np.abs(cum - shift).sum())
-    return min(1.0, max(0.0, arc_steps * a.dt_hours / 12.0))
+    return min(1.0, max(0.0, arc_steps * dt / 12.0))
 
 
-def emd_similarity(a: TemporalHistogram, b: TemporalHistogram) -> float:
-    return 1.0 - emd(a, b)
+def emd_similarity(a: np.ndarray, b: np.ndarray, dt_hours: int) -> float:
+    return 1.0 - emd(a, b, dt_hours)
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +517,9 @@ def read_signatures_jsonl(path: str | Path) -> SignatureTable:
     """The signatures of a file of records, one per non-blank line, in file
     order. A line that is not a valid record (see ``signature_from_record``),
     whose kind is not the first record's, or whose id an earlier line holds
-    raises ``ValueError`` naming the file and line, as do bytes that are not
-    UTF-8 and a file with no record, at its last line."""
+    raises ``ValueError`` naming the file and line, as do a last record
+    without a line break (a truncated file), bytes that are not UTF-8 and a
+    file with no record, at its last line."""
     sigs: dict[str, Signature] = {}
     lineno = 1
     try:
@@ -558,6 +537,11 @@ def read_signatures_jsonl(path: str | Path) -> SignatureTable:
                         raise ValueError(f"object id {object_id!r} repeats an earlier record's")
                 except (ValueError, RecursionError) as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
+                if not line.endswith("\n"):
+                    raise ValueError(
+                        f"{path}:{lineno}: the last record has no line break;"
+                        " is the file truncated?"
+                    )
                 sigs[object_id] = sig
     except UnicodeDecodeError:
         _utf8_text(path)  # raises the ValueError naming the line

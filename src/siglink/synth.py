@@ -16,6 +16,12 @@ from .traces import AnchorSet, Trace
 # rng.choice's tolerance on the sum of its probabilities
 _PROB_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
+# Anchors and homes are drawn uniformly in this (min_lon, min_lat, max_lon,
+# max_lat) box of WGS84 degrees; every trace's first day starts at this
+# UTC timestamp.
+_BOX = (0.0, 0.0, 1.0, 1.0)
+_START_T = 1_600_041_600
+
 
 def generate_synthetic(
     n_objects: int,
@@ -31,15 +37,13 @@ def generate_synthetic(
     hub_fraction: float = 0.2,
     hub_radius_mult: float = 4.0,
     hub_exponent: float = 0.3,
-    box: tuple[float, float, float, float] = (0.0, 0.0, 1.0, 1.0),
-    start_t: int = 1_600_041_600,
 ) -> tuple[list[Trace], AnchorSet]:
     """Generate calibrated traces plus their anchor set, reproducibly.
 
-    The box is (min_lon, min_lat, max_lon, max_lat) in WGS84 degrees;
-    locality_radius is a distance in degrees on the (lon, lat) plane. Traces
-    span n_days so day-based splits are non-trivial, and consecutive points
-    never repeat an anchor.
+    Anchors and homes lie in ``_BOX``; locality_radius is a distance in
+    degrees on the (lon, lat) plane. Traces span n_days from ``_START_T``
+    so day-based splits are non-trivial, and consecutive points never
+    repeat an anchor.
     """
     if n_objects < 1 or n_anchors < 1 or points_per_object < 1 or n_days < 1:
         raise ValueError("all synthetic workload counts must be >= 1")
@@ -53,7 +57,7 @@ def generate_synthetic(
         if not 0.0 <= share <= 1.0:
             raise ValueError(f"{name} must be in [0, 1], got {share}")
     rng = np.random.default_rng(seed)
-    min_lon, min_lat, max_lon, max_lat = box
+    min_lon, min_lat, max_lon, max_lat = _BOX
 
     lons = rng.uniform(min_lon, max_lon, n_anchors)
     lats = rng.uniform(min_lat, max_lat, n_anchors)
@@ -78,7 +82,7 @@ def generate_synthetic(
             personal, hub_local, personal_mass, zipf_exponent, hub_exponent
         )
         seq = _sample_no_consecutive_repeat(rng, pool_ids, probs, points_per_object)
-        times = _sample_times(rng, len(seq), n_days, start_t)
+        times = _sample_times(rng, len(seq), n_days)
         traces.append(Trace.of(f"o{i:05d}", seq, times))
     return traces, anchors
 
@@ -167,12 +171,10 @@ def _sample_no_consecutive_repeat(
     return seq[keep]
 
 
-def _sample_times(
-    rng: np.random.Generator, n: int, n_days: int, start_t: int
-) -> np.ndarray:
+def _sample_times(rng: np.random.Generator, n: int, n_days: int) -> np.ndarray:
     days = rng.integers(0, n_days, n)
     seconds = rng.integers(0, 86_400, n)
-    t = np.sort(start_t + days * 86_400 + seconds)
+    t = np.sort(_START_T + days * 86_400 + seconds)
     # strictly increasing timestamps keep chronological order unambiguous
     while True:
         dup = np.flatnonzero(t[1:] <= t[:-1]) + 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -545,6 +546,12 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_json(path: str | Path, payload) -> None:
+    """Write ``payload`` as UTF-8 JSON indented by two spaces, ending in a
+    line break, as every JSON file here is written."""
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def write_raw_csv(path: str | Path, raw: dict[str, list[RawPoint]]) -> None:

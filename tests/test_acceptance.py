@@ -13,16 +13,15 @@ import numpy as np
 import pytest
 
 from siglink.linking import (
+    _index_entries,
     accuracy_at_k,
     link_all,
-    query_signature,
     reference_signatures,
     stable_marriage,
 )
 from siglink.privacy import signature_closure
 from siglink.reduction import cut_reduce, mbr_of
 from siglink.signatures import (
-    TemporalHistogram,
     cosine_similarity,
     emd,
     kind_corpus,
@@ -52,12 +51,8 @@ def _corpus_entries(n, seed, m, points=90):
     traces, anchors = generate_synthetic(
         n, max(500, 4 * n), 0.08, points, seed=seed
     )
-    sigs, _, stats = reference_signatures(traces)
-    entries = []
-    for oid in sorted(sigs):
-        reduced = cut_reduce(sigs[oid], m)
-        entries.append((oid, reduced, mbr_of(reduced, anchors)))
-    return entries, anchors
+    sigs, _, _ = reference_signatures(traces)
+    return _index_entries(sigs, anchors, m), anchors
 
 
 def test_exactness_wrtree_equals_linear_oracle():
@@ -182,7 +177,7 @@ def test_emd_exact_against_bruteforce():
         a = rng.multinomial(total, np.ones(d) / d)
         b = rng.multinomial(total, np.ones(d) / d)
         expected = bruteforce_emd_counts(a.tolist(), b.tolist(), dt) / total
-        got = emd(hist(a, dt), hist(b, dt))
+        got = emd(hist(a), hist(b), dt)
         assert abs(got - expected) < 1e-9, (a, b, dt)
         cases += 1
 
@@ -192,12 +187,11 @@ def test_emd_exact_against_bruteforce():
         dt = 24 // d
         hs = []
         for _ in range(3):
-            raw = rng.uniform(0, 1, d)
-            hs.append(TemporalHistogram(raw / raw.sum(), dt, normalized=True))
+            hs.append(hist(rng.uniform(0, 1, d)))
         a, b, c = hs
-        assert emd(a, a) == pytest.approx(0.0, abs=1e-12)
-        assert emd(a, b) == pytest.approx(emd(b, a), abs=1e-12)
-        assert emd(a, c) <= emd(a, b) + emd(b, c) + 1e-9
+        assert emd(a, a, dt) == pytest.approx(0.0, abs=1e-12)
+        assert emd(a, b, dt) == pytest.approx(emd(b, a, dt), abs=1e-12)
+        assert emd(a, c, dt) <= emd(a, b, dt) + emd(b, c, dt) + 1e-9
         triples += 1
     print(
         f"\nACCEPTANCE PASS: EMD - {cases} brute-force flow enumerations matched "
@@ -303,18 +297,9 @@ def test_closure_collapses_accuracy_while_data_survives():
 def _performance_workload(n, seed=0):
     traces, anchors = generate_synthetic(n, 4 * n, 0.03, 200, seed=seed)
     halves = split_dataset(traces, SplitStrategy.interleaved())
-    ref_sigs, _, stats = reference_signatures(halves.d)
-    entries = []
-    for oid in sorted(ref_sigs):
-        reduced = cut_reduce(ref_sigs[oid], 10)
-        entries.append((oid, reduced, mbr_of(reduced, anchors)))
-    queries = []
-    for t in halves.q:
-        s = query_signature(t, stats) if t.points else None
-        if s is not None:
-            reduced = cut_reduce(s, 10)
-            queries.append((t.object_id, reduced, mbr_of(reduced, anchors)))
-    return entries, queries
+    ref_sigs, _, corpus = reference_signatures(halves.d)
+    query_sigs, _, _ = reference_signatures(halves.q, corpus)
+    return _index_entries(ref_sigs, anchors, 10), _index_entries(query_sigs, anchors, 10)
 
 
 def test_performance_wrtree_vs_linear_at_10k():

@@ -869,8 +869,8 @@ def test_cut_or_byte_flipped_signature_jsonl_fails_on_a_named_line_or_reads_vali
     cases = [raw[:cut] for cut in range(len(raw) + 1)]
     cases += [raw[:at] + bytes([raw[at] ^ mask]) + raw[at + 1:]
               for mask in (0x01, 0xFF) for at in range(len(raw))]
-    refused = 0
-    for case in cases:
+    refused, kept_cuts = 0, []
+    for at, case in enumerate(cases):
         bad.write_bytes(case)
         try:
             table = read_signatures_jsonl(bad)
@@ -883,6 +883,8 @@ def test_cut_or_byte_flipped_signature_jsonl_fails_on_a_named_line_or_reads_vali
                 assert capsys.readouterr().err == f"error: {exc}\n", (case, argv)
             refused += 1
             continue
+        if at <= len(raw):
+            kept_cuts.append(at)
         for oid in table:
             row = table[oid]
             check_row(row.dims, row.weights)
@@ -891,8 +893,10 @@ def test_cut_or_byte_flipped_signature_jsonl_fails_on_a_named_line_or_reads_vali
             code = run([*argv, "--out", tmp_path / "x"])
             err = capsys.readouterr().err
             assert code == 0 and not err or code == 1 and err.count("\n") == 1, (case, argv, err)
-    # every non-UTF-8 flip is refused, and so is every cut inside a record
-    assert refused >= len(raw) + len(raw) - 2 * len(records)
+    # every non-UTF-8 flip is refused, and so is every cut but those just
+    # after a line break
+    assert refused >= len(raw) + len(raw) + 1 - len(records)
+    assert kept_cuts == [at + 1 for at, byte in enumerate(raw) if byte == ord("\n")]
 
 
 def test_signature_line_nested_past_the_json_parser_depth_fails_on_its_line(tmp_path, capsys):

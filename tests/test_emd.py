@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from siglink.signatures import TemporalHistogram, emd, emd_similarity, temporal_cost
+from siglink.signatures import emd, emd_similarity, temporal_cost
 
 
 def bruteforce_emd_counts(a_counts, b_counts, dt_hours):
@@ -47,40 +47,59 @@ def bruteforce_emd_counts(a_counts, b_counts, dt_hours):
     return best
 
 
-def hist(counts, dt_hours):
-    arr = np.asarray(counts, dtype=float)
-    return TemporalHistogram(arr / arr.sum(), dt_hours, normalized=True)
+def hist(counts):
+    counts = np.asarray(counts, dtype=float)
+    return counts / counts.sum()
 
 
 def test_identical_histograms_full_similarity():
-    h = hist([3, 1, 0, 2], 6)
-    assert emd(h, h) == 0.0
-    assert emd_similarity(h, h) == 1.0
+    h = hist([3, 1, 0, 2])
+    assert emd(h, h, 6) == 0.0
+    assert emd_similarity(h, h, 6) == 1.0
 
 
 def test_antipodal_point_masses():
-    a = hist(np.eye(24)[0], 1)
-    b = hist(np.eye(24)[12], 1)
-    assert emd(a, b) == pytest.approx(1.0, abs=1e-12)
-    assert emd_similarity(a, b) == pytest.approx(0.0, abs=1e-12)
+    a = hist(np.eye(24)[0])
+    b = hist(np.eye(24)[12])
+    assert emd(a, b, 1) == pytest.approx(1.0, abs=1e-12)
+    assert emd_similarity(a, b, 1) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_wraparound_neighbors():
-    a = hist(np.eye(24)[0], 1)
-    b = hist(np.eye(24)[23], 1)
-    assert emd(a, b) == pytest.approx(1 / 12, abs=1e-12)
-    assert emd_similarity(a, b) == pytest.approx(1 - 1 / 12, abs=1e-12)
+    a = hist(np.eye(24)[0])
+    b = hist(np.eye(24)[23])
+    assert emd(a, b, 1) == pytest.approx(1 / 12, abs=1e-12)
+    assert emd_similarity(a, b, 1) == pytest.approx(1 - 1 / 12, abs=1e-12)
 
 
 def test_layout_mismatch_rejected():
-    with pytest.raises(ValueError):
-        emd(hist([1, 1], 12), hist([1, 1, 1, 1], 6))
+    two, four = np.array([0.5, 0.5]), np.full(4, 0.25)
+    for a, b, dt in ((two, four, 12), (two, four, 6), (four, four, 12), (two, two[None], 12)):
+        with pytest.raises(ValueError, match="histogram layout mismatch"):
+            emd(a, b, dt)
 
 
 def test_unnormalized_rejected():
-    a = TemporalHistogram(np.array([2.0, 0.0]), 12, normalized=False)
-    with pytest.raises(ValueError):
-        emd(a, a)
+    a = np.array([2.0, 0.0])
+    with pytest.raises(ValueError, match="EMD needs both histograms L1-normalized"):
+        emd(a, a, 12)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([0.0, 0.0]),  # an empty trace's row
+        np.array([1.5, -0.5]),  # sums to 1
+        np.array([np.nan, 1.0]),
+        np.array([np.inf, 0.0]),
+    ],
+    ids=["all-zero", "negative-bin", "nan-bin", "inf-bin"],
+)
+def test_a_row_that_is_no_distribution_is_rejected(bad):
+    good = np.array([0.5, 0.5])
+    for a, b in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError, match="EMD needs both histograms L1-normalized"):
+            emd(a, b, 12)
 
 
 def test_matches_bruteforce_oracle_small():
@@ -93,7 +112,7 @@ def test_matches_bruteforce_oracle_small():
         a = rng.multinomial(total, np.ones(d) / d)
         b = rng.multinomial(total, np.ones(d) / d)
         expected = bruteforce_emd_counts(a.tolist(), b.tolist(), dt) / total
-        got = emd(hist(a, dt), hist(b, dt))
+        got = emd(hist(a), hist(b), dt)
         assert got == pytest.approx(expected, abs=1e-9), (a, b, dt)
 
 
@@ -104,13 +123,12 @@ def test_metric_axioms_random():
         dt = 24 // d
         hs = []
         for _ in range(3):
-            raw = rng.uniform(0, 1, d)
-            hs.append(TemporalHistogram(raw / raw.sum(), dt, normalized=True))
+            hs.append(hist(rng.uniform(0, 1, d)))
         a, b, c = hs
-        assert emd(a, a) == pytest.approx(0.0, abs=1e-12)
-        assert emd(a, b) == pytest.approx(emd(b, a), abs=1e-12)
-        assert emd(a, c) <= emd(a, b) + emd(b, c) + 1e-9
-        assert 0.0 <= emd(a, b) <= 1.0
+        assert emd(a, a, dt) == pytest.approx(0.0, abs=1e-12)
+        assert emd(a, b, dt) == pytest.approx(emd(b, a, dt), abs=1e-12)
+        assert emd(a, c, dt) <= emd(a, b, dt) + emd(b, c, dt) + 1e-9
+        assert 0.0 <= emd(a, b, dt) <= 1.0
 
 
 def test_cost_matrix_values():

@@ -14,8 +14,8 @@ from siglink.reduction import cut_table
 from siglink.signatures import (
     KIND_SPATIAL,
     Corpus,
-    build_temporal_histogram,
     cosine_similarity,
+    emd,
     grid_cells,
     kind_corpus,
     SignatureTable,
@@ -288,37 +288,43 @@ def _trace_at_hours(hours, day=1):
     )
 
 
+def _histogram(trace, dt):
+    return temporal_histograms([trace], dt)[0]
+
+
 def test_all_points_in_first_bin():
-    hist = build_temporal_histogram(_trace_at_hours([0.5, 0.5, 0.5]), 1)
-    assert hist.bins[0] == 1.0
-    assert hist.bins[1:].sum() == 0.0
+    hist = _histogram(_trace_at_hours([0.5, 0.5, 0.5]), 1)
+    assert hist[0] == 1.0
+    assert hist[1:].sum() == 0.0
 
 
 def test_two_bin_histogram_split():
-    hist = build_temporal_histogram(_trace_at_hours([1.5, 1.5, 13.5, 13.5]), 12)
-    assert hist.bins.tolist() == [0.5, 0.5]
+    hist = _histogram(_trace_at_hours([1.5, 1.5, 13.5, 13.5]), 12)
+    assert hist.tolist() == [0.5, 0.5]
 
 
 def test_boundary_point_falls_in_second_bin():
-    hist = build_temporal_histogram(_trace_at_hours([12.0]), 12)
-    assert hist.bins.tolist() == [0.0, 1.0]
+    hist = _histogram(_trace_at_hours([12.0]), 12)
+    assert hist.tolist() == [0.0, 1.0]
 
 
 def test_dt_must_divide_24():
     with pytest.raises(ValueError):
-        build_temporal_histogram(_trace_at_hours([1.0]), 5)
+        _histogram(_trace_at_hours([1.0]), 5)
 
 
 def test_histogram_l1_normalized():
     rng = np.random.default_rng(1)
     hours = rng.uniform(0, 24, 50).tolist()
-    hist = build_temporal_histogram(_trace_at_hours(hours), 2)
-    assert abs(hist.bins.sum() - 1.0) < 1e-9
+    hist = _histogram(_trace_at_hours(hours), 2)
+    assert abs(hist.sum() - 1.0) < 1e-9
 
 
 def test_empty_trace_has_no_histogram():
-    with pytest.raises(EmptyTraceError):
-        build_temporal_histogram(Trace("o", []), 6)
+    hist = _histogram(Trace("o", []), 6)
+    assert hist.tolist() == [0.0] * 4
+    with pytest.raises(ValueError, match="EMD needs both histograms L1-normalized"):
+        emd(hist, _histogram(_trace_at_hours([1.0]), 6), 6)
 
 
 def _per_point_histogram(trace, dt, utc_offset_hours):
@@ -347,8 +353,6 @@ def test_temporal_histograms_bytes_equal_per_point_loop(stamps, dt, utc_offset_h
             assert not row.any()
             continue
         assert row.tobytes() == _per_point_histogram(trace, dt, utc_offset_hours).tobytes()
-        one = build_temporal_histogram(trace, dt, utc_offset_hours)
-        assert one.bins.tobytes() == row.tobytes() and one.dt_hours == dt and one.normalized
 
 
 def test_time_bin_uses_local_offset():
@@ -471,6 +475,26 @@ def test_signature_file_with_no_record_is_refused_at_its_last_line(tmp_path, tex
     path.write_text(text)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: no signature record$"):
         read_signatures_jsonl(path)
+
+
+def test_signature_file_whose_last_record_has_no_line_break_is_refused(tmp_path):
+    records = [{"object_id": oid, "kind": "spatial", "normalized": True, "sig": [[d, 1.0]]}
+               for d, oid in enumerate("ab")]
+    raw = "".join(json.dumps(r) + "\n" for r in records).encode()
+    path = tmp_path / "sigs.jsonl"
+    cut = raw.index(b"\n")
+    # a cut just before a line break leaves whole records; b would be lost
+    for case, line in ((raw[:cut], 1), (raw[:-1], 2)):
+        path.write_bytes(case)
+        rule = f"{path}:{line}: the last record has no line break; is the file truncated?"
+        with pytest.raises(ValueError, match=f"^{re.escape(rule)}$"):
+            read_signatures_jsonl(path)
+    # a cut just after one still reads as a shorter set: no record count is kept
+    path.write_bytes(raw[: cut + 1])
+    assert list(read_signatures_jsonl(path)) == ["a"]
+    for newline in (b"\r\n", b"\r"):
+        path.write_bytes(raw.replace(b"\n", newline))
+        assert list(read_signatures_jsonl(path)) == ["a", "b"]
 
 
 @pytest.mark.parametrize("scale,refused", [(1.0 + 6e-10, False), (1.0 + 2e-9, True)])

@@ -74,13 +74,12 @@ def test_exponents_giving_nan_visit_probabilities_rejected(name, value):
 def _reference_generate(
     n_objects, n_anchors, locality_radius, points_per_object, seed=0, *, n_days=30,
     personal_pool=40, personal_mass=0.35, zipf_exponent=1.1, hub_fraction=0.2,
-    hub_radius_mult=4.0, hub_exponent=0.3, box=(0.0, 0.0, 1.0, 1.0), start_t=1_600_041_600,
+    hub_radius_mult=4.0, hub_exponent=0.3,
 ):
     """The generator as first written: KD-tree ball queries and rng.choice."""
     rng = np.random.default_rng(seed)
-    min_lon, min_lat, max_lon, max_lat = box
-    lons = rng.uniform(min_lon, max_lon, n_anchors)
-    lats = rng.uniform(min_lat, max_lat, n_anchors)
+    lons = rng.uniform(0.0, 1.0, n_anchors)
+    lats = rng.uniform(0.0, 1.0, n_anchors)
     coords = np.column_stack([lons, lats])
     tree = cKDTree(coords)
     n_hubs = max(1, int(n_anchors * hub_fraction))
@@ -96,7 +95,7 @@ def _reference_generate(
 
     traces = []
     for i in range(n_objects):
-        home = np.array([rng.uniform(min_lon, max_lon), rng.uniform(min_lat, max_lat)])
+        home = np.array([rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)])
         personal = np.array(sorted(tree.query_ball_point(home, locality_radius)), dtype=np.int64)
         if len(personal) == 0:
             personal = np.array([int(tree.query(home)[1])], dtype=np.int64)
@@ -127,7 +126,7 @@ def _reference_generate(
         seq = seq[np.r_[True, seq[1:] != seq[:-1]]]
         days = rng.integers(0, n_days, len(seq))
         seconds = rng.integers(0, 86_400, len(seq))
-        t = np.sort(start_t + days * 86_400 + seconds)
+        t = np.sort(1_600_041_600 + days * 86_400 + seconds)
         while True:
             dup = np.flatnonzero(t[1:] <= t[:-1]) + 1
             if len(dup) == 0:
@@ -151,7 +150,7 @@ _GOLDEN_CONFIGS = [
     ((8, 200, 0.3, 40), {"personal_pool": 3}),
     ((8, 100, 0.1, 40), {"hub_radius_mult": 0.0}),
     ((6, 50, 0.0, 20), {"hub_radius_mult": math.inf}),  # a hub radius of inf * 0 = NaN
-    ((8, 150, 0.02, 30), {"box": (116.0, 39.5, 117.0, 40.5)}),
+    ((8, 150, 0.02, 30), {}),
     ((8, 100, 1e-3, 30), {"personal_pool": 1}),  # mostly empty discs
     ((8, 100, 0.2, 30), {"zipf_exponent": 1e10, "hub_exponent": 0.0}),  # zero probabilities
     ((30, 1500, 0.05, 150), {}),
