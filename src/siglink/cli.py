@@ -210,7 +210,7 @@ def _link_to(out: Path, args, queries, references, anchors, timings, excluded=((
     query and reference ids left without a signature."""
     run = link_signatures(
         queries, references, anchors, engine=args.engine, k=args.k, m=args.m,
-        capacity=args.capacity, excluded_queries=excluded[0], excluded_references=excluded[1],
+        excluded_queries=excluded[0], excluded_references=excluded[1],
     )
     run.timings = {**timings, **run.timings}
     write_results_csv(out / "results.csv", run)
@@ -408,9 +408,7 @@ def _cmd_closure(args: argparse.Namespace) -> None:
         m=args.m,
         rounds=args.rounds,
         split=_strategy(args),
-        engine=args.engine,
         k=args.k,
-        capacity=args.capacity,
         utc_offset_hours=args.utc_offset,
     )
     write_trace_csv(out / "traces.csv", modified)
@@ -525,8 +523,6 @@ def _between(low, high, number=int):
 
 
 _POSITIVE = _at_least(1)
-# bulk_load's rule: a node holds at least two children
-_CAPACITY = _at_least(2)
 _RADIUS = _at_least(0.0, float)
 _FRACTION = _between(0, 1, float)
 # whole hours east of UTC, from the westernmost to the easternmost zone
@@ -663,7 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", default="wrtree", choices=list(ENGINES))
     p.add_argument("--k", type=_POSITIVE, default=5)
     p.add_argument("--m", type=_POSITIVE, default=None)
-    p.add_argument("--capacity", type=_CAPACITY, default=32)
 
     p = _verb(subparsers, "eval", _cmd_eval, help="accuracy table from a results CSV")
     p.add_argument("--results", required=True)
@@ -689,8 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_POSITIVE, default=10)
     p.add_argument("--rounds", type=_POSITIVE, default=1)
     p.add_argument("--k", type=_POSITIVE, default=5)
-    p.add_argument("--engine", default="wrtree", choices=list(ENGINES))
-    p.add_argument("--capacity", type=_CAPACITY, default=32)
     _add_split_flags(p)
 
     p = _verb(subparsers, "pipeline", _cmd_pipeline,
@@ -706,7 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", default="wrtree", choices=list(ENGINES))
     p.add_argument("--m", type=_POSITIVE, default=10)
     p.add_argument("--k", type=_POSITIVE, default=5)
-    p.add_argument("--capacity", type=_CAPACITY, default=32)
     _add_split_flags(p)
     _add_kind_flags(p)
 

@@ -117,7 +117,6 @@ def link_signatures(
     engine: str = "wrtree",
     k: int = 5,
     m: int | None = 10,
-    capacity: int = 32,
     excluded_queries: Sequence[str] = (),
     excluded_references: Sequence[str] = (),
 ) -> LinkingRun:
@@ -127,9 +126,10 @@ def link_signatures(
     ``linear`` scans every reference (the oracle), ``wrtree`` searches the
     weighted tree best-first with aggregate-bound pruning, and ``rtree``
     range-queries the same tree by rectangle alone (the baseline without the
-    weight bound). Rectangles follow ``_index_entries``: only spatial
-    signatures with an anchor set have boxes, so without them ``rtree``
-    scores every reference. Each side is made a ``SignatureTable``
+    weight bound). Both tree engines search one tree built by ``bulk_load``
+    at its default node capacity. Rectangles follow ``_index_entries``: only
+    spatial signatures with an anchor set have boxes, so without them
+    ``rtree`` scores every reference. Each side is made a ``SignatureTable``
     (``SignatureTable.of``), which refuses an unnormalized signature, naming
     its object; both sides must be of one kind.
     """
@@ -148,7 +148,7 @@ def link_signatures(
     t0 = time.perf_counter()
     tree: WrTree | None = None
     if engine != "linear":
-        tree = bulk_load(entries, capacity)
+        tree = bulk_load(entries)
     timings["index_build"] = time.perf_counter() - t0
 
     def run_query(item: IndexEntry) -> tuple[str, KnnResult]:
@@ -183,14 +183,14 @@ def link_all(
     engine: str = "wrtree",
     k: int = 5,
     m: int | None = 10,
-    capacity: int = 32,
 ) -> LinkingRun:
     """Run one k-NN linking query per usable query trace against the
-    reference corpus, under the chosen engine, at reduction level m.
+    reference corpus, under the chosen engine, at reduction level m; see
+    ``link_signatures`` for the engines.
 
     The corpus is fitted to the references alone; query traces are
     projected into its weight space. Each side is weighted in one batch
-    (``reference_signatures``).
+    (``reference_signatures``), which refuses a repeated object id.
     """
     t0 = time.perf_counter()
     ref_sigs, excluded_refs, corpus = reference_signatures(references)
@@ -204,7 +204,6 @@ def link_all(
         engine=engine,
         k=k,
         m=m,
-        capacity=capacity,
         excluded_queries=excluded_queries,
         excluded_references=excluded_refs,
     )

@@ -16,6 +16,7 @@ from .traces import (
     AnchorSet,
     SplitStrategy,
     Trace,
+    check_unique_ids,
     day_pairs,
     masked_traces,
     metre_grid,
@@ -112,13 +113,13 @@ class _UtilityGrids:
         return count, box, cells
 
 
-def _utility(before, after, objects: list[int]) -> UtilityMetrics:
-    """Utility of the summarized ``after`` against ``before`` over the
-    ``objects`` rows; an object with no original point is skipped. A
-    degenerate (zero-area) original bounding box scores 1 whenever the
-    suppressed points still fall inside it."""
+def _utility(before, after) -> UtilityMetrics:
+    """Utility of the summarized ``after`` against ``before``, row by row;
+    an object with no original point is skipped. A degenerate (zero-area)
+    original bounding box scores 1 whenever the suppressed points still
+    fall inside it."""
     (b_count, b_box, b_cells), (a_count, a_box, a_cells) = before, after
-    rows = [i for i in objects if b_count[i]]
+    rows = b_count > 0
     b_count, b_box, a_count, a_box = b_count[rows], b_box[rows], a_count[rows], a_box[rows]
     kept = a_count > 0
     b_area = (b_box[:, 2] - b_box[:, 0]) * (b_box[:, 3] - b_box[:, 1])
@@ -154,19 +155,16 @@ def utility_metrics(
     over the objects of ``before`` (by id) with at least one point; see
     ``_UtilityGrids`` for the grids. A degenerate (zero-area) original
     bounding box scores 1 whenever the suppressed trace still falls inside
-    it."""
-    before_by_id = {t.object_id: t for t in before}
-    after_by_id = {t.object_id: t for t in after}
-    if set(before_by_id) != set(after_by_id):
-        raise ValueError("utility metrics need identical object sets")
-    if not before_by_id:
+    it. An id that repeats on either side is refused."""
+    if not before:
         raise ValueError("utility metrics need at least one object")
-    grids = _UtilityGrids(point_table(before)[1], anchors)
-    return _utility(
-        _summaries_of(list(before_by_id.values()), grids),
-        _summaries_of([after_by_id[oid] for oid in before_by_id], grids),
-        list(range(len(before_by_id))),
-    )
+    grids = _UtilityGrids(point_table(before)[1], anchors)  # refuses a repeated id
+    check_unique_ids([t.object_id for t in after], "trace")
+    after_by_id = {t.object_id: t for t in after}
+    if {t.object_id for t in before} != set(after_by_id):
+        raise ValueError("utility metrics need identical object sets")
+    aligned = [after_by_id[t.object_id] for t in before]
+    return _utility(_summaries_of(before, grids), _summaries_of(aligned, grids))
 
 
 def signature_closure(
@@ -176,9 +174,7 @@ def signature_closure(
     m: int = 10,
     rounds: int = 1,
     split: SplitStrategy | None = None,
-    engine: str = "wrtree",
     k: int = 5,
-    capacity: int = 32,
     utc_offset_hours: int = DEFAULT_UTC_OFFSET_HOURS,
 ) -> tuple[list[Trace], ClosureReport]:
     """Repeatedly suppress each object's top-m weighted anchors and re-measure.
@@ -191,8 +187,8 @@ def signature_closure(
     loses nothing that round. The report's baseline accuracy is measured
     before any suppression. Accuracy comes from linking the split's query
     half against its reference half with ``link_all``'s weighting and
-    exclusion rules, at reduction level ``m`` with ``engine`` (any of
-    ``linking.ENGINES``; all are exact, so the choice changes only the time).
+    exclusion rules, at reduction level ``m``, with ``link_signatures``'
+    default engine. An object id that repeats is refused.
 
     The traces are read once into a flat point table and counted once into
     (object, anchor) pairs. Suppression removes whole pairs, so a round is a
@@ -234,10 +230,7 @@ def signature_closure(
         q, d = q_counts > 0, d_counts > 0
         corpus = fitted(pair_rows[d], pair_anchors[d])
         ref_sigs, query_sigs = signed(corpus, d, d_counts), signed(corpus, q, q_counts)
-        run = link_signatures(
-            query_sigs, ref_sigs, anchors, engine=engine, k=k, m=m, capacity=capacity
-        )
-        return accuracies(run)
+        return accuracies(link_signatures(query_sigs, ref_sigs, anchors, k=k, m=m))
 
     def summary():
         return grids.summarize(
@@ -249,8 +242,6 @@ def signature_closure(
     if len(rows):
         grids = _UtilityGrids(anchor_ids, anchors)
         original = summary()
-    # utility counts each object id once, its last trace, in first-seen order
-    last_of = list({oid: i for i, oid in enumerate(object_ids)}.values())
     for round_no in range(1, rounds + 1):
         live = np.flatnonzero(pair_alive)
         if not len(live):
@@ -265,7 +256,7 @@ def signature_closure(
                    for s, e in zip(bounds, bounds[1:])}
         pair_alive[np.searchsorted(keys, top_rows * width + top_dims)] = False
         accuracy = measure()
-        utility = _utility(original, summary(), last_of)
+        utility = _utility(original, summary())
         report_rounds.append(ClosureRound(round_no, removed, accuracy, utility))
     current = masked_traces(traces, pair_alive[pair_of])
     emptied = [t.object_id for t in current if not len(t)]

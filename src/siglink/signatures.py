@@ -12,7 +12,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptySignatureError, EmptyTraceError
-from .traces import DEFAULT_UTC_OFFSET_HOURS, AnchorSet, Trace, _utf8_text, point_table
+from .traces import (
+    DEFAULT_UTC_OFFSET_HOURS,
+    AnchorSet,
+    Trace,
+    _utf8_text,
+    check_unique_ids,
+    point_table,
+)
 
 NORM_TOL = 1e-9
 
@@ -115,8 +122,9 @@ def _indptr(nnz) -> np.ndarray:
 class SignatureTable(Mapping[str, Signature]):
     """Normalized signatures of one kind as CSR arrays, one row per object:
     row ``i`` holds ``dims[indptr[i]:indptr[i + 1]]`` and the same slice of
-    ``weights``. ``ids`` are unique, in row order; ``kind`` is None only with
-    no rows. As a mapping it gives each row by id as a ``Signature`` view."""
+    ``weights``. ``ids`` are unique, in row order, and a table is refused
+    where one repeats; ``kind`` is None only with no rows. As a mapping it
+    gives each row by id as a ``Signature`` view."""
 
     kind: str | None
     ids: list[str]
@@ -125,6 +133,7 @@ class SignatureTable(Mapping[str, Signature]):
     weights: np.ndarray
 
     def __post_init__(self) -> None:
+        check_unique_ids(self.ids, "row")
         self._row = {oid: i for i, oid in enumerate(self.ids)}
 
     def __len__(self) -> int:
@@ -162,13 +171,10 @@ class SignatureTable(Mapping[str, Signature]):
     ) -> tuple[SignatureTable, list[str]]:
         """The table of a COO table sorted by (row, dim) whose row ``i`` is
         object ``object_ids[i]``, and the id of each row with no entry, in
-        row order. Where an id repeats, its last row with an entry is kept."""
+        row order."""
         nnz = np.bincount(rows, minlength=len(object_ids))
-        kept = np.zeros(len(object_ids), dtype=bool)
-        kept[list({object_ids[i]: i for i in np.flatnonzero(nnz).tolist()}.values())] = True
-        ids = [object_ids[i] for i in np.flatnonzero(kept).tolist()]
-        at = kept[rows]
-        table = cls(kind, ids, _indptr(nnz[kept]), dims[at], weights[at])
+        ids = [object_ids[i] for i in np.flatnonzero(nnz).tolist()]
+        table = cls(kind, ids, _indptr(nnz[nnz > 0]), dims, weights)
         return table, [object_ids[i] for i in np.flatnonzero(nnz == 0).tolist()]
 
 
@@ -374,8 +380,7 @@ def tfidf_signatures(
     among these: their gram table, for q >= 2, and their document
     frequencies. Returns the signatures, the ids of traces left without one
     (empty, or every dimension corpus-wide or unseen) in trace order, and
-    the corpus used. Where an id repeats, its last trace with a signature
-    gives it.
+    the corpus used. A repeated object id is refused (``point_table``).
     """
     rows, anchor_ids, t = point_table(traces)
     fit = corpus.df is None

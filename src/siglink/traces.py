@@ -54,7 +54,7 @@ class Trace:
 
     ``Trace(object_id, points)`` takes ``(anchor_id, timestamp)`` pairs;
     ``Trace.of`` takes the two columns as they are. ``points`` is a list of
-    pairs built on each read, for the CSV code and tests; assigning it
+    pairs built on each read, for perfbench's hooks and tests; assigning it
     replaces both columns. Traces are equal when their ids and columns are.
     """
 
@@ -338,10 +338,22 @@ def _query_dates(
     return set(rng.sample(ordered, take))
 
 
+def check_unique_ids(ids: Sequence[str], what: str) -> None:
+    """Refuse ``ids`` if one repeats: ``ValueError`` naming the first id
+    that an earlier ``what`` (trace, row) holds."""
+    seen: set[str] = set()
+    for oid in ids:
+        if oid in seen:
+            raise ValueError(f"object id {oid!r} repeats an earlier {what}'s")
+        seen.add(oid)
+
+
 def point_table(traces: Sequence[Trace]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every point of ``traces`` as three flat int64 columns, in trace order:
-    the index of its trace, its anchor id and its timestamp. A negative
-    anchor id raises ``ValueError`` naming its object."""
+    the index of its trace, its anchor id and its timestamp. An object id
+    that repeats, or a negative anchor id, raises ``ValueError`` naming its
+    object."""
+    check_unique_ids([trace.object_id for trace in traces], "trace")
     lengths = np.fromiter(map(len, traces), dtype=np.int64, count=len(traces))
     rows = np.repeat(np.arange(len(traces)), lengths)
     anchor_ids, t = _columns(traces)

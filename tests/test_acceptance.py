@@ -65,7 +65,7 @@ def test_exactness_wrtree_equals_linear_oracle():
             entries, _ = _corpus_entries(n, seed=seed, m=m)
             seed += 1
             corpora += 1
-            tree = bulk_load(entries, capacity=32)
+            tree = bulk_load(entries)
             rng = np.random.default_rng(seed)
             for idx in rng.choice(len(entries), size=20, replace=False):
                 oid, s, box = entries[idx]
@@ -277,9 +277,7 @@ def test_closure_collapses_accuracy_while_data_survives():
             personal_mass=0.035, personal_pool=15, zipf_exponent=1.1,
             hub_fraction=0.6, hub_radius_mult=6.0, hub_exponent=0.0,
         )
-        _, report = signature_closure(
-            traces, anchors, m=10, rounds=3, engine="wrtree", k=5
-        )
+        _, report = signature_closure(traces, anchors, m=10, rounds=3, k=5)
         baselines.append(report.baseline_accuracy[1])
         finals.append(report.rounds[-1].accuracy[1])
         remains.append(report.rounds[-1].utility.data_remain)
@@ -306,7 +304,7 @@ def test_performance_wrtree_vs_linear_at_10k():
     entries, queries = _performance_workload(10_000)
 
     t0 = time.perf_counter()
-    tree = bulk_load(entries, capacity=32)
+    tree = bulk_load(entries)
     build_s = time.perf_counter() - t0
     assert build_s < 60.0, f"bulk load took {build_s:.1f}s"
 
@@ -331,7 +329,7 @@ def test_insert_maintenance_at_scale():
     entries, _ = _performance_workload(12_000, seed=1)
     base, extra = entries[:9000], entries[9000:]
 
-    tree = bulk_load(base, capacity=32)
+    tree = bulk_load(base)
     t0 = time.perf_counter()
     for e in extra:
         insert(tree, e)
@@ -339,7 +337,7 @@ def test_insert_maintenance_at_scale():
     per_insert = insert_total / len(extra)
 
     t0 = time.perf_counter()
-    rebuilt = bulk_load(entries, capacity=32)
+    rebuilt = bulk_load(entries)
     rebuild_s = time.perf_counter() - t0
 
     assert validate(tree) == []

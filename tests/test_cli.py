@@ -7,7 +7,7 @@ import pytest
 
 from siglink.cli import main
 from siglink.linking import ENGINES, read_results_csv, write_results_csv
-from siglink.signatures import check_row, read_signatures_jsonl
+from siglink.signatures import check_row, read_signatures_jsonl, temporal_histograms
 from siglink.synth import generate_synthetic
 from siglink.traces import (
     AnchorSet,
@@ -169,6 +169,52 @@ def test_pipeline_equals_the_single_verbs(tmp_path):
                        ("results.csv", "lk/results.csv")):
         assert (p / name).read_bytes() == (tmp_path / verb).read_bytes()
     assert json.loads((tmp_path / "lk/metrics.json").read_text())["acc"] == metrics["acc"]
+
+
+def _files_but_timings(out):
+    """The files of a run by name, with metrics.json's timings and the
+    config.used that names its paths left out."""
+    files = {path.name: path.read_bytes() for path in out.iterdir() if path.name != "config.used"}
+    files["metrics.json"] = dict(json.loads(files["metrics.json"]), timings=None)
+    return files
+
+
+def test_pipeline_raw_equals_ingest_then_pipeline_traces(tmp_path):
+    # raw fixes a little off synth's anchors; object i keeps 10 + i of them,
+    # so --min-points 25 drops the shortest objects on both paths
+    traces, anchors = generate_synthetic(30, 400, 0.05, 60, seed=5)
+    write_anchor_csv(tmp_path / "anchors.csv", anchors)
+    raw = {
+        t.object_id: [RawPoint(float(anchors.lons[a]) + 1e-5, float(anchors.lats[a]) - 1e-5, ts)
+                      for a, ts in t.points[: 10 + i]]
+        for i, t in enumerate(traces)
+    }
+    write_raw_csv(tmp_path / "raw.csv", raw)
+    common = ["--anchors", tmp_path / "anchors.csv", "--min-points", 25]
+    assert run(["ingest", "--raw", tmp_path / "raw.csv", *common, "--out", tmp_path / "i"]) == 0
+    report = json.loads((tmp_path / "i/ingest_report.json").read_text())
+    assert 0 < report["objects_kept"] < report["objects_in"] == 30
+    assert run(["pipeline", "--traces", tmp_path / "i/calibrated.csv", *common,
+                "--out", tmp_path / "t"]) == 0
+    assert run(["pipeline", "--raw", tmp_path / "raw.csv", *common, "--out", tmp_path / "r"]) == 0
+    assert _files_but_timings(tmp_path / "r") == _files_but_timings(tmp_path / "t")
+    split = {t.object_id for half in ("q", "d") for t in read_trace_csv(tmp_path / f"r/{half}.csv")}
+    assert len(split) == report["objects_kept"]
+
+
+def test_temporal_signature_writes_the_histogram_rows(tmp_path):
+    # one record per trace of the file, in file order; a trace CSV holds no
+    # empty trace
+    assert run(["synth", "--out", tmp_path, "--n-objects", 12, "--n-anchors", 100,
+                "--points", 40, "--seed", 3]) == 0
+    assert run(["signature", "--traces", tmp_path / "traces.csv", "--kind", "temporal",
+                "--dt", 6, "--utc-offset", -5, "--out", tmp_path / "h"]) == 0
+    traces = read_trace_csv(tmp_path / "traces.csv")
+    rows = temporal_histograms(traces, 6, -5).tolist()
+    lines = (tmp_path / "h/histograms.jsonl").read_text().splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"object_id": t.object_id, "dt_hours": 6, "bins": row} for t, row in zip(traces, rows)
+    ]
 
 
 def test_marry_quotes_ids_with_commas(tmp_path):
@@ -363,8 +409,7 @@ def test_closure_verb(tmp_path):
     assert run(["synth", "--out", base, "--n-objects", "50", "--n-anchors", "800",
                 "--points", "150", "--seed", "6"]) == 0
     assert run(["closure", "--out", base / "cl", "--traces", base / "traces.csv",
-                "--anchors", base / "anchors.csv", "--m", "5", "--rounds", "2",
-                "--engine", "linear"]) == 0
+                "--anchors", base / "anchors.csv", "--m", "5", "--rounds", "2"]) == 0
     report = json.loads((base / "cl/closure.json").read_text())
     assert len(report["rounds"]) == 2
     assert (base / "cl/closure.csv").read_text().startswith("round,acc1")
@@ -381,6 +426,11 @@ def test_config_file_with_flag_override(tmp_path):
     out2 = tmp_path / "r2"
     assert run(["--config", cfg, "pipeline", "--m", "10", "--out", out2]) == 0
     assert "m = 10" in (out2 / "config.used").read_text()
+    # --config=FILE, after the verb, reads the file as --config FILE does
+    out3 = tmp_path / "r3"
+    assert run(["pipeline", f"--config={cfg}", "--out", out3]) == 0
+    assert _files_but_timings(out3) == _files_but_timings(out1)
+    assert (out3 / "config.used").read_text() == used.replace(str(out1), str(out3))
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -388,7 +438,7 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg.write_text("synthetic = n=20\nengin = linear\n")
     assert run(["--config", cfg, "pipeline", "--out", tmp_path / "x"]) == 2
     assert "engin" in capsys.readouterr().err
-    for key in ("threads = 2", "lsh_planes = 64", "metric = haversine"):
+    for key in ("threads = 2", "lsh_planes = 64", "metric = haversine", "capacity = 32"):
         cfg.write_text(f"synthetic = n=20\n{key}\n")
         assert run(["--config", cfg, "pipeline", "--out", tmp_path / "x"]) == 2
     cfg.write_text("seed = 3\n")
@@ -433,7 +483,7 @@ def test_captured_config_reloads(tmp_path):
     reloads("reduce", ["reduce"], "--signatures", sd / "signatures.jsonl", "--m", 10)
     qd = reloads("link-qd", ["link"], "--queries", sq / "signatures.jsonl",
                  "--references", sd / "signatures.jsonl", "--anchors", syn / "anchors.csv",
-                 "--m", 10, "--k", 3, "--capacity", 5)
+                 "--m", 10, "--k", 3)
     dq = reloads("link-dq", ["link"], "--queries", sd / "signatures.jsonl",
                  "--references", sq / "signatures.jsonl", "--engine", "linear")
     reloads("eval", ["eval"], "--results", qd / "results.csv",
@@ -444,7 +494,7 @@ def test_captured_config_reloads(tmp_path):
     reloads("marry", ["marry"], "--results-qd", rr / "results.csv",
             "--results-dq", dq / "results.csv")
     reloads("closure", ["closure"], "--traces", syn / "traces.csv", "--anchors", syn / "anchors.csv",
-            "--m", 5, "--rounds", 1, "--engine", "linear", "--strategy", "serial", "--q-days", 15)
+            "--m", 5, "--rounds", 1, "--strategy", "serial", "--q-days", 15)
 
 
 def test_bad_config_value_exits_2(tmp_path):
@@ -453,10 +503,12 @@ def test_bad_config_value_exits_2(tmp_path):
     assert run(["--config", cfg, "pipeline", "--synthetic", "n=20", "--out", tmp_path / "x"]) == 2
 
 
-# (case, config file bytes, the error after "config error: FILE:")
+# (case, config file bytes or None for no file, the error after "config
+# error: ", naming the file as {cfg})
 BAD_CONFIGS = [
-    ("not-key-value", b"synthetic = n=20\nengine linear\n", "2: expected 'key = value'"),
-    ("not-utf8", b"synthetic = n=20\r\nengine = lin\xffear\n", "2: not UTF-8"),
+    ("not-key-value", b"synthetic = n=20\nengine linear\n", "{cfg}:2: expected 'key = value'"),
+    ("not-utf8", b"synthetic = n=20\r\nengine = lin\xffear\n", "{cfg}:2: not UTF-8"),
+    ("missing", None, "config file not found: {cfg}"),
 ]
 
 
@@ -464,10 +516,11 @@ BAD_CONFIGS = [
                          ids=[c[0] for c in BAD_CONFIGS])
 def test_bad_config_file_exits_2_naming_file_and_line(tmp_path, capsys, text, error):
     cfg = tmp_path / "run.cfg"
-    cfg.write_bytes(text)
+    if text is not None:
+        cfg.write_bytes(text)
     capsys.readouterr()
     assert run(["--config", cfg, "pipeline", "--out", tmp_path / "x"]) == 2
-    assert capsys.readouterr().err == f"config error: {cfg}:{error}\n"
+    assert capsys.readouterr().err == f"config error: {error.format(cfg=cfg)}\n"
 
 
 def test_no_verb_prints_help(capsys):
@@ -501,8 +554,35 @@ def test_temporal_kind_with_a_corpus_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: the temporal kind takes no --corpus\n"
 
 
+# (case, argv, the error after "config error: "): flag combinations the
+# parser takes and the verb refuses before it writes a file
+FLAG_REFUSALS = [
+    ("pipeline-temporal", ["pipeline", "--synthetic", "n=20", "--kind", "temporal", "--dt", "6"],
+     "temporal histograms are compared with EMD and have no k-NN engine;"
+     " use the signature verb to export them"),
+    ("split-serial-without-q-days", ["split", "--traces", "T", "--strategy", "serial"],
+     "--q-days is required for the serial split"),
+    ("spatiotemporal-signature-without-anchors",
+     ["signature", "--traces", "T", "--kind", "spatiotemporal", "--dt", "6"],
+     "spatiotemporal signatures need --anchors"),
+]
+
+
+@pytest.mark.parametrize("argv,error", [c[1:] for c in FLAG_REFUSALS],
+                         ids=[c[0] for c in FLAG_REFUSALS])
+def test_refused_flag_combination_exits_2_writing_nothing(tmp_path, capsys, three_anchors,
+                                                          argv, error):
+    out = tmp_path / "x"
+    capsys.readouterr()
+    assert run([*(three_anchors / "traces.csv" if a == "T" else a for a in argv),
+                "--out", out]) == 2
+    assert capsys.readouterr().err == f"config error: {error}\n"
+    assert not any(out.iterdir())
+
+
 # (verb words, flag, bad value, the rule stderr's last line states): every
-# ranged flag on every verb that has it, then flags no verb takes
+# ranged flag on every verb that has it, then flags the verb does not take;
+# a case is named by its verb
 BAD_FLAGS = [
     *((["synth"], flag, "0", ">= 1")
       for flag in ("n-objects", "n-anchors", "points", "n-days", "personal-pool")),
@@ -525,17 +605,14 @@ BAD_FLAGS = [
     (["reduce"], "m", "0", ">= 1"),
     (["link"], "k", "0", ">= 1"),
     (["link"], "m", "0", ">= 1"),
-    (["link"], "capacity", "1", ">= 2"),
     (["eval"], "k", "0", ">= 1"),
     (["closure"], "m", "0", ">= 1"),
     (["closure"], "rounds", "0", ">= 1"),
     (["closure"], "k", "0", ">= 1"),
-    (["closure"], "capacity", "1", ">= 2"),
     (["closure"], "q-days", "0", ">= 1"),
     (["pipeline"], "min-points", "-1", ">= 0"),
     (["pipeline"], "m", "0", ">= 1"),
     (["pipeline"], "k", "0", ">= 1"),
-    (["pipeline"], "capacity", "1", ">= 2"),
     (["pipeline"], "q", "0", ">= 1"),
     (["pipeline"], "grid", "0", ">= 1"),
     (["pipeline"], "dt", "0", "divide 24"),
@@ -547,13 +624,22 @@ BAD_FLAGS = [
     (["pipeline"], "synthetic", "radius=0.5", "needs at least n="),
     (["pipeline"], "engin", "linear", "unrecognized"),
     (["pipeline"], "seed", "1", "unrecognized"),
+    # node capacity is bulk_load's alone, and the closure links with the
+    # default engine; the required flags are typed, since argparse reports
+    # them missing first
+    *((words, "capacity", "1", "unrecognized") for words in (
+        ["link", "--queries", "q", "--references", "r"],
+        ["closure", "--traces", "t", "--anchors", "a"],
+        ["pipeline"],
+    )),
+    (["closure", "--traces", "t", "--anchors", "a"], "engine", "linear", "unrecognized"),
 ]
 
 
 @pytest.mark.parametrize("source", ["line", "config"])
 @pytest.mark.parametrize(
     "words,flag,value,rule", BAD_FLAGS,
-    ids=[f"{' '.join(w)}--{f}={v}" for w, f, v, _ in BAD_FLAGS],
+    ids=[f"{w[0]}--{f}={v}" for w, f, v, _ in BAD_FLAGS],
 )
 def test_bad_flag_value_exits_2_naming_flag(tmp_path, capsys, words, flag, value, rule, source):
     if source == "line":

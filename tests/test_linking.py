@@ -23,7 +23,7 @@ from siglink.linking import (
 from siglink.signatures import SignatureTable
 from siglink.synth import generate_synthetic
 from siglink.traces import SplitStrategy, Trace, split_dataset
-from siglink.wrtree import linear_knn
+from siglink.wrtree import bulk_load, knn_search, linear_knn, rtree_baseline_knn
 
 from testkit import line_anchors, sig
 
@@ -101,16 +101,20 @@ def _hexed(result):
 )
 def test_tree_engines_match_linear_on_nonspatial_kinds(corpus, anchors, m, capacity):
     # a non-spatial signature has no box, with or without an anchor set, so
-    # both tree engines search one-point rectangles
+    # both tree engines search one-point rectangles: through link_signatures'
+    # tree, and through trees of every capacity over the same entries
     queries, refs = corpus
     entries = _index_entries(SignatureTable.of(refs), anchors, m)
     assert all(mbr == _NO_MBR for _, _, mbr in entries)
     reduced = {oid: s for oid, s, _ in _index_entries(SignatureTable.of(queries), anchors, m)}
+    tree = bulk_load(entries, capacity)
     for k in (1, 5, len(refs) + 1):
         expect = {oid: _hexed(linear_knn(entries, (s, _NO_MBR), k)) for oid, s in reduced.items()}
+        for search in (knn_search, rtree_baseline_knn):
+            got = {oid: _hexed(search(tree, (s, _NO_MBR), k)) for oid, s in reduced.items()}
+            assert got == expect
         for engine in ("wrtree", "rtree"):
-            run = link_signatures(queries, refs, anchors, engine=engine, k=k, m=m,
-                                  capacity=capacity)
+            run = link_signatures(queries, refs, anchors, engine=engine, k=k, m=m)
             assert {oid: _hexed(r) for oid, r in run.results.items()} == expect
 
 

@@ -86,9 +86,7 @@ def _closure_corpus(seed, n=120):
 def test_removed_sets_disjoint_and_suppression_sound():
     traces, anchors = _closure_corpus(0)
     originals = {t.object_id: list(t.points) for t in traces}
-    modified, report = signature_closure(
-        traces, anchors, m=10, rounds=3, engine="wrtree"
-    )
+    modified, report = signature_closure(traces, anchors, m=10, rounds=3)
     seen: dict[str, set[int]] = {}
     for round_ in report.rounds:
         for oid, removed in round_.removed.items():
@@ -104,7 +102,7 @@ def test_removed_sets_disjoint_and_suppression_sound():
 
 def test_utility_monotone_decay_across_rounds():
     traces, anchors = _closure_corpus(1)
-    _, report = signature_closure(traces, anchors, m=10, rounds=3, engine="wrtree")
+    _, report = signature_closure(traces, anchors, m=10, rounds=3)
     series = [report.rounds[i].utility for i in range(3)]
     for metric in ("data_remain", "mbr_overlap", "grid_coverage_large", "grid_coverage_small"):
         values = [getattr(u, metric) for u in series]
@@ -115,7 +113,7 @@ def test_accuracy_decreases_in_the_mean_over_seeds():
     baselines, r1, r2, r3 = [], [], [], []
     for seed in range(10):
         traces, anchors = _closure_corpus(seed, n=100)
-        _, report = signature_closure(traces, anchors, m=10, rounds=3, engine="wrtree")
+        _, report = signature_closure(traces, anchors, m=10, rounds=3)
         baselines.append(report.baseline_accuracy[1])
         r1.append(report.rounds[0].accuracy[1])
         r2.append(report.rounds[1].accuracy[1])
@@ -128,7 +126,7 @@ def test_accuracy_decreases_in_the_mean_over_seeds():
 
 def test_trade_off_accuracy_falls_faster_than_data():
     traces, anchors = _closure_corpus(2)
-    _, report = signature_closure(traces, anchors, m=10, rounds=3, engine="wrtree")
+    _, report = signature_closure(traces, anchors, m=10, rounds=3)
     base = report.baseline_accuracy[1]
     final = report.rounds[-1]
     acc_drop = (base - final.accuracy[1]) / max(base, 1e-9)
@@ -143,9 +141,7 @@ def test_tiny_pool_object_can_empty_out_and_is_flagged():
         Trace("tiny", [(0, days(0)), (1, days(1)), (0, days(2)), (1, days(3))]),
         Trace("other", [(2, days(0)), (3, days(1)), (2, days(2)), (3, days(3))]),
     ]
-    modified, report = signature_closure(
-        traces, anchors, m=10, rounds=1, engine="linear"
-    )
+    modified, report = signature_closure(traces, anchors, m=10, rounds=1)
     assert set(report.emptied) == {"tiny", "other"}
     assert all(not t.points for t in modified)
 
@@ -263,23 +259,21 @@ SPLITS = [
 @pytest.mark.parametrize("engine", ["linear", "rtree", "wrtree"])
 @pytest.mark.parametrize("split", SPLITS, ids=[s.name for s in SPLITS])
 def test_closure_equals_object_by_object_oracle(split, engine):
+    # the oracle links with each engine, the closure with its default one, so
+    # the closure's accuracies are checked against the linear scan too
     for seed in range(3):
         traces, anchors = generate_synthetic(
             40, 800, 0.06, 120, seed=seed, n_days=12,
             personal_mass=0.2, personal_pool=12, hub_fraction=0.4,
         )
         expect = _oracle_closure(traces, anchors, 5, 3, split, engine)
-        assert signature_closure(
-            traces, anchors, m=5, rounds=3, split=split, engine=engine
-        ) == expect
+        assert signature_closure(traces, anchors, m=5, rounds=3, split=split) == expect
     traces, anchors = _edge_corpus(seed)
     expect = _oracle_closure(traces, anchors, 2, 2, split, engine)
     first, second = expect[1].rounds
     assert expect[1].emptied == ["tiny"]
     assert first.removed["hub_only"] == [0, 1] and "hub_only" not in second.removed
-    assert signature_closure(
-        traces, anchors, m=2, rounds=2, split=split, engine=engine
-    ) == expect
+    assert signature_closure(traces, anchors, m=2, rounds=2, split=split) == expect
 
 
 # ---------------------------------------------------------------------------

@@ -648,17 +648,19 @@ def test_table_bit_identical_to_per_object_weights(corpora, kind):
             assert sig.weights.tobytes() == want[1].tobytes()
 
 
-def test_table_from_rows_repeated_id_keeps_last_row_and_lists_each_empty_row():
-    # rows 0..4 hold ids a, b, a, b, c; rows 1 and 4 have nothing left, and
-    # dim 0 is in every row that has any dimension, so it weighs nothing
+def test_table_from_rows_lists_each_empty_row_and_refuses_a_repeated_id():
+    # rows 1 and 4 have nothing left: dim 0 is in every row that has any
+    # dimension, so it weighs nothing
     corpus = _spatial_corpus(3, [0, 1, 0, 2, 0, 3])
     rows = np.array([0, 0, 1, 2, 2, 3, 3, 4])
     dims = np.array([0, 1, 0, 0, 2, 0, 3, 0])
     weighted = tfidf_weights(rows, dims, np.ones(8), corpus, 5)
-    sigs, excluded = SignatureTable.from_rows(KIND_SPATIAL, ["a", "b", "a", "b", "c"], *weighted)
-    assert excluded == ["b", "c"]
-    assert list(sigs) == ["a", "b"]
-    assert sigs["a"].dims.tolist() == [2] and sigs["b"].dims.tolist() == [3]
+    sigs, excluded = SignatureTable.from_rows(KIND_SPATIAL, ["a", "b", "c", "d", "e"], *weighted)
+    assert excluded == ["b", "e"]
+    assert {oid: sigs[oid].dims.tolist() for oid in sigs} == {"a": [1], "c": [2], "d": [3]}
+    # rows 0 and 2 both have an entry; the table once kept the last
+    with pytest.raises(ValueError, match=r"^object id 'a' repeats an earlier row's$"):
+        SignatureTable.from_rows(KIND_SPATIAL, ["a", "b", "a", "b", "c"], *weighted)
 
 
 @settings(max_examples=80, deadline=None)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import siglink
 from siglink.errors import EmptyTraceError
+from siglink.signatures import SignatureTable, temporal_histograms
 from siglink.traces import (
     _NEAREST_POOL,
     AnchorSet,
@@ -316,7 +317,7 @@ def test_empty_trace():
     assert empty.anchor_ids.shape == empty.t.shape == (0,)
     assert empty.anchor_ids.dtype == empty.t.dtype == np.int64
     assert empty == Trace.of("e", np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    rows, anchor_ids, t = point_table([empty, trace_of("a", [1]), empty])
+    rows, anchor_ids, t = point_table([empty, trace_of("a", [1]), Trace("f", [])])
     assert rows.tolist() == [1] and anchor_ids.tolist() == [1] and len(t) == 1
     assert split_dataset([empty], SplitStrategy.interleaved()).flagged == ["e"]
 
@@ -526,6 +527,40 @@ def test_split_strategy_validation():
         SplitStrategy("fancy")
     with pytest.raises(ValueError):
         SplitStrategy.serial(0)
+
+
+def _with_repeated_id():
+    """Twenty synthetic objects, and o00005's points again under the id
+    o00000: a set in which an id repeats."""
+    traces, anchors = siglink.generate_synthetic(20, 300, 0.08, 60, seed=0)
+    return traces + [Trace.of("o00000", traces[5].anchor_ids, traces[5].t)], anchors
+
+
+# every entry point that takes a trace set, on a set whose last trace
+# repeats an id: each once kept that id's last trace, or a row per trace
+REPEATED_ID_CALLS = {
+    "split_dataset": lambda t, a: split_dataset(t, SplitStrategy.interleaved()),
+    "tfidf_signatures": lambda t, a: siglink.tfidf_signatures(t, siglink.kind_corpus()),
+    "link_all-queries": lambda t, a: siglink.link_all(t, t[:5], a),
+    "link_all-references": lambda t, a: siglink.link_all(t[:5], t, a),
+    "signature_closure": lambda t, a: siglink.signature_closure(t, a),
+    "temporal_histograms": lambda t, a: temporal_histograms(t, 6),
+    "utility_metrics-before": lambda t, a: siglink.utility_metrics(t, t[:-1], a),
+    "utility_metrics-after": lambda t, a: siglink.utility_metrics(t[:-1], t, a),
+}
+
+
+@pytest.mark.parametrize("call", REPEATED_ID_CALLS.values(), ids=REPEATED_ID_CALLS)
+def test_a_trace_set_with_a_repeated_id_is_refused(call):
+    traces, anchors = _with_repeated_id()
+    with pytest.raises(ValueError, match=r"^object id 'o00000' repeats an earlier trace's$"):
+        call(traces, anchors)
+
+
+def test_a_signature_table_with_a_repeated_id_is_refused():
+    with pytest.raises(ValueError, match=r"^object id 'a' repeats an earlier row's$"):
+        SignatureTable("spatial", ["a", "b", "a"], np.arange(4), np.array([0, 1, 2]),
+                       np.ones(3))
 
 
 def test_day_boundary_respects_utc_offset():
