@@ -24,7 +24,6 @@ from pathlib import Path
 from .errors import ConfigError, SiglinkError
 from .linking import (
     ENGINES,
-    LinkingRun,
     accuracies,
     link_signatures,
     matching_accuracy,
@@ -47,7 +46,7 @@ from .signatures import (
     tfidf_signatures,
     write_signatures_jsonl,
 )
-from .synth import generate_synthetic
+from .synth import MAX_N_DAYS, generate_synthetic
 from .traces import (
     DEFAULT_UTC_OFFSET_HOURS,
     SplitResult,
@@ -213,19 +212,11 @@ def _link_to(out: Path, args, queries, references, anchors, timings, excluded=((
         excluded_queries=excluded[0], excluded_references=excluded[1],
     )
     run.timings = {**timings, **run.timings}
-    write_results_csv(out / "results.csv", run)
+    write_results_csv(out / "results.csv", run.results)
     metrics = run_metrics(run)
     write_json(out / "metrics.json", metrics)
     _print_table(["k", "acc"], [[kk, f"{acc:.4f}"] for kk, acc in metrics["acc"].items()])
     return run
-
-
-def _file_run(results: dict, k: int, reference_ids: set[str]) -> LinkingRun:
-    """A run read back from a results file."""
-    return LinkingRun(
-        engine="file", k=k, reduced_m=None, results=results, timings={},
-        excluded_queries=[], excluded_references=[], reference_ids=reference_ids,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +283,20 @@ def _cmd_split(args: argparse.Namespace) -> None:
 
 
 def _kind_corpus(args: argparse.Namespace, anchors) -> Corpus:
-    return kind_corpus(
-        args.kind,
-        q=args.q,
-        anchors=anchors,
-        g=args.grid,
-        dt_hours=args.dt,
-        utc_offset_hours=args.utc_offset,
-    )
+    """The corpus of the kind flags; a combination ``kind_corpus`` refuses,
+    such as a grid too fine for the dimension ids, is a configuration
+    error."""
+    try:
+        return kind_corpus(
+            args.kind,
+            q=args.q,
+            anchors=anchors,
+            g=args.grid,
+            dt_hours=args.dt,
+            utc_offset_hours=args.utc_offset,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _cmd_signature(args: argparse.Namespace) -> None:
@@ -350,8 +347,8 @@ def _cmd_link(args: argparse.Namespace) -> None:
 def _cmd_eval(args: argparse.Namespace) -> None:
     out = _out_dir(args)
     references = set(read_signatures_jsonl(args.references))
-    run = _file_run(read_results_csv(args.results), args.k, references)
-    acc = {str(kk): v for kk, v in accuracies(run).items()}
+    results = read_results_csv(args.results)
+    acc = {str(kk): v for kk, v in accuracies(results, references, args.k).items()}
     write_json(out / "eval.json", {"acc": acc})
     _print_table(["k", "acc"], [[kk, f"{v:.4f}"] for kk, v in acc.items()])
 
@@ -359,13 +356,8 @@ def _cmd_eval(args: argparse.Namespace) -> None:
 def _cmd_rerank(args: argparse.Namespace) -> None:
     out = _out_dir(args)
     results = read_results_csv(args.results)
-    run = _file_run(
-        results,
-        max((len(r) for r in results.values()), default=1),
-        {c for res in results.values() for c, _ in res},
-    )
     reranked = rerank(
-        run,
+        results,
         _read_signatures(args.queries_large, args),
         _read_signatures(args.references_large, args),
     )
@@ -458,6 +450,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> None:
     _require_dt(args)
 
     traces, anchors = _pipeline_traces(args)
+    kind = _kind_corpus(args, anchors)
     if args.min_points:
         traces = filter_min_points(traces, args.min_points)
     if args.synthetic:
@@ -466,7 +459,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> None:
     halves = _split_to(out, traces, args)
 
     t0 = time.perf_counter()
-    ref_sigs, excluded_refs, corpus = tfidf_signatures(halves.d, _kind_corpus(args, anchors))
+    ref_sigs, excluded_refs, corpus = tfidf_signatures(halves.d, kind)
     query_sigs, excluded_queries, _ = tfidf_signatures(halves.q, corpus)
     sig_s = time.perf_counter() - t0
     # `link` refuses a signature file with no record, so none is written
@@ -508,6 +501,19 @@ def _at_least(low, number=int):
         return value
 
     return parse
+
+
+def _at_most(high, parse):
+    """An argparse type: a value that the type ``parse`` takes, no larger
+    than ``high``."""
+
+    def check(raw: str):
+        value = parse(raw)
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {raw}")
+        return value
+
+    return check
 
 
 def _between(low, high, number=int):
@@ -626,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--locality-radius", type=_RADIUS, default=0.05)
     p.add_argument("--points", type=_POSITIVE, default=200)
     p.add_argument("--seed", type=_at_least(0), default=0)
-    p.add_argument("--n-days", type=_POSITIVE, default=30)
+    p.add_argument("--n-days", type=_at_most(MAX_N_DAYS, _POSITIVE), default=30)
     p.add_argument("--personal-mass", type=_FRACTION, default=0.35)
     p.add_argument("--personal-pool", type=_POSITIVE, default=40)
     p.add_argument("--hub-fraction", type=_FRACTION, default=0.2)

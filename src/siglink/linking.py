@@ -4,12 +4,13 @@ stable-marriage refinement of the top-k lists."""
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Container, Mapping, Sequence
 
 from .errors import EmptySignatureError, EmptyTraceError
 from .reduction import Mbr, anchor_boxes, cut_table
@@ -21,7 +22,7 @@ from .signatures import (
     _leaf_sim,
     tfidf_signatures,
 )
-from .traces import AnchorSet, Trace, _csv_rows, write_csv
+from .traces import AnchorSet, Trace, _csv_rows, _object_id, write_csv
 from .wrtree import (
     IndexEntry,
     KnnResult,
@@ -41,7 +42,9 @@ ENGINES = ("linear", "rtree", "wrtree")
 
 @dataclass
 class LinkingRun:
-    """One batch of k-NN queries plus everything needed to score it."""
+    """One batch of k-NN queries plus everything needed to score it, as
+    ``link_signatures`` returns it; the steps after linking take its
+    ``results`` lists."""
 
     engine: str
     k: int
@@ -211,51 +214,53 @@ def link_all(
     return run
 
 
-def accuracies(run: LinkingRun) -> dict[int, float]:
-    """Accuracy at every k from 1 to ``run.k``: the fraction of query
-    objects finding their own id within their top-k.
+def accuracies(
+    results: Mapping[str, KnnResult], reference_ids: Container[str], k: int
+) -> dict[int, float]:
+    """Accuracy at every k from 1 to ``k``: the fraction of query objects
+    finding their own id within their top-k list of ``results``.
 
-    Queries whose counterpart is absent from the reference index cannot be
+    Queries whose counterpart is absent from ``reference_ids`` cannot be
     judged and are excluded from the denominator. Each judged query's list
     is scanned once, for the rank of its own id.
     """
-    # hits[r]: judged queries whose own id sits at 0-based rank r < run.k
-    hits = [0] * (run.k + 1)
+    # hits[r]: judged queries whose own id sits at 0-based rank r < k
+    hits = [0] * (k + 1)
     judged = 0
-    for oid, result in run.results.items():
-        if oid not in run.reference_ids:
+    for oid, result in results.items():
+        if oid not in reference_ids:
             continue
         judged += 1
-        rank = next((r for r, (cand, _) in enumerate(result[: run.k]) if cand == oid), run.k)
+        rank = next((r for r, (cand, _) in enumerate(result[:k]) if cand == oid), k)
         hits[rank] += 1
-    found = accumulate(hits[: run.k])
+    found = accumulate(hits[:k])
     return {kk: (n / judged if judged else 0.0) for kk, n in enumerate(found, start=1)}
 
 
 def accuracy_at_k(run: LinkingRun, k: int) -> float:
-    """Fraction of query objects finding their own id within their top-k;
-    see ``accuracies``."""
+    """Fraction of a run's query objects finding their own id within their
+    top-k; see ``accuracies``."""
     if k < 1 or k > run.k:
         raise ValueError(f"k must be in [1, {run.k}]")
-    return accuracies(run)[k]
+    return accuracies(run.results, run.reference_ids, run.k)[k]
 
 
 def rerank(
-    run: LinkingRun,
+    results: Mapping[str, KnnResult],
     query_sigs: Mapping[str, Signature],
     reference_sigs: Mapping[str, Signature],
-) -> LinkingRun:
-    """Re-order each query's candidate set using larger signatures.
+) -> dict[str, KnnResult]:
+    """Each query's list of ``results`` re-ordered by larger signatures.
 
     The candidate sets are unchanged as sets; ordering is a stable re-sort by
-    the richer similarity, so all-equal similarities keep the original order.
-    Both maps must cover every query and candidate involved; each is made a
-    ``SignatureTable`` (``SignatureTable.of``), which refuses an unnormalized
-    signature, naming its object.
+    the richer similarity, so equal similarities keep the k-NN order rather
+    than ascending id. Both maps must cover every query and candidate
+    involved; each is made a ``SignatureTable`` (``SignatureTable.of``),
+    which refuses an unnormalized signature, naming its object.
     """
     query_sigs, reference_sigs = SignatureTable.of(query_sigs), SignatureTable.of(reference_sigs)
     new_results: dict[str, KnnResult] = {}
-    for oid, result in run.results.items():
+    for oid, result in results.items():
         if not result:
             new_results[oid] = []
             continue
@@ -271,16 +276,7 @@ def rerank(
             rescored.append((cand, _leaf_sim(q_map, c_sig)))
         rescored.sort(key=lambda pair: -pair[1])
         new_results[oid] = rescored
-    return LinkingRun(
-        engine=run.engine,
-        k=run.k,
-        reduced_m=run.reduced_m,
-        results=new_results,
-        timings=dict(run.timings),
-        excluded_queries=list(run.excluded_queries),
-        excluded_references=list(run.excluded_references),
-        reference_ids=set(run.reference_ids),
-    )
+    return new_results
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +315,6 @@ class Matching:
         }
 
 
-def _result_map(run: LinkingRun | Mapping[str, KnnResult]) -> Mapping[str, KnnResult]:
-    return run.results if isinstance(run, LinkingRun) else run
-
-
 def stable_marriage(
     run_qd: LinkingRun | Mapping[str, KnnResult],
     run_dq: LinkingRun | Mapping[str, KnnResult],
@@ -331,10 +323,10 @@ def stable_marriage(
 
     Queries propose down their candidate lists; a proposed reference keeps
     whichever proposer ranks higher in its own list (proposers absent from the
-    list rank below every listed one, ties by ascending id).
+    list rank below every listed one, ties by ascending id). Each side is a
+    run or its result lists.
     """
-    qd = _result_map(run_qd)
-    dq = _result_map(run_dq)
+    qd, dq = (run.results if isinstance(run, LinkingRun) else run for run in (run_qd, run_dq))
     prefs = {q: [cand for cand, _ in result] for q, result in qd.items()}
     rank: dict[str, dict[str, int]] = {
         d: {q: i for i, (q, _) in enumerate(result)} for d, result in dq.items()
@@ -389,11 +381,10 @@ def matching_accuracy(matching: Matching) -> float:
 # Result files
 
 
-def write_results_csv(path: str | Path, run: LinkingRun | Mapping[str, KnnResult]) -> None:
-    """One row per candidate; a query with an empty list gets one
-    ``query_id,0,,`` row, so it survives a round trip and is judged as a
-    miss rather than dropped."""
-    results = _result_map(run)
+def write_results_csv(path: str | Path, results: Mapping[str, KnnResult]) -> None:
+    """One row per candidate of each query's list, by ascending query id; a
+    query with an empty list gets one ``query_id,0,,`` row, so it survives a
+    round trip and is judged as a miss rather than dropped."""
     rows = []
     for oid in sorted(results):
         if not results[oid]:
@@ -404,24 +395,35 @@ def write_results_csv(path: str | Path, run: LinkingRun | Mapping[str, KnnResult
 
 
 def _similarity(field: str) -> float | None:
-    """A results CSV column type: a float, or None where a rank-0 row leaves
-    the field empty."""
-    return float(field) if field else None
+    """A results CSV column type: a finite float, or None where a rank-0 row
+    leaves the field empty."""
+    if not field:
+        return None
+    value = float(field)
+    if not math.isfinite(value):
+        raise ValueError(f"{field!r} is not a finite number")
+    return value
 
 
-_RESULTS_COLUMNS = {"query_id": str, "rank": int, "candidate_id": str, "similarity": _similarity}
+_RESULTS_COLUMNS = {
+    "query_id": _object_id, "rank": int, "candidate_id": str, "similarity": _similarity,
+}
 
 
 def read_results_csv(path: str | Path) -> dict[str, KnnResult]:
-    """Result lists by query id. A query's rows rank its candidates 1, 2, ...
-    in file order, each with a similarity, or are one rank-0 row, which reads
-    back as an empty list. Any other row raises ``ValueError`` naming the
-    file and line."""
+    """Result lists by query id, as ``write_results_csv`` writes them. A
+    query's rows rank distinct candidates 1, 2, ... in file order, each with
+    a similarity, or are one rank-0 row with neither, which reads back as an
+    empty list. Any other row raises ``ValueError`` naming the file and
+    line."""
     out: dict[str, KnnResult] = {}
     empty: set[str] = set()  # queries read from a rank-0 row
+    listed: set[tuple[str, str]] = set()  # (query, candidate) pairs read
     for line, (oid, rank_no, cand, sim) in _csv_rows(path, _RESULTS_COLUMNS, "results"):
         result = out.setdefault(oid, [])
         if rank_no == 0 and not result and oid not in empty:
+            if cand or sim is not None:
+                raise ValueError(f"{path}:{line}: query {oid!r} lists a candidate at rank 0")
             empty.add(oid)
             continue
         if oid in empty or rank_no != len(result) + 1:
@@ -429,19 +431,25 @@ def read_results_csv(path: str | Path) -> dict[str, KnnResult]:
                 f"{path}:{line}: rank {rank_no} of query {oid!r} breaks its order;"
                 " ranks run 1, 2, ... or are one rank-0 row"
             )
-        if sim is None:
-            raise ValueError(f"{path}:{line}: rank {rank_no} of query {oid!r} has no similarity")
+        if not cand or sim is None:
+            raise ValueError(
+                f"{path}:{line}: rank {rank_no} of query {oid!r} has no candidate or no similarity"
+            )
+        if (oid, cand) in listed:
+            raise ValueError(f"{path}:{line}: query {oid!r} lists candidate {cand!r} twice")
+        listed.add((oid, cand))
         result.append((cand, sim))
     return out
 
 
 def run_metrics(run: LinkingRun) -> dict:
     """What ``metrics.json`` holds for a run."""
+    acc = accuracies(run.results, run.reference_ids, run.k)
     return {
         "engine": run.engine,
         "k": run.k,
         "m": run.reduced_m,
-        "acc": {str(kk): acc for kk, acc in accuracies(run).items()},
+        "acc": {str(kk): a for kk, a in acc.items()},
         "timings": run.timings,
         "n_queries": len(run.results),
         "excluded_queries": sorted(run.excluded_queries),

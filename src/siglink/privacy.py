@@ -155,10 +155,12 @@ def utility_metrics(
     over the objects of ``before`` (by id) with at least one point; see
     ``_UtilityGrids`` for the grids. A degenerate (zero-area) original
     bounding box scores 1 whenever the suppressed trace still falls inside
-    it. An id that repeats on either side is refused."""
-    if not before:
-        raise ValueError("utility metrics need at least one object")
-    grids = _UtilityGrids(point_table(before)[1], anchors)  # refuses a repeated id
+    it. An id that repeats on either side, or a ``before`` without a point,
+    is refused."""
+    original_anchor_ids = point_table(before)[1]  # refuses a repeated id
+    if not len(original_anchor_ids):
+        raise ValueError("utility metrics need a point to measure; the traces before hold none")
+    grids = _UtilityGrids(original_anchor_ids, anchors)
     check_unique_ids([t.object_id for t in after], "trace")
     after_by_id = {t.object_id: t for t in after}
     if {t.object_id for t in before} != set(after_by_id):
@@ -230,7 +232,8 @@ def signature_closure(
         q, d = q_counts > 0, d_counts > 0
         corpus = fitted(pair_rows[d], pair_anchors[d])
         ref_sigs, query_sigs = signed(corpus, d, d_counts), signed(corpus, q, q_counts)
-        return accuracies(link_signatures(query_sigs, ref_sigs, anchors, k=k, m=m))
+        run = link_signatures(query_sigs, ref_sigs, anchors, k=k, m=m)
+        return accuracies(run.results, run.reference_ids, k)
 
     def summary():
         return grids.summarize(

@@ -349,7 +349,8 @@ def kind_corpus(
 ) -> Corpus:
     """A corpus that is not fitted, for the TF-IDF kind named ``spatial``,
     ``sequential`` (grams of length ``q``) or ``spatiotemporal`` (a ``g`` x
-    ``g`` grid over ``anchors`` and intervals of ``dt_hours``). Length-1
+    ``g`` grid over ``anchors`` and intervals of ``dt_hours``, refused when
+    its ``g * g * (24 // dt_hours)`` dimensions exceed 2**62). Length-1
     grams keep the anchor id itself, so q=1 signatures live in the same
     dimension space as spatial ones."""
     if kind == KIND_SPATIAL:
@@ -362,6 +363,11 @@ def kind_corpus(
         if anchors is None or dt_hours is None:
             raise ValueError("spatiotemporal signatures need anchors and dt_hours")
         dt = check_dt(dt_hours)
+        if g * g * (24 // dt) > 2**62:
+            raise ValueError(
+                f"g={g} and dt={dt} give {g * g * (24 // dt)} cell-time dimensions;"
+                " dimension ids hold at most 2**62"
+            )
         return Corpus(
             spatiotemporal_kind(g, dt),
             cells=grid_cells(anchors, g),
@@ -482,13 +488,16 @@ def check_row(dims: np.ndarray, weights: np.ndarray) -> None:
 
 def signature_from_record(record: Mapping) -> tuple[str, Signature]:
     """A signature read back from its record: an object with keys
-    ``_RECORD_KEYS``, a string kind, marked normalized, and a list of [dim,
-    weight] pairs whose row passes ``check_row``. Other keys, such as the
-    per-row cut m that older files carry, are ignored. Raises ``ValueError``
-    for a record that breaks any of these."""
+    ``_RECORD_KEYS``, a non-empty string id, a string kind, marked
+    normalized, and a list of [dim, weight] pairs whose row passes
+    ``check_row``. Other keys, such as the per-row cut m that older files
+    carry, are ignored. Raises ``ValueError`` for a record that breaks any
+    of these."""
     if not isinstance(record, dict) or any(key not in record for key in _RECORD_KEYS):
         raise ValueError(f"a signature record is an object with keys {', '.join(_RECORD_KEYS)}")
-    pairs, normalized = record["sig"], record["normalized"]
+    object_id, pairs, normalized = record["object_id"], record["sig"], record["normalized"]
+    if not (isinstance(object_id, str) and object_id):
+        raise ValueError("'object_id' must be a non-empty string")
     if not (isinstance(record["kind"], str) and isinstance(normalized, bool)):
         raise ValueError("a signature record needs a string kind and a true/false normalized flag")
     if not isinstance(pairs, list) or not all(
@@ -501,7 +510,6 @@ def signature_from_record(record: Mapping) -> tuple[str, Signature]:
         weights = np.array([p[1] for p in pairs], dtype=float)
     except OverflowError:
         raise ValueError("a dim or weight is out of range") from None
-    object_id = str(record["object_id"])
     if not normalized:  # top-m cuts, cosine scores and the bounds need unit vectors
         raise ValueError(f"signature of {object_id!r} is not normalized")
     check_row(dims, weights)

@@ -21,6 +21,9 @@ _PROB_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 # UTC timestamp.
 _BOX = (0.0, 0.0, 1.0, 1.0)
 _START_T = 1_600_041_600
+# The most days a workload may span: with up to 86,400 points per object
+# every timestamp stays below 2**62, as the trace readers require.
+MAX_N_DAYS = (2**62 - _START_T) // 86_400 - 1
 
 
 def generate_synthetic(
@@ -43,10 +46,17 @@ def generate_synthetic(
     Anchors and homes lie in ``_BOX``; locality_radius is a distance in
     degrees on the (lon, lat) plane. Traces span n_days from ``_START_T``
     so day-based splits are non-trivial, and consecutive points never
-    repeat an anchor.
+    repeat an anchor. Strictly increasing timestamps may run up to one
+    second per point past the last day, so ``n_days`` and
+    ``points_per_object`` that could put one at 2**62 are refused.
     """
     if n_objects < 1 or n_anchors < 1 or points_per_object < 1 or n_days < 1:
         raise ValueError("all synthetic workload counts must be >= 1")
+    if _START_T + n_days * 86_400 + points_per_object > 2**62:
+        raise ValueError(
+            f"n_days={n_days} with {points_per_object} points per object could put a"
+            " timestamp at 2**62 or beyond"
+        )
     if not locality_radius >= 0:
         raise ValueError("locality_radius must be >= 0")
     if personal_pool < 1:

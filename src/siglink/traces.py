@@ -536,10 +536,17 @@ def _point_int(field: str) -> int:
     return value
 
 
+def _object_id(field: str) -> str:
+    """A CSV column type for object ids: a non-empty string."""
+    if not field:
+        raise ValueError("empty; an object id is a non-empty string")
+    return field
+
+
 _LON, _LAT = partial(_degrees, limit=180), partial(_degrees, limit=90)
-_RAW_COLUMNS = {"object_id": str, "lon": _LON, "lat": _LAT, "timestamp": _point_int}
+_RAW_COLUMNS = {"object_id": _object_id, "lon": _LON, "lat": _LAT, "timestamp": _point_int}
 _ANCHOR_COLUMNS = {"anchor_id": int, "lon": _LON, "lat": _LAT}
-_TRACE_COLUMNS = {"object_id": str, "anchor_id": _point_int, "timestamp": _point_int}
+_TRACE_COLUMNS = {"object_id": _object_id, "anchor_id": _point_int, "timestamp": _point_int}
 
 
 def read_raw_csv(path: str | Path) -> dict[str, list[RawPoint]]:

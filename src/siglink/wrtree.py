@@ -21,6 +21,7 @@ import numpy as np
 
 from .reduction import Mbr, union_mbrs
 from .signatures import Signature, _leaf_sim
+from .traces import check_unique_ids
 
 DEFAULT_CAPACITY = 32
 
@@ -233,8 +234,7 @@ def bulk_load(objects: Sequence[IndexEntry], capacity: int = DEFAULT_CAPACITY) -
     if capacity < 2:
         raise ValueError("node capacity must be >= 2")
     ids = [o[0] for o in objects]
-    if len(set(ids)) != len(ids):
-        raise ValueError("object ids must be unique")
+    check_unique_ids(ids, "entry")
     if not objects:
         return WrTree(None, capacity, None, 0)
     kind = objects[0][1].kind

@@ -8,7 +8,7 @@ import pytest
 from siglink.cli import main
 from siglink.linking import ENGINES, read_results_csv, write_results_csv
 from siglink.signatures import check_row, read_signatures_jsonl, temporal_histograms
-from siglink.synth import generate_synthetic
+from siglink.synth import MAX_N_DAYS, generate_synthetic
 from siglink.traces import (
     AnchorSet,
     RawPoint,
@@ -565,6 +565,13 @@ FLAG_REFUSALS = [
     ("spatiotemporal-signature-without-anchors",
      ["signature", "--traces", "T", "--kind", "spatiotemporal", "--dt", "6"],
      "spatiotemporal signatures need --anchors"),
+    # cell-time dimension ids g * g * (24 // dt) would wrap past int64
+    *((f"spatiotemporal-{words[0]}-grid-beyond-2**62",
+       [*words, "--kind", "spatiotemporal", "--dt", "1", "--grid", "1000000000"],
+       "g=1000000000 and dt=1 give 24000000000000000000 cell-time dimensions;"
+       " dimension ids hold at most 2**62")
+      for words in (["signature", "--traces", "T", "--anchors", "A"],
+                    ["pipeline", "--synthetic", "n=20"])),
 ]
 
 
@@ -574,8 +581,8 @@ def test_refused_flag_combination_exits_2_writing_nothing(tmp_path, capsys, thre
                                                           argv, error):
     out = tmp_path / "x"
     capsys.readouterr()
-    assert run([*(three_anchors / "traces.csv" if a == "T" else a for a in argv),
-                "--out", out]) == 2
+    files = {"T": three_anchors / "traces.csv", "A": three_anchors / "anchors.csv"}
+    assert run([*(files.get(a, a) for a in argv), "--out", out]) == 2
     assert capsys.readouterr().err == f"config error: {error}\n"
     assert not any(out.iterdir())
 
@@ -587,6 +594,8 @@ BAD_FLAGS = [
     *((["synth"], flag, "0", ">= 1")
       for flag in ("n-objects", "n-anchors", "points", "n-days", "personal-pool")),
     (["synth"], "seed", "-1", ">= 0"),
+    # timestamps from that many days would reach 2**62, which the readers refuse
+    (["synth"], "n-days", "100000000000000", f"<= {MAX_N_DAYS}"),
     (["synth"], "locality-radius", "-0.5", ">= 0.0"),
     (["synth"], "locality-radius", "nan", ">= 0.0"),
     *((["synth"], flag, value, "must be in [0, 1]")
@@ -734,6 +743,8 @@ def _first_record_repeated(run_dir):
 
 
 _RANKS_SWAPPED = _results(lambda r: [r[1], r[0], *r[2:]])
+# the first query's rank-2 row names its rank-1 candidate again
+_CANDIDATE_REPEATED = _results(lambda r: [r[0], [*r[1][:2], r[0][2], r[1][3]], *r[2:]])
 
 # (case, input the bad file replaces, its text from a good run's directory)
 MALFORMED = [
@@ -771,6 +782,15 @@ MALFORMED = [
      _results(lambda r: [r[0], [r[0][0], "0", "", ""], *r[1:]])),
     ("results-similarity-empty", "results", _results(lambda r: [[*r[0][:3], ""], *r[1:]])),
     ("results-similarity-text", "results", _results(lambda r: [[*r[0][:3], "high"], *r[1:]])),
+    *((f"results-similarity-{v}", "results", _results(lambda r, v=v: [[*r[0][:3], v], *r[1:]]))
+      for v in ("nan", "inf", "-inf")),
+    ("results-candidate-repeated", "results", _CANDIDATE_REPEATED),
+    ("results-candidate-empty", "results", _results(lambda r: [[*r[0][:2], "", r[0][3]], *r[1:]])),
+    ("results-query-id-empty", "results",
+     _results(lambda r: [["", *row[1:]] if row[0] == r[0][0] else row for row in r])),
+    ("results-rank-0-with-candidate", "results",
+     _results(lambda r: [[r[0][0], "0", r[0][2], ""], *(row for row in r if row[0] != r[0][0])])),
+    ("marry-candidate-repeated", "marry-results", _CANDIDATE_REPEATED),
     ("rerank-ranks-swapped", "rerank-results", _RANKS_SWAPPED),
     ("marry-ranks-swapped", "marry-results", _RANKS_SWAPPED),
     ("record-without-sig", "signatures",
@@ -791,6 +811,10 @@ MALFORMED = [
     ("blank-lines-only", "reduce-signatures", lambda d: "\n \n"),
     ("trace-rows-out-of-time-order", "traces", _first_rows_swapped),
     ("id-repeated", "signatures", _first_record_repeated),
+    *((f"id-{name}", "signatures", _with("object_id", value))
+      for name, value in (("null", None), ("number", 7), ("array", [1, 2]), ("empty", ""))),
+    ("trace-id-empty", "traces", lambda d: "object_id,anchor_id,timestamp\n,1,1600000000\n"),
+    ("raw-id-empty", "raw", lambda d: "object_id,lon,lat,timestamp\n,1.0,2.0,1600000000\n"),
     ("reduce-not-normalized", "reduce-signatures", _with("normalized", False)),
     ("rerank-not-normalized", "rerank-signatures", _with("normalized", False)),
 ]
@@ -824,6 +848,24 @@ def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, small_run, what
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert re.search(rf"{re.escape(str(bad))}:\d+: ", err)
+
+
+# (reader, its header, a row whose id field is empty, that column)
+EMPTY_IDS = [
+    (read_raw_csv, "object_id,lon,lat,timestamp", ",1.0,2.0,1600000000", "object_id"),
+    (read_trace_csv, "object_id,anchor_id,timestamp", ",1,1600000000", "object_id"),
+    (read_results_csv, "query_id,rank,candidate_id,similarity", ",1,a,0.5", "query_id"),
+]
+
+
+@pytest.mark.parametrize("reader,header,row,column", EMPTY_IDS,
+                         ids=[c[0].__name__ for c in EMPTY_IDS])
+def test_an_empty_id_is_refused_naming_file_line_and_column(tmp_path, reader, header, row,
+                                                            column):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{header}\n{row}\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: {column}: empty"):
+        reader(path)
 
 
 @pytest.mark.parametrize(

@@ -178,10 +178,10 @@ def test_accuracies_equal_a_scan_per_k():
         }
         run = _run(results, reference_ids=set(ids[2:]), k=5)
         judged = [q for q in results if q in run.reference_ids]
-        for kk, acc in accuracies(run).items():
+        for kk, acc in accuracies(results, run.reference_ids, 5).items():
             hits = sum(any(c == q for c, _ in results[q][:kk]) for q in judged)
             assert acc == (hits / len(judged) if judged else 0.0) == accuracy_at_k(run, kk)
-        assert list(accuracies(run)) == [1, 2, 3, 4, 5]
+        assert list(accuracies(results, run.reference_ids, 5)) == [1, 2, 3, 4, 5]
 
 
 def test_accuracy_k_bounds_checked():
@@ -200,26 +200,26 @@ def test_rerank_keeps_candidate_sets_and_stabilizes_ties():
     run = _run({"q": [("a", 0.9), ("b", 0.8), ("c", 0.7)]})
     large = {"a": sig({1: 1.0}), "b": sig({1: 1.0}), "c": sig({1: 1.0})}
     query_large = {"q": sig({1: 1.0})}
-    out = rerank(run, query_large, large)
+    out = rerank(run.results, query_large, large)
     # all rescored similarities are equal, so the original order survives
-    assert [c for c, _ in out.results["q"]] == ["a", "b", "c"]
-    assert {c for c, _ in out.results["q"]} == {"a", "b", "c"}
+    assert [c for c, _ in out["q"]] == ["a", "b", "c"]
+    assert {c for c, _ in out["q"]} == {"a", "b", "c"}
 
 
 def test_rerank_reorders_by_large_similarity():
     run = _run({"q": [("a", 0.9), ("b", 0.8)]})
     query_large = {"q": sig({1: 1.0, 2: 1.0})}
     large = {"a": sig({3: 1.0}), "b": sig({1: 1.0, 2: 1.0})}
-    out = rerank(run, query_large, large)
-    assert [c for c, _ in out.results["q"]] == ["b", "a"]
+    out = rerank(run.results, query_large, large)
+    assert [c for c, _ in out["q"]] == ["b", "a"]
 
 
 def test_rerank_missing_signature_errors():
     run = _run({"q": [("a", 0.9)]})
     with pytest.raises(ValueError):
-        rerank(run, {"q": sig({1: 1.0})}, {})
+        rerank(run.results, {"q": sig({1: 1.0})}, {})
     with pytest.raises(ValueError):
-        rerank(run, {}, {"a": sig({1: 1.0})})
+        rerank(run.results, {}, {"a": sig({1: 1.0})})
 
 
 def test_rerank_with_link_signatures_reproduces_linear_similarities():
@@ -231,7 +231,7 @@ def test_rerank_with_link_signatures_reproduces_linear_similarities():
     ref_sigs, _, stats = reference_signatures(halves.d)
     query_sigs = {t.object_id: query_signature(t, stats) for t in halves.q if t.points}
     # same signatures and the same kernel: floats and order are bit-identical
-    assert rerank(run, query_sigs, ref_sigs).results == run.results
+    assert rerank(run.results, query_sigs, ref_sigs) == run.results
 
 
 def test_rerank_mean_gain_nonnegative_over_seeds():
@@ -248,8 +248,8 @@ def test_rerank_mean_gain_nonnegative_over_seeds():
             for t in halves.q
             if t.points and (s := query_signature(t, stats)) is not None
         }
-        improved = rerank(run, query_sigs, ref_sigs)
-        gains.append(accuracy_at_k(improved, 1) - accuracy_at_k(run, 1))
+        improved = rerank(run.results, query_sigs, ref_sigs)
+        gains.append(accuracies(improved, run.reference_ids, 5)[1] - accuracy_at_k(run, 1))
     assert float(np.mean(gains)) >= 0.0
 
 
@@ -414,7 +414,8 @@ def test_rerank_then_stable_marriage_composition():
         for t in halves.d
         if t.points and (s := query_signature(t, q_stats)) is not None
     }
-    matching = stable_marriage(rerank(qd, q_in_d, d_sigs), rerank(dq, d_in_q, q_sigs))
+    matching = stable_marriage(rerank(qd.results, q_in_d, d_sigs),
+                               rerank(dq.results, d_in_q, q_sigs))
     targets = list(matching.stable_pairs.values())
     assert len(targets) == len(set(targets))
 

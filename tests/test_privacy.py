@@ -302,6 +302,14 @@ def test_zero_area_before_box_scores_containment():
     assert metrics.mbr_overlap == 0.5
 
 
+def test_traces_without_a_point_are_refused():
+    anchors = AnchorSet([0.0], [0.0])
+    with pytest.raises(ValueError, match="^utility metrics need a point to measure"):
+        utility_metrics([Trace("a", [])], [Trace("a", [])], anchors)
+    # a side without a point after suppression is measured: nothing remains
+    assert utility_metrics([_trace("a", [0])], [Trace("a", [])], anchors).data_remain == 0.0
+
+
 def test_empty_inputs_rejected():
     anchors = AnchorSet([0.0], [0.0])
     with pytest.raises(ValueError):

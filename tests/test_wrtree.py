@@ -184,6 +184,13 @@ def test_bulk_load_empty_and_duplicate_ids():
         bulk_load(entries, capacity=1)
 
 
+def test_bulk_load_names_a_repeated_id():
+    entries, _ = synthetic_entries(5, seed=2)
+    oid = entries[3][0]
+    with pytest.raises(ValueError, match=f"^object id {oid!r} repeats an earlier entry's$"):
+        bulk_load(entries + [entries[3]])
+
+
 def test_bulk_load_refuses_mixed_kinds_as_insert_does():
     anchors = line_anchors(4)
     spatial = entry("s", sig({0: 0.6, 1: 0.8}), anchors)
