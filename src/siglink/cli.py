@@ -191,6 +191,14 @@ def _read_signatures(path: str, args: argparse.Namespace, anchors=None) -> Signa
     return sigs
 
 
+def _require_signatures(sigs: SignatureTable, path, side: str = "") -> None:
+    """Refuse a run that leaves every object of the traces file ``path``
+    without a signature: ``link`` and ``reduce`` refuse a signature file with
+    no record, so none is written."""
+    if not len(sigs):
+        raise SiglinkError(f"no {side}signature: every object of {path} is excluded")
+
+
 def _calibrated(args: argparse.Namespace, anchors) -> list[Trace]:
     raw = read_raw_csv(args.raw)
     return [calibrate_trace(oid, pts, anchors) for oid, pts in raw.items()]
@@ -323,6 +331,7 @@ def _cmd_signature(args: argparse.Namespace) -> None:
     if args.corpus:
         _, _, corpus = tfidf_signatures(_read_traces(args.corpus, args, anchors), corpus)
     sigs, excluded, _ = tfidf_signatures(traces, corpus)
+    _require_signatures(sigs, args.traces)
     path = out / "signatures.jsonl"
     write_signatures_jsonl(path, sigs)
     print(f"wrote {len(sigs)} {args.kind} signatures to {path} ({len(excluded)} excluded)")
@@ -462,12 +471,8 @@ def _cmd_pipeline(args: argparse.Namespace) -> None:
     ref_sigs, excluded_refs, corpus = tfidf_signatures(halves.d, kind)
     query_sigs, excluded_queries, _ = tfidf_signatures(halves.q, corpus)
     sig_s = time.perf_counter() - t0
-    # `link` refuses a signature file with no record, so none is written
-    for side, half, sigs in (("reference", "d", ref_sigs), ("query", "q", query_sigs)):
-        if not len(sigs):
-            raise SiglinkError(
-                f"no {side} signature: every object of {out / half}.csv is excluded"
-            )
+    _require_signatures(ref_sigs, out / "d.csv", "reference ")
+    _require_signatures(query_sigs, out / "q.csv", "query ")
     write_signatures_jsonl(out / "signatures_d.jsonl", ref_sigs)
     write_signatures_jsonl(out / "signatures_q.jsonl", query_sigs)
 

@@ -252,11 +252,13 @@ def rerank(
 ) -> dict[str, KnnResult]:
     """Each query's list of ``results`` re-ordered by larger signatures.
 
-    The candidate sets are unchanged as sets; ordering is a stable re-sort by
-    the richer similarity, so equal similarities keep the k-NN order rather
-    than ascending id. Both maps must cover every query and candidate
-    involved; each is made a ``SignatureTable`` (``SignatureTable.of``),
-    which refuses an unnormalized signature, naming its object.
+    The candidate sets are unchanged, less any candidate the larger
+    signatures score 0: like every engine, rerank reports only positive
+    similarities. Ordering is a stable re-sort by the richer similarity, so
+    equal similarities keep the k-NN order rather than ascending id. Both
+    maps must cover every query and candidate involved; each is made a
+    ``SignatureTable`` (``SignatureTable.of``), which refuses an
+    unnormalized signature, naming its object.
     """
     query_sigs, reference_sigs = SignatureTable.of(query_sigs), SignatureTable.of(reference_sigs)
     new_results: dict[str, KnnResult] = {}
@@ -273,7 +275,9 @@ def rerank(
             c_sig = reference_sigs.get(cand)
             if c_sig is None:
                 raise ValueError(f"missing large signature for candidate {cand!r}")
-            rescored.append((cand, _leaf_sim(q_map, c_sig)))
+            sim = _leaf_sim(q_map, c_sig)
+            if sim > 0.0:
+                rescored.append((cand, sim))
         rescored.sort(key=lambda pair: -pair[1])
         new_results[oid] = rescored
     return new_results
@@ -413,9 +417,9 @@ _RESULTS_COLUMNS = {
 def read_results_csv(path: str | Path) -> dict[str, KnnResult]:
     """Result lists by query id, as ``write_results_csv`` writes them. A
     query's rows rank distinct candidates 1, 2, ... in file order, each with
-    a similarity, or are one rank-0 row with neither, which reads back as an
-    empty list. Any other row raises ``ValueError`` naming the file and
-    line."""
+    a positive similarity no higher than the rank before's, or are one
+    rank-0 row with neither, which reads back as an empty list. Any other
+    row raises ``ValueError`` naming the file and line."""
     out: dict[str, KnnResult] = {}
     empty: set[str] = set()  # queries read from a rank-0 row
     listed: set[tuple[str, str]] = set()  # (query, candidate) pairs read
@@ -434,6 +438,11 @@ def read_results_csv(path: str | Path) -> dict[str, KnnResult]:
         if not cand or sim is None:
             raise ValueError(
                 f"{path}:{line}: rank {rank_no} of query {oid!r} has no candidate or no similarity"
+            )
+        if sim <= 0.0 or (result and sim > result[-1][1]):
+            raise ValueError(
+                f"{path}:{line}: rank {rank_no} of query {oid!r} has similarity {sim!r};"
+                " similarities are positive and never rise down a list"
             )
         if (oid, cand) in listed:
             raise ValueError(f"{path}:{line}: query {oid!r} lists candidate {cand!r} twice")

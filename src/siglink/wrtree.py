@@ -57,22 +57,20 @@ def aggregate_signatures(sigs: Sequence[Signature]) -> Signature:
 class WrNode:
     """Either a single-object leaf or an internal node over child nodes.
 
-    A leaf holds its object's signature. An internal node holds its subtree's
-    aggregate only as a dim -> max weight map: inserts merge into it in
-    O(signature nnz). ``signature`` builds the sorted array form of that map
-    on demand, for validation.
-
-    An internal node also holds ``postings``, an inverted file over its
-    children: dim -> {child index: weight}, the weight being a leaf child's
-    signature weight or an internal child's aggregate maximum. Search scores
-    every child of a node through it in one pass (``_child_scores``).
-    ``insert`` keeps it current by touching only what changed: an appended
-    leaf adds its pairs, a raised child aggregate overwrites that child's
-    entries, and a split child's entries give way to its two halves'. A
-    node's children are either all leaves or all internal nodes.
+    A leaf holds its object's signature. An internal node holds
+    ``postings``, an inverted file over its children: dim -> {child index:
+    weight}, the weight being a leaf child's signature weight or an internal
+    child's aggregate weight. Search scores every child of a node through it
+    in one pass (``_child_scores``). An aggregate is stored only as those
+    entries in its parent: a node's own is the largest weight of each of its
+    lists (``_pairs``), and ``signature`` gives it as sorted arrays.
+    ``insert`` keeps the lists current by touching only what changed: an
+    appended leaf posts its pairs, a child's raised pairs overwrite its
+    entries, and a split child's entries give way to its two halves'
+    aggregates. A node's children are either all leaves or all internal.
     """
 
-    __slots__ = ("object_id", "mbr", "children", "weight_map", "_leaf_sig", "postings")
+    __slots__ = ("object_id", "mbr", "children", "_leaf_sig", "postings")
 
     def __init__(self, object_id, leaf_sig, mbr, children):
         self.object_id: str | None = object_id
@@ -80,10 +78,8 @@ class WrNode:
         self.children: list[WrNode] | None = children
         self._leaf_sig: Signature | None = leaf_sig
         self.postings: dict[int, dict[int, float]] | None = None
-        self.weight_map: dict[int, float] | None = None
         if children is not None:
             self.postings = _build_postings(children)
-            self.weight_map = {d: max(plist.values()) for d, plist in self.postings.items()}
 
     @property
     def signature(self) -> Signature:
@@ -92,7 +88,7 @@ class WrNode:
         first = self
         while first.children is not None:
             first = first.children[0]
-        items = sorted(self.weight_map.items())
+        items = sorted(_pairs(self))
         return Signature(
             np.array([d for d, _ in items], dtype=np.int64),
             np.array([w for _, w in items], dtype=float),
@@ -118,6 +114,14 @@ class WrNode:
         return cls(None, None, union_mbrs([c.mbr for c in children]), children)
 
 
+def _pairs(node: WrNode):
+    """A node's (dim, weight) pairs: a leaf's signature, or an internal
+    node's aggregate, the largest weight in each of its posting lists."""
+    if node.children is None:
+        return node._leaf_sig.pairs()
+    return [(d, max(plist.values())) for d, plist in node.postings.items()]
+
+
 def _post(postings: dict[int, dict[int, float]], index: int, pairs) -> None:
     """Set child ``index``'s weight in the posting list of each pair's dim."""
     for d, w in pairs:
@@ -131,7 +135,7 @@ def _post(postings: dict[int, dict[int, float]], index: int, pairs) -> None:
 def _build_postings(children: Sequence[WrNode]) -> dict[int, dict[int, float]]:
     postings: dict[int, dict[int, float]] = {}
     for i, c in enumerate(children):
-        _post(postings, i, c._leaf_sig.pairs() if c.children is None else c.weight_map.items())
+        _post(postings, i, _pairs(c))
     return postings
 
 
@@ -140,8 +144,11 @@ class WrTree:
     root: WrNode | None
     capacity: int
     kind: str | None
-    n_objects: int
     ids: set[str] = field(default_factory=set)
+
+    @property
+    def n_objects(self) -> int:
+        return len(self.ids)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +172,7 @@ def merge_node(bulk: Sequence[WrNode], capacity: int) -> list[WrNode]:
     bulk = list(bulk)
     if len(bulk) < capacity:
         return [WrNode.internal(bulk)]
-    dim_sets = [b.signature.dim_set() if b.is_leaf else b.weight_map.keys() for b in bulk]
+    dim_sets = [b.signature.dim_set() if b.is_leaf else b.postings.keys() for b in bulk]
     holders: dict[int, list[int]] = {}
     for pos, dims in enumerate(dim_sets):
         for d in dims:
@@ -236,7 +243,7 @@ def bulk_load(objects: Sequence[IndexEntry], capacity: int = DEFAULT_CAPACITY) -
     ids = [o[0] for o in objects]
     check_unique_ids(ids, "entry")
     if not objects:
-        return WrTree(None, capacity, None, 0)
+        return WrTree(None, capacity, None)
     kind = objects[0][1].kind
     for object_id, sig, _ in objects:
         _check_normalized(object_id, sig)
@@ -247,7 +254,7 @@ def bulk_load(objects: Sequence[IndexEntry], capacity: int = DEFAULT_CAPACITY) -
         nodes = _str_level(nodes, capacity)
         if len(nodes) == 1:
             break
-    return WrTree(nodes[0], capacity, kind, len(objects), ids=set(ids))
+    return WrTree(nodes[0], capacity, kind, set(ids))
 
 
 # ---------------------------------------------------------------------------
@@ -274,43 +281,31 @@ def _choose_child(node: WrNode, sig: Signature, mbr: Mbr) -> int:
     return min(cand, key=lambda i: children[i].mbr.union(mbr).area() - children[i].mbr.area())
 
 
-def _absorb(node: WrNode, pairs, mbr: Mbr) -> list[tuple[int, float]]:
-    """Fold one more member's rectangle and weight pairs into a node in
-    place; returns the pairs that raised or added an aggregate dim."""
-    node.mbr = node.mbr.union(mbr)
-    weight_map = node.weight_map
-    raised = []
-    for d, w in pairs:
-        current = weight_map.get(d)
-        if current is None or w > current:
-            weight_map[d] = w
-            raised.append((d, w))
-    return raised
-
-
 def _replace_child(node: WrNode, index: int, first: WrNode, second: WrNode) -> None:
     """Put the halves of the split child at ``index`` in its place and at the
-    end, swapping its posting entries for theirs."""
+    end, swapping its posting entries for their aggregates."""
     old = node.children[index]
     node.children[index] = first
     node.children.append(second)
     postings = node.postings
-    # the split child never absorbed the new object, so its entries here are
-    # exactly its aggregate's dims
-    for d in old.weight_map:
-        plist = postings[d]
-        del plist[index]
-        if not plist:
-            del postings[d]
-    _post(postings, index, first.weight_map.items())
-    _post(postings, len(node.children) - 1, second.weight_map.items())
+    # the split child's lists already hold the new object's dims, which its
+    # entries here, its aggregate before the insert, may lack
+    for d in old.postings:
+        plist = postings.get(d)
+        if plist is not None:
+            plist.pop(index, None)
+            if not plist:
+                del postings[d]
+    _post(postings, index, _pairs(first))
+    _post(postings, len(node.children) - 1, _pairs(second))
 
 
 def insert(tree: WrTree, entry: IndexEntry) -> None:
-    """Insert one object, updating aggregates, rectangles and posting lists
-    along the path. An overflowing node is split in two by the bulk loader's
-    rule: one STR slab packed greedily by shared dimensions. The signature
-    must be normalized."""
+    """Insert one object, updating rectangles and posting lists along the
+    path: each node posts over its child's entries the pairs that raised the
+    child's aggregate. An overflowing node is split in two by the bulk
+    loader's rule: one STR slab packed greedily by shared dimensions. The
+    signature must be normalized."""
     object_id, sig, mbr = entry
     if object_id in tree.ids:
         raise ValueError(f"duplicate object id {object_id!r}")
@@ -319,7 +314,6 @@ def insert(tree: WrTree, entry: IndexEntry) -> None:
     if tree.root is None:
         tree.root = WrNode.internal([leaf])
         tree.kind = sig.kind
-        tree.n_objects = 1
         tree.ids.add(object_id)
         return
     if tree.kind is not None and sig.kind != tree.kind:
@@ -337,23 +331,28 @@ def insert(tree: WrTree, entry: IndexEntry) -> None:
 
     # the child below either split in two or raised the weights `raised`
     # (the new leaf's, at first). Only a pair that raised a node can raise its
-    # parent, since a parent's aggregate dominates its children's.
+    # parent, since a parent's aggregate dominates its children's. A node's
+    # raised pairs beat every weight its lists held for their dim before this
+    # insert, so they are found before its lists change.
     split: list[WrNode] | None = None
     raised = sig.pairs()
     for depth in range(len(path) - 1, -1, -1):
         current = path[depth]
+        postings = current.postings
+        below, raised = raised, [
+            (d, w) for d, w in raised if d not in postings or w > max(postings[d].values())
+        ]
         if split is not None:
             _replace_child(current, slots[depth], *split)
         else:
-            _post(current.postings, slots[depth], raised)
+            _post(postings, slots[depth], below)
         if len(current.children) > tree.capacity:
             split = _str_level(current.children, (len(current.children) + 1) // 2)
         else:
             split = None
-            raised = _absorb(current, raised, mbr)
+            current.mbr = current.mbr.union(mbr)
     if split is not None:
         tree.root = WrNode.internal(split)
-    tree.n_objects += 1
     tree.ids.add(object_id)
 
 
@@ -510,9 +509,10 @@ def _nodes(root: WrNode | None) -> Iterator[tuple[WrNode, int]]:
 def validate(tree: WrTree) -> list[str]:
     """Check the tree's invariants; returns human-readable violations. Each
     internal node has 1 .. ``capacity`` children, all leaves or all
-    internal, a rectangle holding theirs, a current posting list and the
-    maximum of their aggregates; every leaf is normalized and sits at one
-    depth; object ids are unique; and there are ``n_objects`` leaves."""
+    internal, a rectangle holding theirs and a posting list equal to one
+    rebuilt from them, so an internal child's entries are its aggregate;
+    every leaf is normalized and sits at one depth; and the leaves' ids are
+    unique and are the tree's ``ids``."""
     problems: list[str] = []
     ids: list[str] = []
     leaf_depths: set[int] = set()
@@ -532,17 +532,11 @@ def validate(tree: WrTree) -> list[str]:
                 problems.append(f"child mbr escapes parent at depth {depth}")
         if node.postings != _build_postings(node.children):
             problems.append(f"stale posting list at depth {depth}")
-        expect = aggregate_signatures([c.signature for c in node.children])
-        agg = node.signature
-        if not (
-            np.array_equal(agg.dims, expect.dims)
-            and np.array_equal(agg.weights, expect.weights)
-        ):
-            problems.append(f"aggregate mismatch at depth {depth}")
     if len(leaf_depths) > 1:
         problems.append(f"leaves at unequal depths: {sorted(leaf_depths)}")
-    if len(set(ids)) != len(ids):
+    leaf_ids = set(ids)
+    if len(leaf_ids) != len(ids):
         problems.append("duplicate object ids in tree")
-    if len(ids) != tree.n_objects:
-        problems.append(f"tree holds {len(ids)} objects, expected {tree.n_objects}")
+    if leaf_ids != tree.ids:
+        problems.append(f"the {len(leaf_ids)} leaf ids are not the tree's {tree.n_objects} ids")
     return problems

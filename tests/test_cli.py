@@ -743,6 +743,8 @@ def _first_record_repeated(run_dir):
 
 
 _RANKS_SWAPPED = _results(lambda r: [r[1], r[0], *r[2:]])
+# the first query's rank-2 similarity above its rank-1 one
+_SIMILARITY_RISING = _results(lambda r: [r[0], [*r[1][:3], repr(float(r[0][3]) + 0.5)], *r[2:]])
 # the first query's rank-2 row names its rank-1 candidate again
 _CANDIDATE_REPEATED = _results(lambda r: [r[0], [*r[1][:2], r[0][2], r[1][3]], *r[2:]])
 
@@ -784,6 +786,10 @@ MALFORMED = [
     ("results-similarity-text", "results", _results(lambda r: [[*r[0][:3], "high"], *r[1:]])),
     *((f"results-similarity-{v}", "results", _results(lambda r, v=v: [[*r[0][:3], v], *r[1:]]))
       for v in ("nan", "inf", "-inf")),
+    ("results-similarity-rising", "results", _SIMILARITY_RISING),
+    ("results-similarity-zero", "results", _results(lambda r: [[*r[0][:3], "0.0"], *r[1:]])),
+    ("results-similarity-negative", "results",
+     _results(lambda r: [[*r[0][:3], "-0.5"], *r[1:]])),
     ("results-candidate-repeated", "results", _CANDIDATE_REPEATED),
     ("results-candidate-empty", "results", _results(lambda r: [[*r[0][:2], "", r[0][3]], *r[1:]])),
     ("results-query-id-empty", "results",
@@ -793,6 +799,7 @@ MALFORMED = [
     ("marry-candidate-repeated", "marry-results", _CANDIDATE_REPEATED),
     ("rerank-ranks-swapped", "rerank-results", _RANKS_SWAPPED),
     ("marry-ranks-swapped", "marry-results", _RANKS_SWAPPED),
+    ("marry-similarity-rising", "marry-results", _SIMILARITY_RISING),
     ("record-without-sig", "signatures",
      _edited_record(lambda r: {k: v for k, v in r.items() if k != "sig"})),
     ("record-is-array", "signatures", _edited_record(lambda r: r["sig"])),
@@ -1135,6 +1142,24 @@ def test_pipeline_refuses_a_side_without_signatures(tmp_path, capsys, three_anch
     assert capsys.readouterr().err == (
         f"error: no {side} signature: every object of {out / half}.csv is excluded\n")
     assert not list(out.glob("signatures_*"))
+
+
+@pytest.mark.parametrize("kind", [
+    ["--kind", "sequential", "--q", "3"],
+    ["--kind", "spatiotemporal", "--dt", "24", "--grid", "1", "--anchors", "ANCHORS"],
+], ids=["sequential-no-gram", "spatiotemporal-one-cell"])
+def test_signature_refuses_a_run_that_excludes_every_object(tmp_path, capsys, kind):
+    # one point per trace makes no 3-gram, and one grid cell and one day-long
+    # bin give every object the one dimension, which weighs 0; link and
+    # reduce would refuse an empty signature file, so none is written
+    synth, out = tmp_path / "s", tmp_path / "o"
+    assert run(["synth", "--n-objects", "5", "--points", "1", "--out", synth]) == 0
+    kind = [synth / "anchors.csv" if flag == "ANCHORS" else flag for flag in kind]
+    capsys.readouterr()
+    assert run(["signature", "--traces", synth / "traces.csv", *kind, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: no signature: every object of {synth / 'traces.csv'} is excluded\n")
+    assert not (out / "signatures.jsonl").exists()
 
 
 def test_readme_verb_table_matches_parser(capsys):

@@ -209,9 +209,17 @@ def test_rerank_keeps_candidate_sets_and_stabilizes_ties():
 def test_rerank_reorders_by_large_similarity():
     run = _run({"q": [("a", 0.9), ("b", 0.8)]})
     query_large = {"q": sig({1: 1.0, 2: 1.0})}
-    large = {"a": sig({3: 1.0}), "b": sig({1: 1.0, 2: 1.0})}
+    large = {"a": sig({1: 1.0, 3: 1.0}), "b": sig({1: 1.0, 2: 1.0})}
     out = rerank(run.results, query_large, large)
     assert [c for c, _ in out["q"]] == ["b", "a"]
+
+
+def test_rerank_drops_a_candidate_the_large_signatures_score_0():
+    # like every engine, rerank reports only positive similarities
+    results = {"q": [("q", 0.9), ("a", 0.1)], "e": []}
+    query_large = {"q": sig({0: 1.0})}
+    large = {"a": sig({1: 1.0}), "q": sig({0: 1.0})}
+    assert rerank(results, query_large, large) == {"q": [("q", 1.0)], "e": []}
 
 
 def test_rerank_missing_signature_errors():
@@ -425,7 +433,7 @@ def test_rerank_then_stable_marriage_composition():
 
 
 def test_results_csv_round_trip(tmp_path):
-    results = {"q1": [("d1", 0.123456789012345), ("d2", 0.5)], "q2": []}
+    results = {"q1": [("d1", 0.5), ("d2", 0.123456789012345)], "q2": []}
     path = tmp_path / "results.csv"
     write_results_csv(path, results)
     back = read_results_csv(path)

@@ -111,7 +111,7 @@ def _merge_node_by_intersection(bulk, capacity):
     bulk = list(bulk)
     if len(bulk) < capacity:
         return [bulk]
-    dim_sets = [b.signature.dim_set() if b.is_leaf else b.weight_map.keys() for b in bulk]
+    dim_sets = [b.signature.dim_set() if b.is_leaf else b.postings.keys() for b in bulk]
     unassigned = list(range(len(bulk)))
     groups = []
     while unassigned:
@@ -375,6 +375,42 @@ def test_hub_heavy_tree_search_matches_linear_bit_for_bit(corpus, capacity):
                 assert _hexed(rtree_baseline_knn(tree, query, k)) == expect
 
 
+def _internal_nodes_with_leaves(node):
+    """Every internal node under ``node`` with the leaves beneath it."""
+    if node.is_leaf:
+        return [], [node]
+    found, leaves = [], []
+    for child in node.children:
+        inner, below = _internal_nodes_with_leaves(child)
+        found += inner
+        leaves += below
+    return [(node, leaves), *found], leaves
+
+
+def _check_aggregates(tree):
+    """Assert that every internal node's aggregate, read from its posting
+    lists, is the dimension-wise maximum of the signatures beneath it, bit
+    for bit; returns the number of internal nodes."""
+    nodes, _ = _internal_nodes_with_leaves(tree.root)
+    for node, leaves in nodes:
+        expect = aggregate_signatures([leaf.signature for leaf in leaves])
+        agg = node.signature
+        assert np.array_equal(agg.dims, expect.dims)
+        assert np.array_equal(agg.weights, expect.weights)
+        assert agg.kind == expect.kind and not agg.normalized
+    return len(nodes)
+
+
+@pytest.mark.parametrize("capacity", [4, 32])
+def test_node_signature_is_the_aggregate_of_its_leaves(capacity):
+    entries, _ = synthetic_entries(300, seed=18)
+    tree = bulk_load(entries[:150], capacity=capacity)
+    n_nodes = _check_aggregates(tree)
+    for e in entries[150:]:
+        insert(tree, e)
+    assert _check_aggregates(tree) > n_nodes  # the inserts split nodes
+
+
 # ---------------------------------------------------------------------------
 # Search behavior
 
@@ -482,15 +518,6 @@ def test_rtree_baseline_matches_wrtree_on_overlap_complete_queries():
 # Validation
 
 
-def test_validator_flags_corrupted_aggregate():
-    entries, _ = synthetic_entries(30, seed=13)
-    tree = bulk_load(entries, capacity=4)
-    node = tree.root.children[0]
-    dim = min(node.weight_map)
-    node.weight_map[dim] *= 0.5
-    assert any("aggregate" in p for p in validate(tree))
-
-
 def test_validator_flags_stale_postings():
     entries, _ = synthetic_entries(30, seed=13)
     tree = bulk_load(entries, capacity=4)
@@ -531,16 +558,16 @@ def _hand_tree(shape, capacity):
         return WrNode.internal([node(child) for child in item])
 
     root = node(shape)
-    return WrTree(root, capacity, "spatial", len(leaves), set(leaves))
+    return WrTree(root, capacity, "spatial", set(leaves))
 
 
 @pytest.mark.parametrize("shape,capacity,missing,problem", [
     (["a", "a"], 4, 0, "duplicate object ids in tree"),
     (list("abcdefghi"), 2, 0, "node at depth 0 has 9 children"),
     ([["a", "b"], [["c"]]], 4, 0, "leaves at unequal depths: [2, 3]"),
-    (list("abcdef"), 8, 1, "tree holds 6 objects, expected 7"),
+    (list("abcdef"), 8, 1, "the 6 leaf ids are not the tree's 7 ids"),
 ], ids=["duplicate-ids", "over-capacity", "unequal-depths", "object-count"])
 def test_validate_reports_each_shape_rule(shape, capacity, missing, problem):
     tree = _hand_tree(shape, capacity)
-    tree.n_objects += missing
+    tree.ids.update(f"missing{i}" for i in range(missing))
     assert validate(tree) == [problem]
