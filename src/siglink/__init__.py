@@ -8,6 +8,7 @@ from .traces import (
     SplitResult,
     SplitStrategy,
     Trace,
+    TraceTable,
     calibrate_trace,
     filter_min_points,
     split_dataset,
@@ -66,6 +67,7 @@ __all__ = [
     "SplitResult",
     "SplitStrategy",
     "Trace",
+    "TraceTable",
     "UtilityMetrics",
     "WrTree",
     "accuracy_at_k",

@@ -52,6 +52,7 @@ from .traces import (
     SplitResult,
     SplitStrategy,
     Trace,
+    TraceTable,
     _utf8_text,
     calibrate_trace,
     filter_min_points,
@@ -162,22 +163,15 @@ def _require_dt(args: argparse.Namespace) -> None:
         raise ConfigError(f"the {args.kind} kind needs --dt")
 
 
-def _check_anchor_ids(path: str, tops, args: argparse.Namespace, anchors) -> None:
-    """Refuse an object of ``path`` that names an anchor id beyond
-    ``--anchors``; ``tops`` holds each object's id and largest anchor id."""
-    for oid, top in tops:
-        if top >= len(anchors):
-            raise SiglinkError(
-                f"{path}: object {oid!r} names anchor {top},"
-                f" beyond the {len(anchors)} anchors of {args.anchors}"
-            )
-
-
 def _read_traces(path: str, args: argparse.Namespace, anchors=None) -> list[Trace]:
+    """The traces of ``path``, checked against ``anchors`` when given."""
     traces = read_trace_csv(path)
     if anchors is not None:
-        tops = ((t.object_id, int(t.anchor_ids.max())) for t in traces if len(t))
-        _check_anchor_ids(path, tops, args, anchors)
+        table = TraceTable.of(traces)
+        try:
+            table.check_anchor_ids(len(anchors))
+        except ValueError as exc:
+            raise SiglinkError(f"{path}: {exc} of {args.anchors}") from None
     return traces
 
 
@@ -187,7 +181,12 @@ def _read_signatures(path: str, args: argparse.Namespace, anchors=None) -> Signa
     sigs = read_signatures_jsonl(path)
     if anchors is not None and sigs.kind == KIND_SPATIAL:
         tops = sigs.dims[sigs.indptr[1:] - 1].tolist()  # a row's dims ascend
-        _check_anchor_ids(path, zip(sigs.ids, tops), args, anchors)
+        for oid, top in zip(sigs.ids, tops):
+            if top >= len(anchors):
+                raise SiglinkError(
+                    f"{path}: object {oid!r} names anchor {top},"
+                    f" beyond the {len(anchors)} anchors of {args.anchors}"
+                )
     return sigs
 
 

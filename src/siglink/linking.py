@@ -22,7 +22,7 @@ from .signatures import (
     _leaf_sim,
     tfidf_signatures,
 )
-from .traces import AnchorSet, Trace, _csv_rows, _object_id, write_csv
+from .traces import AnchorSet, Trace, TraceTable, _csv_rows, _object_id, write_csv
 from .wrtree import (
     IndexEntry,
     KnnResult,
@@ -192,10 +192,15 @@ def link_all(
     ``link_signatures`` for the engines.
 
     The corpus is fitted to the references alone; query traces are
-    projected into its weight space. Each side is weighted in one batch
-    (``reference_signatures``), which refuses a repeated object id.
+    projected into its weight space. Each side is a ``TraceTable`` or a
+    list of traces, weighted in one batch (``reference_signatures``); a
+    side with a repeated object id, or an anchor id outside ``anchors``, is
+    refused.
     """
     t0 = time.perf_counter()
+    queries, references = TraceTable.of(queries), TraceTable.of(references)
+    for side in (queries, references):
+        side.check_anchor_ids(len(anchors))
     ref_sigs, excluded_refs, corpus = reference_signatures(references)
     query_sigs, excluded_queries, _ = reference_signatures(queries, corpus)
     sig_time = time.perf_counter() - t0

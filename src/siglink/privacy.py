@@ -8,27 +8,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .linking import accuracies, link_signatures
-from .reduction import anchor_boxes, top_m
-from .signatures import KIND_SPATIAL, Corpus, SignatureTable, pair_counts, tfidf_weights
+from .linking import accuracies, link_all, reference_signatures
+from .reduction import anchor_boxes, cut_table
+from .signatures import pair_counts
 from .traces import (
     DEFAULT_UTC_OFFSET_HOURS,
     AnchorSet,
     SplitStrategy,
     Trace,
-    check_unique_ids,
-    day_pairs,
-    masked_traces,
+    TraceTable,
     metre_grid,
-    point_table,
-    query_days,
+    split_dataset,
 )
 
-# Names perfbench's tracer wraps in this module. The closure works on the
-# point table and calls none of them.
-from .linking import build_corpus_stats, build_spatial_signature, link_all  # noqa: F401, E402
+# Names perfbench's tracer wraps in this module. The closure calls none of
+# them.
+from .linking import build_corpus_stats, build_spatial_signature  # noqa: F401, E402
 from .reduction import cut_reduce  # noqa: F401, E402
-from .traces import split_dataset  # noqa: F401, E402
 
 DEFAULT_LARGE_CELL_M = 423.0
 DEFAULT_SMALL_CELL_M = 85.0
@@ -92,13 +88,12 @@ class _UtilityGrids:
             distinct, cell = np.unique(xy, axis=0, return_inverse=True)
             self.cells.append((cell, len(distinct)))
 
-    def summarize(
-        self, rows: np.ndarray, anchor_ids: np.ndarray, counts: np.ndarray, n_objects: int
-    ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    def summarize(self, traces: TraceTable) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
         """Point count, bounding box (min lon, min lat, max lon, max lat;
         zeros where there are no points) and distinct cells per grid of each
-        object, from its visit counts: COO ``(rows, anchor_ids, counts)``
-        sorted by row, as ``pair_counts`` returns them."""
+        row of ``traces``, from its (object, anchor) visit counts."""
+        rows, anchor_ids, counts = pair_counts(traces.rows(), traces.anchor_ids)
+        n_objects = len(traces)
         count = np.bincount(rows, weights=counts, minlength=n_objects)
         box = np.zeros((n_objects, 4))
         starts = np.flatnonzero(np.diff(rows, prepend=-1))
@@ -140,12 +135,6 @@ def _utility(before, after) -> UtilityMetrics:
     )
 
 
-def _summaries_of(traces: Sequence[Trace], grids: _UtilityGrids):
-    rows, anchor_ids, _ = point_table(traces)
-    pair_rows, pair_anchors, counts = pair_counts(rows, anchor_ids)
-    return grids.summarize(pair_rows, pair_anchors, counts, len(traces))
-
-
 def utility_metrics(
     before: Sequence[Trace],
     after: Sequence[Trace],
@@ -155,18 +144,20 @@ def utility_metrics(
     over the objects of ``before`` (by id) with at least one point; see
     ``_UtilityGrids`` for the grids. A degenerate (zero-area) original
     bounding box scores 1 whenever the suppressed trace still falls inside
-    it. An id that repeats on either side, or a ``before`` without a point,
-    is refused."""
-    original_anchor_ids = point_table(before)[1]  # refuses a repeated id
-    if not len(original_anchor_ids):
+    it. Each side is a ``TraceTable`` or a list of traces. An id that
+    repeats on either side, an anchor id outside ``anchors``, or a
+    ``before`` without a point, is refused."""
+    before, after = TraceTable.of(before), TraceTable.of(after)
+    for side in (before, after):
+        side.check_anchor_ids(len(anchors))
+    if not len(before.anchor_ids):
         raise ValueError("utility metrics need a point to measure; the traces before hold none")
-    grids = _UtilityGrids(original_anchor_ids, anchors)
-    check_unique_ids([t.object_id for t in after], "trace")
-    after_by_id = {t.object_id: t for t in after}
-    if {t.object_id for t in before} != set(after_by_id):
+    if set(before.ids) != set(after.ids):
         raise ValueError("utility metrics need identical object sets")
-    aligned = [after_by_id[t.object_id] for t in before]
-    return _utility(_summaries_of(before, grids), _summaries_of(aligned, grids))
+    grids = _UtilityGrids(before.anchor_ids, anchors)
+    row_of = {oid: i for i, oid in enumerate(after.ids)}
+    aligned = TraceTable.of(after[row_of[oid]] for oid in before.ids)
+    return _utility(grids.summarize(before), grids.summarize(aligned))
 
 
 def signature_closure(
@@ -178,89 +169,61 @@ def signature_closure(
     split: SplitStrategy | None = None,
     k: int = 5,
     utc_offset_hours: int = DEFAULT_UTC_OFFSET_HOURS,
-) -> tuple[list[Trace], ClosureReport]:
+) -> tuple[TraceTable, ClosureReport]:
     """Repeatedly suppress each object's top-m weighted anchors and re-measure.
 
-    Every round recomputes corpus statistics over the current non-empty
-    traces, builds each object's spatial signature from them, deletes every
-    occurrence of its top-m anchors from both halves symmetrically, then
-    records linking accuracy on the suppressed data and utility against the
-    original. An object with an empty trace or no discriminative anchor left
-    loses nothing that round. The report's baseline accuracy is measured
-    before any suppression. Accuracy comes from linking the split's query
-    half against its reference half with ``link_all``'s weighting and
-    exclusion rules, at reduction level ``m``, with ``link_signatures``'
-    default engine. An object id that repeats is refused.
+    Every round weights the current traces' spatial signatures over a
+    corpus of the current non-empty traces (``reference_signatures``), cuts
+    each to its top m anchors (``cut_table``) and deletes every occurrence
+    of those anchors from that object's trace, in both halves alike. It
+    then records linking accuracy on the suppressed data and utility
+    against the original. An object with an empty trace or no
+    discriminative anchor left loses nothing that round. The report's
+    baseline accuracy is measured before any suppression. Accuracy splits
+    the current traces (``split_dataset``) and links the query half against
+    the reference half (``link_all``, on its default engine) at reduction
+    level ``m``; it is 0 at every k when either half holds no point.
 
-    The traces are read once into a flat point table and counted once into
-    (object, anchor) pairs. Suppression removes whole pairs, so a round is a
-    mask over that one count table; the split is re-applied to the days of
-    the points still alive.
+    ``traces`` is a ``TraceTable`` or a list of traces; an object id that
+    repeats, an anchor id outside ``anchors`` or a timestamp that falls is
+    refused. The suppressed traces are returned as a table: the original
+    points under a mask, with a row for every object.
     """
     if m < 1 or rounds < 1:
         raise ValueError("m and rounds must both be >= 1")
     if split is None:
         split = SplitStrategy.interleaved()
-    object_ids = [t.object_id for t in traces]
-    n = len(object_ids)
-    rows, anchor_ids, t = point_table(traces)
-    pair_rows, pair_anchors, counts = pair_counts(rows, anchor_ids)
-    width = int(anchor_ids.max(initial=-1)) + 1
-    keys = pair_rows * width + pair_anchors  # sorted, as the pairs are
-    pair_of = np.searchsorted(keys, rows * width + anchor_ids)
-    day_rows, days, day_of = day_pairs(rows, t, utc_offset_hours)
-    pair_alive = np.ones(len(pair_rows), dtype=bool)
+    traces = TraceTable.of(traces)
+    traces.check_anchor_ids(len(anchors))
+    row_of = {oid: i for i, oid in enumerate(traces.ids)}
+    keys = traces.rows() * len(anchors) + traces.anchor_ids  # each point's (object, anchor)
+    alive = np.ones(len(keys), dtype=bool)
+    current = traces
 
-    def fitted(rows: np.ndarray, dims: np.ndarray) -> Corpus:
-        return Corpus(KIND_SPATIAL).fit(np.count_nonzero(np.diff(rows, prepend=-1)), dims)
-
-    def signed(corpus: Corpus, keep: np.ndarray, half_counts: np.ndarray) -> SignatureTable:
-        weighted = tfidf_weights(pair_rows[keep], pair_anchors[keep], half_counts[keep], corpus, n)
-        return SignatureTable.from_rows(KIND_SPATIAL, object_ids, *weighted)[0]
-
-    def measure() -> dict[int, float]:
-        alive = pair_alive[pair_of]
-        live_days = np.bincount(day_of[alive], minlength=len(days)) > 0
-        day_in_q = np.zeros(len(days), dtype=bool)
-        day_in_q[live_days] = query_days(object_ids, day_rows[live_days], days[live_days], split)
-        in_q = day_in_q[day_of]
-        q_counts = np.bincount(pair_of[alive & in_q], minlength=len(pair_rows))
-        d_counts = np.bincount(pair_of[alive & ~in_q], minlength=len(pair_rows))
-        if not q_counts.any() or not d_counts.any():
+    def accuracy() -> dict[int, float]:
+        halves = split_dataset(current, split, utc_offset_hours)
+        if not len(halves.q.t) or not len(halves.d.t):
             # suppression wiped one half out entirely: nothing is linkable
             return {kk: 0.0 for kk in range(1, k + 1)}
-        q, d = q_counts > 0, d_counts > 0
-        corpus = fitted(pair_rows[d], pair_anchors[d])
-        ref_sigs, query_sigs = signed(corpus, d, d_counts), signed(corpus, q, q_counts)
-        run = link_signatures(query_sigs, ref_sigs, anchors, k=k, m=m)
+        run = link_all(halves.q, halves.d, anchors, k=k, m=m)
         return accuracies(run.results, run.reference_ids, k)
 
-    def summary():
-        return grids.summarize(
-            pair_rows[pair_alive], pair_anchors[pair_alive], counts[pair_alive], n
-        )
-
-    baseline = measure()
+    baseline = accuracy()
     report_rounds: list[ClosureRound] = []
-    if len(rows):
-        grids = _UtilityGrids(anchor_ids, anchors)
-        original = summary()
+    if len(keys):
+        grids = _UtilityGrids(traces.anchor_ids, anchors)
+        original = grids.summarize(traces)
     for round_no in range(1, rounds + 1):
-        live = np.flatnonzero(pair_alive)
-        if not len(live):
+        if not len(current.t):
             break
-        live_rows, live_anchors = pair_rows[live], pair_anchors[live]
-        corpus = fitted(live_rows, live_anchors)
-        w_rows, w_dims, weights = tfidf_weights(live_rows, live_anchors, counts[live], corpus, n)
-        top = top_m(w_rows, weights, m)
-        top_rows, top_dims = w_rows[top], w_dims[top]
-        bounds = [*np.flatnonzero(np.diff(top_rows, prepend=-1)).tolist(), len(top_rows)]
-        removed = {object_ids[top_rows[s]]: top_dims[s:e].tolist()
-                   for s, e in zip(bounds, bounds[1:])}
-        pair_alive[np.searchsorted(keys, top_rows * width + top_dims)] = False
-        accuracy = measure()
-        utility = _utility(original, summary())
-        report_rounds.append(ClosureRound(round_no, removed, accuracy, utility))
-    current = masked_traces(traces, pair_alive[pair_of])
-    emptied = [t.object_id for t in current if not len(t)]
+        cut = cut_table(reference_signatures(current)[0], m)
+        cut_rows = np.fromiter(map(row_of.__getitem__, cut.ids), dtype=np.int64, count=len(cut))
+        cut_keys = np.repeat(cut_rows, np.diff(cut.indptr)) * len(anchors) + cut.dims
+        alive &= ~np.isin(keys, cut_keys)
+        current = traces.masked(alive)
+        bounds = cut.indptr.tolist()
+        removed = {oid: cut.dims[s:e].tolist() for oid, s, e in zip(cut.ids, bounds, bounds[1:])}
+        utility = _utility(original, grids.summarize(current))
+        report_rounds.append(ClosureRound(round_no, removed, accuracy(), utility))
+    emptied = [oid for oid, n in zip(traces.ids, np.diff(current.indptr).tolist()) if not n]
     return current, ClosureReport(baseline, report_rounds, emptied)

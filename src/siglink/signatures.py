@@ -16,9 +16,9 @@ from .traces import (
     DEFAULT_UTC_OFFSET_HOURS,
     AnchorSet,
     Trace,
+    TraceTable,
     _utf8_text,
     check_unique_ids,
-    point_table,
 )
 
 NORM_TOL = 1e-9
@@ -236,7 +236,7 @@ def tfidf_weights(
 
 
 # ---------------------------------------------------------------------------
-# TF-IDF kinds: each turns a point table into one dimension per occurrence
+# TF-IDF kinds: each turns a trace table's points into one dimension per occurrence
 
 
 def check_dt(dt_hours: int) -> int:
@@ -326,8 +326,8 @@ class Corpus:
     def column(
         self, rows: np.ndarray, anchor_ids: np.ndarray, t: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The row and dimension of each occurrence in a point table (see
-        ``traces.point_table``); grams outside ``grams`` are dropped."""
+        """The row and dimension of each point of a ``TraceTable``'s
+        columns; grams outside ``grams`` are dropped."""
         if self.cells is not None:
             interval = time_bin(t, self.dt_hours, self.utc_offset_hours)
             return rows, self.cells[anchor_ids] * (24 // self.dt_hours) + interval
@@ -380,26 +380,31 @@ def kind_corpus(
 def tfidf_signatures(
     traces: Sequence[Trace], corpus: Corpus
 ) -> tuple[SignatureTable, list[str], Corpus]:
-    """TF-IDF signatures of ``traces`` in the weight space of ``corpus``.
+    """TF-IDF signatures of ``traces``, a ``TraceTable`` or a list of
+    traces, in the weight space of ``corpus``.
 
     A corpus that is not fitted is first fitted to the non-empty traces
     among these: their gram table, for q >= 2, and their document
     frequencies. Returns the signatures, the ids of traces left without one
     (empty, or every dimension corpus-wide or unseen) in trace order, and
-    the corpus used. A repeated object id is refused (``point_table``).
+    the corpus used. A repeated object id is refused (``TraceTable``), and
+    so, for a spatiotemporal corpus, is an anchor id outside its grid's
+    anchors.
     """
-    rows, anchor_ids, t = point_table(traces)
+    table = TraceTable.of(traces)
+    rows, anchor_ids, t = table.rows(), table.anchor_ids, table.t
     fit = corpus.df is None
     if fit and not len(rows):
         raise EmptyTraceError("corpus has no non-empty traces")
+    if corpus.cells is not None:
+        table.check_anchor_ids(len(corpus.cells))
     if fit and corpus.q > 1:
         corpus = replace(corpus, grams=np.unique(_gram_keys(rows, anchor_ids, corpus.q)[1]))
     pair_rows, dims, counts = pair_counts(*corpus.column(rows, anchor_ids, t))
     if fit:
         corpus = corpus.fit(np.count_nonzero(np.diff(rows, prepend=-1)), dims)
-    ids = [t.object_id for t in traces]
-    weighted = tfidf_weights(pair_rows, dims, counts, corpus, len(ids))
-    sigs, excluded = SignatureTable.from_rows(corpus.kind, ids, *weighted)
+    weighted = tfidf_weights(pair_rows, dims, counts, corpus, len(table))
+    sigs, excluded = SignatureTable.from_rows(corpus.kind, table.ids, *weighted)
     return sigs, excluded, corpus
 
 
@@ -417,9 +422,9 @@ def temporal_histograms(
     trace's row is all zeros."""
     dt = check_dt(dt_hours)
     d = 24 // dt
-    rows, _, t = point_table(traces)
-    keys = rows * d + time_bin(t, dt, utc_offset_hours)
-    counts = np.bincount(keys, minlength=len(traces) * d).reshape(len(traces), d)
+    table = TraceTable.of(traces)
+    keys = table.rows() * d + time_bin(table.t, dt, utc_offset_hours)
+    counts = np.bincount(keys, minlength=len(table) * d).reshape(len(table), d)
     return counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
 
 

@@ -49,8 +49,9 @@ class RawPoint(NamedTuple):
 
 
 class Trace:
-    """A calibrated trace: chronological visits held as two parallel 1-d
-    int64 columns, ``anchor_ids`` and their timestamps ``t``.
+    """A calibrated trace: chronological visits, whose timestamps never
+    fall, held as two parallel 1-d int64 columns, ``anchor_ids`` and their
+    timestamps ``t``. A row of a ``TraceTable`` is read as one.
 
     ``Trace(object_id, points)`` takes ``(anchor_id, timestamp)`` pairs;
     ``Trace.of`` takes the two columns as they are. ``points`` is a list of
@@ -310,9 +311,12 @@ class SplitStrategy:
 
 @dataclass
 class SplitResult:
-    q: list[Trace]
-    d: list[Trace]
-    flagged: list[str]  # object ids left with an empty half
+    """Both halves of a split, as tables with a row per object in input
+    order, and the ids of the objects left with an empty half."""
+
+    q: TraceTable
+    d: TraceTable
+    flagged: list[str]
 
 
 def local_date(t: int, utc_offset_hours: int = DEFAULT_UTC_OFFSET_HOURS) -> date:
@@ -348,62 +352,92 @@ def check_unique_ids(ids: Sequence[str], what: str) -> None:
         seen.add(oid)
 
 
-def point_table(traces: Sequence[Trace]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every point of ``traces`` as three flat int64 columns, in trace order:
-    the index of its trace, its anchor id and its timestamp. An object id
-    that repeats, or a negative anchor id, raises ``ValueError`` naming its
-    object."""
-    check_unique_ids([trace.object_id for trace in traces], "trace")
-    lengths = np.fromiter(map(len, traces), dtype=np.int64, count=len(traces))
-    rows = np.repeat(np.arange(len(traces)), lengths)
-    anchor_ids, t = _columns(traces)
-    if len(anchor_ids) and anchor_ids.min() < 0:
-        at = int(np.argmax(anchor_ids < 0))
-        raise ValueError(
-            f"object {traces[rows[at]].object_id!r} has negative anchor id {anchor_ids[at]}"
+class TraceTable(Sequence[Trace]):
+    """A set of calibrated traces as one table, which splitting, weighting,
+    histograms and utility read as it is: object ``ids`` in row order and
+    int64 point columns in CSR layout, row ``i`` holding
+    ``anchor_ids[indptr[i]:indptr[i + 1]]`` and the same slice of ``t``.
+    ``table[i]`` is row ``i`` as a ``Trace`` view of the columns; assigning
+    ``points`` on it rebinds only that view. Tables are equal when their ids
+    and columns are. An object id that repeats, or a negative anchor id,
+    raises ``ValueError`` naming its object."""
+
+    __hash__ = None  # mutable, and equal by value
+
+    def __init__(self, ids: Sequence[str], indptr: np.ndarray, anchor_ids: np.ndarray,
+                 t: np.ndarray):
+        check_unique_ids(ids, "trace")
+        self.ids, self.indptr, self.anchor_ids, self.t = list(ids), indptr, anchor_ids, t
+        if len(anchor_ids) and anchor_ids.min() < 0:
+            at = int(np.argmax(anchor_ids < 0))
+            oid = self.ids[self.rows()[at]]
+            raise ValueError(f"object {oid!r} has negative anchor id {anchor_ids[at]}")
+
+    @classmethod
+    def of(cls, traces: Iterable[Trace]) -> TraceTable:
+        """``traces`` if it is a table, else its traces as one, in order."""
+        if isinstance(traces, TraceTable):
+            return traces
+        traces = list(traces)
+        empty = np.empty(0, dtype=np.int64)
+        return cls(
+            [trace.object_id for trace in traces],
+            np.cumsum([0, *map(len, traces)], dtype=np.int64),
+            np.concatenate([empty, *(trace.anchor_ids for trace in traces)]),
+            np.concatenate([empty, *(trace.t for trace in traces)]),
         )
-    return rows, anchor_ids, t
 
+    def rows(self) -> np.ndarray:
+        """Each point's row: the index of its trace."""
+        return np.repeat(np.arange(len(self.ids)), np.diff(self.indptr))
 
-def _columns(traces: Sequence[Trace]) -> tuple[np.ndarray, np.ndarray]:
-    """The anchor ids and the timestamps of every trace, each as one array
-    in trace order."""
-    empty = np.empty(0, dtype=np.int64)
-    return (
-        np.concatenate([empty, *(trace.anchor_ids for trace in traces)]),
-        np.concatenate([empty, *(trace.t for trace in traces)]),
-    )
+    def masked(self, keep: np.ndarray) -> TraceTable:
+        """The table of the points a boolean mask over them keeps, in order;
+        every row stays, empty or not. A row's new start is the count of
+        kept points before its old one."""
+        kept = np.flatnonzero(keep)
+        return TraceTable(self.ids, np.searchsorted(kept, self.indptr), self.anchor_ids[kept],
+                          self.t[kept])
 
+    def check_anchor_ids(self, n_anchors: int) -> None:
+        """Refuse a point whose anchor id is outside an anchor set of
+        ``n_anchors``: ``ValueError`` naming its object, the id and the count."""
+        if len(self.anchor_ids) and self.anchor_ids.max() >= n_anchors:
+            at = int(np.argmax(self.anchor_ids >= n_anchors))
+            raise ValueError(
+                f"object {self.ids[self.rows()[at]]!r} names anchor {self.anchor_ids[at]},"
+                f" beyond the {n_anchors} anchors"
+            )
 
-def masked_traces(traces: Sequence[Trace], keep: np.ndarray) -> list[Trace]:
-    """Each trace with the points that ``keep``, a boolean mask over the
-    rows of ``point_table(traces)``, keeps; points stay in order. The kept
-    traces share two arrays of the kept points."""
-    anchor_ids, t = (column[keep] for column in _columns(traces))
-    ends = np.cumsum(np.fromiter(map(len, traces), dtype=np.int64, count=len(traces)))
-    kept_before = np.concatenate([[0], np.cumsum(keep, dtype=np.int64)])
-    cuts = kept_before[ends[:-1]]  # where each trace's kept points start, after the first
-    return [
-        Trace.of(trace.object_id, a, s)
-        for trace, a, s in zip(traces, np.split(anchor_ids, cuts), np.split(t, cuts))
-    ]
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> Trace:
+        i = range(len(self.ids))[i]
+        at = slice(self.indptr[i], self.indptr[i + 1])
+        return Trace.of(self.ids[i], self.anchor_ids[at], self.t[at])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceTable):
+            return NotImplemented
+        columns = (self.indptr, self.anchor_ids, self.t), (other.indptr, other.anchor_ids, other.t)
+        return self.ids == other.ids and all(map(np.array_equal, *columns))
 
 
 def day_pairs(
     rows: np.ndarray, t: np.ndarray, utc_offset_hours: int = DEFAULT_UTC_OFFSET_HOURS
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct (object, local day) pairs of a point table, sorted: their
-    objects, their day numbers since 1970-01-01, and each point's pair.
-    ``rows`` gives each point's object and ``t`` its timestamp."""
+    """The distinct (object, local day) pairs of a table's points, sorted:
+    their objects, their day numbers since 1970-01-01, and how many points
+    each holds. ``rows`` gives each point's object, in table order, and
+    ``t`` its timestamp, in time order within each object, so each pair is
+    a run of points."""
     # floor division keeps days before the epoch whole
     day = (t + utc_offset_hours * 3600) // 86400
-    order = np.lexsort((day, rows))
-    rows, day = rows[order], day[order]
-    first = np.ones(len(order), dtype=bool)
+    first = np.ones(len(t), dtype=bool)
     first[1:] = (rows[1:] != rows[:-1]) | (day[1:] != day[:-1])
-    pair_of = np.empty(len(order), dtype=np.int64)
-    pair_of[order] = np.cumsum(first) - 1
-    return rows[first], day[first], pair_of
+    starts = np.flatnonzero(first)
+    return rows[starts], day[starts], np.diff(starts, append=len(t))
 
 
 def query_days(
@@ -445,17 +479,23 @@ def split_dataset(
 ) -> SplitResult:
     """Split every trace into a query half and a reference half by calendar day.
 
-    Each object appears in both halves; objects whose strategy leaves one half
-    empty are still emitted but reported in ``flagged`` so downstream accuracy
-    denominators can exclude them.
+    Each object appears in both halves, as a row of each table, cut from
+    one table by one mask; objects whose strategy leaves one half empty are
+    still emitted but reported in ``flagged`` so downstream accuracy
+    denominators can exclude them. A trace whose timestamps fall anywhere,
+    against the ``Trace`` contract, raises ``ValueError`` naming its object.
     """
-    traces = list(traces)
-    rows, _, t = point_table(traces)
-    day_rows, days, day_of = day_pairs(rows, t, utc_offset_hours)
-    in_q = query_days([tr.object_id for tr in traces], day_rows, days, strategy)[day_of]
-    q_half, d_half = masked_traces(traces, in_q), masked_traces(traces, ~in_q)
-    flagged = [q.object_id for q, d in zip(q_half, d_half) if not len(q) or not len(d)]
-    return SplitResult(q_half, d_half, flagged)
+    table = TraceTable.of(traces)
+    rows, t = table.rows(), table.t
+    falls = np.flatnonzero((t[1:] < t[:-1]) & (rows[1:] == rows[:-1])) + 1
+    if len(falls):
+        raise ValueError(f"object {table.ids[rows[falls[0]]]!r}: timestamp {t[falls[0]]} precedes"
+                         " its previous point's; a trace's points run in time order")
+    day_rows, days, sizes = day_pairs(rows, t, utc_offset_hours)
+    in_q = np.repeat(query_days(table.ids, day_rows, days, strategy), sizes)
+    q, d = table.masked(in_q), table.masked(~in_q)
+    empty = (np.diff(q.indptr) == 0) | (np.diff(d.indptr) == 0)
+    return SplitResult(q, d, [table.ids[i] for i in np.flatnonzero(empty).tolist()])
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,12 @@ from siglink.traces import (
     RawPoint,
     SplitStrategy,
     Trace,
+    TraceTable,
     calibrate_trace,
     filter_min_points,
     haversine_m,
     local_date,
-    masked_traces,
     nearest_anchors,
-    point_table,
     read_anchor_csv,
     read_raw_csv,
     read_trace_csv,
@@ -317,8 +316,8 @@ def test_empty_trace():
     assert empty.anchor_ids.shape == empty.t.shape == (0,)
     assert empty.anchor_ids.dtype == empty.t.dtype == np.int64
     assert empty == Trace.of("e", np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    rows, anchor_ids, t = point_table([empty, trace_of("a", [1]), Trace("f", [])])
-    assert rows.tolist() == [1] and anchor_ids.tolist() == [1] and len(t) == 1
+    table = TraceTable.of([empty, trace_of("a", [1]), Trace("f", [])])
+    assert table.rows().tolist() == [1] and table.anchor_ids.tolist() == [1] and len(table.t) == 1
     assert split_dataset([empty], SplitStrategy.interleaved()).flagged == ["e"]
 
 
@@ -398,7 +397,7 @@ def test_split_completeness_and_disjointness(days, strategy_idx):
         SplitStrategy.random(2, seed=1),
         SplitStrategy.weekday_weekend(),
     ][strategy_idx]
-    points = [(i, ts(2021, 3, d, 8 + (i % 10))) for i, d in enumerate(sorted(days))]
+    points = [(i, ts(2021, 3, d, 8 + i)) for i, d in enumerate(sorted(days))]
     trace = Trace("o", points)
     result = split_dataset([trace], strategy)
     merged = sorted(result.q[0].points + result.d[0].points)
@@ -490,7 +489,7 @@ _SPLIT_BASES = [
 )
 def test_split_matches_per_point_local_date_reference(objects, strategy, utc_offset):
     traces = [
-        Trace(f"o{i}", [(j % 7, base + dt) for j, dt in enumerate(offsets)])
+        Trace(f"o{i}", [(j % 7, base + dt) for j, dt in enumerate(sorted(offsets))])
         for i, (base, offsets) in enumerate(objects)
     ]
     result = split_dataset(traces, strategy, utc_offset_hours=utc_offset)
@@ -502,7 +501,7 @@ def test_split_matches_per_point_local_date_reference(objects, strategy, utc_off
 
 def _compressed_traces(traces, keep):
     """Each trace with the points ``keep`` keeps, compressed one trace at a
-    time: the oracle of ``masked_traces``."""
+    time: the oracle of ``TraceTable.masked``."""
     keep = keep.tolist()
     out, end = [], 0
     for trace in traces:
@@ -514,12 +513,56 @@ def _compressed_traces(traces, keep):
 @settings(max_examples=80, deadline=None)
 @given(lengths=st.lists(st.integers(0, 6), max_size=8), data=st.data())
 def test_masked_traces_equal_compress_per_trace(lengths, data):
-    traces = [Trace(f"o{i % 3}", [(j, 100 * j) for j in range(n)]) for i, n in enumerate(lengths)]
+    traces = [Trace(f"o{i}", [(j, 100 * j) for j in range(n)]) for i, n in enumerate(lengths)]
     keep = np.array(data.draw(st.lists(st.booleans(), min_size=sum(lengths),
                                        max_size=sum(lengths))), dtype=bool)
-    got = masked_traces(traces, keep)
-    assert got == _compressed_traces(traces, keep)
-    assert [t.object_id for t in got] == [t.object_id for t in traces]
+    got = TraceTable.of(traces).masked(keep)
+    assert list(got) == _compressed_traces(traces, keep)
+    assert got.ids == [t.object_id for t in traces]
+
+
+def test_a_table_of_a_table_is_that_table_and_tables_compare_by_value():
+    traces = [trace_of("a", [1, 2]), Trace("e", []), trace_of("b", [5])]
+    table = TraceTable.of(traces)
+    assert TraceTable.of(table) is table
+    assert table == TraceTable.of(Trace(t.object_id, t.points) for t in traces)
+    assert not table != TraceTable.of(traces)
+    assert list(table) == traces and table[2] == traces[2] and table[-3] == traces[0]
+    assert table != TraceTable.of(traces[::-1]) and table != TraceTable.of(traces[:2])
+    assert table != TraceTable.of([trace_of("a", [1, 3]), Trace("e", []), trace_of("b", [5])])
+    assert table != TraceTable(table.ids, np.array([0, 1, 2, 3]), table.anchor_ids, table.t)
+    assert table != traces
+    with pytest.raises(IndexError):
+        table[3]
+    with pytest.raises(TypeError):
+        hash(table)
+    view = table[0]
+    view.points = []  # rebinds the view's columns, not the table's
+    assert table[0] == traces[0]
+
+
+@pytest.mark.parametrize("empty_at", [0, 1, 2])
+def test_masked_and_the_time_order_check_around_an_empty_trace(empty_at):
+    # b starts before a ends: a fall between two traces is no fall
+    traces = [trace_of("a", [1, 2, 3]), trace_of("b", [4, 5])]
+    traces.insert(empty_at, Trace("e", []))
+    keep = np.array([True, False, True, False, True])
+    assert list(TraceTable.of(traces).masked(keep)) == _compressed_traces(traces, keep)
+    # every object's points fall on one day, so every object is flagged
+    flagged = split_dataset(traces, SplitStrategy.interleaved()).flagged
+    assert flagged == [t.object_id for t in traces]
+    traces[traces.index(trace_of("b", [4, 5]))] = Trace("b", [(4, 70), (5, 60)])
+    with pytest.raises(ValueError, match=r"^object 'b': timestamp 60 precedes its previous"):
+        split_dataset(traces, SplitStrategy.interleaved())
+
+
+def test_a_falling_timestamp_is_refused_naming_its_object():
+    traces = [trace_of("a", [1, 2]), Trace("b", [(3, 50), (4, 50), (2, 40)]), trace_of("c", [5])]
+    message = r"^object 'b': timestamp 40 precedes its previous point's; a trace's points run in"
+    with pytest.raises(ValueError, match=message):
+        split_dataset(traces, SplitStrategy.interleaved())
+    with pytest.raises(ValueError, match=message):
+        siglink.signature_closure(traces, AnchorSet([0.0] * 6, [0.0] * 6))
 
 
 def test_split_strategy_validation():
@@ -555,6 +598,30 @@ def test_a_trace_set_with_a_repeated_id_is_refused(call):
     traces, anchors = _with_repeated_id()
     with pytest.raises(ValueError, match=r"^object id 'o00000' repeats an earlier trace's$"):
         call(traces, anchors)
+
+
+# every entry point that indexes by anchor id, on a trace set whose first
+# object names anchor 5 of a 3-anchor set: each once raised IndexError or
+# dropped the point as unseen
+_ANCHORS3 = AnchorSet([0.0, 0.5, 1.0], [0.0, 0.5, 1.0])
+_IN_RANGE = [Trace("a", [(0, 1_600_000_000)]), Trace("b", [(1, 1_600_000_000)])]
+OUT_OF_RANGE_CALLS = {
+    "link_all-queries": lambda t: siglink.link_all(t, _IN_RANGE, _ANCHORS3),
+    "link_all-references": lambda t: siglink.link_all(_IN_RANGE, t, _ANCHORS3),
+    "signature_closure": lambda t: siglink.signature_closure(t, _ANCHORS3),
+    "utility_metrics-before": lambda t: siglink.utility_metrics(t, _IN_RANGE, _ANCHORS3),
+    "utility_metrics-after": lambda t: siglink.utility_metrics(_IN_RANGE, t, _ANCHORS3),
+    "spatiotemporal": lambda t: siglink.tfidf_signatures(
+        t, siglink.kind_corpus("spatiotemporal", anchors=_ANCHORS3, g=2, dt_hours=6)
+    ),
+}
+
+
+@pytest.mark.parametrize("call", OUT_OF_RANGE_CALLS.values(), ids=OUT_OF_RANGE_CALLS)
+def test_an_anchor_id_outside_the_anchor_set_is_refused(call):
+    traces = [Trace("a", [(5, 1_600_000_000)]), Trace("b", [(1, 1_600_000_000)])]
+    with pytest.raises(ValueError, match=r"^object 'a' names anchor 5, beyond the 3 anchors$"):
+        call(traces)
 
 
 def test_a_signature_table_with_a_repeated_id_is_refused():
@@ -608,7 +675,7 @@ def test_negative_anchor_id_refused(tmp_path):
     # a negative id would alias another anchor once ids become array indexes
     traces = [trace_of("a", [1, 2]), Trace("b", [(0, 10), (-1, 20)])]
     with pytest.raises(ValueError, match="object 'b' has negative anchor id -1"):
-        point_table(traces)
+        TraceTable.of(traces)
     with pytest.raises(ValueError, match="'b'"):
         split_dataset(traces, SplitStrategy.interleaved())
     path = tmp_path / "traces.csv"
